@@ -90,13 +90,13 @@ def random_choose(genres, rng: np.random.Generator) -> int:
 
 def _per_genre_clicks(state: CreatorRuntime) -> np.ndarray:
     counts = np.zeros(state.n_genres)
-    for entry in state.creations:
-        counts[entry.genre] += state.feedback.items[entry.item_id].clicks
+    for owned in state.items.values():
+        counts[owned.record.genre] += owned.clicks
     return counts
 
 
 def _action_for(state: CreatorRuntime, genre: int) -> ExploreAction:
-    created = any(entry.genre == genre for entry in state.creations)
+    created = any(owned.record.genre == genre for owned in state.items.values())
     kind = ActionKind.EXPLOIT if created else ActionKind.EXPLORE
     return ExploreAction(kind, genre)
 

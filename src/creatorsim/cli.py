@@ -26,9 +26,9 @@ def _cmd_run(args) -> int:
         cfg = cfg.with_overrides(seed=args.seed)
     artifacts = run_simulation(cfg, out_dir=args.out)
     r = artifacts.report
-    cgd = "n/a" if r["cgd"] is None else f"{r['cgd']:.4f}"
+    crr, cgd = ("n/a" if r[k] is None else f"{r[k]:.4f}" for k in ("crr", "cgd"))
     print(
-        f"run complete: seed={artifacts.seed} tuw={r['tuw']} crr={r['crr']:.4f} "
+        f"run complete: seed={artifacts.seed} tuw={r['tuw']} crr={crr} "
         f"cgd={cgd} artifacts={artifacts.out_dir}"
     )
     return EXIT_OK

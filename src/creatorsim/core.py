@@ -9,6 +9,7 @@ which is the enforcement point for the platform/creator information boundary.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -95,10 +96,6 @@ class EventLog:
     def events(self) -> list[InteractionEvent]:
         return self._events
 
-    @property
-    def max_step(self) -> int:
-        return self._events[-1].step if self._events else -1
-
     def __contains__(self, item: int) -> bool:
         return item in self._by_item
 
@@ -169,7 +166,7 @@ def creator_view(
     :class:`AsymmetryViolation` otherwise. All creator-side feedback reads
     must go through this function.
     """
-    owned_set = owned if isinstance(owned, (set, frozenset)) else set(owned)
+    owned_set = owned if isinstance(owned, AbstractSet) else set(owned)
     if item not in owned_set:
         raise AsymmetryViolation(f"creator {creator} queried foreign item {item}")
     return log.tally(item, frm, to)
@@ -197,7 +194,6 @@ class Catalog:
 
     def __init__(self) -> None:
         self._items: list[ItemRecord] = []
-        self._by_creator: dict[int, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._items)
@@ -227,14 +223,7 @@ class Catalog:
             created_step=created_step,
         )
         self._items.append(rec)
-        self._by_creator.setdefault(creator_id, []).append(rec.item_id)
         return rec
-
-    def items_of(self, creator_id: int) -> list[int]:
-        return self._by_creator.get(creator_id, [])
-
-    def owned_set(self, creator_id: int) -> set[int]:
-        return set(self._by_creator.get(creator_id, ()))
 
     def to_csv(self, path: str | Path) -> None:
         import csv
@@ -317,6 +306,22 @@ RERANKERS = ("none", "mmr", "fairrec", "fairco", "pmmf")
 CREATOR_POLICIES = ("creagent", "creagent_llm", "cfd", "lbr", "simuline", "random")
 
 
+# Config-file sections: field `<section>_<name>` is written `<section>.<name>`.
+_SECTIONS = (
+    "creator", "creagent", "cfd", "lbr", "user", "mf", "pop", "rerank", "mmr", "fairrec",
+    "fairco", "pmmf", "llm", "synth",
+)
+# Top-level keys that happen to start with a section name.
+_UNDOTTED = ("creator_policy",)
+
+
+def _config_key(field_name: str) -> str:
+    section, _, name = field_name.partition("_")
+    if section in _SECTIONS and field_name not in _UNDOTTED:
+        return f"{section}.{name}"
+    return field_name
+
+
 @dataclass
 class SimConfig:
     """Flat run configuration; persisted verbatim with every run."""
@@ -372,73 +377,21 @@ class SimConfig:
     synth_activity_skew: float = 1.0
     synth_activity_floor: float = 0.05
 
-    # dotted config-file key -> dataclass attribute
-    KEYS = {
-        "n_users": "n_users",
-        "n_creators": "n_creators",
-        "n_steps": "n_steps",
-        "warmup": "warmup",
-        "list_length": "list_length",
-        "retrain_period": "retrain_period",
-        "timeliness_window": "timeliness_window",
-        "beta": "beta",
-        "departure_threshold": "departure_threshold",
-        "seed": "seed",
-        "workers": "workers",
-        "ranker": "ranker",
-        "reranker": "reranker",
-        "creator_policy": "creator_policy",
-        "data_dir": "data_dir",
-        "creator.full_information": "creator_full_information",
-        "creagent.p_explore_max": "creagent_p_explore_max",
-        "creagent.p_explore_min": "creagent_p_explore_min",
-        "creagent.memory_k": "creagent_memory_k",
-        "cfd.lr": "cfd_lr",
-        "lbr.step_size": "lbr_step_size",
-        "user.alpha_click": "user_alpha_click",
-        "user.exit_base": "user_exit_base",
-        "user.exit_per_skip": "user_exit_per_skip",
-        "user.novelty_decay": "user_novelty_decay",
-        "mf.dim": "mf_dim",
-        "mf.lr": "mf_lr",
-        "mf.epochs": "mf_epochs",
-        "mf.l2": "mf_l2",
-        "pop.window": "pop_window",
-        "rerank.pool_multiplier": "rerank_pool_multiplier",
-        "mmr.lambda": "mmr_lambda",
-        "fairrec.min_share": "fairrec_min_share",
-        "fairco.lambda": "fairco_lambda",
-        "pmmf.eta_dual": "pmmf_eta_dual",
-        "pmmf.dual_max": "pmmf_dual_max",
-        "llm.endpoint": "llm_endpoint",
-        "llm.model": "llm_model",
-        "llm.temperature": "llm_temperature",
-        "llm.max_tokens": "llm_max_tokens",
-        "llm.timeout": "llm_timeout",
-        "llm.retries": "llm_retries",
-        "synth.n_genres": "synth_n_genres",
-        "synth.n_days": "synth_n_days",
-        "synth.items_per_creator": "synth_items_per_creator",
-        "synth.interactions_per_user": "synth_interactions_per_user",
-        "synth.genre_skew": "synth_genre_skew",
-        "synth.genre_concentration": "synth_genre_concentration",
-        "synth.activity_skew": "synth_activity_skew",
-        "synth.activity_floor": "synth_activity_floor",
-    }
-
     @classmethod
-    def _field_types(cls) -> dict[str, type]:
-        return {f.name: type(getattr(cls(), f.name)) for f in fields(cls)}
+    def file_keys(cls) -> dict[str, str]:
+        """Dotted config-file key -> field name, in field order."""
+        return {_config_key(f.name): f.name for f in fields(cls)}
 
     @classmethod
     def from_pairs(cls, pairs: dict[str, str]) -> "SimConfig":
-        types = cls._field_types()
+        keys = cls.file_keys()
+        default = cls()
         kwargs = {}
         for key, raw in pairs.items():
-            attr = cls.KEYS.get(key)
+            attr = keys.get(key)
             if attr is None:
                 raise ConfigError(f"unknown config key {key!r}")
-            kind = types[attr]
+            kind = type(getattr(default, attr))
             try:
                 if kind is bool:
                     low = raw.strip().lower()
@@ -466,9 +419,17 @@ class SimConfig:
         pairs = read_kv_file(path)
         return cls.from_pairs(pairs)
 
+    def section(self, prefix: str) -> dict:
+        """The `<prefix>.*` settings, keyed by the name after the dot."""
+        return {
+            key[len(prefix) + 1 :]: getattr(self, attr)
+            for key, attr in self.file_keys().items()
+            if key.startswith(prefix + ".")
+        }
+
     def to_text(self) -> str:
         lines = []
-        for key, attr in self.KEYS.items():
+        for key, attr in self.file_keys().items():
             value = getattr(self, attr)
             if isinstance(value, bool):
                 value = "true" if value else "false"
@@ -520,18 +481,16 @@ class SimConfig:
             (c.llm_timeout > 0.0, "llm.timeout must be > 0"),
             (c.llm_retries >= 0, "llm.retries must be >= 0"),
             (c.llm_max_tokens >= 1, "llm.max_tokens must be >= 1"),
-            (c.synth_n_genres >= 1, "synth.n_genres must be >= 1"),
-            (c.synth_n_days >= 1, "synth.n_days must be >= 1"),
-            (c.synth_items_per_creator >= 1, "synth.items_per_creator must be >= 1"),
-            (c.synth_interactions_per_user >= 0, "synth.interactions_per_user must be >= 0"),
-            (c.synth_genre_skew >= 0.0, "synth.genre_skew must be >= 0"),
-            (c.synth_genre_concentration > 0.0, "synth.genre_concentration must be > 0"),
-            (c.synth_activity_skew >= 0.0, "synth.activity_skew must be >= 0"),
-            (0.0 <= c.synth_activity_floor <= 1.0, "synth.activity_floor must be in [0, 1]"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        from .ingest import InvalidParams, SynthParams
+
+        try:
+            SynthParams.from_config(self).validate()
+        except InvalidParams as e:
+            raise ConfigError(f"synth.{e}") from e
 
 
 def read_kv_file(path: str | Path) -> dict[str, str]:

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SimError
+from .core import ItemRecord, SimError
 
 
 class NotOwned(SimError):
@@ -57,28 +57,13 @@ class CreatedContent:
 
 
 @dataclass
-class ItemFeedback:
-    created_step: int
+class OwnedItem:
+    """One of the creator's own items: the catalog's record, shared and not
+    copied, plus the cumulative feedback the creator has seen on it."""
+
+    record: ItemRecord
     exposures: int = 0
     clicks: int = 0
-
-
-@dataclass
-class FeedbackMemory:
-    """Cumulative per-item exposure/click counters for owned items only."""
-
-    items: dict[int, ItemFeedback] = field(default_factory=dict)
-    last_refresh: int = -1
-
-
-@dataclass(frozen=True)
-class CreationEntry:
-    item_id: int
-    genre: int
-    title: str
-    tags: tuple[str, ...]
-    description: str
-    step: int
 
 
 @dataclass
@@ -96,9 +81,10 @@ class CreatorRuntime:
     activity: float                        # items per day from the seed profile
     create_prob: float                     # activity / population max
     n_genres: int
-    feedback: FeedbackMemory
-    creations: list[CreationEntry]
     beliefs: Beliefs
+    # Own items by id, in creation order; ids grow with creation, so this is
+    # also id order, which keeps every float reduction over it reproducible.
+    items: dict[int, OwnedItem] = field(default_factory=dict)
     departure_threshold: int = 5
     beta: float = 0.5
     consecutive_zero_click: int = 0
@@ -106,11 +92,16 @@ class CreatorRuntime:
     creation_count: int = 0                # simulated creations, for title numbering
     pending_item: int | None = None        # last creation awaiting its outcome
 
-    def owned(self) -> set[int]:
-        return set(self.feedback.items.keys())
+    @property
+    def creations(self) -> list[ItemRecord]:
+        """The creation memory: records of the creator's own items, oldest first."""
+        return [owned.record for owned in self.items.values()]
+
+    def add_item(self, record: ItemRecord, exposures: int = 0, clicks: int = 0) -> None:
+        self.items[record.item_id] = OwnedItem(record, exposures, clicks)
 
     def last_item(self) -> int | None:
-        return self.creations[-1].item_id if self.creations else None
+        return next(reversed(self.items), None)
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +115,11 @@ def update_feedback_memory(state: CreatorRuntime, step_events, n: int) -> None:
     the ownership-checked log view.
     """
     for item_id, exposures, clicks in step_events:
-        fb = state.feedback.items.get(item_id)
-        if fb is None:
+        owned = state.items.get(item_id)
+        if owned is None:
             raise ForeignItem(f"creator {state.creator_id} got feedback for foreign item {item_id}")
-        fb.exposures += exposures
-        fb.clicks += clicks
-    state.feedback.last_refresh = n
+        owned.exposures += exposures
+        owned.clicks += clicks
 
 
 def item_utility(state: CreatorRuntime, item_id: int, n: int) -> float:
@@ -137,13 +127,14 @@ def item_utility(state: CreatorRuntime, item_id: int, n: int) -> float:
 
     z = (beta * exposures + (1 - beta) * clicks) / (n - created_step + 1).
     """
-    fb = state.feedback.items.get(item_id)
-    if fb is None:
+    owned = state.items.get(item_id)
+    if owned is None:
         raise NotOwned(f"creator {state.creator_id} does not own item {item_id}")
-    if n < fb.created_step:
-        raise FutureItem(f"item {item_id} created at step {fb.created_step}, queried at {n}")
-    weighted = state.beta * fb.exposures + (1.0 - state.beta) * fb.clicks
-    return weighted / (n - fb.created_step + 1)
+    created = owned.record.created_step
+    if n < created:
+        raise FutureItem(f"item {item_id} created at step {created}, queried at {n}")
+    weighted = state.beta * owned.exposures + (1.0 - state.beta) * owned.clicks
+    return weighted / (n - created + 1)
 
 
 def update_beliefs(state: CreatorRuntime, n: int) -> None:
@@ -151,9 +142,10 @@ def update_beliefs(state: CreatorRuntime, n: int) -> None:
     G = state.n_genres
     counts = np.zeros(G)
     utilities: dict[int, list[float]] = {}
-    for entry in state.creations:
-        counts[entry.genre] += 1
-        utilities.setdefault(entry.genre, []).append(item_utility(state, entry.item_id, n))
+    for item_id, owned in state.items.items():
+        genre = owned.record.genre
+        counts[genre] += 1
+        utilities.setdefault(genre, []).append(item_utility(state, item_id, n))
     if counts.sum() > 0:
         state.beliefs.skill = counts / counts.sum()
     state.beliefs.audience = {g: float(np.mean(vals)) for g, vals in utilities.items()}
@@ -163,7 +155,7 @@ def register_creation_outcome(state: CreatorRuntime, item_id: int, clicks_in_win
     """Advance or reset the zero-click streak; departure at the threshold."""
     if not state.alive:
         return
-    if item_id not in state.feedback.items:
+    if item_id not in state.items:
         raise NotOwned(f"creator {state.creator_id} does not own item {item_id}")
     if clicks_in_window == 0:
         state.consecutive_zero_click += 1
@@ -193,11 +185,7 @@ def reward_percentile(state: CreatorRuntime, n: int) -> float:
     if last is None:
         return 0.5
     z_last = item_utility(state, last, n)
-    others = [
-        item_utility(state, entry.item_id, n)
-        for entry in state.creations
-        if entry.item_id != last
-    ]
+    others = [item_utility(state, item_id, n) for item_id in state.items if item_id != last]
     if not others:
         return 0.5
     below = sum(1 for z in others if z < z_last)
@@ -245,27 +233,27 @@ def rule_based_decide(
         genre = int(unknown[rng.integers(0, len(unknown))])
     else:
         counts = np.zeros(G)
-        for entry in state.creations:
-            counts[entry.genre] += 1
+        for owned in state.items.values():
+            counts[owned.record.genre] += 1
         genre = int(np.argmin(counts))
     return ExploreAction(ActionKind.EXPLORE, genre)
 
 
 def retrieve_creation_memory(
     state: CreatorRuntime, action: ExploreAction, k: int, n: int
-) -> list[CreationEntry]:
+) -> list[ItemRecord]:
     """Top-k past creations by relevance * recency.
 
     Relevance is 1 for the action's genre and 0.25 otherwise; recency decays
-    as (n - step + 1) ** -0.5. Ties prefer the newer item.
+    as (n - created_step + 1) ** -0.5. Ties prefer the newer item.
     """
-    def score(entry: CreationEntry) -> float:
-        relevance = 1.0 if entry.genre == action.genre else 0.25
-        return relevance * (n - entry.step + 1) ** -0.5
+    def score(rec: ItemRecord) -> float:
+        relevance = 1.0 if rec.genre == action.genre else 0.25
+        return relevance * (n - rec.created_step + 1) ** -0.5
 
     ordered = sorted(
         state.creations,
-        key=lambda e: (-score(e), -e.step, -e.item_id),
+        key=lambda r: (-score(r), -r.created_step, -r.item_id),
     )
     return ordered[:k]
 
@@ -287,10 +275,10 @@ def template_content(
     title = f"{state.name} — {genre_name} #{counter}"
     retrieved = retrieve_creation_memory(state, action, memory_k, n)
     tag_counts: dict[str, int] = {}
-    for entry in retrieved:
-        if entry.genre != action.genre:
+    for rec in retrieved:
+        if rec.genre != action.genre:
             continue
-        for tag in entry.tags:
+        for tag in rec.tags:
             tag_counts[tag] = tag_counts.get(tag, 0) + 1
     if tag_counts:
         ranked = sorted(tag_counts.items(), key=lambda kv: (-kv[1], kv[0]))

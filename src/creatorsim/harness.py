@@ -6,8 +6,11 @@ BELIEFS, and LIFECYCLE in that order. Agents read the previous step's
 committed world and mutate only their own state; cross-agent effects (the
 event log, the catalog, exposure ledgers, fairness duals) are committed at
 phase barriers in stable id order, so results are bit-identical for any
-worker count. Metrics are always recomputed from the persisted artifacts,
-which makes every run replayable and every report reproducible.
+worker count. Only the CREATE phase fans out over `workers` threads, because
+only it waits on I/O (the LLM policy's round trips); every other phase runs
+serially, since its work holds the interpreter lock. Metrics are always
+recomputed from the persisted artifacts, which makes every run replayable and
+every report reproducible.
 """
 
 from __future__ import annotations
@@ -33,10 +36,7 @@ from .core import (
 )
 from .creator import (
     Beliefs,
-    CreationEntry,
     CreatorRuntime,
-    FeedbackMemory,
-    ItemFeedback,
     RuleBasedPolicy,
     item_utility,
     register_creation_outcome,
@@ -50,6 +50,7 @@ from .ingest import Dataset, SynthParams, init_creator_seeds, init_user_seeds, l
 from .metrics import (
     EmptyItems,
     MetricsReport,
+    NoCreatorsAtStart,
     NoExposures,
     alignment_from_distributions,
     content_genre_diversity,
@@ -148,15 +149,7 @@ def _build_policy(cfg: SimConfig, genres, transport=None):
     if cfg.creator_policy == "creagent_llm":
         from .llm import LlmConfig, LlmPolicy
 
-        llm_cfg = LlmConfig(
-            endpoint=cfg.llm_endpoint,
-            model=cfg.llm_model,
-            temperature=cfg.llm_temperature,
-            max_tokens=cfg.llm_max_tokens,
-            timeout=cfg.llm_timeout,
-            retries=cfg.llm_retries,
-        )
-        return LlmPolicy(llm_cfg, genres, fallback=rule, transport=transport)
+        return LlmPolicy(LlmConfig(**cfg.section("llm")), genres, fallback=rule, transport=transport)
     if cfg.creator_policy == "cfd":
         return CfdPolicy(genres, lr=cfg.cfd_lr, memory_k=cfg.creagent_memory_k)
     if cfg.creator_policy == "lbr":
@@ -212,31 +205,22 @@ class _World:
         eta = max((s.activity for s in creator_seeds), default=0.0)
         self.creators: list[CreatorRuntime] = []
         for seed in creator_seeds:
-            cid = creator_index[seed.creator_id]
-            feedback = FeedbackMemory()
-            creations = []
-            for it in sorted(seed.history, key=lambda x: (x.created_day, x.item_id)):
-                new_id = item_index[it.item_id]
-                count = counts_per_item.get(new_id, 0)
-                feedback.items[new_id] = ItemFeedback(created_step=0, exposures=count, clicks=count)
-                creations.append(CreationEntry(new_id, it.genre, it.title, it.tags, it.description, 0))
-            creations.sort(key=lambda e: (e.step, e.item_id))
-            self.creators.append(
-                CreatorRuntime(
-                    creator_id=cid,
-                    name=seed.name,
-                    identity=_deterministic_identity(seed, self.genres),
-                    motivation="profit" if seed.followers > follower_median else "sharing",
-                    activity=seed.activity,
-                    create_prob=seed.activity / eta if eta > 0 else 0.0,
-                    n_genres=G,
-                    feedback=feedback,
-                    creations=creations,
-                    beliefs=Beliefs(skill=seed.skill.copy(), audience=dict(seed.audience)),
-                    departure_threshold=cfg.departure_threshold,
-                    beta=cfg.beta,
-                )
+            state = CreatorRuntime(
+                creator_id=creator_index[seed.creator_id],
+                name=seed.name,
+                identity=_deterministic_identity(seed, self.genres),
+                motivation="profit" if seed.followers > follower_median else "sharing",
+                activity=seed.activity,
+                create_prob=seed.activity / eta if eta > 0 else 0.0,
+                n_genres=G,
+                beliefs=Beliefs(skill=seed.skill.copy(), audience=dict(seed.audience)),
+                departure_threshold=cfg.departure_threshold,
+                beta=cfg.beta,
             )
+            for new_id in sorted(item_index[it.item_id] for it in seed.history):
+                count = counts_per_item.get(new_id, 0)
+                state.add_item(self.catalog[new_id], exposures=count, clicks=count)
+            self.creators.append(state)
 
         self.users = [
             UserRuntime(user_id=user_index[s.user_id], preference=s.preference, activity=s.activity)
@@ -245,14 +229,8 @@ class _World:
         self.population_preference = np.mean([u.preference for u in self.users], axis=0)
 
         self.ranker = make_ranker(
-            cfg.ranker,
-            n_users=len(self.users),
-            seed=cfg.seed,
-            dim=cfg.mf_dim,
-            lr=cfg.mf_lr,
-            epochs=cfg.mf_epochs,
-            l2=cfg.mf_l2,
-            pop_window=cfg.pop_window,
+            cfg.ranker, n_users=len(self.users), seed=cfg.seed, pop_window=cfg.pop_window,
+            **cfg.section("mf"),
         )
         if self.clicks or cfg.ranker in ("random", "pop"):
             self.ranker.retrain(self.clicks, self.catalog, 0)
@@ -321,7 +299,7 @@ class _World:
             if not wants_to_create(state, self.creator_activity_rng[idx]):
                 return None
             if state.pending_item is not None:
-                clicks = state.feedback.items[state.pending_item].clicks
+                clicks = state.items[state.pending_item].clicks
                 last_utility = item_utility(state, state.pending_item, n)
                 register_creation_outcome(state, state.pending_item, clicks)
                 state.pending_item = None
@@ -358,10 +336,7 @@ class _World:
             rec = self.catalog.add(
                 state.creator_id, content.genre, content.title, content.tags, content.description, n
             )
-            state.feedback.items[rec.item_id] = ItemFeedback(created_step=n)
-            state.creations.append(
-                CreationEntry(rec.item_id, content.genre, content.title, content.tags, content.description, n)
-            )
+            state.add_item(rec)
             state.creation_count += 1
             state.pending_item = rec.item_id
             self.trace_rows.append(
@@ -401,16 +376,10 @@ class _World:
             if is_active(user, self.user_rng[idx]):
                 active.append(idx)
 
-        def base_rank(idx: int):
-            return rank_scored(self.ranker, self.users[idx].user_id, pool, top_m, self.catalog)
-
-        ranked = _map_workers(base_rank, active, cfg.workers)
-
         step_events = []
-        for idx, pairs in zip(active, ranked):
+        for idx in active:
+            pairs = rank_scored(self.ranker, self.users[idx].user_id, pool, top_m, self.catalog)
             scored = [(self.catalog[item], score) for item, score in pairs]
-            for rec, score in scored:
-                self.ledger.add_relevance(rec.creator_id, score)
             if not use_rerank:
                 final = [rec for rec, _ in scored[:K]]
             elif cfg.reranker == "mmr":
@@ -455,11 +424,10 @@ class _World:
         for state in self.creators:
             if not state.alive:
                 continue
-            owned = state.owned()
             step_list = []
             for item in sorted(per_creator.get(state.creator_id, ())):
                 exposures, clicks = core.creator_view(
-                    self.log, state.creator_id, owned, item, n, n
+                    self.log, state.creator_id, state.items.keys(), item, n, n
                 )
                 step_list.append((item, exposures, clicks))
             update_feedback_memory(state, step_list, n)
@@ -543,20 +511,7 @@ def run_simulation(
         if cfg.data_dir:
             data = load_dataset(cfg.data_dir)
         else:
-            params = SynthParams(
-                n_users=cfg.n_users,
-                n_creators=cfg.n_creators,
-                n_genres=cfg.synth_n_genres,
-                n_days=cfg.synth_n_days,
-                items_per_creator=cfg.synth_items_per_creator,
-                interactions_per_user=cfg.synth_interactions_per_user,
-                genre_skew=cfg.synth_genre_skew,
-                genre_concentration=cfg.synth_genre_concentration,
-                activity_skew=cfg.synth_activity_skew,
-                activity_floor=cfg.synth_activity_floor,
-                seed=cfg.seed,
-            )
-            data = synth_dataset(params, stream(cfg.seed, "synth"))
+            data = synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth"))
     world = _World(cfg, data, transport)
     for n in range(1, cfg.n_steps + 1):
         started = time.perf_counter()
@@ -625,18 +580,34 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     trace = _read_trace(_require(run_dir / TRACE_FILE))
     with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
         summary = json.load(f)
+    try:
+        n_creators = summary["n_creators"]
+        n_genres = len(summary["genres"])
+        dataset_genre_counts = np.asarray(summary["dataset_genre_counts"], dtype=float)
+        dataset_entropies = summary["dataset_creator_entropies"]
+    except KeyError as e:
+        raise CorruptLog(f"{SUMMARY_FILE}: missing key {e}") from e
 
     start, end = cfg.warmup, cfg.n_steps
-    n_creators = summary["n_creators"]
-    n_genres = len(summary["genres"])
 
-    departures = sorted(int(r["step"]) for r in trace if r["action_kind"] == "DEPART")
+    try:
+        departures = sorted(int(r["step"]) for r in trace if r["action_kind"] == "DEPART")
+        decisions = [
+            (float(r["reward_pct"]), r["action_kind"])
+            for r in trace
+            if r["action_kind"] in ("EXPLORE", "EXPLOIT")
+        ]
+    except ValueError as e:
+        raise CorruptLog(f"{TRACE_FILE}: {e}") from e
 
     def alive_at(step: int) -> int:
         return n_creators - sum(1 for s in departures if s <= step)
 
     tuw = total_user_welfare(log, start, end)
-    crr = creator_retention_rate(alive_at, start, end)
+    try:
+        crr = creator_retention_rate(alive_at, start, end)
+    except NoCreatorsAtStart:
+        crr = None
     try:
         cgd = content_genre_diversity(log, lambda i: catalog[i].genre, n_genres, start, end)
     except NoExposures:
@@ -646,19 +617,14 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     try:
         preference_jsd, diversity_jsd = alignment_from_distributions(
             genre_histogram((g for _, g in sim_items), n_genres),
-            np.asarray(summary["dataset_genre_counts"], dtype=float),
+            dataset_genre_counts,
             per_creator_entropies(sim_items, n_genres),
-            summary["dataset_creator_entropies"],
+            dataset_entropies,
             n_genres,
         )
     except EmptyItems:
         preference_jsd, diversity_jsd = None, None
 
-    decisions = [
-        (float(r["reward_pct"]), r["action_kind"])
-        for r in trace
-        if r["action_kind"] in ("EXPLORE", "EXPLOIT")
-    ]
     table = explore_exploit_table(decisions)
 
     reward_per_step = [0] * cfg.n_steps

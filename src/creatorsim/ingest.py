@@ -97,9 +97,6 @@ class Dataset:
     def n_genres(self) -> int:
         return len(self.genres)
 
-    def items_of_creator(self, creator_id: int) -> list[ItemRow]:
-        return [it for it in self.items if it.creator_id == creator_id]
-
     def to_dir(self, path: str | Path) -> None:
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
@@ -341,6 +338,13 @@ class SynthParams:
     activity_skew: float = 1.0         # power-law exponent of creator output
     activity_floor: float = 0.05       # tail output as a fraction of the head's
     seed: int = 0
+
+    @classmethod
+    def from_config(cls, cfg) -> "SynthParams":
+        """A run config's `synth.*` section, sized and seeded by the run."""
+        return cls(
+            n_users=cfg.n_users, n_creators=cfg.n_creators, seed=cfg.seed, **cfg.section("synth")
+        )
 
     @classmethod
     def from_file(cls, path) -> "SynthParams":

@@ -349,7 +349,7 @@ class LlmPolicy:
 
         audience_text, skill_text, known, unknown = self._belief_text(state)
         last = state.last_item()
-        last_genre = self.genre_names[state.creations[-1].genre] if last is not None else "none"
+        last_genre = self.genre_names[state.items[last].record.genre] if last is not None else "none"
         last_utility = f"{item_utility(state, last, n):.3f}" if last is not None else "0.000"
         prompt = render_prompt(
             SLOW_THINKER,

@@ -236,7 +236,7 @@ class MetricsReport:
     """Full quantitative report of one run."""
 
     tuw: int
-    crr: float
+    crr: float | None
     cgd: float | None
     alive_at_start: int
     alive_at_end: int

@@ -38,9 +38,6 @@ class CandidatePool:
     def __len__(self) -> int:
         return len(self.item_ids)
 
-    def __contains__(self, item_id: int) -> bool:
-        return bool(np.isin(item_id, self.item_ids))
-
 
 def build_candidate_pool(catalog: Catalog, step: int, window: int) -> CandidatePool:
     ids, created = [], []
@@ -63,10 +60,8 @@ class RandomRanker:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self.trained_at = -1
 
     def retrain(self, clicks: list[Click], catalog: Catalog, step: int) -> "RandomRanker":
-        self.trained_at = step
         return self
 
     def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
@@ -81,7 +76,6 @@ class PopRanker:
     def __init__(self, window: int):
         self.window = window
         self.counts: dict[int, int] = {}
-        self.trained_at = -1
 
     def retrain(self, clicks: list[Click], catalog: Catalog, step: int) -> "PopRanker":
         lo = step - self.window + 1
@@ -90,7 +84,6 @@ class PopRanker:
             if lo <= s <= step:
                 counts[item] = counts.get(item, 0) + 1
         self.counts = counts
-        self.trained_at = step
         return self
 
     def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
@@ -116,7 +109,6 @@ class _FactorRanker:
         self.n_items = 0
         self.cold_vec = np.zeros((0, dim))
         self.cold_bias = np.zeros(0)
-        self.trained_at = -1
 
     def _grow(self, catalog: Catalog) -> None:
         n = len(catalog)
@@ -165,7 +157,6 @@ class _FactorRanker:
             self._epoch(users, items, negatives, rng)
         n_genres = max((catalog[i].genre for i in range(len(catalog))), default=-1) + 1
         self._refresh_cold(catalog, n_genres)
-        self.trained_at = step
         return self
 
     def _epoch(self, users, items, negatives, rng) -> None:
@@ -262,11 +253,6 @@ def rank_scored(
     order = np.lexsort((pool.item_ids, -pool.created_steps, -scores))
     top = order[:k]
     return [(int(pool.item_ids[i]), float(scores[i])) for i in top]
-
-
-def rank(ranker, user: int, pool: CandidatePool, k: int, catalog: Catalog) -> list[int]:
-    """Top-k pool items by score; ties go to the newer item, then lower id."""
-    return [item for item, _ in rank_scored(ranker, user, pool, k, catalog)]
 
 
 def serve_session(

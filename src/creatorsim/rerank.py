@@ -18,21 +18,12 @@ Scored = tuple[ItemRecord, float]
 
 @dataclass
 class ExposureLedger:
-    """Per-creator exposure accounting since the evaluation window opened.
-
-    `exposures` counts served exposures per creator; `relevance_mass` tracks
-    each creator's share of candidate relevance, exposing a relevance-
-    proportional target share for diagnostics.
-    """
+    """Served exposures per creator since the evaluation window opened."""
 
     exposures: dict[int, int] = field(default_factory=dict)
-    relevance_mass: dict[int, float] = field(default_factory=dict)
 
     def add_exposure(self, creator_id: int, count: int = 1) -> None:
         self.exposures[creator_id] = self.exposures.get(creator_id, 0) + count
-
-    def add_relevance(self, creator_id: int, relevance: float) -> None:
-        self.relevance_mass[creator_id] = self.relevance_mass.get(creator_id, 0.0) + relevance
 
     def exposure(self, creator_id: int) -> int:
         return self.exposures.get(creator_id, 0)
@@ -42,12 +33,6 @@ class ExposureLedger:
         if not creators:
             return 0.0
         return sum(self.exposure(c) for c in creators) / len(creators)
-
-    def target_share(self, creator_id: int) -> float:
-        total = sum(self.relevance_mass.values())
-        if total <= 0:
-            return 0.0
-        return self.relevance_mass.get(creator_id, 0.0) / total
 
 
 def mmr_rerank(scored: list[Scored], lam: float, k: int) -> list[ItemRecord]:

@@ -17,11 +17,12 @@ from creatorsim.core import (
     Catalog,
     EventLog,
     InteractionEvent,
+    ItemRecord,
     SimConfig,
     creator_view,
     stream,
 )
-from creatorsim.creator import CreatorRuntime, Beliefs, FeedbackMemory, ItemFeedback, item_utility, update_feedback_memory
+from creatorsim.creator import CreatorRuntime, Beliefs, item_utility, update_feedback_memory
 from creatorsim.harness import run_simulation
 from creatorsim.ingest import CreatorRow, Dataset, ItemRow, UserRow
 from creatorsim.metrics import content_genre_diversity, creation_alignment, js_divergence
@@ -112,7 +113,7 @@ def test_02_utility_oracle():
     log = EventLog()
     state = CreatorRuntime(
         creator_id=0, name="c", identity="", motivation="", activity=1.0, create_prob=1.0,
-        n_genres=4, feedback=FeedbackMemory(), creations=[],
+        n_genres=4,
         beliefs=Beliefs(skill=np.full(4, 0.25), audience={}), beta=0.5,
     )
     items: dict[int, int] = {}
@@ -122,7 +123,7 @@ def test_02_utility_oracle():
         if len(items) < 25 and step % 2 == 1:
             item_id = len(items)
             items[item_id] = step
-            state.feedback.items[item_id] = ItemFeedback(created_step=step)
+            state.add_item(ItemRecord(item_id, 0, 0, f"t{item_id}", (), "", step))
         counts = {i: [0, 0] for i in items}
         for user in range(6):
             for item_id in items:

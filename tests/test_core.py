@@ -173,8 +173,7 @@ class TestCatalog:
         a = cat.add(0, 1, "t1", ["x"], "d", 0)
         b = cat.add(1, 2, "t2", [], "d", 1)
         assert (a.item_id, b.item_id) == (0, 1)
-        assert cat.items_of(0) == [0]
-        assert cat.owned_set(1) == {1}
+        assert (cat[0].creator_id, cat[1].creator_id) == (0, 1)
 
     def test_csv_roundtrip(self, tmp_path):
         cat = Catalog()
@@ -233,6 +232,7 @@ class TestSimConfig:
             ("reranker", "bogus"),
             ("creator_policy", "nobody"),
             ("retrain_period", 0),
+            ("synth_n_genres", 20),
         ],
     )
     def test_invariant_violations_rejected(self, attr, value):

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from creatorsim.core import EventLog, InteractionEvent, creator_view, stream
+from creatorsim.core import EventLog, InteractionEvent, ItemRecord, creator_view, stream
 from creatorsim.creator import (
     ActionKind,
     Beliefs,
     CreatedContent,
-    CreationEntry,
     CreatorRuntime,
     DeadCreator,
     ExploreAction,
-    FeedbackMemory,
     ForeignItem,
     FutureItem,
-    ItemFeedback,
     NotOwned,
     RuleBasedPolicy,
     explore_probability,
@@ -40,16 +37,13 @@ def make_creator(name="Ada", n_genres=14, beta=0.5, create_prob=0.5):
         activity=1.0,
         create_prob=create_prob,
         n_genres=n_genres,
-        feedback=FeedbackMemory(),
-        creations=[],
         beliefs=Beliefs(skill=np.full(n_genres, 1.0 / n_genres), audience={}),
         beta=beta,
     )
 
 
 def add_item(state, item_id, genre, step, tags=()):
-    state.feedback.items[item_id] = ItemFeedback(created_step=step)
-    state.creations.append(CreationEntry(item_id, genre, f"t{item_id}", tuple(tags), "", step))
+    state.add_item(ItemRecord(item_id, state.creator_id, genre, f"t{item_id}", tuple(tags), "", step))
 
 
 class ScriptedRng:
@@ -69,15 +63,14 @@ class TestFeedbackMemory:
         c = make_creator()
         add_item(c, 5, 0, step=1)
         update_feedback_memory(c, [(5, 3, 1)], n=2)
-        fb = c.feedback.items[5]
+        fb = c.items[5]
         assert (fb.exposures, fb.clicks) == (3, 1)
-        assert c.feedback.last_refresh == 2
 
     def test_empty_step_is_noop(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
         update_feedback_memory(c, [], n=3)
-        fb = c.feedback.items[5]
+        fb = c.items[5]
         assert (fb.exposures, fb.clicks) == (0, 0)
 
     def test_foreign_item_rejected(self):
@@ -128,7 +121,7 @@ class TestItemUtility:
             if step % 3 == 1 and len(items) < 6:
                 item_id = len(items)
                 items[item_id] = step
-                c.feedback.items[item_id] = ItemFeedback(created_step=step)
+                add_item(c, item_id, 0, step)
             step_counts = {i: [0, 0] for i in items}
             for user in range(4):
                 for item_id in items:

@@ -32,6 +32,12 @@ def small_cfg(**overrides):
     return SimConfig(**base)
 
 
+def copy_run(artifacts, tmp_path):
+    import shutil
+
+    return shutil.copytree(artifacts.out_dir, tmp_path / "copy")
+
+
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("smoke") / "run"
@@ -375,3 +381,37 @@ class TestCli:
 
     def test_report_missing_dir_exit_code(self, tmp_path):
         assert cli_main(["report", str(tmp_path / "missing")]) == 3
+
+    def test_report_non_numeric_reward_pct_exit_code(self, smoke_run, tmp_path):
+        broken = copy_run(smoke_run, tmp_path)
+        lines = (broken / "creator_trace.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if ",EXPLORE," in line or ",EXPLOIT," in line)
+        lines[row] = lines[row].rsplit(",", 1)[0] + ",high"
+        (broken / "creator_trace.csv").write_text("\n".join(lines) + "\n")
+        assert cli_main(["report", str(broken)]) == 3
+
+    def test_report_summary_without_n_creators_exit_code(self, smoke_run, tmp_path):
+        broken = copy_run(smoke_run, tmp_path)
+        summary = json.loads((broken / "dataset_summary.json").read_text())
+        del summary["n_creators"]
+        (broken / "dataset_summary.json").write_text(json.dumps(summary))
+        assert cli_main(["report", str(broken)]) == 3
+
+    def test_config_synth_range_checked_at_load(self, tmp_path):
+        # a run on a dataset directory never synthesizes, but its config is still checked
+        config = tmp_path / "config.txt"
+        config.write_text(small_cfg(data_dir=str(tmp_path / "unused")).to_text()
+                          .replace("synth.n_genres = 14", "synth.n_genres = 20"))
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_every_creator_departed_before_warmup(self, tmp_path, capsys):
+        cfg = SimConfig(n_users=2, n_creators=3, n_steps=60, warmup=60, departure_threshold=1,
+                        synth_interactions_per_user=0, seed=1)
+        config = tmp_path / "config.txt"
+        config.write_text(cfg.to_text())
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert "crr=n/a" in capsys.readouterr().out
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert metrics["alive_at_start"] == 0
+        assert metrics["crr"] is None

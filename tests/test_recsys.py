@@ -10,10 +10,14 @@ from creatorsim.recsys import (
     RandomRanker,
     build_candidate_pool,
     make_ranker,
-    rank,
+    rank_scored,
     serve_session,
 )
 from creatorsim.users import UserRuntime
+
+
+def top_ids(ranker, user, pool, k, cat):
+    return [item for item, _ in rank_scored(ranker, user, pool, k, cat)]
 
 
 def catalog_with(n_items, genre_of=lambda i: i % 3, created=lambda i: 0):
@@ -28,7 +32,7 @@ class TestCandidatePool:
         cat = Catalog()
         cat.add(0, 0, "t", [], "", 1)
         pool = build_candidate_pool(cat, 21, 20)
-        assert 0 in pool
+        assert 0 in pool.item_ids
 
     def test_beyond_window_excluded(self):
         cat = Catalog()
@@ -53,7 +57,7 @@ class TestPop:
         clicks = [(0, 0, 1)] * 3 + [(0, 1, 1)]
         r = PopRanker(window=20).retrain(clicks, cat, step=1)
         pool = build_candidate_pool(cat, 1, 20)
-        assert rank(r, 0, pool, 2, cat) == [0, 1]
+        assert top_ids(r, 0, pool, 2, cat) == [0, 1]
 
     def test_window_excludes_old_clicks(self):
         cat = catalog_with(2)
@@ -73,7 +77,7 @@ class TestRank:
         cat = catalog_with(3)
         r = RandomRanker(seed=1)
         pool = build_candidate_pool(cat, 0, 20)
-        assert sorted(rank(r, 0, pool, 99, cat)) == [0, 1, 2]
+        assert sorted(top_ids(r, 0, pool, 99, cat)) == [0, 1, 2]
 
     def test_equal_scores_newer_first_then_lower_id(self):
         cat = Catalog()
@@ -82,13 +86,13 @@ class TestRank:
         cat.add(0, 0, "c", [], "", 5)
         r = PopRanker(window=20).retrain([], cat, step=5)  # all scores 0
         pool = build_candidate_pool(cat, 5, 20)
-        assert rank(r, 0, pool, 3, cat) == [1, 2, 0]
+        assert top_ids(r, 0, pool, 3, cat) == [1, 2, 0]
 
     def test_output_is_permutation_prefix_of_pool(self):
         cat = catalog_with(20, created=lambda i: i % 7)
         r = RandomRanker(seed=3)
         pool = build_candidate_pool(cat, 6, 20)
-        out = rank(r, 4, pool, 10, cat)
+        out = top_ids(r, 4, pool, 10, cat)
         assert len(out) == len(set(out)) == 10
         assert set(out) <= {int(i) for i in pool.item_ids}
 
@@ -204,6 +208,6 @@ def test_pop_exposure_concentrates_on_top_item():
     clicks = [(0, 0, 1)] * 30 + [(0, i, 1) for i in range(1, 10)]
     r = PopRanker(window=20).retrain(clicks, cat, step=1)
     pool = build_candidate_pool(cat, 1, 20)
-    top1 = [rank(r, u, pool, 1, cat)[0] for u in range(20)]
+    top1 = [top_ids(r, u, pool, 1, cat)[0] for u in range(20)]
     share = top1.count(0) / len(top1)
     assert share > 1 / 10

@@ -165,11 +165,3 @@ def test_neutral_parameters_are_identity():
     out, _ = pmmf_rerank(scored, {}, 0.1, 4, range(3))
     assert [r.item_id for r in out] == ids
 
-
-def test_ledger_target_share():
-    ledger = ExposureLedger()
-    ledger.add_relevance(0, 3.0)
-    ledger.add_relevance(1, 1.0)
-    assert ledger.target_share(0) == pytest.approx(0.75)
-    assert ledger.target_share(1) == pytest.approx(0.25)
-    assert ledger.target_share(2) == 0.0

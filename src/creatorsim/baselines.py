@@ -89,15 +89,11 @@ def random_choose(genres, rng: np.random.Generator) -> int:
 
 
 def _per_genre_clicks(state: CreatorRuntime) -> np.ndarray:
-    counts = np.zeros(state.n_genres)
-    for owned in state.items.values():
-        counts[owned.record.genre] += owned.clicks
-    return counts
+    return np.bincount(state.genres, weights=state.clicks, minlength=state.n_genres)
 
 
 def _action_for(state: CreatorRuntime, genre: int) -> ExploreAction:
-    created = any(owned.record.genre == genre for owned in state.items.values())
-    kind = ActionKind.EXPLOIT if created else ActionKind.EXPLORE
+    kind = ActionKind.EXPLOIT if (state.genres == genre).any() else ActionKind.EXPLORE
     return ExploreAction(kind, genre)
 
 

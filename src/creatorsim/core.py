@@ -1,9 +1,12 @@
-"""Shared domain types: identifiers, the interaction event log, run
-configuration, and seeded random streams.
+"""Shared domain types: identifiers, the platform's item catalog and
+interaction event log, run configuration, and seeded random streams.
 
-The event log is the single source of truth for user feedback. The platform
-holds the full log; creators may only read it through :func:`creator_view`,
-which is the enforcement point for the platform/creator information boundary.
+The catalog and the event log are the platform's store, both kept as numpy
+columns: each item fact and each event is stored once, and consumers read
+whole columns instead of walking records. The log is the single source of
+truth for user feedback. The platform reads all of it; creators may only read
+it through :func:`creator_view`, which is the enforcement point for the
+platform/creator information boundary.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -58,6 +62,45 @@ class AsymmetryViolation(SimError):
 
 
 # ---------------------------------------------------------------------------
+# Columns
+
+
+class _Columns:
+    """Equal-length numpy columns, read as attributes; rows [0, n) are live.
+
+    Appending grows every column by doubling, so a long run appends in
+    amortized constant time; `_trim` drops the spare capacity.
+    """
+
+    __slots__ = ("_data", "n")
+
+    def __init__(self, data: dict[str, np.ndarray]) -> None:
+        self._data = data
+        self.n = len(next(iter(data.values())))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name.startswith("_") or name not in self._data:
+            raise AttributeError(name)
+        return self._data[name][: self.n]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _append(self, *row) -> None:
+        n, data = self.n, self._data
+        if n == len(next(iter(data.values()))):
+            for name, column in data.items():
+                data[name] = np.empty(max(16, 2 * n), column.dtype)
+                data[name][:n] = column
+        for column, value in zip(data.values(), row):
+            column[n] = value
+        self.n = n + 1
+
+    def _trim(self) -> None:
+        self._data = {name: column[: self.n].copy() for name, column in self._data.items()}
+
+
+# ---------------------------------------------------------------------------
 # Identifiers and events
 #
 # UserId, ItemId, CreatorId, GenreId are opaque non-negative ints; Step is a
@@ -73,66 +116,82 @@ class InteractionEvent(NamedTuple):
     clicked: bool
 
 
-class EventLog:
-    """Append-only record of exposure/click events.
+_EVENT_COLUMNS = {
+    "step": np.int32, "user": np.int32, "item": np.int32, "exposed": np.bool_, "clicked": np.bool_,
+}
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
-    Events are kept sorted by (step, user, item); the per-item index maps an
-    item id to the offsets of its events. One event per (step, user, item).
+
+class EventLog(_Columns):
+    """Append-only record of exposure/click events, stored as columns.
+
+    The `step`, `user`, `item`, `exposed` and `clicked` columns are aligned
+    and sorted by (step, user, item), one event per triple, so the events of
+    a step range are one slice found by binary search on the step column.
+    Iteration builds `InteractionEvent` values on demand.
     """
 
     CSV_HEADER = "step,user_id,item_id,exposed,clicked"
+    __slots__ = ()
+    _event = partial(tuple.__new__, InteractionEvent)  # InteractionEvent._make without its Python frame
 
-    def __init__(self) -> None:
-        self._events: list[InteractionEvent] = []
-        self._by_item: dict[int, list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._events)
+    def __init__(self, columns: dict[str, np.ndarray] | None = None) -> None:
+        """An empty log, or one over already ordered `columns`."""
+        super().__init__(columns or {name: np.empty(0, dtype) for name, dtype in _EVENT_COLUMNS.items()})
 
     def __iter__(self) -> Iterator[InteractionEvent]:
-        return iter(self._events)
-
-    @property
-    def events(self) -> list[InteractionEvent]:
-        return self._events
+        columns = (getattr(self, name).tolist() for name in _EVENT_COLUMNS)
+        return map(self._event, zip(*columns))
 
     def __contains__(self, item: int) -> bool:
-        return item in self._by_item
+        return bool((self.item == item).any())
 
     def append(self, ev: InteractionEvent) -> None:
         if ev.step < 0 or ev.user < 0 or ev.item < 0:
             raise EventLogError(f"negative field in event {ev}")
         if ev.clicked and not ev.exposed:
             raise IllegalClick(f"click without exposure: {ev}")
-        if self._events:
-            last = self._events[-1]
-            key, last_key = (ev.step, ev.user, ev.item), (last.step, last.user, last.item)
-            if key == last_key:
-                raise DuplicateEvent(f"event already recorded for {last_key}")
-            if key < last_key:
-                raise OutOfOrder(f"event {key} appended after {last_key}")
-        self._by_item.setdefault(ev.item, []).append(len(self._events))
-        self._events.append(ev)
+        key = (ev.step, ev.user, ev.item)
+        if self.n:
+            data, i = self._data, self.n - 1
+            last = (data["step"].item(i), data["user"].item(i), data["item"].item(i))
+            if key == last:
+                raise DuplicateEvent(f"event already recorded for {last}")
+            if key < last:
+                raise OutOfOrder(f"event {key} appended after {last}")
+        self._append(ev.step, ev.user, ev.item, ev.exposed, ev.clicked)
+
+    def span(self, frm: int, to: int) -> slice:
+        """The rows whose step lies in [frm, to]."""
+        # bounds in the column's dtype, or numpy converts the whole column to search it
+        step = self.step
+        lo = step.searchsorted(np.int32(min(max(frm, -1), _INT32_MAX)), "left")
+        hi = step.searchsorted(np.int32(min(max(to, -1), _INT32_MAX)), "right")
+        return slice(int(lo), int(hi))
+
+    def window(self, frm: int, to: int) -> "EventLog":
+        """The events with step in [frm, to], as a log sharing this one's memory."""
+        rows = self.span(frm, to)
+        return EventLog({name: getattr(self, name)[rows] for name in _EVENT_COLUMNS})
 
     def tally(self, item: int, frm: int, to: int) -> tuple[int, int]:
         """Exact (exposures, clicks) counts for `item` over steps [frm, to]."""
         if frm > to:
             raise ValueError(f"empty-reversed range [{frm}, {to}]")
-        if item not in self._by_item:
+        rows, data = self.span(frm, to), self._data
+        hit = data["item"][rows] == item
+        if not hit.any() and item not in self:
             raise UnknownItem(f"item {item} has no events")
-        exposures = clicks = 0
-        for pos in self._by_item[item]:
-            ev = self._events[pos]
-            if frm <= ev.step <= to:
-                exposures += ev.exposed
-                clicks += ev.clicked
-        return exposures, clicks
+        return (
+            int(np.count_nonzero(hit & data["exposed"][rows])),
+            int(np.count_nonzero(hit & data["clicked"][rows])),
+        )
 
     def to_csv(self, path: str | Path) -> None:
+        columns = [getattr(self, name).astype(np.int64).tolist() for name in _EVENT_COLUMNS]
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self.CSV_HEADER + "\n")
-            for ev in self._events:
-                f.write(f"{ev.step},{ev.user},{ev.item},{int(ev.exposed)},{int(ev.clicked)}\n")
+            f.writelines(f"{s},{u},{i},{e},{c}\n" for s, u, i, e, c in zip(*columns))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EventLog":
@@ -151,9 +210,10 @@ class EventLog:
                     raise EventLogError(f"line {lineno}: expected 5 fields")
                 try:
                     step, user, item, exp, clk = (int(p) for p in parts)
-                except ValueError as e:
+                    log.append(InteractionEvent(step, user, item, bool(exp), bool(clk)))
+                except (ValueError, OverflowError) as e:
                     raise EventLogError(f"line {lineno}: {e}") from e
-                log.append(InteractionEvent(step, user, item, bool(exp), bool(clk)))
+        log._trim()
         return log
 
 
@@ -176,8 +236,7 @@ def creator_view(
 # Item catalog
 
 
-@dataclass(frozen=True)
-class ItemRecord:
+class ItemRecord(NamedTuple):
     item_id: int
     creator_id: int
     genre: int
@@ -187,54 +246,55 @@ class ItemRecord:
     created_step: int
 
 
-class Catalog:
-    """All items on the platform, seeded and simulated, in creation order."""
+class Catalog(_Columns):
+    """All items on the platform, seeded and simulated, in creation order.
+
+    An item's id is its row. `creator_id`, `genre` and `created_step` are int
+    columns, the only place those facts are stored; titles, tags and
+    descriptions are lists. Indexing and iteration build `ItemRecord`s.
+    """
 
     CSV_HEADER = "item_id,creator_id,genre,title,tags,description,created_step"
+    __slots__ = ("_titles", "_tags", "_descriptions")
+    _record = partial(tuple.__new__, ItemRecord)  # as EventLog._event
 
     def __init__(self) -> None:
-        self._items: list[ItemRecord] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[ItemRecord]:
-        return iter(self._items)
+        super().__init__({name: np.empty(0, np.int64) for name in ("creator_id", "genre", "created_step")})
+        self._titles: list[str] = []
+        self._tags: list[tuple[str, ...]] = []
+        self._descriptions: list[str] = []
 
     def __getitem__(self, item_id: int) -> ItemRecord:
-        return self._items[item_id]
+        if not 0 <= item_id < self.n:
+            raise IndexError(f"item {item_id} not in the catalog")
+        data = self._data
+        return self._record((
+            int(item_id), data["creator_id"].item(item_id), data["genre"].item(item_id),
+            self._titles[item_id], self._tags[item_id], self._descriptions[item_id],
+            data["created_step"].item(item_id),
+        ))
 
     def add(
-        self,
-        creator_id: int,
-        genre: int,
-        title: str,
-        tags: Iterable[str],
-        description: str,
+        self, creator_id: int, genre: int, title: str, tags: Iterable[str], description: str,
         created_step: int,
     ) -> ItemRecord:
-        rec = ItemRecord(
-            item_id=len(self._items),
-            creator_id=creator_id,
-            genre=genre,
-            title=title,
-            tags=tuple(tags),
-            description=description,
-            created_step=created_step,
-        )
-        self._items.append(rec)
-        return rec
+        self._append(creator_id, genre, created_step)
+        self._titles.append(title)
+        self._tags.append(tuple(tags))
+        self._descriptions.append(description)
+        return self[len(self) - 1]
 
     def to_csv(self, path: str | Path) -> None:
         import csv
 
+        rows = zip(
+            range(len(self)), self.creator_id.tolist(), self.genre.tolist(), self._titles,
+            ("|".join(t) for t in self._tags), self._descriptions, self.created_step.tolist(),
+        )
         with open(path, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(self.CSV_HEADER.split(","))
-            for r in self._items:
-                w.writerow(
-                    [r.item_id, r.creator_id, r.genre, r.title, "|".join(r.tags), r.description, r.created_step]
-                )
+            w.writerows(rows)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Catalog":
@@ -247,10 +307,14 @@ class Catalog:
             if header != cls.CSV_HEADER.split(","):
                 raise DataError(f"bad catalog header in {path}")
             for row in reader:
-                item_id, creator_id, genre, title, tags, desc, step = row
-                rec = cat.add(int(creator_id), int(genre), title, tags.split("|") if tags else [], desc, int(step))
-                if rec.item_id != int(item_id):
-                    raise DataError(f"non-contiguous item id {item_id} in {path}")
+                try:
+                    item_id, creator_id, genre, title, tags, desc, step = row
+                    if int(item_id) != len(cat):
+                        raise DataError(f"non-contiguous item id {item_id} in {path}")
+                    tag_list = tags.split("|") if tags else []
+                    cat.add(int(creator_id), int(genre), title, tag_list, desc, int(step))
+                except (ValueError, OverflowError) as e:
+                    raise DataError(f"{path} line {reader.line_num}: {e}") from e
         return cat
 
 

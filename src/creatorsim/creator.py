@@ -2,9 +2,11 @@
 content creation, and departure.
 
 A creator only ever sees feedback on its own items (collected upstream via
-the log's ownership-checked view), stores it in a feedback memory, and
-distills it into two beliefs: skill (its per-genre creation share) and
-audience (its per-genre estimate of receptiveness, the mean utility of its
+the log's ownership-checked view). Its memory is the ids of its own items in
+creation order plus aligned arrays of the exposures and clicks it has seen on
+each; genres and creation steps are read from the platform catalog's columns.
+It distills the memory into two beliefs: skill (its per-genre creation share)
+and audience (its per-genre estimate of receptiveness, the mean utility of its
 own items in that genre, unknown for genres never tried). The thinking step
 is pluggable; the default rule-based policy explores more after poor rewards
 and exploits more after good ones, with the explore probability falling
@@ -18,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ItemRecord, SimError
+from .core import Catalog, ItemRecord, SimError
 
 
 class NotOwned(SimError):
@@ -57,16 +59,6 @@ class CreatedContent:
 
 
 @dataclass
-class OwnedItem:
-    """One of the creator's own items: the catalog's record, shared and not
-    copied, plus the cumulative feedback the creator has seen on it."""
-
-    record: ItemRecord
-    exposures: int = 0
-    clicks: int = 0
-
-
-@dataclass
 class Beliefs:
     skill: np.ndarray                      # simplex over genres
     audience: dict[int, float]             # genre -> mean utility; absent = unknown
@@ -82,9 +74,12 @@ class CreatorRuntime:
     create_prob: float                     # activity / population max
     n_genres: int
     beliefs: Beliefs
-    # Own items by id, in creation order; ids grow with creation, so this is
-    # also id order, which keeps every float reduction over it reproducible.
-    items: dict[int, OwnedItem] = field(default_factory=dict)
+    catalog: Catalog = field(default_factory=Catalog)  # the platform's items
+    # Own item ids in creation order, which is also id order, so every float
+    # reduction over them is reproducible; exposures and clicks are aligned.
+    items: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    exposures: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    clicks: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     departure_threshold: int = 5
     beta: float = 0.5
     consecutive_zero_click: int = 0
@@ -95,13 +90,27 @@ class CreatorRuntime:
     @property
     def creations(self) -> list[ItemRecord]:
         """The creation memory: records of the creator's own items, oldest first."""
-        return [owned.record for owned in self.items.values()]
+        return [self.catalog[i] for i in self.items.tolist()]
 
-    def add_item(self, record: ItemRecord, exposures: int = 0, clicks: int = 0) -> None:
-        self.items[record.item_id] = OwnedItem(record, exposures, clicks)
+    @property
+    def genres(self) -> np.ndarray:
+        """Genre of each own item, aligned with `items`."""
+        return self.catalog.genre[self.items]
+
+    def add_item(self, item_id: int, exposures: int = 0, clicks: int = 0) -> None:
+        if len(self.items) and item_id <= self.items[-1]:
+            raise ValueError(f"item {item_id} added after item {self.items[-1]}")
+        self.items = np.append(self.items, item_id)
+        self.exposures = np.append(self.exposures, exposures)
+        self.clicks = np.append(self.clicks, clicks)
 
     def last_item(self) -> int | None:
-        return next(reversed(self.items), None)
+        return int(self.items[-1]) if len(self.items) else None
+
+    def position(self, item_id: int) -> int | None:
+        """Index of `item_id` in the memory arrays, or None if not owned."""
+        pos = int(self.items.searchsorted(item_id))
+        return pos if pos < len(self.items) and self.items[pos] == item_id else None
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +124,18 @@ def update_feedback_memory(state: CreatorRuntime, step_events, n: int) -> None:
     the ownership-checked log view.
     """
     for item_id, exposures, clicks in step_events:
-        owned = state.items.get(item_id)
-        if owned is None:
+        pos = state.position(item_id)
+        if pos is None:
             raise ForeignItem(f"creator {state.creator_id} got feedback for foreign item {item_id}")
-        owned.exposures += exposures
-        owned.clicks += clicks
+        state.exposures[pos] += exposures
+        state.clicks[pos] += clicks
+
+
+def _utilities(state: CreatorRuntime, n: int) -> np.ndarray:
+    """Utility of every own item at step `n` (see `item_utility`)."""
+    created = state.catalog.created_step[state.items]
+    weighted = state.beta * state.exposures + (1.0 - state.beta) * state.clicks
+    return weighted / (n - created + 1)
 
 
 def item_utility(state: CreatorRuntime, item_id: int, n: int) -> float:
@@ -127,35 +143,32 @@ def item_utility(state: CreatorRuntime, item_id: int, n: int) -> float:
 
     z = (beta * exposures + (1 - beta) * clicks) / (n - created_step + 1).
     """
-    owned = state.items.get(item_id)
-    if owned is None:
+    pos = state.position(item_id)
+    if pos is None:
         raise NotOwned(f"creator {state.creator_id} does not own item {item_id}")
-    created = owned.record.created_step
+    created = int(state.catalog.created_step[item_id])
     if n < created:
         raise FutureItem(f"item {item_id} created at step {created}, queried at {n}")
-    weighted = state.beta * owned.exposures + (1.0 - state.beta) * owned.clicks
-    return weighted / (n - created + 1)
+    return float(_utilities(state, n)[pos])
 
 
 def update_beliefs(state: CreatorRuntime, n: int) -> None:
     """Refresh skill and audience beliefs from the current memories."""
-    G = state.n_genres
-    counts = np.zeros(G)
-    utilities: dict[int, list[float]] = {}
-    for item_id, owned in state.items.items():
-        genre = owned.record.genre
-        counts[genre] += 1
-        utilities.setdefault(genre, []).append(item_utility(state, item_id, n))
-    if counts.sum() > 0:
+    genres = state.genres
+    counts = np.bincount(genres, minlength=state.n_genres).astype(float)
+    if len(genres):
         state.beliefs.skill = counts / counts.sum()
-    state.beliefs.audience = {g: float(np.mean(vals)) for g, vals in utilities.items()}
+    utilities = _utilities(state, n)
+    state.beliefs.audience = {
+        g: float(np.mean(utilities[genres == g])) for g in np.flatnonzero(counts).tolist()
+    }
 
 
 def register_creation_outcome(state: CreatorRuntime, item_id: int, clicks_in_window: int) -> None:
     """Advance or reset the zero-click streak; departure at the threshold."""
     if not state.alive:
         return
-    if item_id not in state.items:
+    if state.position(item_id) is None:
         raise NotOwned(f"creator {state.creator_id} does not own item {item_id}")
     if clicks_in_window == 0:
         state.consecutive_zero_click += 1
@@ -181,15 +194,12 @@ def reward_percentile(state: CreatorRuntime, n: int) -> float:
 
     Midrank convention for ties; 0.5 when there is nothing to compare against.
     """
-    last = state.last_item()
-    if last is None:
+    if len(state.items) < 2:
         return 0.5
-    z_last = item_utility(state, last, n)
-    others = [item_utility(state, item_id, n) for item_id in state.items if item_id != last]
-    if not others:
-        return 0.5
-    below = sum(1 for z in others if z < z_last)
-    ties = sum(1 for z in others if z == z_last)
+    utilities = _utilities(state, n)
+    z_last, others = utilities[-1], utilities[:-1]
+    below = int(np.count_nonzero(others < z_last))
+    ties = int(np.count_nonzero(others == z_last))
     return (below + 0.5 * ties) / len(others)
 
 
@@ -232,10 +242,7 @@ def rule_based_decide(
     if unknown:
         genre = int(unknown[rng.integers(0, len(unknown))])
     else:
-        counts = np.zeros(G)
-        for owned in state.items.values():
-            counts[owned.record.genre] += 1
-        genre = int(np.argmin(counts))
+        genre = int(np.argmin(np.bincount(state.genres, minlength=G)))
     return ExploreAction(ActionKind.EXPLORE, genre)
 
 
@@ -247,15 +254,16 @@ def retrieve_creation_memory(
     Relevance is 1 for the action's genre and 0.25 otherwise; recency decays
     as (n - created_step + 1) ** -0.5. Ties prefer the newer item.
     """
-    def score(rec: ItemRecord) -> float:
-        relevance = 1.0 if rec.genre == action.genre else 0.25
-        return relevance * (n - rec.created_step + 1) ** -0.5
+    items = state.items.tolist()
+    genres = state.genres.tolist()
+    created = state.catalog.created_step[state.items].tolist()
 
-    ordered = sorted(
-        state.creations,
-        key=lambda r: (-score(r), -r.created_step, -r.item_id),
-    )
-    return ordered[:k]
+    def score(j: int) -> float:
+        relevance = 1.0 if genres[j] == action.genre else 0.25
+        return relevance * (n - created[j] + 1) ** -0.5
+
+    ordered = sorted(range(len(items)), key=lambda j: (-score(j), -created[j], -items[j]))
+    return [state.catalog[items[j]] for j in ordered[:k]]
 
 
 def template_content(

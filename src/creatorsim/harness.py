@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import time
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -101,26 +101,6 @@ class RunArtifacts:
     report: dict
     tuw_incremental: int
 
-    @property
-    def events_path(self) -> Path:
-        return self.out_dir / EVENTS_FILE
-
-    @property
-    def trace_path(self) -> Path:
-        return self.out_dir / TRACE_FILE
-
-    @property
-    def metrics_path(self) -> Path:
-        return self.out_dir / METRICS_FILE
-
-    @property
-    def timeseries_path(self) -> Path:
-        return self.out_dir / TIMESERIES_FILE
-
-    @property
-    def config_path(self) -> Path:
-        return self.out_dir / CONFIG_FILE
-
 
 def _map_workers(fn, items, workers: int) -> list:
     items = list(items)
@@ -128,13 +108,6 @@ def _map_workers(fn, items, workers: int) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _deterministic_identity(seed, genres) -> str:
-    if seed.history:
-        top = int(np.argmax(seed.skill))
-        return f"{genres[top]} enthusiast"
-    return "new creator"
 
 
 def _build_policy(cfg: SimConfig, genres, transport=None):
@@ -194,12 +167,11 @@ class _World:
             )
             item_index[it.item_id] = rec.item_id
 
-        self.clicks: list[tuple[int, int, int]] = [
-            (user_index[r.user_id], item_index[r.item_id], 0) for r in inters_kept
-        ]
-        counts_per_item: dict[int, int] = defaultdict(int)
-        for _, item, _ in self.clicks:
-            counts_per_item[item] += 1
+        # the dataset's interactions train the ranker as clicks at step 0
+        self.seed_clicks = np.asarray(
+            [(user_index[r.user_id], item_index[r.item_id], 0) for r in inters_kept], dtype=np.int64
+        ).reshape(-1, 3)
+        counts_per_item = np.bincount(self.seed_clicks[:, 1], minlength=len(self.catalog))
 
         follower_median = float(np.median([c.followers for c in creators_kept]))
         eta = max((s.activity for s in creator_seeds), default=0.0)
@@ -208,18 +180,21 @@ class _World:
             state = CreatorRuntime(
                 creator_id=creator_index[seed.creator_id],
                 name=seed.name,
-                identity=_deterministic_identity(seed, self.genres),
+                identity=(
+                    f"{self.genres[np.argmax(seed.skill)]} enthusiast" if seed.history else "new creator"
+                ),
                 motivation="profit" if seed.followers > follower_median else "sharing",
                 activity=seed.activity,
                 create_prob=seed.activity / eta if eta > 0 else 0.0,
                 n_genres=G,
                 beliefs=Beliefs(skill=seed.skill.copy(), audience=dict(seed.audience)),
+                catalog=self.catalog,
                 departure_threshold=cfg.departure_threshold,
                 beta=cfg.beta,
             )
             for new_id in sorted(item_index[it.item_id] for it in seed.history):
-                count = counts_per_item.get(new_id, 0)
-                state.add_item(self.catalog[new_id], exposures=count, clicks=count)
+                count = int(counts_per_item[new_id])
+                state.add_item(new_id, exposures=count, clicks=count)
             self.creators.append(state)
 
         self.users = [
@@ -232,8 +207,8 @@ class _World:
             cfg.ranker, n_users=len(self.users), seed=cfg.seed, pop_window=cfg.pop_window,
             **cfg.section("mf"),
         )
-        if self.clicks or cfg.ranker in ("random", "pop"):
-            self.ranker.retrain(self.clicks, self.catalog, 0)
+        if len(self.seed_clicks) or cfg.ranker in ("random", "pop"):
+            self.ranker.retrain(self.seed_clicks, self.catalog, 0)
 
         self.policy = _build_policy(cfg, self.genres, transport)
         if hasattr(self.policy, "register"):
@@ -253,11 +228,9 @@ class _World:
         self.creator_activity_rng = [stream(cfg.seed, "creator_activity", c.creator_id) for c in self.creators]
         self.creator_policy_rng = [stream(cfg.seed, "creator_policy", c.creator_id) for c in self.creators]
         self.user_rng = [stream(cfg.seed, "user", u.user_id) for u in self.users]
-        self.alive_at: dict[int, int] = {0: len(self.creators)}
-        self.trace_rows: list[dict] = []
-        self.timeseries_rows: list[dict] = []
+        self.trace_rows: list[str] = []  # CSV lines of TRACE_FILE, as are timeseries_rows
+        self.timeseries_rows: list[str] = []
         self.tuw_incremental = 0
-        self._step_events: list = []
 
     def _summarize_profiles(self, creator_seeds, transport) -> None:
         """Fill profile slots through the completion endpoint where possible."""
@@ -287,6 +260,12 @@ class _World:
                 transport=transport,
             )
 
+    def training_clicks(self) -> np.ndarray:
+        """(user, item, step) rows: the seed clicks, then the log's clicks."""
+        log, clicked = self.log, self.log.clicked
+        logged = np.column_stack((log.user[clicked], log.item[clicked], log.step[clicked]))
+        return np.concatenate((self.seed_clicks, logged))
+
     # -- phases -------------------------------------------------------------
 
     def phase_create(self, n: int) -> None:
@@ -299,7 +278,7 @@ class _World:
             if not wants_to_create(state, self.creator_activity_rng[idx]):
                 return None
             if state.pending_item is not None:
-                clicks = state.items[state.pending_item].clicks
+                clicks = int(state.clicks[state.position(state.pending_item)])
                 last_utility = item_utility(state, state.pending_item, n)
                 register_creation_outcome(state, state.pending_item, clicks)
                 state.pending_item = None
@@ -318,38 +297,21 @@ class _World:
                 continue
             if result[0] == "depart":
                 _, idx, last_utility = result
-                self.trace_rows.append(
-                    {
-                        "step": n,
-                        "creator_id": self.creators[idx].creator_id,
-                        "action_kind": "DEPART",
-                        "genre": "",
-                        "item_id": "",
-                        "utility_of_last": f"{last_utility:.10g}",
-                        "alive": "false",
-                        "reward_pct": "",
-                    }
-                )
+                creator_id = self.creators[idx].creator_id
+                self.trace_rows.append(f"{n},{creator_id},DEPART,,,{last_utility:.10g},false,")
                 continue
             _, idx, q, z_last, action, content = result
             state = self.creators[idx]
             rec = self.catalog.add(
                 state.creator_id, content.genre, content.title, content.tags, content.description, n
             )
-            state.add_item(rec)
+            state.add_item(rec.item_id)
             state.creation_count += 1
             state.pending_item = rec.item_id
+            z_text = "" if z_last is None else f"{z_last:.10g}"
             self.trace_rows.append(
-                {
-                    "step": n,
-                    "creator_id": state.creator_id,
-                    "action_kind": action.kind.value,
-                    "genre": content.genre,
-                    "item_id": rec.item_id,
-                    "utility_of_last": "" if z_last is None else f"{z_last:.10g}",
-                    "alive": "true",
-                    "reward_pct": f"{q:.10g}",
-                }
+                f"{n},{state.creator_id},{action.kind.value},{content.genre},{rec.item_id},"
+                f"{z_text},true,{q:.10g}"
             )
 
     def phase_serve(self, n: int, pool) -> None:
@@ -357,13 +319,12 @@ class _World:
         K = cfg.list_length
         use_rerank = cfg.reranker != "none" and n >= cfg.warmup
         top_m = cfg.rerank_pool_multiplier * K if use_rerank else K
-        alive_ids = [c.creator_id for c in self.creators if c.alive]
+        record = cache(self.catalog.__getitem__)  # one ItemRecord per item this step
+        alive = np.asarray([c.alive for c in self.creators], dtype=bool)
+        alive_ids = np.flatnonzero(alive).tolist()
 
         # departed creators' items leave the platform with them
-        alive_set = set(alive_ids)
-        keep = np.asarray(
-            [self.catalog[int(i)].creator_id in alive_set for i in pool.item_ids], dtype=bool
-        )
+        keep = alive[self.catalog.creator_id[pool.item_ids]]
         if not keep.all():
             pool = CandidatePool(
                 item_ids=pool.item_ids[keep],
@@ -379,7 +340,7 @@ class _World:
         step_events = []
         for idx in active:
             pairs = rank_scored(self.ranker, self.users[idx].user_id, pool, top_m, self.catalog)
-            scored = [(self.catalog[item], score) for item, score in pairs]
+            scored = [(record(item), score) for item, score in pairs]
             if not use_rerank:
                 final = [rec for rec, _ in scored[:K]]
             elif cfg.reranker == "mmr":
@@ -406,30 +367,26 @@ class _World:
         step_events.sort(key=lambda ev: (ev.user, ev.item))
         for ev in step_events:
             self.log.append(ev)
-            if ev.clicked:
-                self.clicks.append((ev.user, ev.item, n))
-                if cfg.warmup <= n <= cfg.n_steps:
-                    self.tuw_incremental += 1
-            if ev.exposed and n >= cfg.warmup:
-                self.ledger.add_exposure(self.catalog[ev.item].creator_id)
-        self._step_events = step_events
+        step = self.log.window(n, n)
+        if cfg.warmup <= n <= cfg.n_steps:
+            self.tuw_incremental += int(np.count_nonzero(step.clicked))
+        if n >= cfg.warmup:
+            owners = self.catalog.creator_id[step.item[step.exposed]]
+            for creator, count in zip(*np.unique(owners, return_counts=True)):
+                self.ledger.add_exposure(int(creator), int(count))
 
     def phase_feedback(self, n: int) -> None:
-        by_item: dict[int, int] = defaultdict(int)
-        for ev in self._step_events:
-            by_item[ev.item] += 1
-        per_creator: dict[int, list[int]] = defaultdict(list)
-        for item in by_item:
-            per_creator[self.catalog[item].creator_id].append(item)
+        items = np.unique(self.log.window(n, n).item)
+        owners = self.catalog.creator_id[items]
         for state in self.creators:
             if not state.alive:
                 continue
-            step_list = []
-            for item in sorted(per_creator.get(state.creator_id, ())):
-                exposures, clicks = core.creator_view(
-                    self.log, state.creator_id, state.items.keys(), item, n, n
-                )
-                step_list.append((item, exposures, clicks))
+            own = items[owners == state.creator_id].tolist()
+            owned = set(state.items.tolist()) if own else set()
+            step_list = [
+                (item, *core.creator_view(self.log, state.creator_id, owned, item, n, n))
+                for item in own
+            ]
             update_feedback_memory(state, step_list, n)
 
     def phase_beliefs(self, n: int) -> None:
@@ -444,27 +401,21 @@ class _World:
 
     def phase_lifecycle(self, n: int, step_seconds: float) -> None:
         cfg = self.cfg
-        self.alive_at[n] = sum(1 for c in self.creators if c.alive)
+        alive = sum(1 for c in self.creators if c.alive)
         for user in self.users:
             end_step(user, cfg.user_novelty_decay)
         window_lo = max(1, n - cfg.timeliness_window + 1)
         try:
             cgd_window = content_genre_diversity(
-                self.log, lambda i: self.catalog[i].genre, len(self.genres), window_lo, n
+                self.log.window(window_lo, n), self.catalog.genre.__getitem__, len(self.genres),
+                window_lo, n,
             )
             cgd_text = f"{cgd_window:.10g}"
         except NoExposures:
             cgd_text = ""
-        n_agents = self.alive_at[n] + len(self.users)
+        agent_seconds = step_seconds / (alive + len(self.users))
         self.timeseries_rows.append(
-            {
-                "step": n,
-                "tuw_cum": self.tuw_incremental,
-                "alive_creators": self.alive_at[n],
-                "cgd_window": cgd_text,
-                "step_seconds": f"{step_seconds:.6f}",
-                "agent_seconds": f"{step_seconds / n_agents:.8f}",
-            }
+            f"{n},{self.tuw_incremental},{alive},{cgd_text},{step_seconds:.6f},{agent_seconds:.8f}"
         )
 
     # -- persistence ----------------------------------------------------------
@@ -473,28 +424,21 @@ class _World:
         out_dir.mkdir(parents=True, exist_ok=True)
         self.log.to_csv(out_dir / EVENTS_FILE)
         self.catalog.to_csv(out_dir / ITEMS_FILE)
-        with open(out_dir / TRACE_FILE, "w", encoding="utf-8", newline="\n") as f:
-            f.write(TRACE_HEADER + "\n")
-            for row in self.trace_rows:
-                f.write(
-                    f"{row['step']},{row['creator_id']},{row['action_kind']},{row['genre']},"
-                    f"{row['item_id']},{row['utility_of_last']},{row['alive']},{row['reward_pct']}\n"
-                )
-        with open(out_dir / TIMESERIES_FILE, "w", encoding="utf-8", newline="\n") as f:
-            f.write(TIMESERIES_HEADER + "\n")
-            for row in self.timeseries_rows:
-                f.write(
-                    f"{row['step']},{row['tuw_cum']},{row['alive_creators']},"
-                    f"{row['cgd_window']},{row['step_seconds']},{row['agent_seconds']}\n"
-                )
+        for name, header, rows in (
+            (TRACE_FILE, TRACE_HEADER, self.trace_rows),
+            (TIMESERIES_FILE, TIMESERIES_HEADER, self.timeseries_rows),
+        ):
+            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as f:
+                f.writelines(line + "\n" for line in [header, *rows])
         (out_dir / CONFIG_FILE).write_text(self.cfg.to_text(), encoding="utf-8")
-        ref_items = [(it.creator_id, it.genre) for it in self.dataset.items]
+        ref_creators = [it.creator_id for it in self.dataset.items]
+        ref_genres = [it.genre for it in self.dataset.items]
         summary = {
             "genres": list(self.genres),
             "n_creators": len(self.creators),
             "n_users": len(self.users),
-            "dataset_genre_counts": genre_histogram((g for _, g in ref_items), len(self.genres)).tolist(),
-            "dataset_creator_entropies": per_creator_entropies(ref_items, len(self.genres)),
+            "dataset_genre_counts": genre_histogram(ref_genres, len(self.genres)).tolist(),
+            "dataset_creator_entropies": per_creator_entropies(ref_creators, ref_genres, len(self.genres)),
             "population_preference": self.population_preference.tolist(),
         }
         with open(out_dir / SUMMARY_FILE, "w", encoding="utf-8", newline="\n") as f:
@@ -517,8 +461,10 @@ def run_simulation(
         started = time.perf_counter()
         world.phase_create(n)
         pool = build_candidate_pool(world.catalog, n, cfg.timeliness_window)
-        if n % cfg.retrain_period == 0 and (world.clicks or cfg.ranker in ("random", "pop")):
-            world.ranker.retrain(world.clicks, world.catalog, n)
+        if n % cfg.retrain_period == 0:
+            clicks = world.training_clicks()
+            if len(clicks) or cfg.ranker in ("random", "pop"):
+                world.ranker.retrain(clicks, world.catalog, n)
         world.phase_serve(n, pool)
         world.phase_feedback(n)
         world.phase_beliefs(n)
@@ -578,17 +524,23 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     except DataError as e:
         raise CorruptLog(f"{ITEMS_FILE}: {e}") from e
     trace = _read_trace(_require(run_dir / TRACE_FILE))
-    with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
-        summary = json.load(f)
     try:
+        with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
+            summary = json.load(f)
         n_creators = summary["n_creators"]
         n_genres = len(summary["genres"])
         dataset_genre_counts = np.asarray(summary["dataset_genre_counts"], dtype=float)
         dataset_entropies = summary["dataset_creator_entropies"]
-    except KeyError as e:
-        raise CorruptLog(f"{SUMMARY_FILE}: missing key {e}") from e
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptLog(f"{SUMMARY_FILE}: {type(e).__name__}: {e}") from e
 
     start, end = cfg.warmup, cfg.n_steps
+    if not ((log.step >= 1) & (log.step <= end)).all():
+        raise CorruptLog(f"{EVENTS_FILE}: step outside [1, {end}]")
+    if not (log.item < len(catalog)).all():
+        raise CorruptLog(f"{EVENTS_FILE}: item outside the catalog")
+    if not ((catalog.genre >= 0) & (catalog.genre < n_genres)).all():
+        raise CorruptLog(f"{ITEMS_FILE}: genre outside [0, {n_genres})")
 
     try:
         departures = sorted(int(r["step"]) for r in trace if r["action_kind"] == "DEPART")
@@ -609,16 +561,16 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     except NoCreatorsAtStart:
         crr = None
     try:
-        cgd = content_genre_diversity(log, lambda i: catalog[i].genre, n_genres, start, end)
+        cgd = content_genre_diversity(log, catalog.genre.__getitem__, n_genres, start, end)
     except NoExposures:
         cgd = None
 
-    sim_items = [(rec.creator_id, rec.genre) for rec in catalog if rec.created_step >= 1]
+    simulated = catalog.created_step >= 1
     try:
         preference_jsd, diversity_jsd = alignment_from_distributions(
-            genre_histogram((g for _, g in sim_items), n_genres),
+            genre_histogram(catalog.genre[simulated], n_genres),
             dataset_genre_counts,
-            per_creator_entropies(sim_items, n_genres),
+            per_creator_entropies(catalog.creator_id[simulated], catalog.genre[simulated], n_genres),
             dataset_entropies,
             n_genres,
         )
@@ -627,10 +579,8 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
 
     table = explore_exploit_table(decisions)
 
-    reward_per_step = [0] * cfg.n_steps
-    for ev in log:
-        if ev.clicked and catalog[ev.item].created_step >= 1:
-            reward_per_step[ev.step - 1] += 1
+    rewarded = log.clicked & simulated[log.item]
+    reward_per_step = np.bincount(log.step[rewarded] - 1, minlength=end).tolist()
 
     normalized = None
     if baseline_dir is not None:

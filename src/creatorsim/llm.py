@@ -223,36 +223,13 @@ def parse_explore_action(text: str, genre_names) -> ExploreAction:
 
 
 def _first_json_object(text: str) -> dict:
+    decoder = json.JSONDecoder()
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for pos in range(start, len(text)):
-            ch = text[pos]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(text[start : pos + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(obj, dict):
-                        return obj
-                    break
-        start = text.find("{", start + 1)
+        try:
+            return decoder.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     raise ParseFailure("no JSON object in reply")
 
 
@@ -349,7 +326,7 @@ class LlmPolicy:
 
         audience_text, skill_text, known, unknown = self._belief_text(state)
         last = state.last_item()
-        last_genre = self.genre_names[state.items[last].record.genre] if last is not None else "none"
+        last_genre = self.genre_names[state.catalog.genre[last]] if last is not None else "none"
         last_utility = f"{item_utility(state, last, n):.3f}" if last is not None else "0.000"
         prompt = render_prompt(
             SLOW_THINKER,

@@ -17,9 +17,8 @@ reward curves normalized by a baseline run.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,7 +56,7 @@ def total_user_welfare(log: EventLog, start: int, end: int) -> int:
     """Number of click events with step in [start, end]."""
     if start > end:
         raise ValueError(f"reversed window [{start}, {end}]")
-    return sum(1 for ev in log if ev.clicked and start <= ev.step <= end)
+    return int(np.count_nonzero(log.clicked[log.span(start, end)]))
 
 
 def creator_retention_rate(alive_at: Callable[[int], int], start: int, end: int) -> float:
@@ -69,30 +68,49 @@ def creator_retention_rate(alive_at: Callable[[int], int], start: int, end: int)
 
 
 def content_genre_diversity(
-    log: EventLog, genre_of: Callable[[int], int], n_genres: int, start: int, end: int
+    log: EventLog, genre_of: Callable[[np.ndarray], np.ndarray], n_genres: int, start: int, end: int
 ) -> float:
     """Mean per-user entropy (nats) of exposed genres over [start, end].
 
     Users are weighted by the number of steps they participated in (steps
-    with at least one exposure).
+    with at least one exposure). `genre_of` maps an array of item ids to
+    their genres (a scalar result applies to every item).
     """
-    per_user = defaultdict(lambda: np.zeros(n_genres))
-    active_steps = defaultdict(set)
-    for ev in log:
-        if ev.exposed and start <= ev.step <= end:
-            per_user[ev.user][genre_of(ev.item)] += 1
-            active_steps[ev.user].add(ev.step)
-    if not per_user:
+    rows = log.span(start, end)
+    exposed = log.exposed[rows]
+    users, items, steps = log.user[rows][exposed], log.item[rows][exposed], log.step[rows][exposed]
+    if not len(users):
         raise NoExposures(f"no exposures in [{start}, {end}]")
+    genres = np.broadcast_to(genre_of(items), items.shape)
+    hist, row = _counts_by_key(users, genres, n_genres)
+    # events are sorted by (step, user): a user's step starts where either changes
+    visit = np.ones(len(users), dtype=bool)
+    visit[1:] = (steps[1:] != steps[:-1]) | (users[1:] != users[:-1])
+    weights = np.bincount(row[visit], minlength=len(hist)).tolist()
     num = den = 0.0
-    for user, hist in per_user.items():
-        probs = hist / hist.sum()
-        probs = probs[probs > 0]
-        entropy = float(-(probs * np.log(probs)).sum())
-        weight = len(active_steps[user])
+    for weight, entropy in zip(weights, _row_entropies(hist)):
         num += weight * entropy
         den += weight
     return num / den
+
+
+def _counts_by_key(keys: np.ndarray, genres: np.ndarray, n_genres: int) -> tuple[np.ndarray, np.ndarray]:
+    """Genre counts per distinct key, one row per key in order of first
+    appearance, and the row of each input element."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    row = np.argsort(np.argsort(first))[inverse]  # key index -> rank of its first appearance
+    cells = np.bincount(row * n_genres + genres, minlength=len(first) * n_genres)
+    return cells.reshape(len(first), n_genres).astype(float), row
+
+
+def _row_entropies(hist: np.ndarray) -> list[float]:
+    """Entropy (nats) of each row of a count table, over its nonzero cells."""
+    out = []
+    for counts in hist:
+        probs = counts / counts.sum()
+        probs = probs[probs > 0]
+        out.append(float(-(probs * np.log(probs)).sum()))
+    return out
 
 
 def js_divergence(p: Sequence[float], q: Sequence[float]) -> float:
@@ -115,24 +133,15 @@ def js_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     return 0.5 * kl(p) + 0.5 * kl(q)
 
 
-def genre_histogram(genres: Iterable[int], n_genres: int) -> np.ndarray:
-    hist = np.zeros(n_genres)
-    for g in genres:
-        hist[g] += 1
-    return hist
+def genre_histogram(genres: np.ndarray, n_genres: int) -> np.ndarray:
+    return np.bincount(np.asarray(genres, dtype=np.int64), minlength=n_genres).astype(float)
 
 
-def per_creator_entropies(items: Iterable[tuple[int, int]], n_genres: int) -> list[float]:
-    """Genre entropy (nats) of each creator's items; one value per creator."""
-    by_creator = defaultdict(lambda: np.zeros(n_genres))
-    for creator, genre in items:
-        by_creator[creator][genre] += 1
-    out = []
-    for hist in by_creator.values():
-        probs = hist / hist.sum()
-        probs = probs[probs > 0]
-        out.append(float(-(probs * np.log(probs)).sum()))
-    return out
+def per_creator_entropies(creators: np.ndarray, genres: np.ndarray, n_genres: int) -> list[float]:
+    """Genre entropy (nats) of each creator's items; one value per creator,
+    in order of the creator's first item. Inputs are aligned per item."""
+    hist, _ = _counts_by_key(np.asarray(creators, np.int64), np.asarray(genres, np.int64), n_genres)
+    return _row_entropies(hist)
 
 
 def entropy_histogram(entropies: Sequence[float], n_genres: int, bins: int = 10) -> np.ndarray:
@@ -172,16 +181,16 @@ def creation_alignment(sim_items, dataset) -> tuple[float, float]:
     genre histograms, diversity compares 10-bin histograms of per-creator
     genre entropies.
     """
-    sim_items = list(sim_items)
-    ref_items = [(it.creator_id, it.genre) for it in dataset.items]
-    if not sim_items or not ref_items:
+    sim = np.asarray(list(sim_items), dtype=np.int64).reshape(-1, 2)
+    ref = np.asarray([(it.creator_id, it.genre) for it in dataset.items], dtype=np.int64).reshape(-1, 2)
+    if not len(sim) or not len(ref):
         raise EmptyItems("both item sets must be non-empty")
     G = dataset.n_genres
     return alignment_from_distributions(
-        genre_histogram((g for _, g in sim_items), G),
-        genre_histogram((g for _, g in ref_items), G),
-        per_creator_entropies(sim_items, G),
-        per_creator_entropies(ref_items, G),
+        genre_histogram(sim[:, 1], G),
+        genre_histogram(ref[:, 1], G),
+        per_creator_entropies(sim[:, 0], sim[:, 1], G),
+        per_creator_entropies(ref[:, 0], ref[:, 1], G),
         G,
     )
 

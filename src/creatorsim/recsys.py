@@ -2,8 +2,10 @@
 rankers (Random, Pop, MF, BPR), and item-by-item session serving.
 
 Rankers follow a fit/score shape: `retrain(clicks, catalog, step)` refits in
-place and returns self; `score(user, item_ids, catalog)` is a deterministic
-pure function of the trained parameters. MF and BPR are warm-started
+place and returns self, where `clicks` holds (user, item, step) rows (an
+(n, 3) int array or anything `np.asarray` turns into one);
+`score(user, item_ids, catalog)` is a deterministic pure function of the
+trained parameters. MF and BPR are warm-started
 factorization models trained by mini-batch SGD on clicks, with one sampled
 negative per positive; items created after the last retrain are scored with
 a cold-start factor (zero vector plus the genre mean of trained factors).
@@ -18,7 +20,8 @@ import numpy as np
 from .core import Catalog, InteractionEvent, ItemRecord, SimError, hash_uniform, stream
 from .users import UserAction, UserRuntime, react
 
-Click = tuple[int, int, int]  # (user, item, step)
+def _click_table(clicks) -> np.ndarray:
+    return np.asarray(clicks, dtype=np.int64).reshape(-1, 3)
 
 SGD_BATCH = 1024
 
@@ -40,17 +43,9 @@ class CandidatePool:
 
 
 def build_candidate_pool(catalog: Catalog, step: int, window: int) -> CandidatePool:
-    ids, created = [], []
-    for rec in catalog:
-        age = step - rec.created_step
-        if 0 <= age <= window:
-            ids.append(rec.item_id)
-            created.append(rec.created_step)
-    return CandidatePool(
-        item_ids=np.asarray(ids, dtype=np.int64),
-        created_steps=np.asarray(created, dtype=np.int64),
-        step=step,
-    )
+    age = step - catalog.created_step
+    ids = np.flatnonzero((age >= 0) & (age <= window))
+    return CandidatePool(item_ids=ids, created_steps=catalog.created_step[ids], step=step)
 
 
 class RandomRanker:
@@ -61,7 +56,7 @@ class RandomRanker:
     def __init__(self, seed: int):
         self.seed = seed
 
-    def retrain(self, clicks: list[Click], catalog: Catalog, step: int) -> "RandomRanker":
+    def retrain(self, clicks, catalog: Catalog, step: int) -> "RandomRanker":
         return self
 
     def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
@@ -77,17 +72,17 @@ class PopRanker:
         self.window = window
         self.counts: dict[int, int] = {}
 
-    def retrain(self, clicks: list[Click], catalog: Catalog, step: int) -> "PopRanker":
-        lo = step - self.window + 1
-        counts: dict[int, int] = {}
-        for _, item, s in clicks:
-            if lo <= s <= step:
-                counts[item] = counts.get(item, 0) + 1
-        self.counts = counts
+    def retrain(self, clicks, catalog: Catalog, step: int) -> "PopRanker":
+        table = _click_table(clicks)
+        recent = (table[:, 2] >= step - self.window + 1) & (table[:, 2] <= step)
+        self.counts = np.bincount(table[recent, 1], minlength=len(catalog)).astype(np.float64)
         return self
 
     def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
-        return np.asarray([self.counts.get(int(i), 0) for i in item_ids], dtype=np.float64)
+        known = item_ids < len(self.counts)
+        scores = np.zeros(len(item_ids))
+        scores[known] = self.counts[item_ids[known]]
+        return scores
 
 
 class _FactorRanker:
@@ -114,8 +109,8 @@ class _FactorRanker:
         n = len(catalog)
         if n <= self.n_items:
             return
-        genres = np.asarray([catalog[i].genre for i in range(n)], dtype=np.int64)
-        n_genres = int(genres.max()) + 1 if n else 0
+        genres = catalog.genre
+        n_genres = int(genres.max()) + 1
         grown_q = np.zeros((n, self.dim))
         grown_b = np.zeros(n)
         grown_q[: self.n_items] = self.Q
@@ -133,7 +128,7 @@ class _FactorRanker:
         self.Q, self.bi, self.n_items = grown_q, grown_b, n
 
     def _refresh_cold(self, catalog: Catalog, n_genres: int) -> None:
-        genres = np.asarray([catalog[i].genre for i in range(self.n_items)], dtype=np.int64)
+        genres = catalog.genre[: self.n_items]
         self.cold_vec = np.zeros((n_genres, self.dim))
         self.cold_bias = np.zeros(n_genres)
         for g in range(n_genres):
@@ -142,12 +137,12 @@ class _FactorRanker:
                 self.cold_vec[g] = self.Q[rows].mean(axis=0)
                 self.cold_bias[g] = self.bi[rows].mean()
 
-    def retrain(self, clicks: list[Click], catalog: Catalog, step: int) -> "_FactorRanker":
-        if not clicks:
+    def retrain(self, clicks, catalog: Catalog, step: int) -> "_FactorRanker":
+        table = _click_table(clicks)
+        if not len(table):
             raise EmptyInteractions(f"{self.name} retraining needs at least one click")
         self._grow(catalog)
-        users = np.asarray([c[0] for c in clicks], dtype=np.int64)
-        items = np.asarray([c[1] for c in clicks], dtype=np.int64)
+        users, items = table[:, 0], table[:, 1]
         rng = stream(self.seed, "retrain", self.name, step)
         for _ in range(self.epochs):
             negatives = rng.integers(0, self.n_items, size=len(items))
@@ -155,8 +150,7 @@ class _FactorRanker:
             if collide.any():
                 negatives[collide] = (negatives[collide] + 1) % self.n_items
             self._epoch(users, items, negatives, rng)
-        n_genres = max((catalog[i].genre for i in range(len(catalog))), default=-1) + 1
-        self._refresh_cold(catalog, n_genres)
+        self._refresh_cold(catalog, int(catalog.genre.max(initial=-1)) + 1)
         return self
 
     def _epoch(self, users, items, negatives, rng) -> None:
@@ -172,7 +166,7 @@ class _FactorRanker:
         bias[known] = self.bi[item_ids[known]]
         cold = ~known
         if cold.any() and len(self.cold_vec):
-            genres = np.asarray([catalog[int(i)].genre for i in item_ids[cold]], dtype=np.int64)
+            genres = catalog.genre[item_ids[cold]]
             in_table = genres < len(self.cold_vec)
             rows = np.where(cold)[0][in_table]
             vecs[rows] = self.cold_vec[genres[in_table]]

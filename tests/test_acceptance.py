@@ -123,7 +123,7 @@ def test_02_utility_oracle():
         if len(items) < 25 and step % 2 == 1:
             item_id = len(items)
             items[item_id] = step
-            state.add_item(ItemRecord(item_id, 0, 0, f"t{item_id}", (), "", step))
+            state.add_item(state.catalog.add(0, 0, f"t{item_id}", (), "", step).item_id)
         counts = {i: [0, 0] for i in items}
         for user in range(6):
             for item_id in items:

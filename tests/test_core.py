@@ -94,8 +94,9 @@ class TestEventLog:
         path = tmp_path / "events.csv"
         log.to_csv(path)
         rebuilt = EventLog.from_csv(path)
-        assert rebuilt.events == log.events
-        assert rebuilt._by_item == log._by_item
+        assert list(rebuilt) == list(log)
+        for column in ("step", "user", "item", "exposed", "clicked"):
+            assert np.array_equal(getattr(rebuilt, column), getattr(log, column))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from creatorsim.core import EventLog, InteractionEvent, ItemRecord, creator_view, stream
+from creatorsim.core import EventLog, InteractionEvent, creator_view, stream
 from creatorsim.creator import (
     ActionKind,
     Beliefs,
@@ -43,7 +43,10 @@ def make_creator(name="Ada", n_genres=14, beta=0.5, create_prob=0.5):
 
 
 def add_item(state, item_id, genre, step, tags=()):
-    state.add_item(ItemRecord(item_id, state.creator_id, genre, f"t{item_id}", tuple(tags), "", step))
+    while len(state.catalog) < item_id:  # lower ids belong to another creator
+        state.catalog.add(state.creator_id + 1, 0, "other", (), "", 0)
+    state.catalog.add(state.creator_id, genre, f"t{item_id}", tuple(tags), "", step)
+    state.add_item(item_id)
 
 
 class ScriptedRng:
@@ -63,15 +66,15 @@ class TestFeedbackMemory:
         c = make_creator()
         add_item(c, 5, 0, step=1)
         update_feedback_memory(c, [(5, 3, 1)], n=2)
-        fb = c.items[5]
-        assert (fb.exposures, fb.clicks) == (3, 1)
+        pos = c.position(5)
+        assert (c.exposures[pos], c.clicks[pos]) == (3, 1)
 
     def test_empty_step_is_noop(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
         update_feedback_memory(c, [], n=3)
-        fb = c.items[5]
-        assert (fb.exposures, fb.clicks) == (0, 0)
+        pos = c.position(5)
+        assert (c.exposures[pos], c.clicks[pos]) == (0, 0)
 
     def test_foreign_item_rejected(self):
         c = make_creator()

@@ -1,5 +1,7 @@
 import csv
 import json
+import threading
+import time
 
 import pytest
 
@@ -30,6 +32,13 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def _with_field(line, index, value):
+    """`line` with CSV field `index` replaced; the fields before it hold no commas."""
+    fields = line.split(",", index + 1)
+    fields[index] = value
+    return ",".join(fields)
 
 
 def copy_run(artifacts, tmp_path):
@@ -285,6 +294,37 @@ class TestLlmIntegration:
             tmp_path / "llm" / "events.csv"
         ).read_bytes()
 
+    def test_workers_fan_out_llm_calls(self, tmp_path):
+        class HoldingStub:
+            """Holds each call a few ms and records the most calls in flight at once."""
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.in_flight = self.peak = 0
+
+            def __call__(self, url, payload, timeout):
+                with self.lock:
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                time.sleep(0.005)
+                with self.lock:
+                    self.in_flight -= 1
+                return 200, json.dumps({"choices": [{"message": {"content": "~~nonsense~~"}}]})
+
+        peaks, artifacts = {}, {}
+        for workers in (1, 2):
+            stub = HoldingStub()
+            cfg = small_cfg(n_steps=8, workers=workers, creator_policy="creagent_llm",
+                            llm_endpoint="http://stub.invalid", llm_model="stub")
+            out = run_simulation(cfg, out_dir=tmp_path / f"w{workers}", transport=stub).out_dir
+            peaks[workers] = stub.peak
+            artifacts[workers] = [
+                (out / name).read_bytes()
+                for name in ("events.csv", "items.csv", "creator_trace.csv", "metrics.json")
+            ]
+        assert peaks == {1: 1, 2: 2}
+        assert artifacts[1] == artifacts[2]
+
     def test_llm_profile_summarization_applied(self, tmp_path):
         def profile_stub(url, payload, timeout):
             prompt = payload["messages"][0]["content"]
@@ -395,6 +435,28 @@ class TestCli:
         summary = json.loads((broken / "dataset_summary.json").read_text())
         del summary["n_creators"]
         (broken / "dataset_summary.json").write_text(json.dumps(summary))
+        assert cli_main(["report", str(broken)]) == 3
+
+    @pytest.mark.parametrize(
+        "artifact,edit",
+        [
+            ("items.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",soon"]),
+            ("items.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]]),
+            ("dataset_summary.json", lambda lines: lines[: len(lines) // 2]),
+            ("items.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 2, "14")]),
+            ("events.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 0, "10000")]),
+            ("events.csv", lambda lines: lines[:1] + ["0,0,{simulated},1,1"] + lines[1:]),
+            ("events.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 2, "100000")]),
+        ],
+        ids=["items-non-numeric", "items-short-row", "summary-truncated", "items-genre-out-of-range",
+             "events-step-above-n-steps", "events-click-at-step-0", "events-item-outside-catalog"],
+    )
+    def test_report_malformed_artifact_exit_code(self, smoke_run, tmp_path, artifact, edit):
+        broken = copy_run(smoke_run, tmp_path)
+        with open(broken / "items.csv") as f:
+            simulated = next(r["item_id"] for r in csv.DictReader(f) if int(r["created_step"]) >= 1)
+        lines = edit((broken / artifact).read_text().splitlines())
+        (broken / artifact).write_text("\n".join(lines).replace("{simulated}", simulated) + "\n")
         assert cli_main(["report", str(broken)]) == 3
 
     def test_config_synth_range_checked_at_load(self, tmp_path):

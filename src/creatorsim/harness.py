@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -507,6 +508,15 @@ def _read_trace(path: Path) -> list[dict]:
     return rows
 
 
+@contextmanager
+def _reading(name: str, *errors: type[Exception]):
+    """Turn bytes that are not UTF-8, or `errors`, while reading `name` into CorruptLog."""
+    try:
+        yield
+    except (UnicodeDecodeError, *errors) as e:
+        raise CorruptLog(f"{name}: {type(e).__name__}: {e}") from e
+
+
 def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     """Recompute the full metrics report from the persisted artifacts.
 
@@ -514,25 +524,29 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     cumulative per-step creator reward divided by the baseline run's.
     """
     run_dir = Path(run_dir)
-    cfg = SimConfig.from_file(_require(run_dir / CONFIG_FILE))
-    try:
+    with _reading(CONFIG_FILE):
+        cfg = SimConfig.from_file(_require(run_dir / CONFIG_FILE))
+    with _reading(EVENTS_FILE, EventLogError):
         log = EventLog.from_csv(_require(run_dir / EVENTS_FILE))
-    except EventLogError as e:
-        raise CorruptLog(f"{EVENTS_FILE}: {e}") from e
-    try:
+    with _reading(ITEMS_FILE, DataError):
         catalog = Catalog.from_csv(_require(run_dir / ITEMS_FILE))
-    except DataError as e:
-        raise CorruptLog(f"{ITEMS_FILE}: {e}") from e
-    trace = _read_trace(_require(run_dir / TRACE_FILE))
-    try:
+    with _reading(TRACE_FILE):
+        trace = _read_trace(_require(run_dir / TRACE_FILE))
+    with _reading(SUMMARY_FILE, ValueError, KeyError, TypeError):
         with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
             summary = json.load(f)
         n_creators = summary["n_creators"]
         n_genres = len(summary["genres"])
         dataset_genre_counts = np.asarray(summary["dataset_genre_counts"], dtype=float)
         dataset_entropies = summary["dataset_creator_entropies"]
-    except (ValueError, KeyError, TypeError) as e:
-        raise CorruptLog(f"{SUMMARY_FILE}: {type(e).__name__}: {e}") from e
+        entropies = np.asarray(dataset_entropies, dtype=float)
+    if dataset_genre_counts.shape != (n_genres,) or entropies.ndim != 1 or not all(
+        np.isfinite(a).all() and (a >= 0).all() for a in (dataset_genre_counts, entropies)
+    ):
+        raise CorruptLog(
+            f"{SUMMARY_FILE}: genre counts (one per genre) and creator entropies "
+            "must be finite and non-negative"
+        )
 
     start, end = cfg.warmup, cfg.n_steps
     if not ((log.step >= 1) & (log.step <= end)).all():
@@ -542,15 +556,13 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     if not ((catalog.genre >= 0) & (catalog.genre < n_genres)).all():
         raise CorruptLog(f"{ITEMS_FILE}: genre outside [0, {n_genres})")
 
-    try:
+    with _reading(TRACE_FILE, ValueError):
         departures = sorted(int(r["step"]) for r in trace if r["action_kind"] == "DEPART")
         decisions = [
             (float(r["reward_pct"]), r["action_kind"])
             for r in trace
             if r["action_kind"] in ("EXPLORE", "EXPLOIT")
         ]
-    except ValueError as e:
-        raise CorruptLog(f"{TRACE_FILE}: {e}") from e
 
     def alive_at(step: int) -> int:
         return n_creators - sum(1 for s in departures if s <= step)

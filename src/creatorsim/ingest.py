@@ -431,13 +431,15 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
     user_weights /= user_weights.sum()
     inter_counts = rng.multinomial(p.n_users * p.interactions_per_user, user_weights)
     all_item_ids = np.arange(len(items))
+    # arrays once, not a list converted on every draw; choice draws the same either way
+    by_genre = [np.asarray(items_by_genre[g], dtype=np.int64) for g in range(G)]
     interactions: list[InteractionRow] = []
     for u in range(p.n_users):
         pref = rng.dirichlet(np.maximum(genre_pop * G / 2.0, 1e-6))
         genres = rng.choice(G, size=inter_counts[u], p=pref)
         for g in genres:
-            candidates = items_by_genre[int(g)]
-            item_id = int(rng.choice(candidates)) if candidates else int(rng.choice(all_item_ids))
+            candidates = by_genre[g]
+            item_id = int(rng.choice(candidates)) if len(candidates) else int(rng.choice(all_item_ids))
             day = int(rng.integers(items[item_id].created_day, p.n_days + 1))
             interactions.append(InteractionRow(user_id=u, item_id=item_id, day=day))
 

@@ -9,6 +9,15 @@ trained parameters. MF and BPR are warm-started
 factorization models trained by mini-batch SGD on clicks, with one sampled
 negative per positive; items created after the last retrain are scored with
 a cold-start factor (zero vector plus the genre mean of trained factors).
+
+Each bias is stored as one extra column of its factor table, `PB = [P | bu]`
+and `QB = [Q | bi]`, so one SGD batch updates a table with one scatter-add
+(`_scatter_add`; BPR scatters its positive and negative items separately).
+Within a batch every parameter receives its updates in batch order, and every
+gradient reads the parameters as they were before the batch, except BPR's
+negative-item bias decay, which reads the bias after the positives' update.
+The result is bit-identical to one 2-D `np.add.at` per P, Q, bu and bi, the
+reference that `tests/test_recsys.py` keeps.
 """
 
 from __future__ import annotations
@@ -85,8 +94,27 @@ class PopRanker:
         return scores
 
 
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """`np.add.at(table, rows, values)` for a C-contiguous 2-D `table`.
+
+    Scatters through the flat indices `rows[k] * width + c`, which numpy runs
+    in its fast 1-D indexed loop. Each element still receives its updates in
+    batch order, so the result is bit-identical to the 2-D `np.add.at`.
+    """
+    if not table.flags.c_contiguous:
+        # reshape(-1) would return a copy and the updates would be lost
+        raise ValueError("_scatter_add needs a C-contiguous table")
+    width = table.shape[1]
+    flat = rows[:, None] * width + np.arange(width)
+    np.add.at(table.reshape(-1), flat.reshape(-1), values.reshape(-1))
+
+
 class _FactorRanker:
-    """Shared machinery of the MF and BPR rankers."""
+    """Shared machinery of the MF and BPR rankers.
+
+    `PB` is (n_users, dim+1) and `QB` is (n_items, dim+1); `P`, `bu`, `Q` and
+    `bi` are read-only views of their columns.
+    """
 
     name = "factor"
 
@@ -97,13 +125,33 @@ class _FactorRanker:
         self.l2 = l2
         self.seed = seed
         init = stream(seed, "ranker_init", self.name)
-        self.P = init.normal(0.0, 0.1, size=(n_users, dim))
-        self.bu = np.zeros(n_users)
-        self.Q = np.zeros((0, dim))
-        self.bi = np.zeros(0)
+        self.PB = np.zeros((n_users, dim + 1))
+        self.PB[:, :dim] = init.normal(0.0, 0.1, size=(n_users, dim))
+        self.QB = np.zeros((0, dim + 1))
         self.n_items = 0
         self.cold_vec = np.zeros((0, dim))
         self.cold_bias = np.zeros(0)
+
+    @staticmethod
+    def _read_only(view: np.ndarray) -> np.ndarray:
+        view.flags.writeable = False
+        return view
+
+    @property
+    def P(self) -> np.ndarray:
+        return self._read_only(self.PB[:, : self.dim])
+
+    @property
+    def bu(self) -> np.ndarray:
+        return self._read_only(self.PB[:, self.dim])
+
+    @property
+    def Q(self) -> np.ndarray:
+        return self._read_only(self.QB[:, : self.dim])
+
+    @property
+    def bi(self) -> np.ndarray:
+        return self._read_only(self.QB[:, self.dim])
 
     def _grow(self, catalog: Catalog) -> None:
         n = len(catalog)
@@ -111,21 +159,17 @@ class _FactorRanker:
             return
         genres = catalog.genre
         n_genres = int(genres.max()) + 1
-        grown_q = np.zeros((n, self.dim))
-        grown_b = np.zeros(n)
-        grown_q[: self.n_items] = self.Q
-        grown_b[: self.n_items] = self.bi
+        grown = np.zeros((n, self.dim + 1))
+        grown[: self.n_items] = self.QB
         if self.n_items > 0:
             for g in range(n_genres):
                 old = np.where(genres[: self.n_items] == g)[0]
                 if len(old) == 0:
                     continue
-                mean_v = self.Q[old].mean(axis=0)
-                mean_b = self.bi[old].mean()
                 fresh = np.where(genres[self.n_items:] == g)[0] + self.n_items
-                grown_q[fresh] = mean_v
-                grown_b[fresh] = mean_b
-        self.Q, self.bi, self.n_items = grown_q, grown_b, n
+                grown[fresh, : self.dim] = self.Q[old].mean(axis=0)
+                grown[fresh, self.dim] = self.bi[old].mean()
+        self.QB, self.n_items = grown, n
 
     def _refresh_cold(self, catalog: Catalog, n_genres: int) -> None:
         genres = catalog.genre[: self.n_items]
@@ -180,6 +224,7 @@ class MfRanker(_FactorRanker):
     name = "mf"
 
     def _epoch(self, users, items, negatives, rng) -> None:
+        d = self.dim
         u_all = np.concatenate([users, users])
         i_all = np.concatenate([items, negatives])
         y = np.concatenate([np.ones(len(items)), np.zeros(len(items))])
@@ -187,13 +232,14 @@ class MfRanker(_FactorRanker):
         for lo in range(0, len(order), SGD_BATCH):
             sel = order[lo : lo + SGD_BATCH]
             u, i, yy = u_all[sel], i_all[sel], y[sel]
-            pu, qi = self.P[u], self.Q[i]
-            logits = self.bu[u] + self.bi[i] + (pu * qi).sum(axis=1)
+            pu, qi = self.PB[u], self.QB[i]
+            logits = pu[:, d] + qi[:, d] + (pu[:, :d] * qi[:, :d]).sum(axis=1)
             g = 1.0 / (1.0 + np.exp(-logits)) - yy
-            np.add.at(self.P, u, -self.lr * (g[:, None] * qi + self.l2 * pu))
-            np.add.at(self.Q, i, -self.lr * (g[:, None] * pu + self.l2 * qi))
-            np.add.at(self.bu, u, -self.lr * (g + self.l2 * self.bu[u]))
-            np.add.at(self.bi, i, -self.lr * (g + self.l2 * self.bi[i]))
+            # the bias column's input is 1, and g * 1.0 == g exactly
+            grad_u, grad_i = g[:, None] * qi, g[:, None] * pu
+            grad_u[:, d] = grad_i[:, d] = g
+            _scatter_add(self.PB, u, -self.lr * (grad_u + self.l2 * pu))
+            _scatter_add(self.QB, i, -self.lr * (grad_i + self.l2 * qi))
 
 
 class BprRanker(_FactorRanker):
@@ -202,26 +248,23 @@ class BprRanker(_FactorRanker):
     name = "bpr"
 
     def _epoch(self, users, items, negatives, rng) -> None:
+        d = self.dim
         order = rng.permutation(len(users))
         for lo in range(0, len(order), SGD_BATCH):
             sel = order[lo : lo + SGD_BATCH]
             u, i, j = users[sel], items[sel], negatives[sel]
-            pu, qi, qj = self.P[u], self.Q[i], self.Q[j]
-            x = self.bi[i] - self.bi[j] + (pu * (qi - qj)).sum(axis=1)
+            pu, qi, qj = self.PB[u], self.QB[i], self.QB[j]
+            diff = qi - qj
+            x = diff[:, d] + (pu[:, :d] * diff[:, :d]).sum(axis=1)
             g = -1.0 / (1.0 + np.exp(x))  # d(-ln sigma(x))/dx
-            np.add.at(self.P, u, -self.lr * (g[:, None] * (qi - qj) + self.l2 * pu))
-            np.add.at(self.Q, i, -self.lr * (g[:, None] * pu + self.l2 * qi))
-            np.add.at(self.Q, j, -self.lr * (-g[:, None] * pu + self.l2 * qj))
-            np.add.at(self.bi, i, -self.lr * (g + self.l2 * self.bi[i]))
-            np.add.at(self.bi, j, -self.lr * (-g + self.l2 * self.bi[j]))
-
-    def pairwise_loss(self, triples: list[tuple[int, int, int]]) -> float:
-        """Mean -ln sigma(score(u,i) - score(u,j)) over (u, i, j) triples."""
-        u = np.asarray([t[0] for t in triples])
-        i = np.asarray([t[1] for t in triples])
-        j = np.asarray([t[2] for t in triples])
-        x = self.bi[i] - self.bi[j] + (self.P[u] * (self.Q[i] - self.Q[j])).sum(axis=1)
-        return float(np.mean(np.log1p(np.exp(-x))))
+            grad_u, grad_i = g[:, None] * diff, g[:, None] * pu
+            grad_u[:, d] = 0.0  # BPR has no user bias
+            grad_i[:, d] = g
+            _scatter_add(self.PB, u, -self.lr * (grad_u + self.l2 * pu))
+            _scatter_add(self.QB, i, -self.lr * (grad_i + self.l2 * qi))
+            # the negatives' bias decay reads the bias after the positives' update
+            qj[:, d] = self.QB[j, d]
+            _scatter_add(self.QB, j, -self.lr * (-grad_i + self.l2 * qj))
 
 
 def make_ranker(name: str, n_users: int, seed: int, *, dim=32, lr=0.05, epochs=5,

@@ -1,9 +1,14 @@
 import csv
 import json
+import shutil
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import creatorsim.core as core
 from creatorsim.cli import main as cli_main
@@ -41,9 +46,13 @@ def _with_field(line, index, value):
     return ",".join(fields)
 
 
-def copy_run(artifacts, tmp_path):
-    import shutil
+def _next_line(lines, marker, value):
+    """`lines` with the line after the first one containing `marker` set to `value`."""
+    at = next(k for k, line in enumerate(lines) if marker in line) + 1
+    return lines[:at] + [value] + lines[at + 1 :]
 
+
+def copy_run(artifacts, tmp_path):
     return shutil.copytree(artifacts.out_dir, tmp_path / "copy")
 
 
@@ -447,9 +456,12 @@ class TestCli:
             ("events.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 0, "10000")]),
             ("events.csv", lambda lines: lines[:1] + ["0,0,{simulated},1,1"] + lines[1:]),
             ("events.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 2, "100000")]),
+            ("dataset_summary.json", lambda lines: _next_line(lines, "creator_entropies", "-1.0,")),
+            ("dataset_summary.json", lambda lines: _next_line(lines, "genre_counts", "1e999,")),
         ],
         ids=["items-non-numeric", "items-short-row", "summary-truncated", "items-genre-out-of-range",
-             "events-step-above-n-steps", "events-click-at-step-0", "events-item-outside-catalog"],
+             "events-step-above-n-steps", "events-click-at-step-0", "events-item-outside-catalog",
+             "summary-negative-entropy", "summary-infinite-count"],
     )
     def test_report_malformed_artifact_exit_code(self, smoke_run, tmp_path, artifact, edit):
         broken = copy_run(smoke_run, tmp_path)
@@ -457,6 +469,30 @@ class TestCli:
             simulated = next(r["item_id"] for r in csv.DictReader(f) if int(r["created_step"]) >= 1)
         lines = edit((broken / artifact).read_text().splitlines())
         (broken / artifact).write_text("\n".join(lines).replace("{simulated}", simulated) + "\n")
+        assert cli_main(["report", str(broken)]) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        artifact=st.sampled_from(
+            ["events.csv", "items.csv", "creator_trace.csv", "config.txt", "dataset_summary.json"]
+        ),
+        data=st.data(),
+    )
+    def test_report_survives_damaged_artifact(self, smoke_run, artifact, data):
+        with tempfile.TemporaryDirectory() as scratch:
+            broken = shutil.copytree(smoke_run.out_dir, Path(scratch) / "run")
+            raw = (broken / artifact).read_bytes()
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            if data.draw(st.booleans(), label="truncate"):
+                damaged = raw[:at]
+            else:
+                damaged = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
+            (broken / artifact).write_bytes(damaged)
+            assert cli_main(["report", str(broken)]) in (0, 2, 3)
+
+    def test_report_non_utf8_artifact_exit_code(self, smoke_run, tmp_path):
+        broken = copy_run(smoke_run, tmp_path)
+        (broken / "events.csv").write_bytes((broken / "events.csv").read_bytes() + b"\xff\n")
         assert cli_main(["report", str(broken)]) == 3
 
     def test_config_synth_range_checked_at_load(self, tmp_path):

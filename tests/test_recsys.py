@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from creatorsim.core import Catalog
 from creatorsim.recsys import (
+    SGD_BATCH,
     BprRanker,
     EmptyInteractions,
     MfRanker,
@@ -11,6 +15,7 @@ from creatorsim.recsys import (
     build_candidate_pool,
     make_ranker,
     rank_scored,
+    _scatter_add,
     serve_session,
 )
 from creatorsim.users import UserRuntime
@@ -169,6 +174,13 @@ def test_block_diagonal_heldout_beats_cross_block(name):
     assert wins / total >= 0.9
 
 
+def pairwise_loss(r: BprRanker, triples) -> float:
+    """Mean -ln sigma(score(u,i) - score(u,j)) over (u, i, j) triples."""
+    u, i, j = np.asarray(triples).T
+    x = r.bi[i] - r.bi[j] + (r.P[u] * (r.Q[i] - r.Q[j])).sum(axis=1)
+    return float(np.mean(np.log1p(np.exp(-x))))
+
+
 def test_bpr_loss_decreases_over_retrains():
     cat = Catalog()
     for i in range(4):
@@ -179,7 +191,7 @@ def test_bpr_loss_decreases_over_retrains():
     losses = []
     for step in range(6):
         r.retrain(train, cat, step)
-        losses.append(r.pairwise_loss(fixed))
+        losses.append(pairwise_loss(r, fixed))
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
@@ -211,3 +223,112 @@ def test_pop_exposure_concentrates_on_top_item():
     top1 = [top_ids(r, u, pool, 1, cat)[0] for u in range(20)]
     share = top1.count(0) / len(top1)
     assert share > 1 / 10
+
+
+@st.composite
+def scatters(draw):
+    n_rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 40))
+    batch = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        rows = np.full(batch, draw(st.integers(0, n_rows - 1)))
+    else:
+        rows = draw(hnp.arrays(np.int64, batch, elements=st.integers(0, n_rows - 1)))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    table = draw(hnp.arrays(np.float64, (n_rows, width), elements=finite))
+    values = draw(hnp.arrays(np.float64, (batch, width), elements=finite))
+    return table, rows, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(scatters())
+def test_scatter_add_matches_add_at(case):
+    table, rows, values = case
+    expected = table.copy()
+    np.add.at(expected, rows, values)
+    got = table.copy()
+    _scatter_add(got, rows, values)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("view", [lambda t: t[:, :3], lambda t: t.T])
+def test_scatter_add_rejects_non_contiguous_target(view):
+    target = view(np.zeros((5, 4)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _scatter_add(target, np.array([0, 1]), np.ones((2, target.shape[1])))
+
+
+def _mf_epoch_2d(self, users, items, negatives, rng):
+    """MF epoch with one 2-D np.add.at per parameter table (the reference)."""
+    P, Q, bu, bi = (np.array(a) for a in (self.P, self.Q, self.bu, self.bi))
+    u_all = np.concatenate([users, users])
+    i_all = np.concatenate([items, negatives])
+    y = np.concatenate([np.ones(len(items)), np.zeros(len(items))])
+    order = rng.permutation(len(u_all))
+    for lo in range(0, len(order), SGD_BATCH):
+        sel = order[lo : lo + SGD_BATCH]
+        u, i, yy = u_all[sel], i_all[sel], y[sel]
+        pu, qi = P[u], Q[i]
+        g = 1.0 / (1.0 + np.exp(-(bu[u] + bi[i] + (pu * qi).sum(axis=1)))) - yy
+        np.add.at(P, u, -self.lr * (g[:, None] * qi + self.l2 * pu))
+        np.add.at(Q, i, -self.lr * (g[:, None] * pu + self.l2 * qi))
+        np.add.at(bu, u, -self.lr * (g + self.l2 * bu[u]))
+        np.add.at(bi, i, -self.lr * (g + self.l2 * bi[i]))
+    self.PB[:, : self.dim], self.PB[:, self.dim] = P, bu
+    self.QB[:, : self.dim], self.QB[:, self.dim] = Q, bi
+
+
+def _bpr_epoch_2d(self, users, items, negatives, rng):
+    """BPR epoch with one 2-D np.add.at per (table, row set) (the reference)."""
+    P, Q, bi = (np.array(a) for a in (self.P, self.Q, self.bi))
+    order = rng.permutation(len(users))
+    for lo in range(0, len(order), SGD_BATCH):
+        sel = order[lo : lo + SGD_BATCH]
+        u, i, j = users[sel], items[sel], negatives[sel]
+        pu, qi, qj = P[u], Q[i], Q[j]
+        g = -1.0 / (1.0 + np.exp(bi[i] - bi[j] + (pu * (qi - qj)).sum(axis=1)))
+        np.add.at(P, u, -self.lr * (g[:, None] * (qi - qj) + self.l2 * pu))
+        np.add.at(Q, i, -self.lr * (g[:, None] * pu + self.l2 * qi))
+        np.add.at(Q, j, -self.lr * (-g[:, None] * pu + self.l2 * qj))
+        np.add.at(bi, i, -self.lr * (g + self.l2 * bi[i]))
+        np.add.at(bi, j, -self.lr * (-g + self.l2 * bi[j]))
+    self.PB[:, : self.dim] = P
+    self.QB[:, : self.dim], self.QB[:, self.dim] = Q, bi
+
+
+class _Mf2d(MfRanker):
+    _epoch = _mf_epoch_2d
+
+
+class _Bpr2d(BprRanker):
+    _epoch = _bpr_epoch_2d
+
+
+@pytest.mark.parametrize("fast, reference", [(MfRanker, _Mf2d), (BprRanker, _Bpr2d)])
+def test_factor_sgd_bit_identical_to_2d_add_at(fast, reference):
+    # skewed ids put many duplicate rows in every batch; the catalog grows
+    # between retrains, so warm starts and cold-genre rows are covered too
+    rng = np.random.default_rng(7)
+    cat = catalog_with(30, genre_of=lambda i: i % 4)
+    n = 3000
+    clicks = np.column_stack([
+        np.minimum(rng.zipf(1.5, n) - 1, 49), np.minimum(rng.zipf(1.3, n) - 1, 29), np.zeros(n, int)
+    ])
+    rankers = [cls(n_users=50, dim=8, lr=0.01, epochs=2, l2=1e-3, seed=3) for cls in (fast, reference)]
+    for step in range(3):
+        for r in rankers:
+            r.retrain(clicks, cat, step)
+        for k in range(5):
+            cat.add(k, k % 4, "new", [], "", step + 1)
+    got, want = rankers
+    for attr in ("PB", "QB", "cold_vec", "cold_bias"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def test_factor_views_are_read_only():
+    r = MfRanker(n_users=3, dim=4, lr=0.05, epochs=1, l2=0.0, seed=1)
+    r.retrain([(0, 0, 0), (1, 1, 0)], catalog_with(2), 0)
+    for view in (r.P, r.Q, r.bu, r.bi):
+        assert np.shares_memory(view, r.PB) or np.shares_memory(view, r.QB)
+        with pytest.raises(ValueError):
+            view[0] = 1.0

@@ -2,7 +2,11 @@
 
 Together the configs cover every ranker, every re-ranker and every non-LLM
 creator policy, plus a multi-worker run, a full-information run and an LLM
-policy run against an in-process stub endpoint. A change that keeps these
+policy run against an in-process stub endpoint; one more LLM run reads its
+dataset from disk, with more users and creators than the run keeps, so the
+world drops some of them with their items and interactions. Each run also pins
+`dataset_summary.json`, the reference the alignment metrics compare against.
+A change that keeps these
 digests keeps the simulator's behaviour; a change that alters them must say
 why in CHANGES.md and re-pin them here.
 
@@ -11,14 +15,21 @@ Print fresh digests with `python tests/test_digests.py`.
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from creatorsim import SimConfig, run_simulation
+from creatorsim import SimConfig, SynthParams, run_simulation, synth_dataset
+from creatorsim.core import stream
 
-DIGEST_FILES = ("events.csv", "items.csv", "creator_trace.csv", "metrics.json", "config.txt")
+DIGEST_FILES = (
+    "events.csv", "items.csv", "creator_trace.csv", "metrics.json", "config.txt",
+    "dataset_summary.json",
+)
 SMALL = dict(n_users=40, n_creators=15, n_steps=30)
+# relative, so config.txt reads the same wherever the run starts
+DATA_DIR = "data"
 
 CONFIGS = {
     "mf-none-creagent": dict(ranker="mf", reranker="none", creator_policy="creagent", seed=1),
@@ -38,6 +49,10 @@ CONFIGS = {
         retrain_period=3, seed=6,
     ),
     "pop-pmmf-llm-stub": dict(ranker="pop", reranker="pmmf", creator_policy="creagent_llm", seed=7),
+    "mf-fairco-llm-loaded-workers2": dict(
+        ranker="mf", reranker="fairco", creator_policy="creagent_llm", workers=2,
+        data_dir=DATA_DIR, seed=8,
+    ),
 }
 
 PINNED = {
@@ -47,6 +62,7 @@ PINNED = {
         "creator_trace.csv": "26fc3b5ce93a207b07ac004b7781a63b7d79be7bb889b75911043b3adaef6c9a",
         "metrics.json": "e6e3459cb34bf7234b0f385bf34189a494df7c991e547bffeb378135cf451e40",
         "config.txt": "0dc4f2bfe0eec89cd8b8577ab7683a247fabe8a1508c1ae340cead31f2694b2c",
+        "dataset_summary.json": "a30cc73b7c922cb3ab197e06f9f2cec3bd614774e2056659bb22418550406884",
     },
     "bpr-pmmf-cfd-workers3": {
         "events.csv": "c2c595d70693f879ac93287d1ed4096b516dc846f8fa59ba5ce539219dd3fec0",
@@ -54,6 +70,15 @@ PINNED = {
         "creator_trace.csv": "e4d072d8c992a9fa1551d0c01539c4081a2dead0f9a7221acdcc0edf9f9de248",
         "metrics.json": "1ef092deb6c9a7f2581ad3f68b82c6df2b6bfb1dbf95367047fb7849febaea34",
         "config.txt": "cc0bc91bd5d07fdaf4e948c9ee68aa2828a46406d12f098b3b142c25879f1b07",
+        "dataset_summary.json": "a2651b2e22f2ab5da1d02a4f4d622bdd57df6080c817c79d9322d742e97ecf5d",
+    },
+    "mf-fairco-llm-loaded-workers2": {
+        "events.csv": "9db12472a77f44d59089622ee900bc30e90ac173837ae2649eb640c227bf3cde",
+        "items.csv": "6b46f9dfbb50b083b5d7c783b39df206e07f77ce4477342fb39ee62752585b27",
+        "creator_trace.csv": "2716eddfcfe500e887f12879c67ce853f9beacadecb7d8ec4bc7821f81b245d1",
+        "metrics.json": "f0c27a1590b21f6f9030d8ec83a2cc8e27fec749c07d8c5965d4f72f557f7b3a",
+        "config.txt": "8092ec208f2588c62746291be047f15a7088228e84f68c218fadbc94f31a3128",
+        "dataset_summary.json": "52bef4719cabc63b650ec36662be99ee5feb3a4dbc24c6b06bfe1fbea75d7e65",
     },
     "mf-fairco-random-full": {
         "events.csv": "f310810b16cb6b5b59b0e83a3c818ebabb283a30c76916f6258a9f04e62b1830",
@@ -61,6 +86,7 @@ PINNED = {
         "creator_trace.csv": "21e0ae86b08fc248b366f5325bbbeded47012edb2025f7a5f85cdf10360b506d",
         "metrics.json": "d3158d7c909ebcc36bdf289fbd0cf0eb6773f850257406be2177310cd258c4f0",
         "config.txt": "e5eb81f6f7bdc8e3f1f2ff3a56faa589a078cb25db653704640cf2fbc78ab114",
+        "dataset_summary.json": "00c113a64c1b889d1c33e98494670e5df6c3579333bbca0909b7287777570599",
     },
     "mf-none-creagent": {
         "events.csv": "edd735184fd012184a9ee28275f1ba57edf455dad8298f9d71a0b913c2539c13",
@@ -68,6 +94,7 @@ PINNED = {
         "creator_trace.csv": "f6278c5150098c1bfb0b91b1502a296d52f4cc5990e9c47d628ebe6c79ae1540",
         "metrics.json": "7ea01e7ab60a8221881432a690368068fd936b3e92d3f71445dfe22298d10e79",
         "config.txt": "2242723ec6a167e56b58747fe899324890d864d9a028403206768e8bb2348c94",
+        "dataset_summary.json": "a0f78a4b5174b3886edeabfd650648e35ea7b38e0d91b007134c2a7c192af1aa",
     },
     "pop-mmr-lbr": {
         "events.csv": "f2670a3bfd9b888a505d27672fb2fc132f901d406666e1721c21d3b1bb8e95f3",
@@ -75,6 +102,7 @@ PINNED = {
         "creator_trace.csv": "27c00b6d50df728ba4271a684d1b3e474ef7b1c1fd97a120af423f0fe7eb59bc",
         "metrics.json": "70f49b1495e7633594deceab3af24add6230bc765502a34a3e35396914e558d9",
         "config.txt": "680d313c78f7491a4759c93390c938e67275375778d8215b866aa8bc20e8da26",
+        "dataset_summary.json": "c1387a73d1c26804c2acc059106709945d3bf7a6b63cd2a460a592de8b34a7bc",
     },
     "pop-pmmf-llm-stub": {
         "events.csv": "3812f298718b15e5b6981db04dd6525d251f05294786f73f403b91529aa45f48",
@@ -82,6 +110,7 @@ PINNED = {
         "creator_trace.csv": "137f781006a448f491318eb3547730135086878fc6a442fbb04aa1c1653d6f06",
         "metrics.json": "cdcd2b15f9f9765e341f5f6feaea26b09946f9862b7c946ed0f1c83badee1ab0",
         "config.txt": "617140cd2b8af4a90082d569cb6824089ea5d7161c7ce67ce9e77cc2dd542026",
+        "dataset_summary.json": "3935737ef9c475118c70e163d3df6bf797d788efdd651586087e77db0fb79936",
     },
     "random-fairrec-simuline": {
         "events.csv": "43e98d0023fad79d91905f97a796f3883ed936295b7a50835ad7b1c1945555e2",
@@ -89,6 +118,7 @@ PINNED = {
         "creator_trace.csv": "33c76f0f8d7d144f03a63e52a6218b0f2baea3c5d688b88e1477fe0102014bb7",
         "metrics.json": "399bba6578db6093b44d28c3329a6a693dc165d6c3cf885111907f333eda0cef",
         "config.txt": "0f2e862447a755ed67cec5160a93460bbda9b874619a4b6f604ee2b6e67c6d0d",
+        "dataset_summary.json": "bb65bbd09d60e7df0a92a156e934a54b282a040a863e044c3f6c0976f8c451ce",
     },
 }
 
@@ -131,16 +161,26 @@ def stub_transport(url: str, payload: dict, timeout: float) -> tuple[int, str]:
     return 200, json.dumps({"choices": [{"message": {"content": text}}]})
 
 
+def write_loaded_dataset(path: Path) -> None:
+    """60 users and 20 creators on disk, for a run that keeps 40 and 15."""
+    params = SynthParams(n_users=60, n_creators=20, seed=8)
+    synth_dataset(params, stream(8, "synth")).to_dir(path)
+
+
 def run_digests(name: str, out_dir: Path) -> dict[str, str]:
+    """Run config `name` from the current directory, where `DATA_DIR` is written."""
     cfg = SimConfig(**SMALL, **CONFIGS[name])
+    if cfg.data_dir:
+        write_loaded_dataset(Path(cfg.data_dir))
     transport = stub_transport if cfg.creator_policy == "creagent_llm" else None
     run_simulation(cfg, out_dir=out_dir, transport=transport)
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in DIGEST_FILES}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_pinned_digests(name, tmp_path):
-    assert run_digests(name, tmp_path / name) == PINNED[name]
+def test_pinned_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_digests(name, Path(name)) == PINNED[name]
 
 
 def test_default_config_text_pinned_and_every_key_parses_back():
@@ -165,5 +205,6 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        pinned = {name: run_digests(name, Path(tmp) / name) for name in sorted(CONFIGS)}
+        os.chdir(tmp)
+        pinned = {name: run_digests(name, Path(name)) for name in sorted(CONFIGS)}
     print(json.dumps(pinned, indent=4))

@@ -50,7 +50,6 @@ from .baselines import CfdPolicy, LbrPolicy, RandomPolicy, SimulinePolicy
 from .ingest import Dataset, SynthParams, init_creator_seeds, init_user_seeds, load_dataset, synth_dataset
 from .metrics import (
     EmptyItems,
-    MetricsReport,
     NoCreatorsAtStart,
     NoExposures,
     alignment_from_distributions,
@@ -143,66 +142,78 @@ class _World:
         self.genres = data.genres
         G = len(self.genres)
 
-        users_kept = sorted(data.users, key=lambda u: u.user_id)[: cfg.n_users]
-        creators_kept = sorted(data.creators, key=lambda c: c.creator_id)[: cfg.n_creators]
-        kept_users = {u.user_id for u in users_kept}
-        kept_creators = {c.creator_id for c in creators_kept}
-        items_kept = [it for it in data.items if it.creator_id in kept_creators]
-        kept_items = {it.item_id for it in items_kept}
-        inters_kept = [
-            r for r in data.interactions if r.user_id in kept_users and r.item_id in kept_items
-        ]
-        self.dataset = Dataset(users_kept, creators_kept, items_kept, inters_kept, data.genres)
-
-        creator_seeds = init_creator_seeds(self.dataset)
-        user_seeds = init_user_seeds(self.dataset)
-        user_index = {u.user_id: i for i, u in enumerate(users_kept)}
-        creator_index = {c.creator_id: i for i, c in enumerate(creators_kept)}
-
-        # dataset items enter the catalog at step 0 in historical order
+        # Re-index the dataset once: kept users and creators by id, their
+        # items in historical order as catalog rows (created at step 0), and
+        # the interactions among them as (user, item, day) rows.
+        users = sorted(data.users, key=lambda u: u.user_id)[: cfg.n_users]
+        creators = sorted(data.creators, key=lambda c: c.creator_id)[: cfg.n_creators]
+        user_index = {u.user_id: i for i, u in enumerate(users)}
+        creator_index = {c.creator_id: i for i, c in enumerate(creators)}
+        items = sorted(
+            (it for it in data.items if it.creator_id in creator_index),
+            key=lambda it: (it.created_day, it.item_id),
+        )
+        item_index = {it.item_id: i for i, it in enumerate(items)}
         self.catalog = Catalog()
-        item_index = {}
-        for it in sorted(items_kept, key=lambda x: (x.created_day, x.item_id)):
-            rec = self.catalog.add(
-                creator_index[it.creator_id], it.genre, it.title, it.tags, it.description, 0
-            )
-            item_index[it.item_id] = rec.item_id
-
-        # the dataset's interactions train the ranker as clicks at step 0
-        self.seed_clicks = np.asarray(
-            [(user_index[r.user_id], item_index[r.item_id], 0) for r in inters_kept], dtype=np.int64
+        for it in items:
+            self.catalog.add(creator_index[it.creator_id], it.genre, it.title, it.tags, it.description, 0)
+        seen = np.asarray(
+            [
+                (user_index[r.user_id], item_index[r.item_id], r.day)
+                for r in data.interactions
+                if r.user_id in user_index and r.item_id in item_index
+            ],
+            dtype=np.int64,
         ).reshape(-1, 3)
-        counts_per_item = np.bincount(self.seed_clicks[:, 1], minlength=len(self.catalog))
+        # the dataset's interactions train the ranker as clicks at step 0
+        self.seed_clicks = seen * (1, 1, 0)
+        counts = np.bincount(seen[:, 1], minlength=len(items))
 
-        follower_median = float(np.median([c.followers for c in creators_kept]))
-        eta = max((s.activity for s in creator_seeds), default=0.0)
-        self.creators: list[CreatorRuntime] = []
-        for seed in creator_seeds:
-            state = CreatorRuntime(
-                creator_id=creator_index[seed.creator_id],
-                name=seed.name,
-                identity=(
-                    f"{self.genres[np.argmax(seed.skill)]} enthusiast" if seed.history else "new creator"
-                ),
-                motivation="profit" if seed.followers > follower_median else "sharing",
-                activity=seed.activity,
-                create_prob=seed.activity / eta if eta > 0 else 0.0,
+        owner, genre = self.catalog.creator_id, self.catalog.genre
+        days = np.asarray([it.created_day for it in items], dtype=np.int64)
+        activity, skill, audience = init_creator_seeds(owner, genre, days, counts, len(creators), G)
+        preference, user_activity = init_user_seeds(
+            seen[:, 0], genre[seen[:, 1]], seen[:, 2], len(users), G
+        )
+
+        self.users = [
+            UserRuntime(user_id=i, preference=preference[i], activity=float(user_activity[i]))
+            for i in range(len(users))
+        ]
+        self.population_preference = np.mean(preference, axis=0)
+        # with full information every creator believes the population's preference
+        self.revealed_audience = (
+            dict(enumerate(self.population_preference.tolist()))
+            if cfg.creator_full_information
+            else None
+        )
+
+        follower_median = float(np.median([c.followers for c in creators]))
+        eta = activity.max(initial=0.0)
+        # each creator's seed items as ascending catalog rows
+        n_own = np.bincount(owner, minlength=len(creators))
+        own = np.split(np.argsort(owner, kind="stable"), np.cumsum(n_own)[:-1])
+        self.creators = [
+            CreatorRuntime(
+                creator_id=c,
+                name=row.name,
+                identity=f"{self.genres[np.argmax(skill[c])]} enthusiast" if n_own[c] else "new creator",
+                motivation="profit" if row.followers > follower_median else "sharing",
+                activity=float(activity[c]),
+                create_prob=float(activity[c] / eta) if eta > 0 else 0.0,
                 n_genres=G,
-                beliefs=Beliefs(skill=seed.skill.copy(), audience=dict(seed.audience)),
+                beliefs=Beliefs(skill=skill[c], audience=dict(self.revealed_audience or audience[c])),
                 catalog=self.catalog,
+                items=own[c],
+                # seed interactions count as exposures and as clicks; two copies,
+                # since feedback adds to each
+                exposures=counts[own[c]],
+                clicks=counts[own[c]],
                 departure_threshold=cfg.departure_threshold,
                 beta=cfg.beta,
             )
-            for new_id in sorted(item_index[it.item_id] for it in seed.history):
-                count = int(counts_per_item[new_id])
-                state.add_item(new_id, exposures=count, clicks=count)
-            self.creators.append(state)
-
-        self.users = [
-            UserRuntime(user_id=user_index[s.user_id], preference=s.preference, activity=s.activity)
-            for s in user_seeds
+            for c, row in enumerate(creators)
         ]
-        self.population_preference = np.mean([u.preference for u in self.users], axis=0)
 
         self.ranker = make_ranker(
             cfg.ranker, n_users=len(self.users), seed=cfg.seed, pop_window=cfg.pop_window,
@@ -216,12 +227,7 @@ class _World:
             for state in self.creators:
                 self.policy.register(state)
         if cfg.creator_policy == "creagent_llm":
-            self._summarize_profiles(creator_seeds, transport)
-        if cfg.creator_full_information:
-            for state in self.creators:
-                state.beliefs.audience = {
-                    g: float(self.population_preference[g]) for g in range(G)
-                }
+            self._summarize_profiles([c.followers for c in creators], transport)
 
         self.log = EventLog()
         self.ledger = ExposureLedger()
@@ -233,33 +239,41 @@ class _World:
         self.timeseries_rows: list[str] = []
         self.tuw_incremental = 0
 
-    def _summarize_profiles(self, creator_seeds, transport) -> None:
-        """Fill profile slots through the completion endpoint where possible."""
+    def _summarize_profiles(self, followers: list[int], transport) -> None:
+        """Fill profile slots through the completion endpoint where possible,
+        fanned out over `workers` like CREATE and assigned in creator order."""
         from .llm import summarize_profile_slots
 
-        cfg = self.policy.cfg
-        for state, seed in zip(self.creators, creator_seeds):
-            recent = seed.history[-1] if seed.history else None
-            recent_text = (
-                f"title: {recent.title}, genre: {self.genres[recent.genre]}, "
-                f"description: {recent.description}"
-                if recent
-                else "(none yet)"
-            )
+        cfg, genres = self.policy.cfg, self.genres
+
+        def summarize(state: CreatorRuntime) -> tuple[str, str]:
+            last = state.last_item()  # its last seed item in catalog order
+            if last is None:
+                recent_text = "(none yet)"
+            else:
+                recent = self.catalog[last]
+                recent_text = (
+                    f"title: {recent.title}, genre: {genres[recent.genre]}, "
+                    f"description: {recent.description}"
+                )
+            skill = state.beliefs.skill
             skill_text = ", ".join(
-                f"{self.genres[g]}: {seed.skill[g]:.2f}" for g in range(len(self.genres))
-                if seed.skill[g] > 0
+                f"{genres[g]}: {skill[g]:.2f}" for g in range(len(genres)) if skill[g] > 0
             )
-            state.identity, state.motivation = summarize_profile_slots(
+            return summarize_profile_slots(
                 cfg,
                 name=state.name,
-                followers=seed.followers,
-                activity=seed.activity,
+                followers=followers[state.creator_id],
+                activity=state.activity,
                 skill_text=skill_text,
                 recent_content=recent_text,
                 fallback=(state.identity, state.motivation),
                 transport=transport,
             )
+
+        slots = _map_workers(summarize, self.creators, self.cfg.workers)
+        for state, (identity, motivation) in zip(self.creators, slots):
+            state.identity, state.motivation = identity, motivation
 
     def training_clicks(self) -> np.ndarray:
         """(user, item, step) rows: the seed clicks, then the log's clicks."""
@@ -395,10 +409,8 @@ class _World:
             if not state.alive:
                 continue
             update_beliefs(state, n)
-            if self.cfg.creator_full_information:
-                state.beliefs.audience = {
-                    g: float(self.population_preference[g]) for g in range(len(self.genres))
-                }
+            if self.revealed_audience is not None:
+                state.beliefs.audience = dict(self.revealed_audience)
 
     def phase_lifecycle(self, n: int, step_seconds: float) -> None:
         cfg = self.cfg
@@ -432,8 +444,11 @@ class _World:
             with open(out_dir / name, "w", encoding="utf-8", newline="\n") as f:
                 f.writelines(line + "\n" for line in [header, *rows])
         (out_dir / CONFIG_FILE).write_text(self.cfg.to_text(), encoding="utf-8")
-        ref_creators = [it.creator_id for it in self.dataset.items]
-        ref_genres = [it.genre for it in self.dataset.items]
+        # the reference is the seed items, grouped by creator in a stable order
+        seeded = self.catalog.created_step == 0
+        order = np.argsort(self.catalog.creator_id[seeded], kind="stable")
+        ref_creators = self.catalog.creator_id[seeded][order]
+        ref_genres = self.catalog.genre[seeded][order]
         summary = {
             "genres": list(self.genres),
             "n_creators": len(self.creators),
@@ -599,19 +614,19 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
         baseline = report(baseline_dir)
         normalized = normalized_reward_curve(reward_per_step, baseline["reward_per_step"])
 
-    result = MetricsReport(
-        tuw=tuw,
-        crr=crr,
-        cgd=cgd,
-        alive_at_start=alive_at(start),
-        alive_at_end=alive_at(end),
-        preference_jsd=preference_jsd,
-        diversity_jsd=diversity_jsd,
-        explore_exploit=table,
-        reward_per_step=reward_per_step,
-        normalized_reward=normalized,
-    )
-    return {**result.to_dict(), "seed": cfg.seed}
+    return {
+        "tuw": tuw,
+        "crr": crr,
+        "cgd": cgd,
+        "alive_at_start": alive_at(start),
+        "alive_at_end": alive_at(end),
+        "preference_jsd": preference_jsd,
+        "diversity_jsd": diversity_jsd,
+        "explore_exploit": table,
+        "reward_per_step": reward_per_step,
+        "normalized_reward": normalized,
+        "seed": cfg.seed,
+    }
 
 
 def compare(run_dirs, metric_keys=("tuw", "crr", "cgd")) -> list[dict]:

@@ -1,10 +1,12 @@
-"""Dataset loading and profile initialization.
+"""Dataset loading and seed profiles.
 
 Reads a four-file record dataset (users, creators, items, interactions) or
 generates a synthetic one with the same shape: long-tailed creator activity,
-skewed genre popularity, and per-creator genre concentration. Creator and
-user seed profiles (skill/audience beliefs, activity levels, preferences)
-are derived here and stay immutable afterwards.
+skewed genre popularity, and per-creator genre concentration. The seed
+profiles (creator activity, skill and audience beliefs; user preferences and
+activity) are reductions over the columns of a dataset the run has already
+re-indexed: dense user and creator indices, one row per kept item and per
+kept interaction.
 """
 
 from __future__ import annotations
@@ -199,124 +201,76 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
 
 # ---------------------------------------------------------------------------
 # Seed profiles
+#
+# Both take aligned columns of a re-indexed dataset (owners already dense
+# indices) and reduce them with bincount. Each mean is an integer sum over an
+# integer count, which is bit for bit the `np.mean` of the same integers.
 
 
-@dataclass
-class CreatorSeed:
-    creator_id: int
-    name: str
-    followers: int
-    history: list[ItemRow]
-    activity: float                      # items per day
-    skill: np.ndarray                    # simplex over genres
-    audience: dict[int, float]           # genre -> mean interaction count; absent = unknown
+def _rates(owner: np.ndarray, day: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows per day over each owner's span of days (0 without rows), and which owners have rows."""
+    count = np.bincount(owner, minlength=n)
+    first = np.full(n, np.iinfo(np.int64).max)
+    last = np.full(n, np.iinfo(np.int64).min)
+    np.minimum.at(first, owner, day)
+    np.maximum.at(last, owner, day)
+    has = count > 0
+    rate = np.zeros(n)
+    rate[has] = count[has] / (last[has] - first[has] + 1)
+    return rate, has
 
 
-@dataclass
-class UserSeed:
-    user_id: int
-    name: str
-    preference: np.ndarray               # simplex over genres
-    activity: float                      # visit probability per step, in [0, 1]
+def init_creator_seeds(
+    creator: np.ndarray, genre: np.ndarray, day: np.ndarray, interactions: np.ndarray,
+    n_creators: int, n_genres: int,
+) -> tuple[np.ndarray, np.ndarray, list[dict[int, float]]]:
+    """Per-creator activity, skill rows and audience dicts from aligned item columns.
 
-
-def init_creator_seeds(d: Dataset) -> list[CreatorSeed]:
-    """Derive per-creator activity, skill belief, and audience belief.
-
-    Skill is the per-genre share of the creator's historical items; audience
-    is the mean interaction count of their historical items per genre, marked
-    unknown for genres never created. Creators with no history fall back to a
-    uniform skill, an all-unknown audience, and the population median activity.
+    Each seed item gives its creator index, genre, creation day and
+    interaction count. Activity is items per day over the creator's span of
+    creation days; skill is the per-genre share of its items; audience maps
+    each genre it created in to the mean interaction count of those items,
+    genres never created being unknown. Creators without items fall back to
+    the median activity of the others (1.0 if none has items), a uniform
+    skill and an empty audience.
     """
-    G = d.n_genres
-    counts_per_item: dict[int, int] = {}
-    for r in d.interactions:
-        counts_per_item[r.item_id] = counts_per_item.get(r.item_id, 0) + 1
-
-    by_creator: dict[int, list[ItemRow]] = {c.creator_id: [] for c in d.creators}
-    for it in d.items:
-        by_creator[it.creator_id].append(it)
-
-    activities = {}
-    for c in d.creators:
-        history = by_creator[c.creator_id]
-        if history:
-            days = [it.created_day for it in history]
-            span = max(days) - min(days) + 1
-            activities[c.creator_id] = len(history) / span
-    median_activity = float(np.median(list(activities.values()))) if activities else 1.0
-
-    seeds = []
-    for c in d.creators:
-        history = by_creator[c.creator_id]
-        skill = np.zeros(G)
-        audience: dict[int, float] = {}
-        if history:
-            for it in history:
-                skill[it.genre] += 1
-            skill /= skill.sum()
-            for g in range(G):
-                genre_items = [it for it in history if it.genre == g]
-                if genre_items:
-                    audience[g] = float(
-                        np.mean([counts_per_item.get(it.item_id, 0) for it in genre_items])
-                    )
-            activity = activities[c.creator_id]
-        else:
-            skill[:] = 1.0 / G
-            activity = median_activity
-        seeds.append(
-            CreatorSeed(
-                creator_id=c.creator_id,
-                name=c.name,
-                followers=c.followers,
-                history=history,
-                activity=activity,
-                skill=skill,
-                audience=audience,
-            )
-        )
-    return seeds
+    activity, has = _rates(creator, day, n_creators)
+    activity[~has] = float(np.median(activity[has])) if has.any() else 1.0
+    cell = creator * n_genres + genre
+    size = n_creators * n_genres
+    made = np.bincount(cell, minlength=size).reshape(n_creators, n_genres)
+    total = np.bincount(cell, weights=interactions, minlength=size).reshape(n_creators, n_genres)
+    skill = np.full((n_creators, n_genres), 1.0 / n_genres)
+    skill[has] = made[has] / made[has].sum(axis=1, keepdims=True)
+    audience = [
+        {g: float(total[c, g] / made[c, g]) for g in np.flatnonzero(made[c]).tolist()}
+        for c in range(n_creators)
+    ]
+    return activity, skill, audience
 
 
-def init_user_seeds(d: Dataset) -> list[UserSeed]:
-    """Derive per-user genre preferences and activity levels.
+def init_user_seeds(
+    user: np.ndarray, genre: np.ndarray, day: np.ndarray, n_users: int, n_genres: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user preference rows and activity from aligned interaction columns.
 
-    Preference is the add-alpha smoothed genre histogram of the user's
-    interacted items; activity is interactions-per-day normalized by the
-    dataset maximum. Users with no history get a uniform preference and the
-    population median activity.
+    Each seed interaction gives its user index, the item's genre and its
+    day. Preference is the add-alpha smoothed genre histogram of the user's
+    interactions; activity is interactions per day over the user's span of
+    days, divided by the largest such rate. Users without interactions get a
+    uniform preference and the median rate of the others (0.5 if none has
+    interactions).
     """
-    G = d.n_genres
-    genre_of = {it.item_id: it.genre for it in d.items}
-    by_user: dict[int, list[InteractionRow]] = {u.user_id: [] for u in d.users}
-    for r in d.interactions:
-        by_user[r.user_id].append(r)
-
-    rates = {}
-    for u in d.users:
-        rows = by_user[u.user_id]
-        if rows:
-            days = [r.day for r in rows]
-            span = max(days) - min(days) + 1
-            rates[u.user_id] = len(rows) / span
-    max_rate = max(rates.values()) if rates else 0.0
-    median_rate = float(np.median(list(rates.values()))) if rates else 0.0
-
-    seeds = []
-    for u in d.users:
-        rows = by_user[u.user_id]
-        if rows:
-            hist = np.zeros(G)
-            for r in rows:
-                hist[genre_of[r.item_id]] += 1
-            pref = (hist + PREF_SMOOTHING) / (hist.sum() + PREF_SMOOTHING * G)
-            activity = rates[u.user_id] / max_rate
-        else:
-            pref = np.full(G, 1.0 / G)
-            activity = median_rate / max_rate if max_rate > 0 else 0.5
-        seeds.append(UserSeed(user_id=u.user_id, name=u.name, preference=pref, activity=activity))
-    return seeds
+    rate, has = _rates(user, day, n_users)
+    hist = np.bincount(user * n_genres + genre, minlength=n_users * n_genres).reshape(n_users, n_genres)
+    preference = np.full((n_users, n_genres), 1.0 / n_genres)
+    preference[has] = (hist[has] + PREF_SMOOTHING) / (
+        hist[has].sum(axis=1, keepdims=True) + PREF_SMOOTHING * n_genres
+    )
+    if not has.any():
+        return preference, np.full(n_users, 0.5)
+    rate[~has] = np.median(rate[has])
+    return preference, rate / rate.max()
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,6 @@ FAST_THINKER = PromptTemplate(
     '"description": "item description text"}',
 )
 
-TEMPLATES = {
-    t.template_id: t for t in (SOCIAL_IDENTITY, INTRINSIC_MOTIVATION, SLOW_THINKER, FAST_THINKER)
-}
-
 _PLACEHOLDER = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
 

@@ -17,7 +17,6 @@ reward curves normalized by a baseline run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,33 +237,3 @@ def explore_exploit_table(decisions: Sequence[tuple[float, str]]) -> dict:
             {"label": label, "count": len(chunk), "explore": explore, "exploit": 1.0 - explore}
         )
     return {"buckets": buckets}
-
-
-@dataclass
-class MetricsReport:
-    """Full quantitative report of one run."""
-
-    tuw: int
-    crr: float | None
-    cgd: float | None
-    alive_at_start: int
-    alive_at_end: int
-    preference_jsd: float | None
-    diversity_jsd: float | None
-    explore_exploit: dict
-    reward_per_step: list[float]
-    normalized_reward: list[float] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "tuw": self.tuw,
-            "crr": self.crr,
-            "cgd": self.cgd,
-            "alive_at_start": self.alive_at_start,
-            "alive_at_end": self.alive_at_end,
-            "preference_jsd": self.preference_jsd,
-            "diversity_jsd": self.diversity_jsd,
-            "explore_exploit": self.explore_exploit,
-            "reward_per_step": self.reward_per_step,
-            "normalized_reward": self.normalized_reward,
-        }

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 import tempfile
@@ -282,6 +283,28 @@ class TestCompare:
             compare([])
 
 
+class HoldingStub:
+    """Holds each call a few ms and records the most calls in flight at once.
+
+    `reply(prompt)` gives the reply text; by default nothing parses.
+    """
+
+    def __init__(self, reply=lambda prompt: "~~nonsense~~"):
+        self.reply = reply
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+
+    def __call__(self, url, payload, timeout):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(0.005)
+        with self.lock:
+            self.in_flight -= 1
+        text = self.reply(payload["messages"][0]["content"])
+        return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+
+
 class TestLlmIntegration:
     def test_deterministic_mode_never_touches_network(self, tmp_path):
         def poisoned(url, payload, timeout):
@@ -304,22 +327,6 @@ class TestLlmIntegration:
         ).read_bytes()
 
     def test_workers_fan_out_llm_calls(self, tmp_path):
-        class HoldingStub:
-            """Holds each call a few ms and records the most calls in flight at once."""
-
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.in_flight = self.peak = 0
-
-            def __call__(self, url, payload, timeout):
-                with self.lock:
-                    self.in_flight += 1
-                    self.peak = max(self.peak, self.in_flight)
-                time.sleep(0.005)
-                with self.lock:
-                    self.in_flight -= 1
-                return 200, json.dumps({"choices": [{"message": {"content": "~~nonsense~~"}}]})
-
         peaks, artifacts = {}, {}
         for workers in (1, 2):
             stub = HoldingStub()
@@ -358,6 +365,30 @@ class TestLlmIntegration:
         world = _World(cfg, data, transport=profile_stub)
         assert all(c.identity == "synthwave archivist" for c in world.creators)
         assert all(c.motivation == "profit" for c in world.creators)
+
+    def test_workers_fan_out_profile_calls(self):
+        from creatorsim.core import stream
+        from creatorsim.harness import _World
+        from creatorsim.ingest import SynthParams, synth_dataset
+
+        def persona(prompt):
+            # a reply that differs per creator, so a slot assigned to the wrong creator shows
+            if "[Social Identity]" in prompt:
+                return f"[Social Identity]: persona {hashlib.sha256(prompt.encode()).hexdigest()[:8]}"
+            return "[Intrinsic Motivation]: " + ("profit" if len(prompt) % 2 else "sharing")
+
+        peaks, profiles = {}, {}
+        for workers in (1, 2):
+            stub = HoldingStub(persona)
+            cfg = small_cfg(n_steps=1, workers=workers, creator_policy="creagent_llm",
+                            llm_endpoint="http://stub.invalid", llm_model="stub")
+            data = synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth"))
+            world = _World(cfg, data, transport=stub)
+            peaks[workers] = stub.peak
+            profiles[workers] = [(c.identity, c.motivation) for c in world.creators]
+        assert peaks == {1: 1, 2: 2}
+        assert profiles[1] == profiles[2]
+        assert len(set(profiles[1])) > 1
 
     def test_wellformed_llm_replies_steer_decisions(self, tmp_path):
         from creatorsim.ingest import DEFAULT_GENRES

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from creatorsim.core import stream
+from creatorsim.core import SimConfig, stream
+from creatorsim.harness import _World
 from creatorsim.ingest import (
     DEFAULT_GENRES,
+    PREF_SMOOTHING,
     CreatorRow,
     DanglingRef,
     Dataset,
@@ -41,20 +45,199 @@ def tiny_dataset():
     return Dataset(users, creators, items, interactions)
 
 
+def creator_seeds(d):
+    """(activity, skill, audience) of a dataset whose ids are already 0..n-1."""
+    counts = np.bincount([r.item_id for r in d.interactions], minlength=len(d.items))
+    return init_creator_seeds(
+        np.asarray([it.creator_id for it in d.items], dtype=np.int64),
+        np.asarray([it.genre for it in d.items], dtype=np.int64),
+        np.asarray([it.created_day for it in d.items], dtype=np.int64),
+        counts[[it.item_id for it in d.items]],
+        len(d.creators),
+        d.n_genres,
+    )
+
+
+def user_seeds(d):
+    """(preference, activity) of a dataset whose ids are already 0..n-1."""
+    genre_of = {it.item_id: it.genre for it in d.items}
+    return init_user_seeds(
+        np.asarray([r.user_id for r in d.interactions], dtype=np.int64),
+        np.asarray([genre_of[r.item_id] for r in d.interactions], dtype=np.int64),
+        np.asarray([r.day for r in d.interactions], dtype=np.int64),
+        len(d.users),
+        d.n_genres,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row reference: how the seed profiles were derived before they became
+# column reductions, kept to check the reductions against.
+
+
+def reference_creator_seeds(d: Dataset) -> list[tuple[list[ItemRow], float, np.ndarray, dict]]:
+    """(history, activity, skill, audience) per creator, in `d.creators` order."""
+    G = d.n_genres
+    counts_per_item: dict[int, int] = {}
+    for r in d.interactions:
+        counts_per_item[r.item_id] = counts_per_item.get(r.item_id, 0) + 1
+
+    by_creator: dict[int, list[ItemRow]] = {c.creator_id: [] for c in d.creators}
+    for it in d.items:
+        by_creator[it.creator_id].append(it)
+
+    activities = {}
+    for c in d.creators:
+        history = by_creator[c.creator_id]
+        if history:
+            days = [it.created_day for it in history]
+            span = max(days) - min(days) + 1
+            activities[c.creator_id] = len(history) / span
+    median_activity = float(np.median(list(activities.values()))) if activities else 1.0
+
+    seeds = []
+    for c in d.creators:
+        history = by_creator[c.creator_id]
+        skill = np.zeros(G)
+        audience: dict[int, float] = {}
+        if history:
+            for it in history:
+                skill[it.genre] += 1
+            skill /= skill.sum()
+            for g in range(G):
+                genre_items = [it for it in history if it.genre == g]
+                if genre_items:
+                    audience[g] = float(
+                        np.mean([counts_per_item.get(it.item_id, 0) for it in genre_items])
+                    )
+            activity = activities[c.creator_id]
+        else:
+            skill[:] = 1.0 / G
+            activity = median_activity
+        seeds.append((history, activity, skill, audience))
+    return seeds
+
+
+def reference_user_seeds(d: Dataset) -> list[tuple[np.ndarray, float]]:
+    """(preference, activity) per user, in `d.users` order."""
+    G = d.n_genres
+    genre_of = {it.item_id: it.genre for it in d.items}
+    by_user: dict[int, list[InteractionRow]] = {u.user_id: [] for u in d.users}
+    for r in d.interactions:
+        by_user[r.user_id].append(r)
+
+    rates = {}
+    for u in d.users:
+        rows = by_user[u.user_id]
+        if rows:
+            days = [r.day for r in rows]
+            span = max(days) - min(days) + 1
+            rates[u.user_id] = len(rows) / span
+    max_rate = max(rates.values()) if rates else 0.0
+    median_rate = float(np.median(list(rates.values()))) if rates else 0.0
+
+    seeds = []
+    for u in d.users:
+        rows = by_user[u.user_id]
+        if rows:
+            hist = np.zeros(G)
+            for r in rows:
+                hist[genre_of[r.item_id]] += 1
+            pref = (hist + PREF_SMOOTHING) / (hist.sum() + PREF_SMOOTHING * G)
+            activity = rates[u.user_id] / max_rate
+        else:
+            pref = np.full(G, 1.0 / G)
+            activity = median_rate / max_rate if max_rate > 0 else 0.5
+        seeds.append((pref, activity))
+    return seeds
+
+
+def reference_world(cfg: SimConfig, d: Dataset) -> tuple[list[dict], list[tuple]]:
+    """Each kept creator's seed state and each kept user's (preference, activity),
+    from the dataset filtered and seeded row by row."""
+    users = sorted(d.users, key=lambda u: u.user_id)[: cfg.n_users]
+    creators = sorted(d.creators, key=lambda c: c.creator_id)[: cfg.n_creators]
+    kept_users = {u.user_id for u in users}
+    kept_creators = {c.creator_id for c in creators}
+    items = [it for it in d.items if it.creator_id in kept_creators]
+    kept_items = {it.item_id for it in items}
+    inters = [r for r in d.interactions if r.user_id in kept_users and r.item_id in kept_items]
+    kept = Dataset(users, creators, items, inters, d.genres)
+
+    catalog_order = sorted(items, key=lambda x: (x.created_day, x.item_id))
+    item_index = {it.item_id: i for i, it in enumerate(catalog_order)}
+    counts = np.bincount([item_index[r.item_id] for r in inters], minlength=len(items))
+    seeds = reference_creator_seeds(kept)
+    eta = max((activity for _, activity, _, _ in seeds), default=0.0)
+    world_creators = []
+    for history, activity, skill, audience in seeds:
+        own = sorted(item_index[it.item_id] for it in history)
+        world_creators.append(dict(
+            skill=skill.tolist(), audience=audience, activity=activity,
+            create_prob=activity / eta if eta > 0 else 0.0,
+            items=own, exposures=counts[own].tolist(), clicks=counts[own].tolist(),
+        ))
+    world_users = [(pref.tolist(), activity) for pref, activity in reference_user_seeds(kept)]
+    return world_creators, world_users
+
+
+@st.composite
+def small_datasets(draw):
+    """Small datasets with id gaps, in shuffled row order, with creators that
+    have no items and users without interactions."""
+    G = draw(st.integers(1, 4))
+    ids = lambda n: st.lists(st.integers(0, 3 * n), min_size=1, max_size=n, unique=True)
+    users = [UserRow(u, f"u{u}") for u in draw(ids(8))]
+    creators = [CreatorRow(c, f"c{c}", draw(st.integers(0, 50))) for c in draw(ids(6))]
+    # only some creators make items and only some users interact
+    makers = draw(st.lists(st.sampled_from(creators), min_size=1, unique=True))
+    viewers = draw(st.lists(st.sampled_from(users), min_size=1, unique=True))
+    item_ids = draw(st.lists(st.integers(0, 60), max_size=15, unique=True))
+    items = [
+        ItemRow(
+            i, draw(st.sampled_from(makers)).creator_id, draw(st.integers(0, G - 1)),
+            f"t{i}", (), "", draw(st.integers(1, 12)),
+        )
+        for i in item_ids
+    ]
+    interactions = [
+        InteractionRow(draw(st.sampled_from(viewers)).user_id, it.item_id, draw(st.integers(1, 15)))
+        for it in draw(st.lists(st.sampled_from(items), max_size=30))
+    ] if items else []
+    return Dataset(users, creators, items, interactions, DEFAULT_GENRES[:G])
+
+
+class TestWorldSeedsEqualRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(data=small_datasets(), n_users=st.integers(1, 9), n_creators=st.integers(1, 7))
+    def test_world_seed_state_equals_reference(self, data, n_users, n_creators):
+        cfg = SimConfig(n_users=n_users, n_creators=n_creators, ranker="random", reranker="none")
+        world = _World(cfg, data)
+        creators, users = reference_world(cfg, data)
+        assert [
+            dict(
+                skill=c.beliefs.skill.tolist(), audience=c.beliefs.audience, activity=c.activity,
+                create_prob=c.create_prob, items=c.items.tolist(), exposures=c.exposures.tolist(),
+                clicks=c.clicks.tolist(),
+            )
+            for c in world.creators
+        ] == creators
+        assert [(u.preference.tolist(), u.activity) for u in world.users] == users
+
+
 class TestCreatorSeeds:
     def test_skill_is_creation_share(self):
-        seeds = init_creator_seeds(tiny_dataset())
-        ada = seeds[0]
-        assert ada.skill[0] == pytest.approx(0.75)
-        assert ada.skill[1] == pytest.approx(0.25)
+        _, skill, _ = creator_seeds(tiny_dataset())
+        assert skill[0, 0] == pytest.approx(0.75)
+        assert skill[0, 1] == pytest.approx(0.25)
 
     def test_audience_is_mean_interaction_count(self):
         # genre 0 items have counts {3, 1, 0} -> mean 4/3; genre 1 count {1}
-        seeds = init_creator_seeds(tiny_dataset())
-        ada = seeds[0]
-        assert ada.audience[0] == pytest.approx(4 / 3)
-        assert ada.audience[1] == pytest.approx(1.0)
-        assert 2 not in ada.audience
+        _, _, audience = creator_seeds(tiny_dataset())
+        ada = audience[0]
+        assert ada[0] == pytest.approx(4 / 3)
+        assert ada[1] == pytest.approx(1.0)
+        assert 2 not in ada
 
     def test_activity_is_items_over_day_span(self):
         d = tiny_dataset()
@@ -63,21 +246,20 @@ class TestCreatorSeeds:
             for i, day in enumerate(np.linspace(1, 60, 30).astype(int))
         ]
         d.interactions = []
-        seeds = init_creator_seeds(d)
-        assert seeds[0].activity == pytest.approx(30 / 60)
+        activity, _, _ = creator_seeds(d)
+        assert activity[0] == pytest.approx(30 / 60)
 
     def test_cold_creator_fallbacks(self):
-        seeds = init_creator_seeds(tiny_dataset())
-        bob = seeds[1]
-        assert np.allclose(bob.skill, 1.0 / len(DEFAULT_GENRES))
-        assert bob.audience == {}
-        assert bob.activity == pytest.approx(seeds[0].activity)  # median of one value
+        activity, skill, audience = creator_seeds(tiny_dataset())
+        assert np.allclose(skill[1], 1.0 / len(DEFAULT_GENRES))
+        assert audience[1] == {}
+        assert activity[1] == pytest.approx(activity[0])  # median of one value
 
     def test_skill_always_probability_vector(self):
         d = synth_dataset(SynthParams(n_users=20, n_creators=12), stream(3, "synth"))
-        for seed in init_creator_seeds(d):
-            assert (seed.skill >= 0).all()
-            assert seed.skill.sum() == pytest.approx(1.0, abs=1e-9)
+        _, skill, _ = creator_seeds(d)
+        assert (skill >= 0).all()
+        assert skill.sum(axis=1) == pytest.approx(np.ones(len(d.creators)), abs=1e-9)
 
 
 class TestUserSeeds:
@@ -88,27 +270,26 @@ class TestUserSeeds:
         items = [ItemRow(0, 0, 0, "", (), "", 1), ItemRow(1, 0, 1, "", (), "", 1)]
         inters = [InteractionRow(0, 0, 1), InteractionRow(0, 0, 2), InteractionRow(0, 1, 3)]
         d = Dataset(users, creators, items, inters, genres=("A", "B"))
-        seeds = init_user_seeds(d)
-        assert seeds[0].preference[0] == pytest.approx(2.1 / 3.2)
-        assert seeds[0].preference[1] == pytest.approx(1.1 / 3.2)
+        preference, _ = user_seeds(d)
+        assert preference[0, 0] == pytest.approx(2.1 / 3.2)
+        assert preference[0, 1] == pytest.approx(1.1 / 3.2)
 
     def test_no_history_gives_uniform(self):
         d = tiny_dataset()
         d.interactions = [r for r in d.interactions if r.user_id != 1]
-        seeds = init_user_seeds(d)
-        assert np.allclose(seeds[1].preference, 1.0 / len(DEFAULT_GENRES))
+        preference, _ = user_seeds(d)
+        assert np.allclose(preference[1], 1.0 / len(DEFAULT_GENRES))
 
     def test_most_active_user_normalized_to_one(self):
-        seeds = init_user_seeds(tiny_dataset())
-        assert max(s.activity for s in seeds) == pytest.approx(1.0)
+        _, activity = user_seeds(tiny_dataset())
+        assert max(activity) == pytest.approx(1.0)
 
     def test_purity(self):
         d = tiny_dataset()
-        a = init_user_seeds(d)
-        b = init_user_seeds(d)
+        a = user_seeds(d)
+        b = user_seeds(d)
         for x, y in zip(a, b):
-            assert np.array_equal(x.preference, y.preference)
-            assert x.activity == y.activity
+            assert np.array_equal(x, y)
 
 
 class TestLoadDataset:

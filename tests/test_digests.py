@@ -1,8 +1,9 @@
 """Pinned output digests: the byte-exact behaviour of small seeded runs.
 
 Together the configs cover every ranker, every re-ranker and every non-LLM
-creator policy, plus a multi-worker run, a full-information run and an LLM
-policy run against an in-process stub endpoint; one more LLM run reads its
+creator policy, plus a multi-worker run, two full-information runs (one with
+a policy that reads the overridden audience beliefs) and an LLM policy run
+against an in-process stub endpoint; one more LLM run reads its
 dataset from disk, with more users and creators than the run keeps, so the
 world drops some of them with their items and interactions. Each run also pins
 `dataset_summary.json`, the reference the alignment metrics compare against.
@@ -43,6 +44,10 @@ CONFIGS = {
     "mf-fairco-random-full": dict(
         ranker="mf", reranker="fairco", creator_policy="random",
         creator_full_information=True, seed=5,
+    ),
+    "mf-none-creagent-full": dict(
+        ranker="mf", reranker="none", creator_policy="creagent",
+        creator_full_information=True, seed=9,
     ),
     "bpr-mmr-creagent-departures": dict(
         ranker="bpr", reranker="mmr", creator_policy="creagent", departure_threshold=2,
@@ -87,6 +92,14 @@ PINNED = {
         "metrics.json": "d3158d7c909ebcc36bdf289fbd0cf0eb6773f850257406be2177310cd258c4f0",
         "config.txt": "e5eb81f6f7bdc8e3f1f2ff3a56faa589a078cb25db653704640cf2fbc78ab114",
         "dataset_summary.json": "00c113a64c1b889d1c33e98494670e5df6c3579333bbca0909b7287777570599",
+    },
+    "mf-none-creagent-full": {
+        "events.csv": "acd33f87a30cea608a855a7acfe21a8cd25a0d3a0625b0a89ac35499f8f4c86f",
+        "items.csv": "b8a2926befde72ca3ea03f18b11293f190a42df36d9e77fabc4aac15d776926f",
+        "creator_trace.csv": "3275b3249a8124fe568a45010cb991d772de35a1e21d0f7a8fbfb997391c8199",
+        "metrics.json": "e9124797d40490dff73d0ec28ab8b24ac07fececfe7191219106d51f1ef3248c",
+        "config.txt": "9d45fc5d8d85bb51b32aa4cf11c3ed925f7e8ebf004b97a9a8773be1e993cac9",
+        "dataset_summary.json": "9156bb92b743d1cc187a3c814e5d4fcc868479220db167851358b0b451b5a42a",
     },
     "mf-none-creagent": {
         "events.csv": "edd735184fd012184a9ee28275f1ba57edf455dad8298f9d71a0b913c2539c13",
@@ -198,7 +211,12 @@ def test_configs_cover_every_ranker_reranker_and_policy():
     assert {c.reranker for c in used} == set(RERANKERS)
     assert {c.creator_policy for c in used} == set(CREATOR_POLICIES)
     assert any(c.workers > 1 for c in used)
-    assert any(c.creator_full_information for c in used)
+    # the full-information override replaces audience beliefs, so a full
+    # run must use a policy that reads them whenever it decides
+    assert any(
+        c.creator_full_information and c.creator_policy in ("creagent", "creagent_llm", "lbr")
+        for c in used
+    )
 
 
 if __name__ == "__main__":

@@ -153,7 +153,11 @@ def item_utility(state: CreatorRuntime, item_id: int, n: int) -> float:
 
 
 def update_beliefs(state: CreatorRuntime, n: int) -> None:
-    """Refresh skill and audience beliefs from the current memories."""
+    """Refresh skill and audience beliefs from the current memories.
+
+    `n` is the step whose feedback the memories last took in, so a creator
+    deciding at step n is refreshed with n - 1.
+    """
     genres = state.genres
     counts = np.bincount(genres, minlength=state.n_genres).astype(float)
     if len(genres):

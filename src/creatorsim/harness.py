@@ -1,8 +1,9 @@
 """Run orchestration: the per-step phase loop, the snapshot/commit barrier,
 artifact persistence, and post-hoc reporting.
 
-Each step executes CREATE, POOL, RETRAIN (on schedule), SERVE, FEEDBACK,
-BELIEFS, and LIFECYCLE in that order. Agents read the previous step's
+Each step executes CREATE, POOL, RETRAIN (on schedule), SERVE, FEEDBACK, and
+LIFECYCLE in that order. A creator's beliefs are refreshed from its memory
+inside CREATE, only when it is about to decide. Agents read the previous step's
 committed world and mutate only their own state; cross-agent effects (the
 event log, the catalog, exposure ledgers, fairness duals) are committed at
 phase barriers in stable id order, so results are bit-identical for any
@@ -299,6 +300,12 @@ class _World:
                 state.pending_item = None
                 if not state.alive:
                     return ("depart", idx, last_utility)
+            # memory last changed in FEEDBACK at step n - 1; step 1 decides
+            # on the seed beliefs
+            if n > 1:
+                update_beliefs(state, n - 1)
+                if self.revealed_audience is not None:
+                    state.beliefs.audience = dict(self.revealed_audience)
             q = reward_percentile(state, n)
             last = state.last_item()
             z_last = item_utility(state, last, n) if last is not None else None
@@ -404,14 +411,6 @@ class _World:
             ]
             update_feedback_memory(state, step_list, n)
 
-    def phase_beliefs(self, n: int) -> None:
-        for state in self.creators:
-            if not state.alive:
-                continue
-            update_beliefs(state, n)
-            if self.revealed_audience is not None:
-                state.beliefs.audience = dict(self.revealed_audience)
-
     def phase_lifecycle(self, n: int, step_seconds: float) -> None:
         cfg = self.cfg
         alive = sum(1 for c in self.creators if c.alive)
@@ -483,7 +482,6 @@ def run_simulation(
                 world.ranker.retrain(clicks, world.catalog, n)
         world.phase_serve(n, pool)
         world.phase_feedback(n)
-        world.phase_beliefs(n)
         world.phase_lifecycle(n, time.perf_counter() - started)
     out_dir = Path(out_dir)
     world.write_artifacts(out_dir)

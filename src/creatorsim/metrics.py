@@ -173,27 +173,6 @@ def alignment_from_distributions(
     return preference_jsd, diversity_jsd
 
 
-def creation_alignment(sim_items, dataset) -> tuple[float, float]:
-    """(preference JSD, diversity JSD) of simulated vs dataset creations.
-
-    `sim_items` is an iterable of (creator_id, genre_id); preference compares
-    genre histograms, diversity compares 10-bin histograms of per-creator
-    genre entropies.
-    """
-    sim = np.asarray(list(sim_items), dtype=np.int64).reshape(-1, 2)
-    ref = np.asarray([(it.creator_id, it.genre) for it in dataset.items], dtype=np.int64).reshape(-1, 2)
-    if not len(sim) or not len(ref):
-        raise EmptyItems("both item sets must be non-empty")
-    G = dataset.n_genres
-    return alignment_from_distributions(
-        genre_histogram(sim[:, 1], G),
-        genre_histogram(ref[:, 1], G),
-        per_creator_entropies(sim[:, 0], sim[:, 1], G),
-        per_creator_entropies(ref[:, 0], ref[:, 1], G),
-        G,
-    )
-
-
 def normalized_reward_curve(
     run_rewards: Sequence[float], baseline_rewards: Sequence[float]
 ) -> list[float]:

@@ -24,8 +24,13 @@ from creatorsim.core import (
 )
 from creatorsim.creator import CreatorRuntime, Beliefs, item_utility, update_feedback_memory
 from creatorsim.harness import run_simulation
-from creatorsim.ingest import CreatorRow, Dataset, ItemRow, UserRow
-from creatorsim.metrics import content_genre_diversity, creation_alignment, js_divergence
+from creatorsim.metrics import (
+    alignment_from_distributions,
+    content_genre_diversity,
+    genre_histogram,
+    js_divergence,
+    per_creator_entropies,
+)
 from creatorsim.recsys import make_ranker
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -304,20 +309,25 @@ def test_11_alignment_machinery():
         mix = rng.dirichlet(np.full(14, 0.4))
         for g in rng.choice(14, size=25, p=mix):
             ref_items.append((c, int(g)))
-    dataset = Dataset(
-        users=[UserRow(0, "u")],
-        creators=[CreatorRow(c, f"c{c}", 1) for c in range(40)],
-        items=[ItemRow(i, c, g, "", (), "", 1) for i, (c, g) in enumerate(ref_items)],
-        interactions=[],
-    )
     hist = np.bincount([g for _, g in ref_items], minlength=14).astype(float)
     hist /= hist.sum()
     sim_items = [
         (int(c), int(g))
         for c, g in zip(rng.integers(0, 40, size=10_000), rng.choice(14, size=10_000, p=hist))
     ]
-    pref_jsd, _ = creation_alignment(sim_items, dataset)
-    identical = creation_alignment(ref_items, dataset)
+
+    def alignment(items):
+        sim, ref = np.asarray(items), np.asarray(ref_items)
+        return alignment_from_distributions(
+            genre_histogram(sim[:, 1], 14),
+            genre_histogram(ref[:, 1], 14),
+            per_creator_entropies(sim[:, 0], sim[:, 1], 14),
+            per_creator_entropies(ref[:, 0], ref[:, 1], 14),
+            14,
+        )
+
+    pref_jsd, _ = alignment(sim_items)
+    identical = alignment(ref_items)
     check(
         "criterion 11: alignment machinery",
         pref_jsd < 0.05 and identical == (0.0, 0.0),

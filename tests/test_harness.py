@@ -206,6 +206,35 @@ class TestPhaseInvariants:
         run_simulation(small_cfg(n_steps=10), out_dir=tmp_path / "spy")
         assert foreign == []
 
+    def test_beliefs_refreshed_only_when_deciding(self, tmp_path, monkeypatch):
+        import creatorsim.harness as harness
+
+        step = [0]  # the step whose phases are running
+        calls = []  # (step, creator, argument) of each belief refresh
+        original_create, original_update = harness._World.phase_create, harness.update_beliefs
+
+        def create(world, n):
+            step[0] = n
+            return original_create(world, n)
+
+        def spy(state, n):
+            calls.append((step[0], state.creator_id, n))
+            return original_update(state, n)
+
+        monkeypatch.setattr(harness._World, "phase_create", create)
+        monkeypatch.setattr(harness, "update_beliefs", spy)
+        run_simulation(small_cfg(), out_dir=tmp_path / "spy")
+        with open(tmp_path / "spy" / "creator_trace.csv") as f:
+            decisions = sorted(
+                (int(row["step"]), int(row["creator_id"]))
+                for row in csv.DictReader(f)
+                if row["action_kind"] in ("EXPLORE", "EXPLOIT")
+            )
+        assert decisions[0][0] == 1, "step 1 should have decisions, made on seed beliefs"
+        assert not [c for c in calls if c[0] == 1]
+        assert sorted((n, creator) for n, creator, _ in calls) == [d for d in decisions if d[0] >= 2]
+        assert all(arg == n - 1 for n, _, arg in calls)
+
 
 class TestReport:
     def test_report_equals_metrics_json(self, smoke_run):

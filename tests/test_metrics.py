@@ -6,19 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creatorsim.core import EventLog, InteractionEvent
-from creatorsim.ingest import CreatorRow, Dataset, ItemRow, UserRow
+from creatorsim.ingest import DEFAULT_GENRES
 from creatorsim.metrics import (
     BadDistribution,
     EmptyItems,
     NoCreatorsAtStart,
     NoExposures,
     ZeroBaseline,
+    alignment_from_distributions,
     content_genre_diversity,
-    creation_alignment,
     creator_retention_rate,
     explore_exploit_table,
+    genre_histogram,
     js_divergence,
     normalized_reward_curve,
+    per_creator_entropies,
     total_user_welfare,
 )
 
@@ -137,43 +139,44 @@ def test_jsd_symmetric_and_bounded(data):
     assert -1e-12 <= a <= 1.0 + 1e-12
 
 
-def _dataset_with(items):
-    creators = sorted({c for c, _ in items})
-    return Dataset(
-        users=[UserRow(0, "u")],
-        creators=[CreatorRow(c, f"c{c}", 1) for c in creators],
-        items=[ItemRow(i, c, g, "", (), "", 1) for i, (c, g) in enumerate(items)],
-        interactions=[],
+def _alignment(sim_items, ref_items):
+    """(preference JSD, diversity JSD) of two lists of (creator, genre) items,
+    computed as `report()` computes them."""
+    n_genres = len(DEFAULT_GENRES)
+    sim = np.asarray(sim_items, dtype=np.int64).reshape(-1, 2)
+    ref = np.asarray(ref_items, dtype=np.int64).reshape(-1, 2)
+    return alignment_from_distributions(
+        genre_histogram(sim[:, 1], n_genres),
+        genre_histogram(ref[:, 1], n_genres),
+        per_creator_entropies(sim[:, 0], sim[:, 1], n_genres),
+        per_creator_entropies(ref[:, 0], ref[:, 1], n_genres),
+        n_genres,
     )
 
 
 class TestAlignment:
     def test_identical_inputs_are_zero(self):
         items = [(0, 1), (0, 2), (1, 1), (1, 1)]
-        d = _dataset_with(items)
-        assert creation_alignment(items, d) == (0.0, 0.0)
+        assert _alignment(items, items) == (0.0, 0.0)
 
     def test_single_genre_creators_vs_mixed(self):
         ref = [(c, g) for c in range(8) for g in range(4)]
         sim = [(c, 0) for c in range(8) for _ in range(4)]
-        d = _dataset_with(ref)
-        pref, div = creation_alignment(sim, d)
+        pref, div = _alignment(sim, ref)
         assert div > 0.3
 
     def test_sampling_from_own_histogram_converges(self):
         rng = np.random.default_rng(1)
         ref = [(c, int(g)) for c in range(20) for g in rng.choice(14, size=50, p=np.full(14, 1 / 14))]
-        d = _dataset_with(ref)
         hist = np.bincount([g for _, g in ref], minlength=14).astype(float)
         hist /= hist.sum()
         sim = [(int(c), int(g)) for c, g in zip(rng.integers(0, 20, 3000), rng.choice(14, 3000, p=hist))]
-        pref, _ = creation_alignment(sim, d)
+        pref, _ = _alignment(sim, ref)
         assert pref < 0.05
 
     def test_empty_rejected(self):
-        d = _dataset_with([(0, 1)])
         with pytest.raises(EmptyItems):
-            creation_alignment([], d)
+            _alignment([], [(0, 1)])
 
 
 class TestNormalizedReward:

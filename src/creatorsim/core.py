@@ -3,16 +3,16 @@ interaction event log, run configuration, and seeded random streams.
 
 The catalog and the event log are the platform's store, both kept as numpy
 columns: each item fact and each event is stored once, and consumers read
-whole columns instead of walking records. The log is the single source of
-truth for user feedback. The platform reads all of it; creators may only read
-it through :func:`creator_view`, which is the enforcement point for the
-platform/creator information boundary.
+whole columns instead of walking records. The log records every event; the
+catalog keeps each item's running exposure and click totals beside its other
+columns. The platform reads all of it; creators may only read the totals, and
+only through :func:`creator_view`, which checks the catalog's ownership column
+and is the enforcement point for the platform/creator information boundary.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -51,10 +51,6 @@ class IllegalClick(EventLogError):
 
 class DuplicateEvent(EventLogError):
     """Second event for the same (step, user, item) triple."""
-
-
-class UnknownItem(EventLogError):
-    """Item has no events in the log."""
 
 
 class AsymmetryViolation(SimError):
@@ -143,9 +139,6 @@ class EventLog(_Columns):
         columns = (getattr(self, name).tolist() for name in _EVENT_COLUMNS)
         return map(self._event, zip(*columns))
 
-    def __contains__(self, item: int) -> bool:
-        return bool((self.item == item).any())
-
     def append(self, ev: InteractionEvent) -> None:
         if ev.step < 0 or ev.user < 0 or ev.item < 0:
             raise EventLogError(f"negative field in event {ev}")
@@ -173,19 +166,6 @@ class EventLog(_Columns):
         """The events with step in [frm, to], as a log sharing this one's memory."""
         rows = self.span(frm, to)
         return EventLog({name: getattr(self, name)[rows] for name in _EVENT_COLUMNS})
-
-    def tally(self, item: int, frm: int, to: int) -> tuple[int, int]:
-        """Exact (exposures, clicks) counts for `item` over steps [frm, to]."""
-        if frm > to:
-            raise ValueError(f"empty-reversed range [{frm}, {to}]")
-        rows, data = self.span(frm, to), self._data
-        hit = data["item"][rows] == item
-        if not hit.any() and item not in self:
-            raise UnknownItem(f"item {item} has no events")
-        return (
-            int(np.count_nonzero(hit & data["exposed"][rows])),
-            int(np.count_nonzero(hit & data["clicked"][rows])),
-        )
 
     def to_csv(self, path: str | Path) -> None:
         columns = [getattr(self, name).astype(np.int64).tolist() for name in _EVENT_COLUMNS]
@@ -217,21 +197,6 @@ class EventLog(_Columns):
         return log
 
 
-def creator_view(
-    log: EventLog, creator: int, owned: Iterable[int], item: int, frm: int, to: int
-) -> tuple[int, int]:
-    """Feedback counts for `item` as visible to `creator`.
-
-    Identical to ``log.tally`` when the item is owned; raises
-    :class:`AsymmetryViolation` otherwise. All creator-side feedback reads
-    must go through this function.
-    """
-    owned_set = owned if isinstance(owned, AbstractSet) else set(owned)
-    if item not in owned_set:
-        raise AsymmetryViolation(f"creator {creator} queried foreign item {item}")
-    return log.tally(item, frm, to)
-
-
 # ---------------------------------------------------------------------------
 # Item catalog
 
@@ -250,7 +215,8 @@ class Catalog(_Columns):
     """All items on the platform, seeded and simulated, in creation order.
 
     An item's id is its row. `creator_id`, `genre` and `created_step` are int
-    columns, the only place those facts are stored; titles, tags and
+    columns, the only place those facts are stored; `exposures` and `clicks`
+    are the item's feedback totals, grown by `add_feedback`. Titles, tags and
     descriptions are lists. Indexing and iteration build `ItemRecord`s.
     """
 
@@ -259,7 +225,8 @@ class Catalog(_Columns):
     _record = partial(tuple.__new__, ItemRecord)  # as EventLog._event
 
     def __init__(self) -> None:
-        super().__init__({name: np.empty(0, np.int64) for name in ("creator_id", "genre", "created_step")})
+        columns = ("creator_id", "genre", "created_step", "exposures", "clicks")
+        super().__init__({name: np.empty(0, np.int64) for name in columns})
         self._titles: list[str] = []
         self._tags: list[tuple[str, ...]] = []
         self._descriptions: list[str] = []
@@ -278,11 +245,16 @@ class Catalog(_Columns):
         self, creator_id: int, genre: int, title: str, tags: Iterable[str], description: str,
         created_step: int,
     ) -> ItemRecord:
-        self._append(creator_id, genre, created_step)
+        self._append(creator_id, genre, created_step, 0, 0)
         self._titles.append(title)
         self._tags.append(tuple(tags))
         self._descriptions.append(description)
         return self[len(self) - 1]
+
+    def add_feedback(self, items: np.ndarray, exposures, clicks) -> None:
+        """Add counts to the totals of `items`; an item listed twice gets both."""
+        np.add.at(self.exposures, items, exposures)
+        np.add.at(self.clicks, items, clicks)
 
     def to_csv(self, path: str | Path) -> None:
         import csv
@@ -316,6 +288,22 @@ class Catalog(_Columns):
                 except (ValueError, OverflowError) as e:
                     raise DataError(f"{path} line {reader.line_num}: {e}") from e
         return cat
+
+
+def creator_view(catalog: Catalog, creator: int, items) -> tuple[np.ndarray, np.ndarray]:
+    """Exposure and click totals of `items` as visible to `creator`, aligned
+    with `items`.
+
+    Raises :class:`AsymmetryViolation` unless the catalog's `creator_id`
+    column names `creator` as the owner of every item. All creator-side
+    feedback reads must go through this function.
+    """
+    items = np.asarray(items, dtype=np.int64)
+    owned = (items >= 0) & (items < len(catalog))
+    owned[owned] = catalog.creator_id[items[owned]] == creator
+    if not owned.all():
+        raise AsymmetryViolation(f"creator {creator} queried foreign item {items[~owned][0]}")
+    return catalog.exposures[items], catalog.clicks[items]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Creator agents: memories, beliefs, utility, the explore/exploit decision,
 content creation, and departure.
 
-A creator only ever sees feedback on its own items (collected upstream via
-the log's ownership-checked view). Its memory is the ids of its own items in
-creation order plus aligned arrays of the exposures and clicks it has seen on
-each; genres and creation steps are read from the platform catalog's columns.
+A creator only ever sees feedback on its own items. Its memory is the ids of
+its own items in creation order; their genres, creation steps and exposure and
+click totals are the platform catalog's columns, and the totals are read only
+through the ownership-checked `core.creator_view`.
 It distills the memory into two beliefs: skill (its per-genre creation share)
 and audience (its per-genre estimate of receptiveness, the mean utility of its
 own items in that genre, unknown for genres never tried). The thinking step
@@ -20,15 +20,12 @@ from enum import Enum
 
 import numpy as np
 
+from . import core
 from .core import Catalog, ItemRecord, SimError
 
 
 class NotOwned(SimError):
     """Operation on an item the creator does not own."""
-
-
-class ForeignItem(SimError):
-    """Feedback offered for an item outside the creator's own set."""
 
 
 class FutureItem(SimError):
@@ -76,10 +73,8 @@ class CreatorRuntime:
     beliefs: Beliefs
     catalog: Catalog = field(default_factory=Catalog)  # the platform's items
     # Own item ids in creation order, which is also id order, so every float
-    # reduction over them is reproducible; exposures and clicks are aligned.
+    # reduction over them is reproducible.
     items: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    exposures: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    clicks: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     departure_threshold: int = 5
     beta: float = 0.5
     consecutive_zero_click: int = 0
@@ -97,12 +92,20 @@ class CreatorRuntime:
         """Genre of each own item, aligned with `items`."""
         return self.catalog.genre[self.items]
 
-    def add_item(self, item_id: int, exposures: int = 0, clicks: int = 0) -> None:
+    @property
+    def exposures(self) -> np.ndarray:
+        """Exposures of each own item so far, aligned with `items`."""
+        return core.creator_view(self.catalog, self.creator_id, self.items)[0]
+
+    @property
+    def clicks(self) -> np.ndarray:
+        """Clicks on each own item so far, aligned with `items`."""
+        return core.creator_view(self.catalog, self.creator_id, self.items)[1]
+
+    def add_item(self, item_id: int) -> None:
         if len(self.items) and item_id <= self.items[-1]:
             raise ValueError(f"item {item_id} added after item {self.items[-1]}")
         self.items = np.append(self.items, item_id)
-        self.exposures = np.append(self.exposures, exposures)
-        self.clicks = np.append(self.clicks, clicks)
 
     def last_item(self) -> int | None:
         return int(self.items[-1]) if len(self.items) else None
@@ -114,27 +117,14 @@ class CreatorRuntime:
 
 
 # ---------------------------------------------------------------------------
-# Memory updates and utility
-
-
-def update_feedback_memory(state: CreatorRuntime, step_events, n: int) -> None:
-    """Fold one step of owned-item feedback into the cumulative counters.
-
-    `step_events` is a list of (item_id, exposures, clicks) obtained through
-    the ownership-checked log view.
-    """
-    for item_id, exposures, clicks in step_events:
-        pos = state.position(item_id)
-        if pos is None:
-            raise ForeignItem(f"creator {state.creator_id} got feedback for foreign item {item_id}")
-        state.exposures[pos] += exposures
-        state.clicks[pos] += clicks
+# Utility, beliefs and departure
 
 
 def _utilities(state: CreatorRuntime, n: int) -> np.ndarray:
     """Utility of every own item at step `n` (see `item_utility`)."""
     created = state.catalog.created_step[state.items]
-    weighted = state.beta * state.exposures + (1.0 - state.beta) * state.clicks
+    exposures, clicks = core.creator_view(state.catalog, state.creator_id, state.items)
+    weighted = state.beta * exposures + (1.0 - state.beta) * clicks
     return weighted / (n - created + 1)
 
 
@@ -155,7 +145,7 @@ def item_utility(state: CreatorRuntime, item_id: int, n: int) -> float:
 def update_beliefs(state: CreatorRuntime, n: int) -> None:
     """Refresh skill and audience beliefs from the current memories.
 
-    `n` is the step whose feedback the memories last took in, so a creator
+    `n` is the step whose feedback the totals last took in, so a creator
     deciding at step n is refreshed with n - 1.
     """
     genres = state.genres

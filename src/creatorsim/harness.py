@@ -1,8 +1,10 @@
 """Run orchestration: the per-step phase loop, the snapshot/commit barrier,
 artifact persistence, and post-hoc reporting.
 
-Each step executes CREATE, POOL, RETRAIN (on schedule), SERVE, FEEDBACK, and
-LIFECYCLE in that order. A creator's beliefs are refreshed from its memory
+Each step executes CREATE, POOL, RETRAIN (on schedule), SERVE, and LIFECYCLE
+in that order. SERVE appends the step's events to the log and adds them to the
+catalog's exposure and click totals, which creators read through
+`core.creator_view`. A creator's beliefs are refreshed from those totals
 inside CREATE, only when it is about to decide. Agents read the previous step's
 committed world and mutate only their own state; cross-agent effects (the
 event log, the catalog, exposure ledgers, fairness duals) are committed at
@@ -44,7 +46,6 @@ from .creator import (
     register_creation_outcome,
     reward_percentile,
     update_beliefs,
-    update_feedback_memory,
     wants_to_create,
 )
 from .baselines import CfdPolicy, LbrPolicy, RandomPolicy, SimulinePolicy
@@ -166,9 +167,11 @@ class _World:
             ],
             dtype=np.int64,
         ).reshape(-1, 3)
-        # the dataset's interactions train the ranker as clicks at step 0
+        # the dataset's interactions train the ranker as clicks at step 0, and
+        # count toward each seed item's exposure and click totals
         self.seed_clicks = seen * (1, 1, 0)
         counts = np.bincount(seen[:, 1], minlength=len(items))
+        self.catalog.add_feedback(np.arange(len(items)), counts, counts)
 
         owner, genre = self.catalog.creator_id, self.catalog.genre
         days = np.asarray([it.created_day for it in items], dtype=np.int64)
@@ -206,10 +209,6 @@ class _World:
                 beliefs=Beliefs(skill=skill[c], audience=dict(self.revealed_audience or audience[c])),
                 catalog=self.catalog,
                 items=own[c],
-                # seed interactions count as exposures and as clicks; two copies,
-                # since feedback adds to each
-                exposures=counts[own[c]],
-                clicks=counts[own[c]],
                 departure_threshold=cfg.departure_threshold,
                 beta=cfg.beta,
             )
@@ -300,7 +299,7 @@ class _World:
                 state.pending_item = None
                 if not state.alive:
                     return ("depart", idx, last_utility)
-            # memory last changed in FEEDBACK at step n - 1; step 1 decides
+            # the totals last changed in SERVE at step n - 1; step 1 decides
             # on the seed beliefs
             if n > 1:
                 update_beliefs(state, n - 1)
@@ -390,26 +389,13 @@ class _World:
         for ev in step_events:
             self.log.append(ev)
         step = self.log.window(n, n)
+        self.catalog.add_feedback(step.item, step.exposed, step.clicked)
         if cfg.warmup <= n <= cfg.n_steps:
             self.tuw_incremental += int(np.count_nonzero(step.clicked))
         if n >= cfg.warmup:
             owners = self.catalog.creator_id[step.item[step.exposed]]
             for creator, count in zip(*np.unique(owners, return_counts=True)):
                 self.ledger.add_exposure(int(creator), int(count))
-
-    def phase_feedback(self, n: int) -> None:
-        items = np.unique(self.log.window(n, n).item)
-        owners = self.catalog.creator_id[items]
-        for state in self.creators:
-            if not state.alive:
-                continue
-            own = items[owners == state.creator_id].tolist()
-            owned = set(state.items.tolist()) if own else set()
-            step_list = [
-                (item, *core.creator_view(self.log, state.creator_id, owned, item, n, n))
-                for item in own
-            ]
-            update_feedback_memory(state, step_list, n)
 
     def phase_lifecycle(self, n: int, step_seconds: float) -> None:
         cfg = self.cfg
@@ -481,7 +467,6 @@ def run_simulation(
             if len(clicks) or cfg.ranker in ("random", "pop"):
                 world.ranker.retrain(clicks, world.catalog, n)
         world.phase_serve(n, pool)
-        world.phase_feedback(n)
         world.phase_lifecycle(n, time.perf_counter() - started)
     out_dir = Path(out_dir)
     world.write_artifacts(out_dir)
@@ -634,32 +619,37 @@ def compare(run_dirs, metric_keys=("tuw", "crr", "cgd")) -> list[dict]:
         raise EmptyInput("no run directories to compare")
     conditions: dict[tuple, dict] = {}
     for d in run_dirs:
-        pairs = core.read_kv_file(_require(d / CONFIG_FILE))
+        with _reading(CONFIG_FILE):
+            pairs = core.read_kv_file(_require(d / CONFIG_FILE))
         pairs.pop("seed", None)
         key = tuple(sorted(pairs.items()))
-        with open(_require(d / METRICS_FILE), "r", encoding="utf-8") as f:
-            metrics = json.load(f)
-        conditions.setdefault(key, {"pairs": pairs, "runs": []})["runs"].append(metrics)
+        with _reading(METRICS_FILE, ValueError, TypeError, AttributeError):
+            with open(_require(d / METRICS_FILE), "r", encoding="utf-8") as f:
+                metrics = json.load(f)
+            values = {k: metrics.get(k) for k in metric_keys}
+            if any(v is not None and not isinstance(v, (int, float)) for v in values.values()):
+                raise TypeError(f"non-numeric metric in {values}")
+        conditions.setdefault(key, {"pairs": pairs, "runs": []})["runs"].append(values)
 
-    # label conditions by the keys on which they actually differ
+    # label conditions by the keys on which they actually differ; a key a run
+    # lacks differs, with an empty value
     all_pairs = [c["pairs"] for c in conditions.values()]
     differing = sorted(
         k
-        for k in all_pairs[0]
-        if any(p.get(k) != all_pairs[0][k] for p in all_pairs)
+        for k in set().union(*all_pairs)
+        if any(p.get(k) != all_pairs[0].get(k) for p in all_pairs)
     )
     rows = []
     for key, cond in sorted(conditions.items()):
         if differing:
-            label = ",".join(f"{k}={cond['pairs'][k]}" for k in differing)
+            label = ",".join(f"{k}={cond['pairs'].get(k, '')}" for k in differing)
         else:
             label = ",".join(
                 f"{k}={cond['pairs'][k]}" for k in ("ranker", "reranker", "creator_policy")
             )
         stats = {}
         for metric in metric_keys:
-            values = [r.get(metric) for r in cond["runs"]]
-            values = [v for v in values if v is not None]
+            values = [r[metric] for r in cond["runs"] if r[metric] is not None]
             if not values:
                 stats[metric] = {"mean": None, "sd": None}
                 continue

@@ -17,10 +17,13 @@ import re
 from dataclasses import dataclass
 
 from .core import SimError
+from .creator import (
+    ActionKind, CreatedContent, CreatorRuntime, ExploreAction, RuleBasedPolicy, item_utility,
+    retrieve_creation_memory,
+)
 
 ENDPOINT_ENV = "CREATORSIM_LLM_ENDPOINT"
 API_KEY_ENV = "CREATORSIM_LLM_API_KEY"
-from .creator import ActionKind, CreatedContent, CreatorRuntime, ExploreAction, RuleBasedPolicy
 
 
 class LlmError(SimError):
@@ -318,8 +321,6 @@ class LlmPolicy:
         return ", ".join(audience_parts), ", ".join(skill_parts), known, unknown
 
     def decide(self, state: CreatorRuntime, n: int, rng) -> ExploreAction:
-        from .creator import item_utility
-
         audience_text, skill_text, known, unknown = self._belief_text(state)
         last = state.last_item()
         last_genre = self.genre_names[state.catalog.genre[last]] if last is not None else "none"
@@ -351,8 +352,6 @@ class LlmPolicy:
             return self.fallback.decide(state, n, rng)
 
     def make_content(self, state: CreatorRuntime, action: ExploreAction, n: int) -> CreatedContent:
-        from .creator import retrieve_creation_memory
-
         retrieved = retrieve_creation_memory(state, action, self.fallback.memory_k, n)
         history = "; ".join(
             f"{e.title} ({self.genre_names[e.genre]}, tags: {', '.join(e.tags)})" for e in retrieved

@@ -79,7 +79,7 @@ class PopRanker:
 
     def __init__(self, window: int):
         self.window = window
-        self.counts: dict[int, int] = {}
+        self.counts = np.zeros(0)  # clicks per item id; none before the first retrain
 
     def retrain(self, clicks, catalog: Catalog, step: int) -> "PopRanker":
         table = _click_table(clicks)

@@ -22,7 +22,7 @@ from creatorsim.core import (
     creator_view,
     stream,
 )
-from creatorsim.creator import CreatorRuntime, Beliefs, item_utility, update_feedback_memory
+from creatorsim.creator import CreatorRuntime, Beliefs, item_utility
 from creatorsim.harness import run_simulation
 from creatorsim.metrics import (
     alignment_from_distributions,
@@ -76,31 +76,34 @@ def test_01_asymmetry_enforcement():
     foreign_reads = 0
     violations = 0
     queries = 0
-    for _ in range(4):  # fresh random log and ownership map per block
-        owners = {i: int(rng.integers(0, n_creators)) for i in range(n_items)}
-        owned = {c: {i for i, o in owners.items() if o == c} for c in range(n_creators)}
-        log = EventLog()
+    for _ in range(4):  # fresh random store and ownership map per block
+        owners = [int(rng.integers(0, n_creators)) for _ in range(n_items)]
+        catalog = Catalog()
+        for item, owner in enumerate(owners):
+            catalog.add(owner, 0, f"t{item}", (), "", 0)
+        events = []  # (item, clicked) per exposure, as the test recorded them
         for step in range(30):
+            block = []
             for user in range(5):
                 for item in sorted(rng.choice(n_items, size=8, replace=False)):
-                    log.append(
-                        InteractionEvent(step, user, int(item), True, bool(rng.random() < 0.4))
-                    )
+                    block.append((int(item), bool(rng.random() < 0.4)))
+            items, clicked = zip(*block)
+            catalog.add_feedback(np.array(items), 1, np.array(clicked))
+            events += block
         for _ in range(2_500):
             queries += 1
             creator = int(rng.integers(0, n_creators))
             item = int(rng.integers(0, n_items))
-            frm = int(rng.integers(0, 30))
-            to = int(rng.integers(frm, 30))
-            if item in owned[creator]:
+            if owners[item] == creator:
                 expected = (
-                    sum(1 for e in log if e.item == item and frm <= e.step <= to),
-                    sum(1 for e in log if e.item == item and e.clicked and frm <= e.step <= to),
+                    sum(1 for i, _ in events if i == item),
+                    sum(1 for i, c in events if i == item and c),
                 )
-                assert creator_view(log, creator, owned[creator], item, frm, to) == expected
+                exposures, clicks = creator_view(catalog, creator, [item])
+                assert (exposures.tolist(), clicks.tolist()) == ([expected[0]], [expected[1]])
             else:
                 try:
-                    creator_view(log, creator, owned[creator], item, frm, to)
+                    creator_view(catalog, creator, [item])
                     foreign_reads += 1
                 except AsymmetryViolation:
                     violations += 1
@@ -108,43 +111,42 @@ def test_01_asymmetry_enforcement():
     check(
         "criterion 1: asymmetry enforcement",
         queries == 10_000 and foreign_reads == 0 and violations > 0 and elapsed < 5.0,
-        f"{queries} queries over 4 random logs, {violations} foreign attempts all rejected, {elapsed:.2f}s",
+        f"{queries} queries over 4 random stores, {violations} foreign attempts all rejected, {elapsed:.2f}s",
     )
 
 
 def test_02_utility_oracle():
     rng = stream(7, "acceptance", "utility")
     started = time.perf_counter()
-    log = EventLog()
     state = CreatorRuntime(
         creator_id=0, name="c", identity="", motivation="", activity=1.0, create_prob=1.0,
         n_genres=4,
         beliefs=Beliefs(skill=np.full(4, 0.25), audience={}), beta=0.5,
     )
     items: dict[int, int] = {}
+    totals: dict[int, list[int]] = {}  # running (exposures, clicks) the test accumulates
     checked = 0
     max_err = 0.0
     for step in range(1, 201):
         if len(items) < 25 and step % 2 == 1:
             item_id = len(items)
             items[item_id] = step
+            totals[item_id] = [0, 0]
             state.add_item(state.catalog.add(0, 0, f"t{item_id}", (), "", step).item_id)
-        counts = {i: [0, 0] for i in items}
+        shown, clicks = [], []
         for user in range(6):
             for item_id in items:
                 if rng.random() < 0.4:
                     clicked = bool(rng.random() < 0.5)
-                    log.append(InteractionEvent(step, user, item_id, True, clicked))
-                    counts[item_id][0] += 1
-                    counts[item_id][1] += clicked
-        update_feedback_memory(state, [(i, e, c) for i, (e, c) in counts.items() if e], step)
+                    shown.append(item_id)
+                    clicks.append(clicked)
+                    totals[item_id][0] += 1
+                    totals[item_id][1] += clicked
+        state.catalog.add_feedback(np.array(shown, dtype=np.int64), 1, np.array(clicks, dtype=bool))
         for item_id in rng.choice(list(items), size=min(20, len(items)), replace=False):
             item_id = int(item_id)
             t = items[item_id]
-            if item_id in log:
-                exp, clk = log.tally(item_id, t, step)
-            else:
-                exp, clk = 0, 0
+            exp, clk = totals[item_id]
             brute = (0.5 * exp + 0.5 * clk) / (step - t + 1)
             max_err = max(max_err, abs(item_utility(state, item_id, step) - brute))
             checked += 1

@@ -12,16 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creatorsim.core import Catalog, EventLog, InteractionEvent, UnknownItem
+from creatorsim.core import AsymmetryViolation, Catalog, EventLog, InteractionEvent, creator_view
 from creatorsim.metrics import NoExposures, content_genre_diversity, total_user_welfare
 from creatorsim.recsys import build_candidate_pool
 
 
-def reference_tally(events, item, frm, to):
-    if not any(e.item == item for e in events):
-        raise UnknownItem(item)
-    window = [e for e in events if e.item == item and frm <= e.step <= to]
-    return sum(e.exposed for e in window), sum(e.clicked for e in window)
+def reference_totals(events, item):
+    own = [e for e in events if e.item == item]
+    return sum(e.exposed for e in own), sum(e.clicked for e in own)
 
 
 def reference_tuw(events, start, end):
@@ -80,6 +78,12 @@ def build(records, events):
     log = EventLog()
     for e in events:
         log.append(e)
+    for step in sorted({e.step for e in events}):  # one block per step, as serving adds them
+        block = [e for e in events if e.step == step]
+        catalog.add_feedback(
+            np.array([e.item for e in block], dtype=np.int64),
+            np.array([e.exposed for e in block]), np.array([e.clicked for e in block]),
+        )
     return catalog, log
 
 
@@ -91,14 +95,15 @@ def test_columns_match_plain_loops(world, data):
     frm = data.draw(st.integers(-1, n_steps + 1))
     to = data.draw(st.integers(frm, n_steps + 2))
 
-    for item in range(len(records) + 1):
-        try:
-            expected = reference_tally(events, item, frm, to)
-        except UnknownItem:
-            with pytest.raises(UnknownItem):
-                log.tally(item, frm, to)
-        else:
-            assert log.tally(item, frm, to) == expected
+    for item in range(len(records)):
+        assert (catalog.exposures[item], catalog.clicks[item]) == reference_totals(events, item)
+    for creator in range(4):
+        owned = [r["item_id"] for r in records if r["creator_id"] == creator]
+        exposures, clicks = creator_view(catalog, creator, owned)
+        assert list(zip(exposures.tolist(), clicks.tolist())) == [reference_totals(events, i) for i in owned]
+        for item in [r["item_id"] for r in records if r["creator_id"] != creator] + [len(records)]:
+            with pytest.raises(AsymmetryViolation):
+                creator_view(catalog, creator, owned + [item])
 
     assert total_user_welfare(log, frm, to) == reference_tuw(events, frm, to)
 

@@ -13,7 +13,6 @@ from creatorsim.core import (
     InteractionEvent,
     OutOfOrder,
     SimConfig,
-    UnknownItem,
     creator_view,
     hash_uniform,
     stream,
@@ -53,36 +52,6 @@ class TestEventLog:
         with pytest.raises(OutOfOrder):
             log.append(ev(2, 0, 9))
 
-    def test_tally_example(self):
-        # item exposed at steps {3,3,4} (two users at step 3), clicked at {3}
-        log = EventLog()
-        log.append(ev(3, 0, 7, clicked=True))
-        log.append(ev(3, 1, 7))
-        log.append(ev(4, 0, 7))
-        assert log.tally(7, 3, 4) == (3, 1)
-
-    def test_tally_empty_range(self):
-        log = EventLog()
-        log.append(ev(3, 0, 7))
-        assert log.tally(7, 10, 20) == (0, 0)
-
-    def test_tally_unknown_item(self):
-        log = EventLog()
-        log.append(ev(3, 0, 7))
-        with pytest.raises(UnknownItem):
-            log.tally(8, 0, 10)
-
-    def test_tally_additivity(self):
-        log = EventLog()
-        rng = np.random.default_rng(5)
-        for step in range(20):
-            for user in range(3):
-                if rng.random() < 0.7:
-                    log.append(ev(step, user, 4, clicked=bool(rng.random() < 0.4)))
-        whole = log.tally(4, 0, 19)
-        parts = [log.tally(4, s, s) for s in range(20)]
-        assert whole == (sum(p[0] for p in parts), sum(p[1] for p in parts))
-
     def test_csv_roundtrip_rebuilds_identical_log(self, tmp_path):
         log = EventLog()
         rng = np.random.default_rng(1)
@@ -99,73 +68,48 @@ class TestEventLog:
             assert np.array_equal(getattr(rebuilt, column), getattr(log, column))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_tally_matches_naive_recount(data):
-    n_steps = data.draw(st.integers(1, 8))
-    n_items = data.draw(st.integers(1, 5))
-    log = EventLog()
-    for step in range(n_steps):
-        for user in range(3):
-            for item in range(n_items):
-                if data.draw(st.booleans()):
-                    clicked = data.draw(st.booleans())
-                    log.append(ev(step, user, item, clicked=clicked))
-    item = data.draw(st.integers(0, n_items - 1))
-    frm = data.draw(st.integers(0, n_steps - 1))
-    to = data.draw(st.integers(frm, n_steps - 1))
-    expected = (
-        sum(1 for e in log if e.item == item and frm <= e.step <= to and e.exposed),
-        sum(1 for e in log if e.item == item and frm <= e.step <= to and e.clicked),
-    )
-    if item in log:
-        assert log.tally(item, frm, to) == expected
-    else:
-        assert expected == (0, 0)
-
-
 class TestCreatorView:
-    def _make_log(self):
-        log = EventLog()
-        log.append(ev(1, 0, 1, clicked=True))
-        log.append(ev(2, 0, 2))
-        return log
+    def _make_catalog(self):
+        # item 1 is creator 0's, item 2 creator 1's; one click on item 1
+        cat = Catalog()
+        for creator in (1, 0, 1):
+            cat.add(creator, 0, "t", (), "", 0)
+        cat.add_feedback(np.array([1, 2, 1]), 1, np.array([1, 0, 0]))
+        return cat
 
-    def test_owned_item_is_identity_with_tally(self):
-        log = self._make_log()
-        assert creator_view(log, 0, {1}, 1, 0, 5) == log.tally(1, 0, 5)
+    def test_owned_items_read_catalog_totals(self):
+        exposures, clicks = creator_view(self._make_catalog(), 0, np.array([1]))
+        assert (exposures.tolist(), clicks.tolist()) == ([2], [1])
 
     def test_foreign_item_raises(self):
-        log = self._make_log()
-        with pytest.raises(AsymmetryViolation):
-            creator_view(log, 0, {1}, 2, 0, 5)
+        cat = self._make_catalog()
+        for items in ([2], [1, 2], [3], [-1]):
+            with pytest.raises(AsymmetryViolation):
+                creator_view(cat, 0, np.array(items))
 
     def test_empty_ownership_always_raises(self):
-        log = self._make_log()
-        for item in (1, 2):
+        cat = self._make_catalog()
+        for item in range(len(cat)):
             with pytest.raises(AsymmetryViolation):
-                creator_view(log, 3, set(), item, 0, 5)
+                creator_view(cat, 3, np.array([item]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_creator_view_never_leaks_foreign_items(data):
     n_items = data.draw(st.integers(2, 8))
-    owners = {i: data.draw(st.integers(0, 2)) for i in range(n_items)}
-    log = EventLog()
-    for step in range(4):
-        for item in range(n_items):
-            if data.draw(st.booleans()):
-                log.append(ev(step, 0, item))
-    owned = {c: {i for i, o in owners.items() if o == c} for c in range(3)}
-    for item in range(n_items):
-        for c in range(3):
-            if item in owned[c]:
-                if item in log:
-                    creator_view(log, c, owned[c], item, 0, 4)
-            else:
-                with pytest.raises(AsymmetryViolation):
-                    creator_view(log, c, owned[c], item, 0, 4)
+    cat = Catalog()
+    for _ in range(n_items):
+        cat.add(data.draw(st.integers(0, 2)), 0, "t", (), "", 0)
+    for _ in range(4):
+        shown = np.array([i for i in range(n_items) if data.draw(st.booleans())], dtype=np.int64)
+        cat.add_feedback(shown, 1, 0)
+    for c in range(3):
+        owned = np.flatnonzero(cat.creator_id == c)
+        assert creator_view(cat, c, owned)[0].tolist() == cat.exposures[owned].tolist()
+        for item in np.flatnonzero(cat.creator_id != c).tolist():
+            with pytest.raises(AsymmetryViolation):
+                creator_view(cat, c, np.append(owned, item))
 
 
 class TestCatalog:
@@ -175,6 +119,17 @@ class TestCatalog:
         b = cat.add(1, 2, "t2", [], "d", 1)
         assert (a.item_id, b.item_id) == (0, 1)
         assert (cat[0].creator_id, cat[1].creator_id) == (0, 1)
+
+    def test_feedback_totals_add_up(self):
+        cat = Catalog()
+        for _ in range(3):
+            cat.add(0, 0, "t", (), "", 0)
+        cat.add_feedback(np.array([2, 0, 2]), np.array([1, 1, 1]), np.array([True, False, True]))
+        cat.add_feedback(np.array([], dtype=np.int64), 1, 1)
+        cat.add_feedback(np.array([2]), 4, 0)
+        assert (cat.exposures.tolist(), cat.clicks.tolist()) == ([1, 0, 6], [0, 0, 2])
+        assert cat.add(1, 0, "new", (), "", 1).item_id == 3
+        assert (cat.exposures[3], cat.clicks[3]) == (0, 0)
 
     def test_csv_roundtrip(self, tmp_path):
         cat = Catalog()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from creatorsim.core import EventLog, InteractionEvent, creator_view, stream
+from creatorsim.core import AsymmetryViolation, EventLog, InteractionEvent, stream
 from creatorsim.creator import (
     ActionKind,
     Beliefs,
@@ -9,7 +9,6 @@ from creatorsim.creator import (
     CreatorRuntime,
     DeadCreator,
     ExploreAction,
-    ForeignItem,
     FutureItem,
     NotOwned,
     RuleBasedPolicy,
@@ -21,7 +20,6 @@ from creatorsim.creator import (
     rule_based_decide,
     template_content,
     update_beliefs,
-    update_feedback_memory,
     wants_to_create,
 )
 
@@ -49,6 +47,12 @@ def add_item(state, item_id, genre, step, tags=()):
     state.add_item(item_id)
 
 
+def add_feedback(state, counts):
+    """Add (item, exposures, clicks) counts to the platform's totals."""
+    for item_id, exposures, clicks in counts:
+        state.catalog.add_feedback(np.array([item_id]), exposures, clicks)
+
+
 class ScriptedRng:
     def __init__(self, values, ints=None):
         self.values = list(values)
@@ -65,22 +69,25 @@ class TestFeedbackMemory:
     def test_accumulation(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
-        update_feedback_memory(c, [(5, 3, 1)], n=2)
+        add_feedback(c, [(5, 3, 1), (5, 2, 0)])
         pos = c.position(5)
-        assert (c.exposures[pos], c.clicks[pos]) == (3, 1)
+        assert (c.exposures[pos], c.clicks[pos]) == (5, 1)
 
     def test_empty_step_is_noop(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
-        update_feedback_memory(c, [], n=3)
+        c.catalog.add_feedback(np.array([], dtype=np.int64), 1, 1)
         pos = c.position(5)
         assert (c.exposures[pos], c.clicks[pos]) == (0, 0)
 
     def test_foreign_item_rejected(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
-        with pytest.raises(ForeignItem):
-            update_feedback_memory(c, [(6, 1, 0)], n=2)
+        c.add_item(6)  # in the memory, but the catalog has no item 6 of creator 0
+        c.catalog.add(c.creator_id + 1, 0, "other", (), "", 1)
+        for read in (lambda: c.exposures, lambda: c.clicks, lambda: item_utility(c, 5, 2)):
+            with pytest.raises(AsymmetryViolation):
+                read()
 
 
 class TestItemUtility:
@@ -88,15 +95,13 @@ class TestItemUtility:
         # created at step 3; per-step exposures (2,3,1), clicks (1,1,0); n=5
         c = make_creator(beta=0.5)
         add_item(c, 0, 0, step=3)
-        for n, (e, y) in zip((3, 4, 5), ((2, 1), (3, 1), (1, 0))):
-            update_feedback_memory(c, [(0, e, y)], n=n)
+        add_feedback(c, [(0, 2, 1), (0, 3, 1), (0, 1, 0)])
         assert item_utility(c, 0, 5) == pytest.approx(4 / 3)
 
     def test_exposure_only_beta(self):
         c = make_creator(beta=1.0)
         add_item(c, 0, 0, step=3)
-        for n, (e, y) in zip((3, 4, 5), ((2, 1), (3, 1), (1, 0))):
-            update_feedback_memory(c, [(0, e, y)], n=n)
+        add_feedback(c, [(0, 2, 1), (0, 3, 1), (0, 1, 0)])
         assert item_utility(c, 0, 5) == pytest.approx(2.0)
 
     def test_no_events_zero(self):
@@ -125,19 +130,16 @@ class TestItemUtility:
                 item_id = len(items)
                 items[item_id] = step
                 add_item(c, item_id, 0, step)
-            step_counts = {i: [0, 0] for i in items}
             for user in range(4):
                 for item_id in items:
                     if rng.random() < 0.5:
                         clicked = bool(rng.random() < 0.4)
                         log.append(InteractionEvent(step, user, item_id, True, clicked))
-                        step_counts[item_id][0] += 1
-                        step_counts[item_id][1] += clicked
-            update_feedback_memory(
-                c, [(i, e, y) for i, (e, y) in step_counts.items() if e], n=step
-            )
+            block = log.window(step, step)  # the step's events, added as SERVE adds them
+            c.catalog.add_feedback(block.item, block.exposed, block.clicked)
             for item_id, t in items.items():
-                exp, clk = creator_view(log, 0, set(items), item_id, t, step) if item_id in log else (0, 0)
+                exp = sum(1 for e in log if e.item == item_id and t <= e.step <= step)
+                clk = sum(1 for e in log if e.item == item_id and e.clicked and t <= e.step <= step)
                 brute = (0.5 * exp + 0.5 * clk) / (step - t + 1)
                 assert abs(item_utility(c, item_id, step) - brute) <= 1e-9
 
@@ -156,7 +158,7 @@ class TestBeliefs:
         add_item(c, 0, 0, step=1)
         add_item(c, 1, 0, step=1)
         # clicks so that utilities at n=2 are 1.0 and 3.0 (divide by 2)
-        update_feedback_memory(c, [(0, 2, 2), (1, 6, 6)], n=2)
+        add_feedback(c, [(0, 2, 2), (1, 6, 6)])
         update_beliefs(c, 2)
         assert c.beliefs.audience[0] == pytest.approx(2.0)
 

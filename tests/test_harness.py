@@ -53,6 +53,11 @@ def _next_line(lines, marker, value):
     return lines[:at] + [value] + lines[at + 1 :]
 
 
+def _without_key(path, key):
+    """The text of config file `path` without its `key` line."""
+    return "".join(line for line in Path(path).read_text().splitlines(True) if not line.startswith(key))
+
+
 def copy_run(artifacts, tmp_path):
     return shutil.copytree(artifacts.out_dir, tmp_path / "copy")
 
@@ -193,17 +198,17 @@ class TestPhaseInvariants:
         assert max(counts.values()) <= cfg.list_length
 
     def test_creator_reads_stay_on_owned_items(self, tmp_path, monkeypatch):
-        foreign = []
+        calls, foreign = [0], []
         original = core.creator_view
 
-        def spy(log, creator, owned, item, frm, to):
-            owned_set = owned if isinstance(owned, (set, frozenset)) else set(owned)
-            if item not in owned_set:
-                foreign.append((creator, item))
-            return original(log, creator, owned_set, item, frm, to)
+        def spy(catalog, creator, items):
+            calls[0] += 1
+            foreign.extend((creator, item) for item in items[catalog.creator_id[items] != creator])
+            return original(catalog, creator, items)
 
         monkeypatch.setattr(core, "creator_view", spy)
         run_simulation(small_cfg(n_steps=10), out_dir=tmp_path / "spy")
+        assert calls[0] > 0, "no creator read went through core.creator_view"
         assert foreign == []
 
     def test_beliefs_refreshed_only_when_deciding(self, tmp_path, monkeypatch):
@@ -310,6 +315,12 @@ class TestCompare:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             compare([])
+
+    def test_missing_key_differs_with_empty_value(self, smoke_run, tmp_path):
+        other = copy_run(smoke_run, tmp_path)
+        (other / "config.txt").write_text(_without_key(other / "config.txt", "mmr.lambda"))
+        rows = compare([smoke_run.out_dir, other])
+        assert sorted(r["label"] for r in rows) == ["mmr.lambda=", "mmr.lambda=0.7"]
 
 
 class HoldingStub:
@@ -476,6 +487,23 @@ class TestCli:
         assert cli_main(["compare", str(run_dir), "--metrics", "tuw,crr"]) == 0
         out = capsys.readouterr().out
         assert "tuw" in out
+
+    @pytest.mark.parametrize(
+        "edit,code",
+        [
+            (lambda run: (run / "metrics.json").write_text("{not json"), 3),
+            (lambda run: (run / "metrics.json").write_bytes(b'{"tuw": 1}\xff'), 3),
+            (lambda run: (run / "metrics.json").write_text('{"tuw": "abc"}'), 3),
+            (lambda run: (run / "metrics.json").write_text("[1, 2]"), 3),
+            (lambda run: (run / "config.txt").write_text(_without_key(run / "config.txt", "mmr.lambda")), 0),
+        ],
+        ids=["metrics-not-json", "metrics-not-utf8", "metrics-non-numeric", "metrics-not-object",
+             "config-missing-key"],
+    )
+    def test_compare_malformed_run_exit_code(self, smoke_run, tmp_path, edit, code):
+        broken = copy_run(smoke_run, tmp_path)
+        edit(broken)
+        assert cli_main(["compare", str(smoke_run.out_dir), str(broken)]) == code
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

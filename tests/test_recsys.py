@@ -76,6 +76,9 @@ class TestPop:
         r = PopRanker(window=20).retrain([], cat, step=0)
         assert r.score(0, np.array([0, 1]), cat).tolist() == [0.0, 0.0]
 
+    def test_untrained_scores_zeros(self):
+        assert PopRanker(window=20).score(0, np.array([0, 1]), Catalog()).tolist() == [0.0, 0.0]
+
 
 class TestRank:
     def test_k_larger_than_pool_returns_all(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -390,3 +392,60 @@ class TestSynth:
         (tmp_path / "bad.txt").write_text("nope = 1\n")
         with pytest.raises(InvalidParams):
             SynthParams.from_file(tmp_path / "bad.txt")
+
+
+# sha256 of each `Dataset.to_dir` file for fixed params, drawn from the same
+# stream a run uses. "one-item" has a single item, so 13 of its 14 genres are
+# empty and every interaction in them takes the all-items fallback draw.
+SYNTH_PINS = {
+    "default-small": (
+        dict(n_users=30, n_creators=10, seed=7),
+        {
+            "users.csv": "98782db2431af6aac7b40eb2348db9472537bd2377d25e491de0e6d94b10d14c",
+            "creators.csv": "2186f5e8fd1c18cdb5344d8a92f36454b9d5115917d976cabddc5aa0760255d1",
+            "items.csv": "7421348d6e30bd77deac98bba21342cb935ece47d72b13f45ebafb8b0888276c",
+            "interactions.csv": "10f7d3d426ddb73082d87c275ddb7b8f2ad2ec680bcc93ba27a604e4d6ee8669",
+        },
+    ),
+    "skewed": (
+        dict(n_users=60, n_creators=25, n_genres=6, n_days=20, items_per_creator=8,
+             interactions_per_user=12, genre_skew=2.0, genre_concentration=0.5,
+             activity_skew=1.5, activity_floor=0.2, seed=3),
+        {
+            "users.csv": "75b19b537437cba5f15d640335a8fc5f62de0c68f6539814f9c49785799d2cd5",
+            "creators.csv": "05c1de4e0ede2e1ad8cd0f708df2593b7c1ee72e7bb444624b30c7558a473848",
+            "items.csv": "66af880ff6e735dfde3bd4c8deefbbf148b6b8bbe7b941e2c59dce1f686c7288",
+            "interactions.csv": "7afb2ffdcc0820f5f4bbf68c80f673f16914c9b54788b545bc3710ed21e87f50",
+        },
+    ),
+    "one-item": (
+        dict(n_users=20, n_creators=1, items_per_creator=1, seed=11),
+        {
+            "users.csv": "2e3885268538eb7023aeb655fde784d87e95c8ff343703f9714e1a4f57b13d7d",
+            "creators.csv": "6a0e59ae14eb7b9cfdf1e80a0a221cd4dcb7fd983eef0e768aa2a8fcca2537ed",
+            "items.csv": "00af2135b0fde68ee65e358c0fdfd64397288f5186480ee5ec1db28b7fe077b6",
+            "interactions.csv": "16a02bb03bf211f8e88550642443362e0cab3aeedd0610884ef34965ed36a71b",
+        },
+    ),
+    "no-interactions": (
+        dict(n_users=5, n_creators=4, interactions_per_user=0, seed=2),
+        {
+            "users.csv": "7d43a862547fe7ca7c55f9022a4a0b578f987cfa01c44034b0e913f532347aae",
+            "creators.csv": "1080d0a370873dc25a57b0ec0229a8797605c2545c2a1559ff018c8bf6b4e7fa",
+            "items.csv": "59c4686ba992d55c7bc6920cd5c22d388961e3ab7cf9c223dbb70479253efd22",
+            "interactions.csv": "57dc1760bcce07fa13328ca33e2239b8ba09f4aa59feb5143bb8a0b9309da809",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_PINS))
+def test_synth_files_pinned(name, tmp_path):
+    kwargs, pinned = SYNTH_PINS[name]
+    p = SynthParams(**kwargs)
+    d = synth_dataset(p, stream(p.seed, "synth"))
+    if name == "one-item":
+        assert len(d.items) == 1 and len(d.interactions) > 0
+    d.to_dir(tmp_path)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in pinned}
+    assert digests == pinned

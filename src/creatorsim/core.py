@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,15 +82,38 @@ class _Columns:
     def __len__(self) -> int:
         return self.n
 
+    def _reserve(self, size: int) -> None:
+        """Make room for `size` rows, doubling the capacity until it fits."""
+        data = self._data
+        capacity = len(next(iter(data.values())))
+        if size <= capacity:
+            return
+        while capacity < size:
+            capacity = max(16, 2 * capacity)
+        for name, column in data.items():
+            data[name] = np.empty(capacity, column.dtype)
+            data[name][: self.n] = column[: self.n]
+
     def _append(self, *row) -> None:
         n, data = self.n, self._data
         if n == len(next(iter(data.values()))):
-            for name, column in data.items():
-                data[name] = np.empty(max(16, 2 * n), column.dtype)
-                data[name][:n] = column
+            self._reserve(n + 1)
         for column, value in zip(data.values(), row):
             column[n] = value
         self.n = n + 1
+
+    def _extend(self, columns) -> None:
+        """Append rows given as one sequence per column, in column order.
+
+        The first column sets the number of rows; a later one may be a single
+        value for every row. Nothing is appended if a column does not fit.
+        """
+        n = self.n
+        m = n + len(columns[0])
+        self._reserve(m)
+        for column, values in zip(self._data.values(), columns):
+            column[n:m] = values
+        self.n = m
 
     def _trim(self) -> None:
         self._data = {name: column[: self.n].copy() for name, column in self._data.items()}
@@ -190,6 +213,8 @@ class EventLog(_Columns):
                     raise EventLogError(f"line {lineno}: expected 5 fields")
                 try:
                     step, user, item, exp, clk = (int(p) for p in parts)
+                    if not (exp in (0, 1) and clk in (0, 1)):
+                        raise EventLogError(f"line {lineno}: exposed and clicked must be 0 or 1")
                     log.append(InteractionEvent(step, user, item, bool(exp), bool(clk)))
                 except (ValueError, OverflowError) as e:
                     raise EventLogError(f"line {lineno}: {e}") from e
@@ -217,7 +242,8 @@ class Catalog(_Columns):
     An item's id is its row. `creator_id`, `genre` and `created_step` are int
     columns, the only place those facts are stored; `exposures` and `clicks`
     are the item's feedback totals, grown by `add_feedback`. Titles, tags and
-    descriptions are lists. Indexing and iteration build `ItemRecord`s.
+    descriptions are lists. Items enter only through `extend`, of which `add`
+    is the one-row case. Indexing and iteration build `ItemRecord`s.
     """
 
     CSV_HEADER = "item_id,creator_id,genre,title,tags,description,created_step"
@@ -245,11 +271,22 @@ class Catalog(_Columns):
         self, creator_id: int, genre: int, title: str, tags: Iterable[str], description: str,
         created_step: int,
     ) -> ItemRecord:
-        self._append(creator_id, genre, created_step, 0, 0)
-        self._titles.append(title)
-        self._tags.append(tuple(tags))
-        self._descriptions.append(description)
+        self.extend((creator_id,), (genre,), (created_step,), (title,), (tags,), (description,))
         return self[len(self) - 1]
+
+    def extend(
+        self, creator_id: Sequence[int], genre: Sequence[int], created_step: Sequence[int],
+        titles: Sequence[str], tags: Iterable[Iterable[str]], descriptions: Sequence[str],
+    ) -> None:
+        """Append one item per row of the aligned arguments, in order, with zero feedback."""
+        tags = [tuple(t) for t in tags]
+        columns = (creator_id, genre, created_step, titles, tags, descriptions)
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError("catalog columns of unequal length")
+        self._extend((creator_id, genre, created_step, 0, 0))
+        self._titles.extend(titles)
+        self._tags.extend(tags)
+        self._descriptions.extend(descriptions)
 
     def add_feedback(self, items: np.ndarray, exposures, clicks) -> None:
         """Add counts to the totals of `items`; an item listed twice gets both."""
@@ -270,9 +307,10 @@ class Catalog(_Columns):
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Catalog":
+        """Read a persisted catalog: rows are parsed one by one, then added with one `extend`."""
         import csv
 
-        cat = cls()
+        creators, genres, steps, titles, tags, descriptions = [], [], [], [], [], []
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
@@ -280,13 +318,22 @@ class Catalog(_Columns):
                 raise DataError(f"bad catalog header in {path}")
             for row in reader:
                 try:
-                    item_id, creator_id, genre, title, tags, desc, step = row
-                    if int(item_id) != len(cat):
+                    item_id, creator_id, genre, title, tag_text, desc, step = row
+                    if int(item_id) != len(titles):
                         raise DataError(f"non-contiguous item id {item_id} in {path}")
-                    tag_list = tags.split("|") if tags else []
-                    cat.add(int(creator_id), int(genre), title, tag_list, desc, int(step))
-                except (ValueError, OverflowError) as e:
+                    creators.append(int(creator_id))
+                    genres.append(int(genre))
+                    steps.append(int(step))
+                except ValueError as e:
                     raise DataError(f"{path} line {reader.line_num}: {e}") from e
+                titles.append(title)
+                tags.append(tag_text.split("|") if tag_text else ())
+                descriptions.append(desc)
+        cat = cls()
+        try:
+            cat.extend(creators, genres, steps, titles, tags, descriptions)
+        except OverflowError as e:
+            raise DataError(f"{path}: {e}") from e
         return cat
 
 

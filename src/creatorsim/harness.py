@@ -157,8 +157,11 @@ class _World:
         )
         item_index = {it.item_id: i for i, it in enumerate(items)}
         self.catalog = Catalog()
-        for it in items:
-            self.catalog.add(creator_index[it.creator_id], it.genre, it.title, it.tags, it.description, 0)
+        self.catalog.extend(
+            [creator_index[it.creator_id] for it in items], [it.genre for it in items],
+            [0] * len(items), [it.title for it in items], [it.tags for it in items],
+            [it.description for it in items],
+        )
         seen = np.asarray(
             [
                 (user_index[r.user_id], item_index[r.item_id], r.day)
@@ -534,6 +537,8 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
         with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
             summary = json.load(f)
         n_creators = summary["n_creators"]
+        if type(n_creators) is not int:
+            raise TypeError(f"n_creators {n_creators!r} is not an integer")
         n_genres = len(summary["genres"])
         dataset_genre_counts = np.asarray(summary["dataset_genre_counts"], dtype=float)
         dataset_entropies = summary["dataset_creator_entropies"]
@@ -551,8 +556,13 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
         raise CorruptLog(f"{EVENTS_FILE}: step outside [1, {end}]")
     if not (log.item < len(catalog)).all():
         raise CorruptLog(f"{EVENTS_FILE}: item outside the catalog")
-    if not ((catalog.genre >= 0) & (catalog.genre < n_genres)).all():
-        raise CorruptLog(f"{ITEMS_FILE}: genre outside [0, {n_genres})")
+    for name, column, lo, hi in (
+        ("genre", catalog.genre, 0, n_genres - 1),
+        ("creator_id", catalog.creator_id, 0, n_creators - 1),
+        ("created_step", catalog.created_step, 0, end),
+    ):
+        if not ((column >= lo) & (column <= hi)).all():
+            raise CorruptLog(f"{ITEMS_FILE}: {name} outside [{lo}, {hi}]")
 
     with _reading(TRACE_FILE, ValueError):
         departures = sorted(int(r["step"]) for r in trace if r["action_kind"] == "DEPART")

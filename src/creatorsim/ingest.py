@@ -342,6 +342,11 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
     Creator output follows a power law (a few prolific creators, a long tail),
     genre popularity follows a power law with exponent `genre_skew`, and each
     creator's genre mix is a Dirichlet draw sharpened by `genre_concentration`.
+
+    An interaction's item is drawn as `candidates[rng.integers(len(candidates))]`:
+    `Generator.choice(a)` over a 1-D population without `p` draws exactly
+    `integers(0, len(a))` and indexes with it, so this is the same stream and
+    the same dataset, without `choice`'s per-call overhead.
     """
     params.validate()
     p = params
@@ -360,11 +365,11 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
 
     alpha = np.maximum(genre_pop * G / p.genre_concentration, 1e-6)
     items: list[ItemRow] = []
-    items_by_genre: dict[int, list[int]] = {g: [] for g in range(G)}
+    items_by_genre: list[list[int]] = [[] for _ in range(G)]
     for c in range(p.n_creators):
         mix = rng.dirichlet(alpha)
-        genres = rng.choice(G, size=item_counts[c], p=mix)
-        days = np.sort(rng.integers(1, p.n_days + 1, size=item_counts[c]))
+        genres = rng.choice(G, size=item_counts[c], p=mix).tolist()
+        days = np.sort(rng.integers(1, p.n_days + 1, size=item_counts[c])).tolist()
         for k, (g, day) in enumerate(zip(genres, days)):
             item_id = len(items)
             slug = DEFAULT_GENRES[g].split(" ")[0].lower().strip(",&")
@@ -372,29 +377,30 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
                 ItemRow(
                     item_id=item_id,
                     creator_id=c,
-                    genre=int(g),
+                    genre=g,
                     title=f"{creators[c].name} clip {k + 1}",
                     tags=(slug, f"{slug}-style-{k % 3}"),
                     description=f"A {DEFAULT_GENRES[g]} upload by {creators[c].name}.",
-                    created_day=int(day),
+                    created_day=day,
                 )
             )
-            items_by_genre[int(g)].append(item_id)
+            items_by_genre[g].append(item_id)
 
     user_weights = (np.arange(p.n_users, dtype=float) + 1.0) ** (-1.0)
     user_weights /= user_weights.sum()
     inter_counts = rng.multinomial(p.n_users * p.interactions_per_user, user_weights)
-    all_item_ids = np.arange(len(items))
-    # arrays once, not a list converted on every draw; choice draws the same either way
-    by_genre = [np.asarray(items_by_genre[g], dtype=np.int64) for g in range(G)]
+    n_items = len(items)
+    created_day = [it.created_day for it in items]
     interactions: list[InteractionRow] = []
     for u in range(p.n_users):
         pref = rng.dirichlet(np.maximum(genre_pop * G / 2.0, 1e-6))
-        genres = rng.choice(G, size=inter_counts[u], p=pref)
-        for g in genres:
-            candidates = by_genre[g]
-            item_id = int(rng.choice(candidates)) if len(candidates) else int(rng.choice(all_item_ids))
-            day = int(rng.integers(items[item_id].created_day, p.n_days + 1))
+        for g in rng.choice(G, size=inter_counts[u], p=pref).tolist():
+            candidates = items_by_genre[g]
+            if candidates:
+                item_id = candidates[int(rng.integers(len(candidates)))]
+            else:
+                item_id = int(rng.integers(n_items))
+            day = int(rng.integers(created_day[item_id], p.n_days + 1))
             interactions.append(InteractionRow(user_id=u, item_id=item_id, day=day))
 
     return Dataset(users=users, creators=creators, items=items, interactions=interactions)

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from creatorsim.core import (
     ConfigError,
     DuplicateEvent,
     EventLog,
+    EventLogError,
     IllegalClick,
     InteractionEvent,
     OutOfOrder,
@@ -66,6 +70,13 @@ class TestEventLog:
         assert list(rebuilt) == list(log)
         for column in ("step", "user", "item", "exposed", "clicked"):
             assert np.array_equal(getattr(rebuilt, column), getattr(log, column))
+
+    @pytest.mark.parametrize("flags", ["2,0", "-1,0", "1,2", "1,-1"])
+    def test_csv_flag_outside_0_1_rejected(self, tmp_path, flags):
+        path = tmp_path / "events.csv"
+        path.write_text(f"{EventLog.CSV_HEADER}\n1,0,0,1,0\n1,0,1,{flags}\n")
+        with pytest.raises(EventLogError, match="line 3"):
+            EventLog.from_csv(path)
 
 
 class TestCreatorView:
@@ -139,6 +150,57 @@ class TestCatalog:
         cat.to_csv(path)
         back = Catalog.from_csv(path)
         assert list(back) == list(cat)
+
+    def test_extend_rows_of_unequal_length_add_nothing(self):
+        cat = Catalog()
+        cat.add(0, 0, "t", (), "", 0)
+        with pytest.raises(ValueError):
+            cat.extend([1, 2], [0, 0], [1, 1], ["a", "b"], [(), ()], ["d"])
+        with pytest.raises(ValueError):
+            cat.extend([1, 2], [0], [1, 1], ["a", "b"], [(), ()], ["d", "e"])
+        assert len(cat) == 1 and len(cat.genre) == 1 and cat[0].title == "t"
+        with pytest.raises(IndexError):
+            cat[1]
+
+
+# free text that CSV must quote or escape, and tag tuples that may be empty
+_texts = st.sampled_from(["", "plain", "hello, world", 'say "hi"', "two\nlines", "a|b"])
+_rows = st.tuples(
+    st.integers(0, 50), st.integers(0, 13), st.integers(0, 100), _texts,
+    st.lists(st.sampled_from(["x", "y-z", "a b", "c,d"]), max_size=3).map(tuple), _texts,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extend_in_chunks_equals_row_at_a_time(data):
+    """A catalog filled by `extend` in random chunks, mixed with `add`, equals one built
+    a row at a time, and survives a CSV round trip."""
+    # the size is drawn first, so catalogs past the first growths (16, 32, 64 rows) are common
+    n_rows = data.draw(st.integers(0, 70), label="rows")
+    rows = data.draw(st.lists(_rows, min_size=n_rows, max_size=n_rows), label="catalog")
+    one_by_one = Catalog()
+    for creator, genre, step, title, tags, desc in rows:
+        one_by_one.add(creator, genre, title, tags, desc, step)
+    chunked, at = Catalog(), 0
+    chunked.extend([], [], [], [], [], [])
+    while at < len(rows):
+        size = data.draw(st.integers(1, len(rows) - at), label="chunk")
+        if size == 1 and data.draw(st.booleans(), label="add"):
+            creator, genre, step, title, tags, desc = rows[at]
+            assert chunked.add(creator, genre, title, tags, desc, step).item_id == at
+        else:
+            chunked.extend(*zip(*rows[at : at + size]))
+        at += size
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "items.csv"
+        chunked.to_csv(path)
+        reread = Catalog.from_csv(path)
+    for cat in (chunked, reread):
+        assert len(cat) == len(one_by_one)
+        for column in ("creator_id", "genre", "created_step", "exposures", "clicks"):
+            assert getattr(cat, column).tolist() == getattr(one_by_one, column).tolist()
+        assert [cat[i] for i in range(len(cat))] == [one_by_one[i] for i in range(len(cat))]
 
 
 class TestRngStreams:

@@ -534,6 +534,14 @@ class TestCli:
         (broken / "dataset_summary.json").write_text(json.dumps(summary))
         assert cli_main(["report", str(broken)]) == 3
 
+    @pytest.mark.parametrize("n_creators", ["10", 10.0])
+    def test_report_summary_non_integer_n_creators_exit_code(self, smoke_run, tmp_path, n_creators):
+        broken = copy_run(smoke_run, tmp_path)
+        summary = json.loads((broken / "dataset_summary.json").read_text())
+        summary["n_creators"] = n_creators
+        (broken / "dataset_summary.json").write_text(json.dumps(summary))
+        assert cli_main(["report", str(broken)]) == 3
+
     @pytest.mark.parametrize(
         "artifact,edit",
         [
@@ -546,10 +554,19 @@ class TestCli:
             ("events.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 2, "100000")]),
             ("dataset_summary.json", lambda lines: _next_line(lines, "creator_entropies", "-1.0,")),
             ("dataset_summary.json", lambda lines: _next_line(lines, "genre_counts", "1e999,")),
+            ("items.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 1, "-1")]),
+            ("items.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 1, "999")]),
+            ("items.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",-1"]),
+            ("items.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",26"]),
+            ("items.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 1, str(2**63))]),
+            ("events.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0] + ",2,0"]),
+            ("events.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0] + ",1,-1"]),
         ],
         ids=["items-non-numeric", "items-short-row", "summary-truncated", "items-genre-out-of-range",
              "events-step-above-n-steps", "events-click-at-step-0", "events-item-outside-catalog",
-             "summary-negative-entropy", "summary-infinite-count"],
+             "summary-negative-entropy", "summary-infinite-count", "items-creator-negative",
+             "items-creator-above-n-creators", "items-step-negative", "items-step-above-n-steps",
+             "items-creator-beyond-int64", "events-exposed-2", "events-clicked-negative"],
     )
     def test_report_malformed_artifact_exit_code(self, smoke_run, tmp_path, artifact, edit):
         broken = copy_run(smoke_run, tmp_path)

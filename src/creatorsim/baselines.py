@@ -98,7 +98,8 @@ def _action_for(state: CreatorRuntime, genre: int) -> ExploreAction:
 
 
 class _BaselinePolicy:
-    """Shared state handling: one strategy vector per creator."""
+    """Shared state handling: one strategy vector per creator, seeded by `register`
+    from the creator's seed skill before the first step."""
 
     def __init__(self, genre_names, memory_k: int = 3):
         self.genre_names = tuple(genre_names)
@@ -107,12 +108,7 @@ class _BaselinePolicy:
 
     def register(self, state: CreatorRuntime) -> None:
         skill = np.asarray(state.beliefs.skill, dtype=float)
-        self.strategies[state.creator_id] = project_to_simplex(skill.copy())
-
-    def strategy(self, state: CreatorRuntime) -> np.ndarray:
-        if state.creator_id not in self.strategies:
-            self.register(state)
-        return self.strategies[state.creator_id]
+        self.strategies[state.creator_id] = project_to_simplex(skill)
 
     def make_content(self, state: CreatorRuntime, action: ExploreAction, n: int) -> CreatedContent:
         return template_content(state, action, self.genre_names, self.memory_k, n)
@@ -127,7 +123,7 @@ class CfdPolicy(_BaselinePolicy):
         self._click_snapshots: dict[int, np.ndarray] = {}
 
     def decide(self, state: CreatorRuntime, n: int, rng: np.random.Generator) -> ExploreAction:
-        s = self.strategy(state)
+        s = self.strategies[state.creator_id]
         clicks = _per_genre_clicks(state)
         snapshot = self._click_snapshots.get(state.creator_id, np.zeros(state.n_genres))
         delta = clicks - snapshot
@@ -146,7 +142,7 @@ class LbrPolicy(_BaselinePolicy):
         self.step_size = step_size
 
     def decide(self, state: CreatorRuntime, n: int, rng: np.random.Generator) -> ExploreAction:
-        s = self.strategy(state)
+        s = self.strategies[state.creator_id]
         audience = np.zeros(state.n_genres)
         for g, value in state.beliefs.audience.items():
             audience[g] = value

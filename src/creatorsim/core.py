@@ -2,12 +2,12 @@
 interaction event log, run configuration, and seeded random streams.
 
 The catalog and the event log are the platform's store, both kept as numpy
-columns: each item fact and each event is stored once, and consumers read
-whole columns instead of walking records. The log records every event; the
-catalog keeps each item's running exposure and click totals beside its other
-columns. The platform reads all of it; creators may only read the totals, and
-only through :func:`creator_view`, which checks the catalog's ownership column
-and is the enforcement point for the platform/creator information boundary.
+columns that `extend` fills a block at a time: each item fact and each event
+is stored once, and consumers read whole columns. The log checks and records
+every event; the catalog keeps each item's running exposure and click totals
+beside its other columns. The platform reads all of it; creators may only read
+the totals, and only through :func:`creator_view`, which checks the catalog's
+ownership column and enforces the platform/creator information boundary.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,11 +38,15 @@ class DataError(SimError):
 
 
 class EventLogError(SimError):
-    """Event log contract violation."""
+    """Event log contract violation; `row` is the row at fault in an appended block."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class OutOfOrder(EventLogError):
-    """Appended event regresses behind the log's current position."""
+    """Appended event sorts behind its predecessor."""
 
 
 class IllegalClick(EventLogError):
@@ -82,36 +86,22 @@ class _Columns:
     def __len__(self) -> int:
         return self.n
 
-    def _reserve(self, size: int) -> None:
-        """Make room for `size` rows, doubling the capacity until it fits."""
-        data = self._data
-        capacity = len(next(iter(data.values())))
-        if size <= capacity:
-            return
-        while capacity < size:
-            capacity = max(16, 2 * capacity)
-        for name, column in data.items():
-            data[name] = np.empty(capacity, column.dtype)
-            data[name][: self.n] = column[: self.n]
-
-    def _append(self, *row) -> None:
-        n, data = self.n, self._data
-        if n == len(next(iter(data.values()))):
-            self._reserve(n + 1)
-        for column, value in zip(data.values(), row):
-            column[n] = value
-        self.n = n + 1
-
     def _extend(self, columns) -> None:
         """Append rows given as one sequence per column, in column order.
 
         The first column sets the number of rows; a later one may be a single
         value for every row. Nothing is appended if a column does not fit.
         """
-        n = self.n
+        data, n = self._data, self.n
         m = n + len(columns[0])
-        self._reserve(m)
-        for column, values in zip(self._data.values(), columns):
+        capacity = len(next(iter(data.values())))
+        if m > capacity:
+            while capacity < m:
+                capacity = max(16, 2 * capacity)
+            for name, column in data.items():
+                data[name] = np.empty(capacity, column.dtype)
+                data[name][:n] = column[:n]
+        for column, values in zip(data.values(), columns):
             column[n:m] = values
         self.n = m
 
@@ -120,19 +110,11 @@ class _Columns:
 
 
 # ---------------------------------------------------------------------------
-# Identifiers and events
+# Identifiers and the event log
 #
 # UserId, ItemId, CreatorId, GenreId are opaque non-negative ints; Step is a
 # non-negative simulation tick. Item ids are assigned by the catalog in
 # creation order, so they are strictly increasing over time.
-
-
-class InteractionEvent(NamedTuple):
-    step: int
-    user: int
-    item: int
-    exposed: bool
-    clicked: bool
 
 
 _EVENT_COLUMNS = {
@@ -141,41 +123,59 @@ _EVENT_COLUMNS = {
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
+def _parse_rows(rows: list[str]) -> np.ndarray:
+    """Lines of five comma-separated integers as an (n, 5) int64 array; ValueError otherwise."""
+    if not rows:
+        return np.empty((0, 5), np.int64)
+    # without comments=None a damaged row that starts with "#" would be skipped
+    values = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    if values.shape[1] != 5:
+        raise ValueError(f"{values.shape[1]} fields")
+    return values
+
+
 class EventLog(_Columns):
     """Append-only record of exposure/click events, stored as columns.
 
     The `step`, `user`, `item`, `exposed` and `clicked` columns are aligned
     and sorted by (step, user, item), one event per triple, so the events of
     a step range are one slice found by binary search on the step column.
-    Iteration builds `InteractionEvent` values on demand.
+    Events enter only through `extend`, a block at a time.
     """
 
     CSV_HEADER = "step,user_id,item_id,exposed,clicked"
     __slots__ = ()
-    _event = partial(tuple.__new__, InteractionEvent)  # InteractionEvent._make without its Python frame
 
     def __init__(self, columns: dict[str, np.ndarray] | None = None) -> None:
         """An empty log, or one over already ordered `columns`."""
         super().__init__(columns or {name: np.empty(0, dtype) for name, dtype in _EVENT_COLUMNS.items()})
 
-    def __iter__(self) -> Iterator[InteractionEvent]:
-        columns = (getattr(self, name).tolist() for name in _EVENT_COLUMNS)
-        return map(self._event, zip(*columns))
+    def extend(self, step, user, item, exposed, clicked) -> None:
+        """Append a block of events given as aligned columns; a scalar applies to every row.
 
-    def append(self, ev: InteractionEvent) -> None:
-        if ev.step < 0 or ev.user < 0 or ev.item < 0:
-            raise EventLogError(f"negative field in event {ev}")
-        if ev.clicked and not ev.exposed:
-            raise IllegalClick(f"click without exposure: {ev}")
-        key = (ev.step, ev.user, ev.item)
-        if self.n:
-            data, i = self._data, self.n - 1
-            last = (data["step"].item(i), data["user"].item(i), data["item"].item(i))
-            if key == last:
-                raise DuplicateEvent(f"event already recorded for {last}")
-            if key < last:
-                raise OutOfOrder(f"event {key} appended after {last}")
-        self._append(ev.step, ev.user, ev.item, ev.exposed, ev.clicked)
+        The block is checked as a whole, against itself and the log's last row; its first
+        row at fault raises what a row-by-row check would raise, and nothing is appended.
+        """
+        block = np.broadcast_arrays(*map(np.atleast_1d, (step, user, item, exposed, clicked)))
+        keys = np.stack(block[:3]).astype(np.int64)
+        flags = np.stack(block[3:])
+        # the key before the block's first row; (-1, -1, -1) sorts before every valid key
+        last = [self._data[name][self.n - 1] if self.n else -1 for name in ("step", "user", "item")]
+        gap = np.diff(np.column_stack((last, keys)), axis=1)
+        order = np.where(gap[0] != 0, gap[0], np.where(gap[1] != 0, gap[1], gap[2]))
+        faults = (
+            (((keys < 0) | (keys > _INT32_MAX)).any(axis=0), EventLogError, "field outside [0, 2**31)"),
+            (((flags != 0) & (flags != 1)).any(axis=0), EventLogError, "exposed and clicked must be 0 or 1"),
+            ((flags[1] != 0) & (flags[0] == 0), IllegalClick, "click without exposure"),
+            (order == 0, DuplicateEvent, "event already recorded"),
+            (order < 0, OutOfOrder, "event behind its predecessor"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _, _ in faults])
+        if bad.any():
+            row = int(bad.argmax())
+            error, what = next((error, what) for mask, error, what in faults if mask[row])
+            raise error(f"{what}: (step, user, item) = {tuple(keys[:, row].tolist())}", row)
+        self._extend(block)
 
     def span(self, frm: int, to: int) -> slice:
         """The rows whose step lies in [frm, to]."""
@@ -198,26 +198,31 @@ class EventLog(_Columns):
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EventLog":
-        """Rebuild a log by replaying a persisted file through `append`."""
-        log = cls()
+        """Read a persisted log with one parse of the file and one `extend`.
+
+        Blank lines are skipped; an error names the file line at fault.
+        """
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().strip()
             if header != cls.CSV_HEADER:
                 raise EventLogError(f"bad header {header!r}")
-            for lineno, line in enumerate(f, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 5:
-                    raise EventLogError(f"line {lineno}: expected 5 fields")
+            lines = f.read().split("\n")
+        linenos = [lineno for lineno, line in enumerate(lines, start=2) if line.strip()]
+        rows = [lines[lineno - 2] for lineno in linenos]
+        try:
+            values = _parse_rows(rows)
+        except ValueError as e:
+            for lineno, row in zip(linenos, rows):  # parse line by line to name the first at fault
                 try:
-                    step, user, item, exp, clk = (int(p) for p in parts)
-                    if not (exp in (0, 1) and clk in (0, 1)):
-                        raise EventLogError(f"line {lineno}: exposed and clicked must be 0 or 1")
-                    log.append(InteractionEvent(step, user, item, bool(exp), bool(clk)))
-                except (ValueError, OverflowError) as e:
-                    raise EventLogError(f"line {lineno}: {e}") from e
+                    _parse_rows([row])
+                except ValueError:
+                    raise EventLogError(f"line {lineno}: expected 5 integer fields, got {row!r}") from e
+            raise EventLogError(str(e)) from e
+        log = cls()
+        try:
+            log.extend(*values.T)
+        except EventLogError as e:
+            raise type(e)(f"line {linenos[e.row]}: {e}") from e
         log._trim()
         return log
 
@@ -248,7 +253,7 @@ class Catalog(_Columns):
 
     CSV_HEADER = "item_id,creator_id,genre,title,tags,description,created_step"
     __slots__ = ("_titles", "_tags", "_descriptions")
-    _record = partial(tuple.__new__, ItemRecord)  # as EventLog._event
+    _record = partial(tuple.__new__, ItemRecord)  # ItemRecord._make without its Python frame
 
     def __init__(self) -> None:
         columns = ("creator_id", "genre", "created_step", "exposures", "clicks")

@@ -2,18 +2,18 @@
 artifact persistence, and post-hoc reporting.
 
 Each step executes CREATE, POOL, RETRAIN (on schedule), SERVE, and LIFECYCLE
-in that order. SERVE appends the step's events to the log and adds them to the
-catalog's exposure and click totals, which creators read through
-`core.creator_view`. A creator's beliefs are refreshed from those totals
-inside CREATE, only when it is about to decide. Agents read the previous step's
-committed world and mutate only their own state; cross-agent effects (the
-event log, the catalog, exposure ledgers, fairness duals) are committed at
-phase barriers in stable id order, so results are bit-identical for any
-worker count. Only the CREATE phase fans out over `workers` threads, because
-only it waits on I/O (the LLM policy's round trips); every other phase runs
-serially, since its work holds the interpreter lock. Metrics are always
-recomputed from the persisted artifacts, which makes every run replayable and
-every report reproducible.
+in that order. SERVE gathers the step's events as columns, appends them to the
+log as one block, and adds them to the catalog's exposure and click totals,
+which creators read through `core.creator_view`. A creator's beliefs are
+refreshed from those totals inside CREATE, only when it is about to decide.
+Agents read the previous step's committed world and mutate only their own
+state; cross-agent effects (the event log, the catalog, exposure ledgers,
+fairness duals) are committed at phase barriers in stable id order, so results
+are bit-identical for any worker count. Only the CREATE phase fans out over
+`workers` threads, because only it waits on I/O (the LLM policy's round trips);
+every other phase runs serially, since its work holds the interpreter lock.
+Metrics are always recomputed from the persisted artifacts, which makes every
+run replayable and every report reproducible.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ class _World:
             if is_active(user, self.user_rng[idx]):
                 active.append(idx)
 
-        step_events = []
+        users, items, clicks = [], [], []
         for idx in active:
             pairs = rank_scored(self.ranker, self.users[idx].user_id, pool, top_m, self.catalog)
             scored = [(record(item), score) for item, score in pairs]
@@ -377,26 +377,28 @@ class _World:
                 final, self.duals = pmmf_rerank(
                     scored, self.duals, cfg.pmmf_eta_dual, K, alive_ids, cfg.pmmf_dual_max
                 )
-            events = serve_session(
+            flags = serve_session(
                 final,
                 self.users[idx],
                 self.user_rng[idx],
-                n,
                 alpha_click=cfg.user_alpha_click,
                 exit_base=cfg.user_exit_base,
                 exit_per_skip=cfg.user_exit_per_skip,
             )
-            step_events.extend(events)
+            users += [self.users[idx].user_id] * len(flags)
+            items += [rec.item_id for rec in final[: len(flags)]]
+            clicks += flags
 
-        step_events.sort(key=lambda ev: (ev.user, ev.item))
-        for ev in step_events:
-            self.log.append(ev)
-        step = self.log.window(n, n)
-        self.catalog.add_feedback(step.item, step.exposed, step.clicked)
+        # every served item is exposed; the log keeps a step's events by (user, item)
+        user, item = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+        order = np.lexsort((item, user))
+        user, item, clicked = user[order], item[order], np.array(clicks, dtype=bool)[order]
+        self.log.extend(n, user, item, True, clicked)
+        self.catalog.add_feedback(item, 1, clicked)
         if cfg.warmup <= n <= cfg.n_steps:
-            self.tuw_incremental += int(np.count_nonzero(step.clicked))
+            self.tuw_incremental += int(np.count_nonzero(clicked))
         if n >= cfg.warmup:
-            owners = self.catalog.creator_id[step.item[step.exposed]]
+            owners = self.catalog.creator_id[item]
             for creator, count in zip(*np.unique(owners, return_counts=True)):
                 self.ledger.add_exposure(int(creator), int(count))
 
@@ -536,9 +538,9 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     with _reading(SUMMARY_FILE, ValueError, KeyError, TypeError):
         with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
             summary = json.load(f)
-        n_creators = summary["n_creators"]
-        if type(n_creators) is not int:
-            raise TypeError(f"n_creators {n_creators!r} is not an integer")
+        n_creators, n_users = summary["n_creators"], summary["n_users"]
+        if type(n_creators) is not int or type(n_users) is not int:
+            raise TypeError(f"n_creators {n_creators!r} or n_users {n_users!r} is not an integer")
         n_genres = len(summary["genres"])
         dataset_genre_counts = np.asarray(summary["dataset_genre_counts"], dtype=float)
         dataset_entropies = summary["dataset_creator_entropies"]
@@ -554,8 +556,9 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     start, end = cfg.warmup, cfg.n_steps
     if not ((log.step >= 1) & (log.step <= end)).all():
         raise CorruptLog(f"{EVENTS_FILE}: step outside [1, {end}]")
-    if not (log.item < len(catalog)).all():
-        raise CorruptLog(f"{EVENTS_FILE}: item outside the catalog")
+    for name, column, size in (("item", log.item, len(catalog)), ("user", log.user, n_users)):
+        if not (column < size).all():
+            raise CorruptLog(f"{EVENTS_FILE}: {name} outside [0, {size})")
     for name, column, lo, hi in (
         ("genre", catalog.genre, 0, n_genres - 1),
         ("creator_id", catalog.creator_id, 0, n_creators - 1),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Catalog, InteractionEvent, ItemRecord, SimError, hash_uniform, stream
+from .core import Catalog, ItemRecord, SimError, hash_uniform, stream
 from .users import UserAction, UserRuntime, react
 
 def _click_table(clicks) -> np.ndarray:
@@ -296,23 +296,19 @@ def serve_session(
     items: list[ItemRecord],
     user: UserRuntime,
     rng: np.random.Generator,
-    step: int,
     *,
     alpha_click: float = 0.8,
     exit_base: float = 0.05,
     exit_per_skip: float = 0.15,
-) -> list[InteractionEvent]:
+) -> list[bool]:
     """Serve a ranked list item by item; exposure stops at EXIT.
 
-    Every served item yields one exposure event; a click sets the event's
-    clicked flag. Items after an exit produce no events.
+    Returns one click flag per exposure, so the exposed items are `items[:len(result)]`.
     """
-    events = []
+    clicked = []
     for rec in items:
         action = react(user, rec, rng, alpha_click, exit_base, exit_per_skip)
-        events.append(
-            InteractionEvent(step, user.user_id, rec.item_id, True, action is UserAction.CLICK)
-        )
+        clicked.append(action is UserAction.CLICK)
         if action is UserAction.EXIT:
             break
-    return events
+    return clicked

@@ -16,7 +16,6 @@ from creatorsim.core import (
     AsymmetryViolation,
     Catalog,
     EventLog,
-    InteractionEvent,
     ItemRecord,
     SimConfig,
     creator_view,
@@ -183,12 +182,10 @@ def test_04_metric_closed_forms():
     log = EventLog()
     for step in range(1, 3):
         for user in range(3):
-            for g in range(14):
-                log.append(InteractionEvent(step, user, g, True, False))
+            log.extend(step, user, np.arange(14), True, False)
     uniform_cgd = content_genre_diversity(log, lambda i: i, 14, 1, 2)
     single = EventLog()
-    for step in range(1, 4):
-        single.append(InteractionEvent(step, 0, step, True, False))
+    single.extend([1, 2, 3], 0, [1, 2, 3], True, False)
     single_cgd = content_genre_diversity(single, lambda i: 3, 14, 1, 3)
     rng = stream(5, "acceptance", "jsd")
     sym_ok = True

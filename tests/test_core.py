@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from creatorsim.core import (
     EventLog,
     EventLogError,
     IllegalClick,
-    InteractionEvent,
     OutOfOrder,
     SimConfig,
     creator_view,
@@ -24,50 +24,86 @@ from creatorsim.core import (
 
 
 def ev(step, user, item, exposed=True, clicked=False):
-    return InteractionEvent(step, user, item, exposed, clicked)
+    return step, user, item, exposed, clicked
+
+
+def extend(log, rows):
+    """Append (step, user, item, exposed, clicked) rows to `log` as one block."""
+    log.extend(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
 
 class TestEventLog:
     def test_single_append(self):
         log = EventLog()
-        log.append(ev(1, 0, 0, exposed=True, clicked=True))
+        log.extend(*ev(1, 0, 0, exposed=True, clicked=True))
         assert len(log) == 1
 
     def test_step_regression_rejected(self):
         log = EventLog()
-        log.append(ev(1, 0, 0))
+        log.extend(*ev(1, 0, 0))
         with pytest.raises(OutOfOrder):
-            log.append(ev(0, 0, 1))
+            log.extend(*ev(0, 0, 1))
 
     def test_click_without_exposure_rejected(self):
         log = EventLog()
         with pytest.raises(IllegalClick):
-            log.append(ev(0, 0, 0, exposed=False, clicked=True))
+            log.extend(*ev(0, 0, 0, exposed=False, clicked=True))
 
     def test_duplicate_triple_rejected(self):
         log = EventLog()
-        log.append(ev(2, 1, 3))
+        log.extend(*ev(2, 1, 3))
         with pytest.raises(DuplicateEvent):
-            log.append(ev(2, 1, 3))
+            log.extend(*ev(2, 1, 3))
 
     def test_within_step_order_enforced(self):
         log = EventLog()
-        log.append(ev(2, 1, 3))
+        log.extend(*ev(2, 1, 3))
         with pytest.raises(OutOfOrder):
-            log.append(ev(2, 0, 9))
+            log.extend(*ev(2, 0, 9))
+
+    @pytest.mark.parametrize(
+        "row,error",
+        [
+            (ev(2, 0, 9, exposed=False, clicked=True), IllegalClick),
+            (ev(2, 1, 3, exposed=False, clicked=True), IllegalClick),
+            (ev(2, -1, 9), EventLogError),
+            (ev(1, 0, 2**31), EventLogError),
+            (ev(2, 1, 3, exposed=2), EventLogError),
+        ],
+    )
+    def test_field_faults_come_before_order_faults(self, row, error):
+        # each row also sorts at or behind the log's last row (2, 1, 3)
+        log = EventLog()
+        log.extend(*ev(2, 1, 3))
+        with pytest.raises(EventLogError) as raised:
+            log.extend(*row)
+        assert type(raised.value) is error and raised.value.row == 0
+        assert len(log) == 1
+
+    def test_scalar_applies_to_every_row(self):
+        log = EventLog()
+        log.extend(4, [0, 0, 2], [1, 5, 0], True, [False, True, False])
+        assert log.step.tolist() == [4, 4, 4]
+        assert log.exposed.tolist() == [True] * 3
+        assert log.clicked.tolist() == [False, True, False]
+        with pytest.raises(ValueError):
+            log.extend(5, [0, 1], [0, 1, 2], True, False)
+        assert len(log) == 3
 
     def test_csv_roundtrip_rebuilds_identical_log(self, tmp_path):
         log = EventLog()
         rng = np.random.default_rng(1)
+        rows = []
         for step in range(10):
             for user in range(4):
                 for item in range(3):
                     if rng.random() < 0.5:
-                        log.append(ev(step, user, item, clicked=bool(rng.random() < 0.3)))
+                        rows.append(ev(step, user, item, clicked=bool(rng.random() < 0.3)))
+        extend(log, rows)
         path = tmp_path / "events.csv"
         log.to_csv(path)
         rebuilt = EventLog.from_csv(path)
-        assert list(rebuilt) == list(log)
+        assert len(rebuilt) == len(log) == len(rows)
         for column in ("step", "user", "item", "exposed", "clicked"):
             assert np.array_equal(getattr(rebuilt, column), getattr(log, column))
 
@@ -77,6 +113,121 @@ class TestEventLog:
         path.write_text(f"{EventLog.CSV_HEADER}\n1,0,0,1,0\n1,0,1,{flags}\n")
         with pytest.raises(EventLogError, match="line 3"):
             EventLog.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "row,error",
+        [
+            ("#,0,1,1,0", EventLogError),  # not a comment: a damaged row
+            ("1,0,1,1,0,0", EventLogError),
+            ("1,0,1,1", EventLogError),
+            ("1,0,x,1,0", EventLogError),
+            (f"1,0,{2**31},1,0", EventLogError),
+            (f"1,0,{2**63},1,0", EventLogError),
+            ("1,0,1,0,1", IllegalClick),
+            ("1,0,0,1,1", DuplicateEvent),
+            ("0,0,1,1,1", OutOfOrder),
+        ],
+    )
+    def test_csv_fault_names_its_file_line(self, tmp_path, row, error):
+        # the blank line 3 still counts, so the damaged row is line 4
+        path = tmp_path / "events.csv"
+        path.write_text(f"{EventLog.CSV_HEADER}\n1,0,0,1,0\n\n{row}\n1,1,0,1,0\n")
+        with pytest.raises(error, match="^line 4: "):
+            EventLog.from_csv(path)
+
+    def test_csv_header_only_is_an_empty_log(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(f"{EventLog.CSV_HEADER}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = EventLog.from_csv(path)
+        assert len(log) == 0
+        assert [len(getattr(log, name)) for name in ("step", "user", "item", "exposed", "clicked")] == [0] * 5
+
+
+def reference_fault(rows):
+    """The error class and row at which appending `rows` one at a time first fails,
+    or (None, None): the plain-loop statement of the log's rules."""
+    last = None
+    for row, (step, user, item, exposed, clicked) in enumerate(rows):
+        key = (step, user, item)
+        if min(key) < 0 or max(key) >= 2**31 or exposed not in (0, 1) or clicked not in (0, 1):
+            return EventLogError, row
+        if clicked and not exposed:
+            return IllegalClick, row
+        if last is not None and key == last:
+            return DuplicateEvent, row
+        if last is not None and key < last:
+            return OutOfOrder, row
+        last = key
+    return None, None
+
+
+@st.composite
+def event_blocks(draw):
+    """Valid event rows in log order, and cut points that split them into blocks."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(0, 6)),
+                         unique=True, max_size=40))
+    rows = []
+    for key in sorted(keys):
+        exposed = draw(st.booleans())
+        rows.append((*key, exposed, exposed and draw(st.booleans())))
+    cuts = draw(st.lists(st.integers(0, len(rows)), max_size=6))
+    return rows, sorted(cuts)
+
+
+def blocks_of(n_rows, cuts):
+    bounds = [0, *cuts, n_rows]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(event_blocks(), st.data())
+def test_extend_in_blocks_equals_one_extend(blocks, data):
+    """A valid sequence appended in random blocks gives the columns of one `extend`;
+    one damaged row raises what the plain loop raises, and the failed block adds nothing."""
+    rows, cuts = blocks
+    whole, chunked = EventLog(), EventLog()
+    extend(whole, rows)
+    for start, end in blocks_of(len(rows), cuts):
+        extend(chunked, rows[start:end])
+    for name, values in zip(("step", "user", "item", "exposed", "clicked"), zip(*rows) if rows else [()] * 5):
+        assert getattr(whole, name).tolist() == getattr(chunked, name).tolist() == list(values)
+
+    if not rows:
+        return
+    damaged = [list(row) for row in rows]
+    # up to three faults in neighbouring rows, so that faults meet in one row and
+    # which one is raised first matters
+    at = data.draw(st.integers(0, len(damaged) - 1), label="row")
+    for _ in range(data.draw(st.integers(1, 3), label="faults")):
+        kind = data.draw(st.sampled_from(["swap", "duplicate", "click", "negative", "int32"]), label="kind")
+        at = min(at + data.draw(st.integers(0, 1), label="next"), len(damaged) - 1)
+        field = data.draw(st.integers(0, 2), label="field")
+        if kind == "swap" and at + 1 < len(damaged):
+            damaged[at], damaged[at + 1] = damaged[at + 1], damaged[at]
+        elif kind == "duplicate":
+            damaged.insert(at + 1, list(damaged[at]))
+        elif kind == "click":
+            damaged[at][3:] = [False, True]
+        elif kind == "negative":
+            damaged[at][field] = -1
+        elif kind == "int32":
+            damaged[at][field] = 2**31
+    error, bad_row = reference_fault(damaged)
+    if error is None:  # a swap of the last row has nothing to swap with
+        return
+    log = EventLog()
+    for start, end in blocks_of(len(damaged), [c for c in cuts if c <= len(damaged)]):
+        if start <= bad_row < end:
+            with pytest.raises(EventLogError) as raised:
+                extend(log, damaged[start:end])
+            assert type(raised.value) is error and raised.value.row == bad_row - start
+            assert len(log) == start
+            break
+        extend(log, damaged[start:end])
+    else:
+        pytest.fail(f"row {bad_row} was not in a block")
 
 
 class TestCreatorView:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from creatorsim.core import AsymmetryViolation, EventLog, InteractionEvent, stream
+from creatorsim.core import AsymmetryViolation, EventLog, stream
 from creatorsim.creator import (
     ActionKind,
     Beliefs,
@@ -130,16 +130,21 @@ class TestItemUtility:
                 item_id = len(items)
                 items[item_id] = step
                 add_item(c, item_id, 0, step)
+            rows = []
             for user in range(4):
                 for item_id in items:
                     if rng.random() < 0.5:
                         clicked = bool(rng.random() < 0.4)
-                        log.append(InteractionEvent(step, user, item_id, True, clicked))
+                        rows.append((user, item_id, clicked))
+            if rows:
+                users, item_ids, clicks = zip(*rows)
+                log.extend(step, users, item_ids, True, clicks)
             block = log.window(step, step)  # the step's events, added as SERVE adds them
             c.catalog.add_feedback(block.item, block.exposed, block.clicked)
+            events = list(zip(log.step.tolist(), log.item.tolist(), log.clicked.tolist()))
             for item_id, t in items.items():
-                exp = sum(1 for e in log if e.item == item_id and t <= e.step <= step)
-                clk = sum(1 for e in log if e.item == item_id and e.clicked and t <= e.step <= step)
+                exp = sum(1 for s, i, _ in events if i == item_id and t <= s <= step)
+                clk = sum(1 for s, i, clicked in events if i == item_id and clicked and t <= s <= step)
                 brute = (0.5 * exp + 0.5 * clk) / (step - t + 1)
                 assert abs(item_utility(c, item_id, step) - brute) <= 1e-9
 

@@ -542,6 +542,22 @@ class TestCli:
         (broken / "dataset_summary.json").write_text(json.dumps(summary))
         assert cli_main(["report", str(broken)]) == 3
 
+    @pytest.mark.parametrize("n_users", ["20", 20.0])
+    def test_report_summary_non_integer_n_users_exit_code(self, smoke_run, tmp_path, n_users):
+        broken = copy_run(smoke_run, tmp_path)
+        summary = json.loads((broken / "dataset_summary.json").read_text())
+        summary["n_users"] = n_users
+        (broken / "dataset_summary.json").write_text(json.dumps(summary))
+        assert cli_main(["report", str(broken)]) == 3
+
+    def test_report_event_from_unknown_user_exit_code(self, smoke_run, tmp_path):
+        broken = copy_run(smoke_run, tmp_path)
+        n_users = json.loads((broken / "dataset_summary.json").read_text())["n_users"]
+        lines = (broken / "events.csv").read_text().splitlines()
+        lines[-1] = _with_field(lines[-1], 1, str(n_users))
+        (broken / "events.csv").write_text("\n".join(lines) + "\n")
+        assert cli_main(["report", str(broken)]) == 3
+
     @pytest.mark.parametrize(
         "artifact,edit",
         [

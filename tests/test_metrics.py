@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creatorsim.core import EventLog, InteractionEvent
+from creatorsim.core import EventLog
 from creatorsim.ingest import DEFAULT_GENRES
 from creatorsim.metrics import (
     BadDistribution,
@@ -26,26 +26,33 @@ from creatorsim.metrics import (
 
 
 def ev(step, user, item, clicked=False):
-    return InteractionEvent(step, user, item, True, clicked)
+    return step, user, item, True, clicked
+
+
+def log_of(events):
+    """A log holding `events`, (step, user, item, exposed, clicked) rows in order."""
+    log = EventLog()
+    if events:
+        log.extend(*zip(*events))
+    return log
 
 
 class TestTuw:
     def test_filtered_count(self):
-        log = EventLog()
-        log.append(ev(1, 0, 0, clicked=True))
-        log.append(ev(2, 0, 1, clicked=True))
-        log.append(ev(10, 0, 2, clicked=True))
-        log.append(ev(11, 0, 3, clicked=True))
-        log.append(ev(12, 0, 4, clicked=True))
+        log = log_of([
+            ev(1, 0, 0, clicked=True),
+            ev(2, 0, 1, clicked=True),
+            ev(10, 0, 2, clicked=True),
+            ev(11, 0, 3, clicked=True),
+            ev(12, 0, 4, clicked=True),
+        ])
         assert total_user_welfare(log, 10, 20) == 3
 
     def test_empty_log(self):
         assert total_user_welfare(EventLog(), 0, 100) == 0
 
     def test_additivity(self):
-        log = EventLog()
-        for s in range(20):
-            log.append(ev(s, 0, s % 3, clicked=(s % 2 == 0)))
+        log = log_of([ev(s, 0, s % 3, clicked=(s % 2 == 0)) for s in range(20)])
         whole = total_user_welfare(log, 0, 19)
         assert whole == total_user_welfare(log, 0, 9) + total_user_welfare(log, 10, 19)
 
@@ -65,29 +72,24 @@ class TestCrr:
 
 class TestCgd:
     def test_uniform_fourteen_genres_is_ln14(self):
-        log = EventLog()
-        for step in range(1, 3):
-            for user in range(3):
-                for g in range(14):
-                    log.append(ev(step, user, g))
+        log = log_of([ev(step, user, g) for step in range(1, 3) for user in range(3) for g in range(14)])
         val = content_genre_diversity(log, lambda i: i, 14, 1, 2)
         assert val == pytest.approx(math.log(14), abs=1e-9)
 
     def test_single_genre_is_zero(self):
-        log = EventLog()
-        for step in range(1, 4):
-            log.append(ev(step, 0, step))
+        log = log_of([ev(step, 0, step) for step in range(1, 4)])
         val = content_genre_diversity(log, lambda i: 5, 14, 1, 3)
         assert val == 0.0
 
     def test_bounded_by_log_g(self):
         rng = np.random.default_rng(0)
-        log = EventLog()
+        events = []
         for step in range(1, 10):
             for user in range(4):
                 for item in range(6):
                     if rng.random() < 0.5:
-                        log.append(ev(step, user, item))
+                        events.append(ev(step, user, item))
+        log = log_of(events)
         val = content_genre_diversity(log, lambda i: i % 5, 5, 1, 9)
         assert 0.0 <= val <= math.log(5) + 1e-12
 
@@ -97,11 +99,7 @@ class TestCgd:
 
     def test_participation_weighting(self):
         # user 0 active 2 steps with entropy 0; user 1 active 1 step, entropy ln 2
-        log = EventLog()
-        log.append(ev(1, 0, 0))
-        log.append(ev(1, 1, 0))
-        log.append(ev(1, 1, 1))
-        log.append(ev(2, 0, 0))
+        log = log_of([ev(1, 0, 0), ev(1, 1, 0), ev(1, 1, 1), ev(2, 0, 0)])
         val = content_genre_diversity(log, lambda i: i, 2, 1, 2)
         assert val == pytest.approx((2 * 0.0 + 1 * math.log(2)) / 3)
 

@@ -133,21 +133,16 @@ class TestServeSession:
         items = [cat[i] for i in range(5)]
         # item1: no click (0.9), no exit (0.9); item2: no click (0.9), exit (0.0)
         rng = ScriptedRng([0.9, 0.9, 0.9, 0.0])
-        events = serve_session(items, self._user(), rng, step=3)
-        assert len(events) == 2
-        assert all(ev.exposed for ev in events)
-        assert not any(ev.clicked for ev in events)
+        assert serve_session(items, self._user(), rng) == [False, False]
 
     def test_click_all(self):
         cat = catalog_with(5, genre_of=lambda i: 0)
         items = [cat[i] for i in range(5)]
         rng = ScriptedRng([0.0] * 5)
-        events = serve_session(items, self._user(), rng, step=3)
-        assert len(events) == 5
-        assert all(ev.clicked for ev in events)
+        assert serve_session(items, self._user(), rng) == [True] * 5
 
     def test_empty_list(self):
-        assert serve_session([], self._user(), ScriptedRng([]), step=0) == []
+        assert serve_session([], self._user(), ScriptedRng([])) == []
 
 
 def block_diagonal_setup(ranker_name, seed=13):

@@ -2,10 +2,15 @@
 artifact persistence, and post-hoc reporting.
 
 Each step executes CREATE, POOL, RETRAIN (on schedule), SERVE, and LIFECYCLE
-in that order. SERVE gathers the step's events as columns, appends them to the
-log as one block, and adds them to the catalog's exposure and click totals,
-which creators read through `core.creator_view`. A creator's beliefs are
-refreshed from those totals inside CREATE, only when it is about to decide.
+in that order. SERVE ranks every visitor from one `recsys.PoolView` of the
+step's pool (the ranker's scorer and the pool's tie order, both built once per
+step), gathers the step's events as columns, appends them to the log as one
+block, and adds them to the catalog's exposure and click totals, which creators
+read through `core.creator_view`. LIFECYCLE decays every user's satiation
+counters, rows of one (n_users, n_genres) table, in one in-place multiply, and
+resets the session state of that step's visitors, the only users who had one.
+A creator's beliefs are refreshed from those totals inside CREATE, only when it
+is about to decide.
 Agents read the previous step's committed world and mutate only their own
 state; cross-agent effects (the event log, the catalog, exposure ledgers,
 fairness duals) are committed at phase barriers in stable id order, so results
@@ -24,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +69,14 @@ from .metrics import (
     per_creator_entropies,
     total_user_welfare,
 )
-from .recsys import CandidatePool, build_candidate_pool, make_ranker, rank_scored, serve_session
+from .recsys import (
+    CandidatePool,
+    build_candidate_pool,
+    make_ranker,
+    pool_view,
+    rank_scored,
+    serve_session,
+)
 from .rerank import ExposureLedger, fairco_rerank, fairrec_rerank, mmr_rerank, pmmf_rerank
 from .users import UserRuntime, end_step, is_active
 
@@ -136,6 +149,17 @@ def _build_policy(cfg: SimConfig, genres, transport=None):
     raise SimError(f"unknown creator policy {cfg.creator_policy!r}")
 
 
+def _index_of(ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Each query id's position in `ids`, its last one if repeated, or -1 if absent."""
+    order = np.argsort(ids, kind="stable")
+    pos = np.searchsorted(ids[order], query, side="right") - 1
+    found = pos >= 0
+    found[found] = ids[order[pos[found]]] == query[found]
+    index = np.full(len(query), -1, dtype=np.int64)
+    index[found] = order[pos[found]]
+    return index
+
+
 class _World:
     """Mutable run state; built once from (config, dataset)."""
 
@@ -149,27 +173,25 @@ class _World:
         # the interactions among them as (user, item, day) rows.
         users = sorted(data.users, key=lambda u: u.user_id)[: cfg.n_users]
         creators = sorted(data.creators, key=lambda c: c.creator_id)[: cfg.n_creators]
-        user_index = {u.user_id: i for i, u in enumerate(users)}
         creator_index = {c.creator_id: i for i, c in enumerate(creators)}
         items = sorted(
             (it for it in data.items if it.creator_id in creator_index),
             key=lambda it: (it.created_day, it.item_id),
         )
-        item_index = {it.item_id: i for i, it in enumerate(items)}
         self.catalog = Catalog()
         self.catalog.extend(
             [creator_index[it.creator_id] for it in items], [it.genre for it in items],
             [0] * len(items), [it.title for it in items], [it.tags for it in items],
             [it.description for it in items],
         )
-        seen = np.asarray(
-            [
-                (user_index[r.user_id], item_index[r.item_id], r.day)
-                for r in data.interactions
-                if r.user_id in user_index and r.item_id in item_index
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 3)
+        user, item, day = (
+            np.fromiter(map(attrgetter(name), data.interactions), np.int64, len(data.interactions))
+            for name in ("user_id", "item_id", "day")
+        )
+        user = _index_of(np.asarray([u.user_id for u in users], dtype=np.int64), user)
+        item = _index_of(np.asarray([it.item_id for it in items], dtype=np.int64), item)
+        kept = (user >= 0) & (item >= 0)
+        seen = np.column_stack((user[kept], item[kept], day[kept]))
         # the dataset's interactions train the ranker as clicks at step 0, and
         # count toward each seed item's exposure and click totals
         self.seed_clicks = seen * (1, 1, 0)
@@ -183,8 +205,13 @@ class _World:
             seen[:, 0], genre[seen[:, 1]], seen[:, 2], len(users), G
         )
 
+        # each user's satiation counters are a row of one table, decayed in one op
+        self.recent_exposure = np.zeros((len(users), G))
         self.users = [
-            UserRuntime(user_id=i, preference=preference[i], activity=float(user_activity[i]))
+            UserRuntime(
+                user_id=i, preference=preference[i], activity=float(user_activity[i]),
+                recent_exposure=self.recent_exposure[i],
+            )
             for i in range(len(users))
         ]
         self.population_preference = np.mean(preference, axis=0)
@@ -338,7 +365,8 @@ class _World:
                 f"{z_text},true,{q:.10g}"
             )
 
-    def phase_serve(self, n: int, pool) -> None:
+    def phase_serve(self, n: int, pool) -> list[int]:
+        """Serve this step's visitors and commit their events; returns the visitors."""
         cfg = self.cfg
         K = cfg.list_length
         use_rerank = cfg.reranker != "none" and n >= cfg.warmup
@@ -361,9 +389,10 @@ class _World:
             if is_active(user, self.user_rng[idx]):
                 active.append(idx)
 
+        view = pool_view(self.ranker, pool, self.catalog)
         users, items, clicks = [], [], []
         for idx in active:
-            pairs = rank_scored(self.ranker, self.users[idx].user_id, pool, top_m, self.catalog)
+            pairs = rank_scored(view, self.users[idx].user_id, top_m)
             scored = [(record(item), score) for item, score in pairs]
             if not use_rerank:
                 final = [rec for rec, _ in scored[:K]]
@@ -401,12 +430,12 @@ class _World:
             owners = self.catalog.creator_id[item]
             for creator, count in zip(*np.unique(owners, return_counts=True)):
                 self.ledger.add_exposure(int(creator), int(count))
+        return active
 
-    def phase_lifecycle(self, n: int, step_seconds: float) -> None:
+    def phase_lifecycle(self, n: int, visitors: list[int], step_seconds: float) -> None:
         cfg = self.cfg
         alive = sum(1 for c in self.creators if c.alive)
-        for user in self.users:
-            end_step(user, cfg.user_novelty_decay)
+        end_step([self.users[idx] for idx in visitors], self.recent_exposure, cfg.user_novelty_decay)
         window_lo = max(1, n - cfg.timeliness_window + 1)
         try:
             cgd_window = content_genre_diversity(
@@ -471,8 +500,8 @@ def run_simulation(
             clicks = world.training_clicks()
             if len(clicks) or cfg.ranker in ("random", "pop"):
                 world.ranker.retrain(clicks, world.catalog, n)
-        world.phase_serve(n, pool)
-        world.phase_lifecycle(n, time.perf_counter() - started)
+        visitors = world.phase_serve(n, pool)
+        world.phase_lifecycle(n, visitors, time.perf_counter() - started)
     out_dir = Path(out_dir)
     world.write_artifacts(out_dir)
     metrics = report(out_dir)

@@ -184,6 +184,9 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
 
     user_ids = {u.user_id for u in users}
     item_ids = {it.item_id for it in items}
+    # the world re-indexes user and item ids as int64 columns
+    if not all(-(2**63) <= i < 2**63 for i in user_ids | item_ids):
+        raise SchemaError("a user_id or item_id does not fit in 64 bits")
     interactions: list[InteractionRow] = []
     for r in inter_rows:
         try:

@@ -4,11 +4,18 @@ rankers (Random, Pop, MF, BPR), and item-by-item session serving.
 Rankers follow a fit/score shape: `retrain(clicks, catalog, step)` refits in
 place and returns self, where `clicks` holds (user, item, step) rows (an
 (n, 3) int array or anything `np.asarray` turns into one);
-`score(user, item_ids, catalog)` is a deterministic pure function of the
-trained parameters. MF and BPR are warm-started
-factorization models trained by mini-batch SGD on clicks, with one sampled
-negative per positive; items created after the last retrain are scored with
-a cold-start factor (zero vector plus the genre mean of trained factors).
+`scorer(item_ids, catalog)` does a pool's per-item work once (gathering factor
+rows, or Pop's counts) and returns `user -> scores`, a deterministic pure
+function of the trained parameters; `score(user, item_ids, catalog)` is that
+scorer for one user. A step's visitors are ranked from one `PoolView`: the
+scorer plus the pool's tie order (newer item first, then lower id), both built
+once per step. `rank_scored` takes each visitor's exact top-k from it with a
+partition, so only the scores tied with or above the k-th are sorted.
+
+MF and BPR are warm-started factorization models trained by mini-batch SGD on
+clicks, with one sampled negative per positive; items created after the last
+retrain are scored with a cold-start factor (zero vector plus the genre mean of
+trained factors).
 
 Each bias is stored as one extra column of its factor table, `PB = [P | bu]`
 and `QB = [Q | bi]`, so one SGD batch updates a table with one scatter-add
@@ -22,6 +29,7 @@ reference that `tests/test_recsys.py` keeps.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +65,14 @@ def build_candidate_pool(catalog: Catalog, step: int, window: int) -> CandidateP
     return CandidatePool(item_ids=ids, created_steps=catalog.created_step[ids], step=step)
 
 
-class RandomRanker:
+class _Ranker:
+    """A ranker's one-user scores, through the `scorer` each ranker defines."""
+
+    def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
+        return self.scorer(item_ids, catalog)(user)
+
+
+class RandomRanker(_Ranker):
     """Uniform pseudo-random scores, stable under retraining."""
 
     name = "random"
@@ -68,11 +83,11 @@ class RandomRanker:
     def retrain(self, clicks, catalog: Catalog, step: int) -> "RandomRanker":
         return self
 
-    def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
-        return hash_uniform(self.seed, user, item_ids)
+    def scorer(self, item_ids: np.ndarray, catalog: Catalog) -> Callable[[int], np.ndarray]:
+        return lambda user: hash_uniform(self.seed, user, item_ids)
 
 
-class PopRanker:
+class PopRanker(_Ranker):
     """Most-popular ranking by windowed click counts."""
 
     name = "pop"
@@ -87,11 +102,11 @@ class PopRanker:
         self.counts = np.bincount(table[recent, 1], minlength=len(catalog)).astype(np.float64)
         return self
 
-    def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
+    def scorer(self, item_ids: np.ndarray, catalog: Catalog) -> Callable[[int], np.ndarray]:
         known = item_ids < len(self.counts)
         scores = np.zeros(len(item_ids))
         scores[known] = self.counts[item_ids[known]]
-        return scores
+        return lambda user: scores  # the same for every user
 
 
 def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -109,7 +124,7 @@ def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
     np.add.at(table.reshape(-1), flat.reshape(-1), values.reshape(-1))
 
 
-class _FactorRanker:
+class _FactorRanker(_Ranker):
     """Shared machinery of the MF and BPR rankers.
 
     `PB` is (n_users, dim+1) and `QB` is (n_items, dim+1); `P`, `bu`, `Q` and
@@ -200,9 +215,12 @@ class _FactorRanker:
     def _epoch(self, users, items, negatives, rng) -> None:
         raise NotImplementedError
 
-    def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
-        if len(item_ids) == 0:
-            return np.zeros(0)
+    def scorer(self, item_ids: np.ndarray, catalog: Catalog) -> Callable[[int], np.ndarray]:
+        """The items' factor rows, cold ones from their genre's mean, gathered once.
+
+        Every user's scores are one gemv over the same `vecs`, in `item_ids`
+        order, so a score does not depend on which users share the scorer.
+        """
         vecs = np.zeros((len(item_ids), self.dim))
         bias = np.zeros(len(item_ids))
         known = item_ids < self.n_items
@@ -215,7 +233,8 @@ class _FactorRanker:
             rows = np.where(cold)[0][in_table]
             vecs[rows] = self.cold_vec[genres[in_table]]
             bias[rows] = self.cold_bias[genres[in_table]]
-        return self.bu[user] + bias + vecs @ self.P[user]
+        P, bu = self.P, self.bu
+        return lambda user: bu[user] + bias + vecs @ P[user]
 
 
 class MfRanker(_FactorRanker):
@@ -280,16 +299,37 @@ def make_ranker(name: str, n_users: int, seed: int, *, dim=32, lr=0.05, epochs=5
     raise ValueError(f"unknown ranker {name!r}")
 
 
-def rank_scored(
-    ranker, user: int, pool: CandidatePool, k: int, catalog: Catalog
-) -> list[tuple[int, float]]:
-    """Top-k (item, score) pairs; ties go to the newer item, then lower id."""
-    if len(pool) == 0:
-        return []
-    scores = ranker.score(user, pool.item_ids, catalog)
-    order = np.lexsort((pool.item_ids, -pool.created_steps, -scores))
-    top = order[:k]
-    return [(int(pool.item_ids[i]), float(scores[i])) for i in top]
+@dataclass(frozen=True)
+class PoolView:
+    """A step's pool as every visitor's ranking reads it, built once per step."""
+
+    score: Callable[[int], np.ndarray]  # user -> scores in pool order
+    tie_order: np.ndarray  # pool positions, newer item first, then lower id
+    tie_ids: np.ndarray  # the pool's item ids in tie order
+
+
+def pool_view(ranker, pool: CandidatePool, catalog: Catalog) -> PoolView:
+    tie_order = np.lexsort((pool.item_ids, -pool.created_steps))
+    return PoolView(ranker.scorer(pool.item_ids, catalog), tie_order, pool.item_ids[tie_order])
+
+
+def rank_scored(view: PoolView, user: int, k: int) -> list[tuple[int, float]]:
+    """Top-k (item, score) pairs; ties go to the newer item, then lower id.
+
+    The order is `np.lexsort((item_ids, -created_steps, -scores))[:k]`. With
+    the scores in tie order, a stable sort of `-scores` gives it; only the
+    scores at or above the k-th largest are sorted. NaN scores sort last, as
+    in `np.lexsort`, so a NaN k-th score keeps them all.
+    """
+    scores = view.score(user)[view.tie_order]
+    neg = -scores
+    top = np.arange(len(neg))
+    if 0 < k < len(neg):
+        kth = np.partition(neg, k - 1)[k - 1]
+        if kth == kth:  # not NaN
+            top = np.flatnonzero(neg <= kth)
+    top = top[np.argsort(neg[top], kind="stable")[:k]]
+    return list(zip(view.tie_ids[top].tolist(), scores[top].tolist()))
 
 
 def serve_session(

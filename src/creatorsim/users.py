@@ -89,9 +89,18 @@ def react(
     return UserAction.SKIP
 
 
-def end_step(user: UserRuntime, novelty_decay: float = 0.8) -> None:
-    """Reset session state and decay the satiation counters."""
-    user.consecutive_skips = 0
-    user.items_seen = 0
-    user.exited = False
-    user.recent_exposure *= novelty_decay
+def end_step(
+    visitors: list[UserRuntime], recent_exposure: np.ndarray, novelty_decay: float = 0.8
+) -> None:
+    """Reset the visitors' session state and decay every user's satiation counters.
+
+    `recent_exposure` holds the counters of every user, such as the
+    (n_users, n_genres) table whose rows are the users' `recent_exposure`
+    views; it is decayed in place. Only a visitor's session state can have
+    changed since the last reset, so only the visitors' is reset.
+    """
+    for user in visitors:
+        user.consecutive_skips = 0
+        user.items_seen = 0
+        user.exited = False
+    recent_exposure *= novelty_decay

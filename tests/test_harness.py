@@ -7,6 +7,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,26 @@ class TestPhaseInvariants:
         assert not [c for c in calls if c[0] == 1]
         assert sorted((n, creator) for n, creator, _ in calls) == [d for d in decisions if d[0] >= 2]
         assert all(arg == n - 1 for n, _, arg in calls)
+
+    def test_lifecycle_resets_sessions_and_decays_one_table(self, tmp_path, monkeypatch):
+        import creatorsim.harness as harness
+
+        original = harness._World.phase_lifecycle
+        visits = []
+
+        def lifecycle(world, n, visitors, step_seconds):
+            served = {u.user_id for u in world.users if u.items_seen}
+            before = world.recent_exposure.copy()
+            original(world, n, visitors, step_seconds)
+            assert served <= set(visitors)
+            assert all((u.consecutive_skips, u.items_seen, u.exited) == (0, 0, False) for u in world.users)
+            assert np.array_equal(world.recent_exposure, before * world.cfg.user_novelty_decay)
+            assert all(np.shares_memory(u.recent_exposure, world.recent_exposure) for u in world.users)
+            visits.append(len(visitors))
+
+        monkeypatch.setattr(harness._World, "phase_lifecycle", lifecycle)
+        run_simulation(small_cfg(n_steps=10), out_dir=tmp_path / "spy")
+        assert len(visits) == 10 and sum(visits) > 0
 
 
 class TestReport:

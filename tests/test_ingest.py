@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creatorsim.core import SimConfig, stream
-from creatorsim.harness import _World
+from creatorsim.harness import _World, _index_of
 from creatorsim.ingest import (
     DEFAULT_GENRES,
     PREF_SMOOTHING,
@@ -227,6 +227,14 @@ class TestWorldSeedsEqualRowReference:
         assert [(u.preference.tolist(), u.activity) for u in world.users] == users
 
 
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.integers(-5, 5)), query=st.lists(st.integers(-7, 7)))
+def test_index_of_matches_a_dict(ids, query):
+    index = {x: i for i, x in enumerate(ids)}  # a repeated id keeps its last position
+    got = _index_of(np.asarray(ids, dtype=np.int64), np.asarray(query, dtype=np.int64))
+    assert got.tolist() == [index.get(q, -1) for q in query]
+
+
 class TestCreatorSeeds:
     def test_skill_is_creation_share(self):
         _, skill, _ = creator_seeds(tiny_dataset())
@@ -310,6 +318,13 @@ class TestLoadDataset:
         d.interactions.append(InteractionRow(0, 99, 1))
         d.to_dir(tmp_path)
         with pytest.raises(DanglingRef):
+            load_dataset(tmp_path)
+
+    def test_id_beyond_64_bits_rejected(self, tmp_path):
+        d = tiny_dataset()
+        d.users.append(UserRow(2**63, "huge"))
+        d.to_dir(tmp_path)
+        with pytest.raises(SchemaError, match="64 bits"):
             load_dataset(tmp_path)
 
     def test_unknown_genre_rejected(self, tmp_path):

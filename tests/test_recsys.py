@@ -8,12 +8,14 @@ from creatorsim.core import Catalog
 from creatorsim.recsys import (
     SGD_BATCH,
     BprRanker,
+    CandidatePool,
     EmptyInteractions,
     MfRanker,
     PopRanker,
     RandomRanker,
     build_candidate_pool,
     make_ranker,
+    pool_view,
     rank_scored,
     _scatter_add,
     serve_session,
@@ -22,7 +24,7 @@ from creatorsim.users import UserRuntime
 
 
 def top_ids(ranker, user, pool, k, cat):
-    return [item for item, _ in rank_scored(ranker, user, pool, k, cat)]
+    return [item for item, _ in rank_scored(pool_view(ranker, pool, cat), user, k)]
 
 
 def catalog_with(n_items, genre_of=lambda i: i % 3, created=lambda i: 0):
@@ -330,3 +332,99 @@ def test_factor_views_are_read_only():
         assert np.shares_memory(view, r.PB) or np.shares_memory(view, r.QB)
         with pytest.raises(ValueError):
             view[0] = 1.0
+
+
+def _factor_score_per_user(r, user, item_ids, cat):
+    """A factor ranker's score with its item rows gathered for this one user (the reference)."""
+    vecs = np.zeros((len(item_ids), r.dim))
+    bias = np.zeros(len(item_ids))
+    known = item_ids < r.n_items
+    vecs[known], bias[known] = r.Q[item_ids[known]], r.bi[item_ids[known]]
+    for row in np.flatnonzero(~known):
+        g = cat.genre[item_ids[row]]
+        if g < len(r.cold_vec):
+            vecs[row], bias[row] = r.cold_vec[g], r.cold_bias[g]
+    return r.bu[user] + bias + vecs @ r.P[user]
+
+
+def _trained_rankers():
+    """Every ranker trained on genres 0-3, then a catalog grown past it: fresh
+    items (rows at or beyond `n_items`) in trained genres and in genres 5 and 6,
+    which are outside the cold table."""
+    cat = catalog_with(40, genre_of=lambda i: i % 4)
+    rng = np.random.default_rng(11)
+    clicks = np.column_stack([rng.integers(0, 6, 200), rng.integers(0, 40, 200), np.ones(200, int)])
+    rankers = [make_ranker(name, n_users=6, seed=4, dim=8) for name in ("random", "pop", "mf", "bpr")]
+    for r in rankers:
+        r.retrain(clicks, cat, 1)
+    for k in range(12):
+        cat.add(k % 2, [0, 3, 5, 6][k % 4], "fresh", [], "", 2)
+    return rankers + [PopRanker(window=20)], cat  # the last one never trained
+
+
+@pytest.mark.parametrize("ids", [
+    np.arange(52),                      # trained and fresh rows
+    np.array([3, 41, 40, 50, 7, 51]),   # unsorted, with cold rows in and outside the table
+    np.array([46, 43]),                 # fresh rows outside the cold table only
+    np.array([], dtype=np.int64),       # an empty pool
+])
+def test_scorer_equals_score_bit_for_bit(ids):
+    rankers, cat = _trained_rankers()
+    for r in rankers:
+        score = r.scorer(ids, cat)
+        for user in (0, 5, 2, 0):  # one scorer serves users in turn
+            got = score(user)
+            assert got.dtype == np.float64 and got.shape == ids.shape
+            assert np.array_equal(got, r.score(user, ids, cat)), r.name
+            if r.name in ("mf", "bpr"):
+                assert np.array_equal(got, _factor_score_per_user(r, user, ids, cat)), r.name
+
+
+class _FixedScores:
+    """A ranker whose scores are given, the same for every user."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def scorer(self, item_ids, catalog):
+        return lambda user: self.scores
+
+
+def _lexsort_top(ids, created, scores, k):
+    """The top-k as a full 3-key lexsort gives it (the reference)."""
+    order = np.lexsort((ids, -created, -scores))[:k]
+    return ids[order].tolist(), scores[order]
+
+
+# few distinct values force ties; 0.0 and -0.0 compare equal, NaN sorts last
+tie_prone_scores = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def ranked_pools(draw):
+    n = draw(st.integers(0, 30))
+    ids = np.asarray(draw(st.permutations(range(60)))[:n], dtype=np.int64)
+    created = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+    scores = draw(hnp.arrays(np.float64, n, elements=tie_prone_scores | st.floats(-3, 3)))
+    k = draw(st.sampled_from([1, n, n + 1]) | st.integers(1, max(n, 1)))
+    return ids, created, scores, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranked_pools())
+def test_rank_scored_equals_lexsort(case):
+    ids, created, scores, k = case
+    view = pool_view(_FixedScores(scores), CandidatePool(ids, created, 0), None)
+    got = rank_scored(view, 0, k)
+    want_ids, want_scores = _lexsort_top(ids, created, scores, k)
+    assert [item for item, _ in got] == want_ids
+    # bit for bit, so a NaN equals itself and -0.0 differs from 0.0
+    assert np.array([s for _, s in got], dtype=np.float64).tobytes() == want_scores.tobytes()
+
+
+def test_rank_scored_nan_cut_keeps_every_item():
+    scores = np.array([np.nan, 1.0, np.nan, 0.0, np.nan])
+    ids, created = np.arange(5), np.zeros(5, dtype=np.int64)
+    view = pool_view(_FixedScores(scores), CandidatePool(ids, created, 0), None)
+    assert [item for item, _ in rank_scored(view, 0, 3)] == [1, 3, 0]
+    assert [item for item, _ in rank_scored(view, 0, 4)] == [1, 3, 0, 2]

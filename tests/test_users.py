@@ -108,13 +108,43 @@ class TestEndStep:
         u.consecutive_skips = 4
         u.items_seen = 3
         u.exited = True
-        end_step(u)
+        end_step([u], u.recent_exposure)
         assert (u.consecutive_skips, u.items_seen, u.exited) == (0, 0, False)
 
     def test_decay(self):
         u = make_user()
         u.recent_exposure[2] = 10.0
-        end_step(u)
+        end_step([u], u.recent_exposure)
         assert u.recent_exposure[2] == pytest.approx(8.0)
-        end_step(u)
+        end_step([u], u.recent_exposure)
         assert u.recent_exposure[2] == pytest.approx(6.4)
+
+    def test_population_decay_equals_per_user_decay(self):
+        # users whose counters are rows of one table, decayed in one op, against
+        # users with their own arrays, reset and decayed one by one
+        n_users, n_genres, decay = 25, 14, 0.7
+        pref = np.random.default_rng(0).dirichlet(np.ones(n_genres), size=n_users)
+        table = np.zeros((n_users, n_genres))
+        users = [
+            UserRuntime(i, pref[i], 0.5, recent_exposure=table[i]) for i in range(n_users)
+        ]
+        alone = [UserRuntime(i, pref[i], 0.5) for i in range(n_users)]
+        visits = np.random.default_rng(1)
+        for step in range(300):
+            visitors = np.flatnonzero(visits.random(n_users) < 0.4).tolist()
+            for idx in visitors:
+                feed = [make_item(genre=int(g)) for g in visits.integers(0, n_genres, size=6)]
+                for u in (users[idx], alone[idx]):
+                    rng = stream(step, "feed", idx)  # the same draws for both copies
+                    for item in feed:
+                        if react(u, item, rng) is UserAction.EXIT:
+                            break
+            end_step([users[idx] for idx in visitors], table, decay)
+            for u in alone:
+                u.consecutive_skips, u.items_seen, u.exited = 0, 0, False
+                u.recent_exposure *= decay
+            for u, ref in zip(users, alone):
+                assert np.array_equal(u.recent_exposure, ref.recent_exposure)
+                assert (u.consecutive_skips, u.items_seen, u.exited) == (0, 0, False)
+        assert all(np.shares_memory(u.recent_exposure, table) for u in users)
+        assert table.any() and not (table > 1e6).any()

@@ -2,7 +2,9 @@
 
 Together the configs cover every ranker, every re-ranker and every non-LLM
 creator policy, plus a multi-worker run, two full-information runs (one with
-a policy that reads the overridden audience beliefs) and an LLM policy run
+a policy that reads the overridden audience beliefs), two runs in which
+creators depart (one under a diversity re-ranker, one under the P-MMF fairness
+re-ranker, whose alive set then shrinks while it serves) and an LLM policy run
 against an in-process stub endpoint; one more LLM run reads its
 dataset from disk, with more users and creators than the run keeps, so the
 world drops some of them with their items and interactions. Each run also pins
@@ -54,6 +56,10 @@ CONFIGS = {
         retrain_period=3, seed=6,
     ),
     "pop-pmmf-llm-stub": dict(ranker="pop", reranker="pmmf", creator_policy="creagent_llm", seed=7),
+    "random-pmmf-creagent-departures": dict(
+        ranker="random", reranker="pmmf", creator_policy="creagent", departure_threshold=2,
+        retrain_period=3, seed=10,
+    ),
     "mf-fairco-llm-loaded-workers2": dict(
         ranker="mf", reranker="fairco", creator_policy="creagent_llm", workers=2,
         data_dir=DATA_DIR, seed=8,
@@ -124,6 +130,14 @@ PINNED = {
         "metrics.json": "cdcd2b15f9f9765e341f5f6feaea26b09946f9862b7c946ed0f1c83badee1ab0",
         "config.txt": "617140cd2b8af4a90082d569cb6824089ea5d7161c7ce67ce9e77cc2dd542026",
         "dataset_summary.json": "3935737ef9c475118c70e163d3df6bf797d788efdd651586087e77db0fb79936",
+    },
+    "random-pmmf-creagent-departures": {
+        "events.csv": "0f69e47271ee361fa6ffd3923305a7d876fab59a107c350d6455b0469aad66f8",
+        "items.csv": "a128447e7e5ad1006b8b40240f5a0faa2ddd9eef624cf7caf7c70cc19d5e48a7",
+        "creator_trace.csv": "9c6f6772ffdfb8f12fdefa51f53c2d00dc132b6a3e0621be24244ae7748e8116",
+        "metrics.json": "d523d00f86ccbbfbd5331b026a8d4cad0c30dc4a0ff0a4b5fe6ca83b11fd6c19",
+        "config.txt": "554006d7af44f4960cbed49231954f8a095fb01b24ff5fb8e49af1a7930bed96",
+        "dataset_summary.json": "eeea25c7271e2ca69a28f52364e2ee8cbda6332356f662b5e82eec2d6d1106da",
     },
     "random-fairrec-simuline": {
         "events.csv": "43e98d0023fad79d91905f97a796f3883ed936295b7a50835ad7b1c1945555e2",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -253,7 +252,6 @@ class Catalog(_Columns):
 
     CSV_HEADER = "item_id,creator_id,genre,title,tags,description,created_step"
     __slots__ = ("_titles", "_tags", "_descriptions")
-    _record = partial(tuple.__new__, ItemRecord)  # ItemRecord._make without its Python frame
 
     def __init__(self) -> None:
         columns = ("creator_id", "genre", "created_step", "exposures", "clicks")
@@ -266,11 +264,11 @@ class Catalog(_Columns):
         if not 0 <= item_id < self.n:
             raise IndexError(f"item {item_id} not in the catalog")
         data = self._data
-        return self._record((
+        return ItemRecord(
             int(item_id), data["creator_id"].item(item_id), data["genre"].item(item_id),
             self._titles[item_id], self._tags[item_id], self._descriptions[item_id],
             data["created_step"].item(item_id),
-        ))
+        )
 
     def add(
         self, creator_id: int, genre: int, title: str, tags: Iterable[str], description: str,

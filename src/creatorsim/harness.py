@@ -11,10 +11,13 @@ counters, rows of one (n_users, n_genres) table, in one in-place multiply, and
 resets the session state of that step's visitors, the only users who had one.
 A creator's beliefs are refreshed from those totals inside CREATE, only when it
 is about to decide.
+The fairness re-rankers read creator-indexed arrays: the served exposure per
+creator, which SERVE adds the step's exposures to at its end, and P-MMF's
+duals, which change visitor by visitor inside the serial SERVE loop.
 Agents read the previous step's committed world and mutate only their own
-state; cross-agent effects (the event log, the catalog, exposure ledgers,
-fairness duals) are committed at phase barriers in stable id order, so results
-are bit-identical for any worker count. Only the CREATE phase fans out over
+state; cross-agent effects (the event log, the catalog, the exposure counts)
+are committed at phase barriers in stable id order, so results are
+bit-identical for any worker count. Only the CREATE phase fans out over
 `workers` threads, because only it waits on I/O (the LLM policy's round trips);
 every other phase runs serially, since its work holds the interpreter lock.
 Metrics are always recomputed from the persisted artifacts, which makes every
@@ -28,7 +31,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -77,7 +79,14 @@ from .recsys import (
     rank_scored,
     serve_session,
 )
-from .rerank import ExposureLedger, fairco_rerank, fairrec_rerank, mmr_rerank, pmmf_rerank
+from .rerank import (
+    fairco_errors,
+    fairco_rerank,
+    fairrec_rerank,
+    fairrec_under_served,
+    mmr_rerank,
+    pmmf_rerank,
+)
 from .users import UserRuntime, end_step, is_active
 
 
@@ -260,8 +269,9 @@ class _World:
             self._summarize_profiles([c.followers for c in creators], transport)
 
         self.log = EventLog()
-        self.ledger = ExposureLedger()
-        self.duals: dict[int, float] = {}
+        # served exposures per creator since warm-up, and P-MMF's dual variables
+        self.exposure = np.zeros(len(self.creators), dtype=np.int64)
+        self.duals = np.zeros(len(self.creators))
         self.creator_activity_rng = [stream(cfg.seed, "creator_activity", c.creator_id) for c in self.creators]
         self.creator_policy_rng = [stream(cfg.seed, "creator_policy", c.creator_id) for c in self.creators]
         self.user_rng = [stream(cfg.seed, "user", u.user_id) for u in self.users]
@@ -369,14 +379,19 @@ class _World:
         """Serve this step's visitors and commit their events; returns the visitors."""
         cfg = self.cfg
         K = cfg.list_length
-        use_rerank = cfg.reranker != "none" and n >= cfg.warmup
-        top_m = cfg.rerank_pool_multiplier * K if use_rerank else K
-        record = cache(self.catalog.__getitem__)  # one ItemRecord per item this step
+        reranker = cfg.reranker if n >= cfg.warmup else "none"
+        top_m = K if reranker == "none" else cfg.rerank_pool_multiplier * K
+        owner, genre = self.catalog.creator_id, self.catalog.genre
         alive = np.asarray([c.alive for c in self.creators], dtype=bool)
-        alive_ids = np.flatnonzero(alive).tolist()
+        alive_ids = np.flatnonzero(alive)
+        # exposure changes only at the end of SERVE, so what is read from it is fixed for the step
+        if reranker == "fairrec":
+            under = fairrec_under_served(self.exposure, alive_ids, cfg.fairrec_min_share)
+        elif reranker == "fairco":
+            errors = fairco_errors(self.exposure, alive_ids)
 
         # departed creators' items leave the platform with them
-        keep = alive[self.catalog.creator_id[pool.item_ids]]
+        keep = alive[owner[pool.item_ids]]
         if not keep.all():
             pool = CandidatePool(
                 item_ids=pool.item_ids[keep],
@@ -392,22 +407,22 @@ class _World:
         view = pool_view(self.ranker, pool, self.catalog)
         users, items, clicks = [], [], []
         for idx in active:
-            pairs = rank_scored(view, self.users[idx].user_id, top_m)
-            scored = [(record(item), score) for item, score in pairs]
-            if not use_rerank:
-                final = [rec for rec, _ in scored[:K]]
-            elif cfg.reranker == "mmr":
-                final = mmr_rerank(scored, cfg.mmr_lambda, K)
-            elif cfg.reranker == "fairrec":
-                final = fairrec_rerank(scored, self.ledger, K, cfg.fairrec_min_share, alive_ids)
-            elif cfg.reranker == "fairco":
-                final = fairco_rerank(scored, self.ledger, cfg.fairco_lambda, alive_ids)[:K]
+            ranked, scores = rank_scored(view, self.users[idx].user_id, top_m)
+            if reranker == "none":
+                final = ranked[:K]
+            elif reranker == "mmr":
+                final = ranked[mmr_rerank(scores, genre[ranked], ranked, cfg.mmr_lambda, K)]
+            elif reranker == "fairrec":
+                final = ranked[fairrec_rerank(owner[ranked], under, K)]
+            elif reranker == "fairco":
+                final = ranked[fairco_rerank(scores, owner[ranked], errors, cfg.fairco_lambda)[:K]]
             else:
-                final, self.duals = pmmf_rerank(
-                    scored, self.duals, cfg.pmmf_eta_dual, K, alive_ids, cfg.pmmf_dual_max
-                )
+                final = ranked[pmmf_rerank(
+                    scores, owner[ranked], self.duals, cfg.pmmf_eta_dual, K, alive_ids,
+                    cfg.pmmf_dual_max,
+                )]
             flags = serve_session(
-                final,
+                genre[final],
                 self.users[idx],
                 self.user_rng[idx],
                 alpha_click=cfg.user_alpha_click,
@@ -415,11 +430,12 @@ class _World:
                 exit_per_skip=cfg.user_exit_per_skip,
             )
             users += [self.users[idx].user_id] * len(flags)
-            items += [rec.item_id for rec in final[: len(flags)]]
+            items.append(final[: len(flags)])
             clicks += flags
 
         # every served item is exposed; the log keeps a step's events by (user, item)
-        user, item = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+        user = np.array(users, dtype=np.int64)
+        item = np.concatenate(items) if items else np.empty(0, np.int64)
         order = np.lexsort((item, user))
         user, item, clicked = user[order], item[order], np.array(clicks, dtype=bool)[order]
         self.log.extend(n, user, item, True, clicked)
@@ -427,9 +443,7 @@ class _World:
         if cfg.warmup <= n <= cfg.n_steps:
             self.tuw_incremental += int(np.count_nonzero(clicked))
         if n >= cfg.warmup:
-            owners = self.catalog.creator_id[item]
-            for creator, count in zip(*np.unique(owners, return_counts=True)):
-                self.ledger.add_exposure(int(creator), int(count))
+            self.exposure += np.bincount(owner[item], minlength=len(self.exposure))
         return active
 
     def phase_lifecycle(self, n: int, visitors: list[int], step_seconds: float) -> None:

@@ -6,11 +6,11 @@ place and returns self, where `clicks` holds (user, item, step) rows (an
 (n, 3) int array or anything `np.asarray` turns into one);
 `scorer(item_ids, catalog)` does a pool's per-item work once (gathering factor
 rows, or Pop's counts) and returns `user -> scores`, a deterministic pure
-function of the trained parameters; `score(user, item_ids, catalog)` is that
-scorer for one user. A step's visitors are ranked from one `PoolView`: the
-scorer plus the pool's tie order (newer item first, then lower id), both built
-once per step. `rank_scored` takes each visitor's exact top-k from it with a
-partition, so only the scores tied with or above the k-th are sorted.
+function of the trained parameters. A step's visitors are ranked from one
+`PoolView`: the scorer plus the pool's tie order (newer item first, then lower
+id), both built once per step. `rank_scored` takes each visitor's exact top-k
+from it with a partition, so only the scores tied with or above the k-th are
+sorted, and returns the items and their scores as aligned arrays.
 
 MF and BPR are warm-started factorization models trained by mini-batch SGD on
 clicks, with one sampled negative per positive; items created after the last
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Catalog, ItemRecord, SimError, hash_uniform, stream
+from .core import Catalog, SimError, hash_uniform, stream
 from .users import UserAction, UserRuntime, react
 
 def _click_table(clicks) -> np.ndarray:
@@ -65,14 +65,7 @@ def build_candidate_pool(catalog: Catalog, step: int, window: int) -> CandidateP
     return CandidatePool(item_ids=ids, created_steps=catalog.created_step[ids], step=step)
 
 
-class _Ranker:
-    """A ranker's one-user scores, through the `scorer` each ranker defines."""
-
-    def score(self, user: int, item_ids: np.ndarray, catalog: Catalog) -> np.ndarray:
-        return self.scorer(item_ids, catalog)(user)
-
-
-class RandomRanker(_Ranker):
+class RandomRanker:
     """Uniform pseudo-random scores, stable under retraining."""
 
     name = "random"
@@ -87,7 +80,7 @@ class RandomRanker(_Ranker):
         return lambda user: hash_uniform(self.seed, user, item_ids)
 
 
-class PopRanker(_Ranker):
+class PopRanker:
     """Most-popular ranking by windowed click counts."""
 
     name = "pop"
@@ -124,7 +117,7 @@ def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
     np.add.at(table.reshape(-1), flat.reshape(-1), values.reshape(-1))
 
 
-class _FactorRanker(_Ranker):
+class _FactorRanker:
     """Shared machinery of the MF and BPR rankers.
 
     `PB` is (n_users, dim+1) and `QB` is (n_items, dim+1); `P`, `bu`, `Q` and
@@ -313,8 +306,8 @@ def pool_view(ranker, pool: CandidatePool, catalog: Catalog) -> PoolView:
     return PoolView(ranker.scorer(pool.item_ids, catalog), tie_order, pool.item_ids[tie_order])
 
 
-def rank_scored(view: PoolView, user: int, k: int) -> list[tuple[int, float]]:
-    """Top-k (item, score) pairs; ties go to the newer item, then lower id.
+def rank_scored(view: PoolView, user: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-k items and their scores; ties go to the newer item, then lower id.
 
     The order is `np.lexsort((item_ids, -created_steps, -scores))[:k]`. With
     the scores in tie order, a stable sort of `-scores` gives it; only the
@@ -329,11 +322,11 @@ def rank_scored(view: PoolView, user: int, k: int) -> list[tuple[int, float]]:
         if kth == kth:  # not NaN
             top = np.flatnonzero(neg <= kth)
     top = top[np.argsort(neg[top], kind="stable")[:k]]
-    return list(zip(view.tie_ids[top].tolist(), scores[top].tolist()))
+    return view.tie_ids[top], scores[top]
 
 
 def serve_session(
-    items: list[ItemRecord],
+    genres: np.ndarray,
     user: UserRuntime,
     rng: np.random.Generator,
     *,
@@ -341,13 +334,14 @@ def serve_session(
     exit_base: float = 0.05,
     exit_per_skip: float = 0.15,
 ) -> list[bool]:
-    """Serve a ranked list item by item; exposure stops at EXIT.
+    """Serve a ranked list, given as its items' genres, item by item; exposure stops at EXIT.
 
-    Returns one click flag per exposure, so the exposed items are `items[:len(result)]`.
+    Returns one click flag per exposure, so the exposed items are the list's
+    first `len(result)`.
     """
     clicked = []
-    for rec in items:
-        action = react(user, rec, rng, alpha_click, exit_base, exit_per_skip)
+    for genre in genres.tolist():
+        action = react(user, genre, rng, alpha_click, exit_base, exit_per_skip)
         clicked.append(action is UserAction.CLICK)
         if action is UserAction.EXIT:
             break

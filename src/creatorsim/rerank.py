@@ -2,154 +2,109 @@
 
 One diversity method (greedy marginal-relevance with a same-genre similarity
 indicator) and three provider-fairness methods that trade relevance against
-creator exposure state. All four consume (item, relevance) pairs in relevance
-order and return a permutation prefix of their input; with neutral parameters
-each one reduces to the identity ordering.
+creator exposure state. Each takes one visitor's candidates as aligned arrays
+(scores in relevance order, and the candidates' genres, ids or creators) and
+returns positions into them: a permutation prefix of the input, which with
+neutral parameters is the identity ordering.
+
+The fairness state is indexed by creator id: served exposures per creator
+(int64) and P-MMF's dual variables (float64). Exposure changes only after a
+step's serving, so the per-creator quantities derived from it, FairCo's
+exposure error and FairRec's under-served creators, are computed once per step
+by `fairco_errors` and `fairrec_under_served`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import ItemRecord
-
-Scored = tuple[ItemRecord, float]
+import numpy as np
 
 
-@dataclass
-class ExposureLedger:
-    """Served exposures per creator since the evaluation window opened."""
-
-    exposures: dict[int, int] = field(default_factory=dict)
-
-    def add_exposure(self, creator_id: int, count: int = 1) -> None:
-        self.exposures[creator_id] = self.exposures.get(creator_id, 0) + count
-
-    def exposure(self, creator_id: int) -> int:
-        return self.exposures.get(creator_id, 0)
-
-    def mean_exposure(self, creators) -> float:
-        creators = list(creators)
-        if not creators:
-            return 0.0
-        return sum(self.exposure(c) for c in creators) / len(creators)
-
-
-def mmr_rerank(scored: list[Scored], lam: float, k: int) -> list[ItemRecord]:
+def mmr_rerank(
+    scores: np.ndarray, genres: np.ndarray, item_ids: np.ndarray, lam: float, k: int
+) -> np.ndarray:
     """Greedy marginal relevance with genre-indicator similarity.
 
     Selects argmax of lam*rel(i) - (1-lam)*max_sim(i, selected); similarity is
     1 for a shared genre, else 0. Ties go to higher relevance, then lower id.
     """
-    remaining = list(scored)
-    selected: list[ItemRecord] = []
-    chosen_genres: set[int] = set()
-    while remaining and len(selected) < k:
-        best_idx = None
-        best_key = None
-        for idx, (rec, rel) in enumerate(remaining):
-            sim = 1.0 if rec.genre in chosen_genres else 0.0
-            value = lam * rel - (1.0 - lam) * sim
-            key = (value, rel, -rec.item_id)
-            if best_key is None or key > best_key:
-                best_key, best_idx = key, idx
-        rec, _ = remaining.pop(best_idx)
-        selected.append(rec)
-        chosen_genres.add(rec.genre)
-    return selected
+    gain = lam * scores
+    penalized = gain - (1.0 - lam)
+    chosen = np.zeros(int(genres.max(initial=-1)) + 1, dtype=bool)
+    free = np.ones(len(scores), dtype=bool)
+    picked = []
+    for _ in range(min(k, len(scores))):
+        value = np.where(chosen[genres], penalized, gain)
+        order = np.lexsort((item_ids, -scores, -value))
+        best = order[free[order]][0]
+        picked.append(best)
+        free[best] = False
+        chosen[genres[best]] = True
+    return np.asarray(picked, dtype=np.int64)
 
 
-def fairrec_rerank(
-    scored: list[Scored],
-    ledger: ExposureLedger,
-    k: int,
-    min_share: float,
-    alive_creators,
-) -> list[ItemRecord]:
+def fairrec_under_served(exposure: np.ndarray, alive: np.ndarray, min_share: float) -> np.ndarray:
+    """The alive creators below `min_share` of their mean exposure, least exposed first."""
+    held = exposure[alive]
+    mean = held.sum() / len(alive) if len(alive) else 0.0
+    under = held < min_share * mean
+    return alive[under][np.argsort(held[under], kind="stable")]
+
+
+def fairrec_rerank(creators: np.ndarray, under: np.ndarray, k: int) -> np.ndarray:
     """Two-phase greedy with a per-creator exposure floor.
 
-    Phase 1 walks the creators sitting below `min_share` of the average
-    exposure (least exposed first) and gives each its best-scoring candidate;
-    phase 2 fills the remaining slots in pure relevance order.
+    Phase 1 walks the under-served creators (`fairrec_under_served`, least
+    exposed first) and gives each its best-scoring candidate; phase 2 fills
+    the remaining slots in pure relevance order.
     """
-    alive = list(alive_creators)
-    avg = ledger.mean_exposure(alive)
-    threshold = min_share * avg
-    under = sorted(
-        (c for c in alive if ledger.exposure(c) < threshold),
-        key=lambda c: (ledger.exposure(c), c),
-    )
-    best_of: dict[int, ItemRecord] = {}
-    for rec, _ in scored:
-        if rec.creator_id not in best_of:
-            best_of[rec.creator_id] = rec
-    picked: list[ItemRecord] = []
-    used: set[int] = set()
-    for c in under:
-        if len(picked) >= k:
-            break
-        rec = best_of.get(c)
-        if rec is not None and rec.item_id not in used:
-            picked.append(rec)
-            used.add(rec.item_id)
-    for rec, _ in scored:
-        if len(picked) >= k:
-            break
-        if rec.item_id not in used:
-            picked.append(rec)
-            used.add(rec.item_id)
-    return picked
+    present, first = np.unique(creators, return_index=True)
+    floor = first[np.searchsorted(present, under[np.isin(under, present)])]
+    rest = np.ones(len(creators), dtype=bool)
+    rest[floor] = False
+    return np.concatenate((floor, np.flatnonzero(rest)))[:k]
+
+
+def fairco_errors(exposure: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Each creator's exposure error max(0, mean - exposure) / mean, 0 when mean is 0.
+
+    The mean is over the alive creators.
+    """
+    mean = exposure[alive].sum() / len(alive) if len(alive) else 0.0
+    if mean <= 0:
+        return np.zeros(len(exposure))
+    return np.maximum(0.0, mean - exposure) / mean
 
 
 def fairco_rerank(
-    scored: list[Scored],
-    ledger: ExposureLedger,
-    lambda_fair: float,
-    alive_creators,
-) -> list[ItemRecord]:
+    scores: np.ndarray, creators: np.ndarray, errors: np.ndarray, lambda_fair: float
+) -> np.ndarray:
     """Error-driven score adjustment toward equal creator exposure.
 
-    adjusted = relevance + lambda_fair * max(0, mean - exposure) / mean;
+    adjusted = relevance + lambda_fair * errors[creator] (`fairco_errors`);
     over-exposed creators get no penalty, only under-exposed ones a boost.
     """
-    mean = ledger.mean_exposure(list(alive_creators))
-    adjusted = []
-    for pos, (rec, rel) in enumerate(scored):
-        err = max(0.0, mean - ledger.exposure(rec.creator_id)) / mean if mean > 0 else 0.0
-        adjusted.append((-(rel + lambda_fair * err), pos, rec))
-    adjusted.sort(key=lambda t: (t[0], t[1]))
-    return [rec for _, _, rec in adjusted]
+    return np.argsort(-(scores + lambda_fair * errors[creators]), kind="stable")
 
 
 def pmmf_rerank(
-    scored: list[Scored],
-    duals: dict[int, float],
+    scores: np.ndarray,
+    creators: np.ndarray,
+    duals: np.ndarray,
     eta_dual: float,
     k: int,
-    alive_creators,
+    alive: np.ndarray,
     dual_max: float = 2.0,
-) -> tuple[list[ItemRecord], dict[int, float]]:
+) -> np.ndarray:
     """Dual-adjusted max-min exposure selection.
 
     Scores are lifted by each creator's dual variable before the top-k cut;
-    afterwards duals rise for creators selected below their fair share
-    (k / number of alive creators) and fall otherwise, clamped to
-    [0, dual_max]. Persistently under-served creators accumulate enough dual
-    mass to break into the list.
+    afterwards the alive creators' duals, updated in place, rise for creators
+    selected below their fair share (k / number of alive creators) and fall
+    otherwise, clamped to [0, dual_max]. Persistently under-served creators
+    accumulate enough dual mass to break into the list.
     """
-    alive = list(alive_creators)
-    adjusted = []
-    for pos, (rec, rel) in enumerate(scored):
-        adjusted.append((-(rel + duals.get(rec.creator_id, 0.0)), pos, rec))
-    adjusted.sort(key=lambda t: (t[0], t[1]))
-    selected = [rec for _, _, rec in adjusted[:k]]
-    counts: dict[int, int] = {}
-    for rec in selected:
-        counts[rec.creator_id] = counts.get(rec.creator_id, 0) + 1
-    new_duals = dict(duals)
-    if alive:
-        share = k / len(alive)
-        for c in alive:
-            updated = new_duals.get(c, 0.0) - eta_dual * (counts.get(c, 0) - share)
-            new_duals[c] = min(max(updated, 0.0), dual_max)
-    return selected, new_duals
+    selected = np.argsort(-(scores + duals[creators]), kind="stable")[:k]
+    if len(alive):
+        counts = np.bincount(creators[selected], minlength=len(duals))[alive]
+        duals[alive] = np.clip(duals[alive] - eta_dual * (counts - k / len(alive)), 0.0, dual_max)
+    return selected

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ItemRecord, SimError
+from .core import SimError
 
 NOVELTY_WEIGHT = 0.2  # marginal satiation per recent same-genre exposure
 
@@ -62,21 +62,21 @@ def click_probability(user: UserRuntime, genre: int, alpha_click: float = 0.8) -
 
 def react(
     user: UserRuntime,
-    item: ItemRecord,
+    genre: int,
     rng: np.random.Generator,
     alpha_click: float = 0.8,
     exit_base: float = 0.05,
     exit_per_skip: float = 0.15,
 ) -> UserAction:
-    """Respond to one recommended item: click, skip, or exit.
+    """Respond to one recommended item, of `genre`: click, skip, or exit.
 
     The exit hazard grows with the skip streak: eps = exit_base +
     exit_per_skip * consecutive_skips, evaluated before this item's outcome.
     """
     if user.exited:
         raise SessionClosed(f"user {user.user_id} already exited this step")
-    p_click = click_probability(user, item.genre, alpha_click)
-    user.recent_exposure[item.genre] += 1.0
+    p_click = click_probability(user, genre, alpha_click)
+    user.recent_exposure[genre] += 1.0
     user.items_seen += 1
     if rng.random() < p_click:
         user.consecutive_skips = 0

@@ -288,9 +288,9 @@ def test_10_ranker_sanity():
             ranker.retrain(train, cat, step)
         wins = total = 0
         for user, held in ((1, 1), (3, 3)):
-            s_in = ranker.score(user, np.array([held]), cat)[0]
+            s_in = ranker.scorer(np.array([held]), cat)(user)[0]
             for other in ({1: [2, 3], 3: [0, 1]}[user]):
-                wins += s_in > ranker.score(user, np.array([other]), cat)[0]
+                wins += s_in > ranker.scorer(np.array([other]), cat)(user)[0]
                 total += 1
         results[name] = wins / total
     elapsed = time.perf_counter() - started

@@ -24,7 +24,7 @@ from creatorsim.users import UserRuntime
 
 
 def top_ids(ranker, user, pool, k, cat):
-    return [item for item, _ in rank_scored(pool_view(ranker, pool, cat), user, k)]
+    return rank_scored(pool_view(ranker, pool, cat), user, k)[0].tolist()
 
 
 def catalog_with(n_items, genre_of=lambda i: i % 3, created=lambda i: 0):
@@ -56,7 +56,7 @@ class TestPop:
         cat = catalog_with(3)
         clicks = [(0, 0, 1)] * 3 + [(0, 1, 1)]
         r = PopRanker(window=20).retrain(clicks, cat, step=1)
-        s = r.score(0, np.array([0, 1, 2]), cat)
+        s = r.scorer(np.array([0, 1, 2]), cat)(0)
         assert s[0] > s[1] > s[2] == 0
 
     def test_rank_top2(self):
@@ -70,16 +70,16 @@ class TestPop:
         cat = catalog_with(2)
         clicks = [(0, 0, 1)] * 5 + [(0, 1, 30)]
         r = PopRanker(window=20).retrain(clicks, cat, step=30)
-        s = r.score(0, np.array([0, 1]), cat)
+        s = r.scorer(np.array([0, 1]), cat)(0)
         assert s[0] == 0 and s[1] == 1
 
     def test_tolerates_empty(self):
         cat = catalog_with(2)
         r = PopRanker(window=20).retrain([], cat, step=0)
-        assert r.score(0, np.array([0, 1]), cat).tolist() == [0.0, 0.0]
+        assert r.scorer(np.array([0, 1]), cat)(0).tolist() == [0.0, 0.0]
 
     def test_untrained_scores_zeros(self):
-        assert PopRanker(window=20).score(0, np.array([0, 1]), Catalog()).tolist() == [0.0, 0.0]
+        assert PopRanker(window=20).scorer(np.array([0, 1]), Catalog())(0).tolist() == [0.0, 0.0]
 
 
 class TestRank:
@@ -112,9 +112,9 @@ class TestRandomRanker:
         cat = catalog_with(10)
         r = RandomRanker(seed=9)
         ids = np.arange(10)
-        before = r.score(3, ids, cat)
+        before = r.scorer(ids, cat)(3)
         r.retrain([(0, 1, 2)], cat, step=5)
-        assert np.array_equal(before, r.score(3, ids, cat))
+        assert np.array_equal(before, r.scorer(ids, cat)(3))
 
 
 class ScriptedRng:
@@ -131,20 +131,18 @@ class TestServeSession:
         return UserRuntime(user_id=0, preference=pref, activity=1.0)
 
     def test_exit_at_position_two_yields_two_exposures(self):
-        cat = catalog_with(5, genre_of=lambda i: 0)
-        items = [cat[i] for i in range(5)]
+        genres = np.zeros(5, dtype=np.int64)
         # item1: no click (0.9), no exit (0.9); item2: no click (0.9), exit (0.0)
         rng = ScriptedRng([0.9, 0.9, 0.9, 0.0])
-        assert serve_session(items, self._user(), rng) == [False, False]
+        assert serve_session(genres, self._user(), rng) == [False, False]
 
     def test_click_all(self):
-        cat = catalog_with(5, genre_of=lambda i: 0)
-        items = [cat[i] for i in range(5)]
+        genres = np.zeros(5, dtype=np.int64)
         rng = ScriptedRng([0.0] * 5)
-        assert serve_session(items, self._user(), rng) == [True] * 5
+        assert serve_session(genres, self._user(), rng) == [True] * 5
 
     def test_empty_list(self):
-        assert serve_session([], self._user(), ScriptedRng([])) == []
+        assert serve_session(np.empty(0, np.int64), self._user(), ScriptedRng([])) == []
 
 
 def block_diagonal_setup(ranker_name, seed=13):
@@ -166,9 +164,9 @@ def test_block_diagonal_heldout_beats_cross_block(name):
     r, cat, held_out, cross = block_diagonal_setup(name)
     wins = total = 0
     for user, item in held_out:
-        s_in = r.score(user, np.array([item]), cat)[0]
+        s_in = r.scorer(np.array([item]), cat)(user)[0]
         for other in cross[user]:
-            s_out = r.score(user, np.array([other]), cat)[0]
+            s_out = r.scorer(np.array([other]), cat)(user)[0]
             wins += s_in > s_out
             total += 1
     assert wins / total >= 0.9
@@ -210,7 +208,7 @@ def test_cold_item_scored_by_genre_mean():
     trained_genre1 = [i for i in range(6) if cat[i].genre == 1]
     expected_vec = r.Q[trained_genre1].mean(axis=0)
     expected = r.bu[1] + r.bi[trained_genre1].mean() + expected_vec @ r.P[1]
-    got = r.score(1, np.array([fresh.item_id]), cat)[0]
+    got = r.scorer(np.array([fresh.item_id]), cat)(1)[0]
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -375,7 +373,7 @@ def test_scorer_equals_score_bit_for_bit(ids):
         for user in (0, 5, 2, 0):  # one scorer serves users in turn
             got = score(user)
             assert got.dtype == np.float64 and got.shape == ids.shape
-            assert np.array_equal(got, r.score(user, ids, cat)), r.name
+            assert np.array_equal(got, r.scorer(ids, cat)(user)), r.name
             if r.name in ("mf", "bpr"):
                 assert np.array_equal(got, _factor_score_per_user(r, user, ids, cat)), r.name
 
@@ -415,16 +413,16 @@ def ranked_pools(draw):
 def test_rank_scored_equals_lexsort(case):
     ids, created, scores, k = case
     view = pool_view(_FixedScores(scores), CandidatePool(ids, created, 0), None)
-    got = rank_scored(view, 0, k)
+    got_ids, got_scores = rank_scored(view, 0, k)
     want_ids, want_scores = _lexsort_top(ids, created, scores, k)
-    assert [item for item, _ in got] == want_ids
+    assert got_ids.tolist() == want_ids
     # bit for bit, so a NaN equals itself and -0.0 differs from 0.0
-    assert np.array([s for _, s in got], dtype=np.float64).tobytes() == want_scores.tobytes()
+    assert got_scores.dtype == np.float64 and got_scores.tobytes() == want_scores.tobytes()
 
 
 def test_rank_scored_nan_cut_keeps_every_item():
     scores = np.array([np.nan, 1.0, np.nan, 0.0, np.nan])
     ids, created = np.arange(5), np.zeros(5, dtype=np.int64)
     view = pool_view(_FixedScores(scores), CandidatePool(ids, created, 0), None)
-    assert [item for item, _ in rank_scored(view, 0, 3)] == [1, 3, 0]
-    assert [item for item, _ in rank_scored(view, 0, 4)] == [1, 3, 0, 2]
+    assert rank_scored(view, 0, 3)[0].tolist() == [1, 3, 0]
+    assert rank_scored(view, 0, 4)[0].tolist() == [1, 3, 0, 2]

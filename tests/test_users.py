@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from creatorsim.core import ItemRecord, stream
+from creatorsim.core import stream
 from creatorsim.users import (
     SessionClosed,
     UserAction,
@@ -27,10 +27,6 @@ def make_user(n_genres=14, pref=None, activity=0.5):
     if pref is None:
         pref = np.full(n_genres, 1.0 / n_genres)
     return UserRuntime(user_id=0, preference=np.asarray(pref, dtype=float), activity=activity)
-
-
-def make_item(genre=0, item_id=0):
-    return ItemRecord(item_id, 0, genre, "t", (), "", 1)
 
 
 class TestIsActive:
@@ -63,17 +59,17 @@ class TestReact:
         rng = stream(3, "u")
         for _ in range(30):
             u.exited = False
-            assert react(u, make_item(genre=0), rng) is not UserAction.CLICK
+            assert react(u, 0, rng) is not UserAction.CLICK
 
     def test_exit_probability_after_three_skips(self):
         u = make_user(pref=np.zeros(14))
         u.preference[0] = 0.0  # never clicks
         u.consecutive_skips = 3
         # click draw fails (any value), exit draw compared against 0.5
-        assert react(u, make_item(), ScriptedRng([0.9, 0.499])) is UserAction.EXIT
+        assert react(u, 0, ScriptedRng([0.9, 0.499])) is UserAction.EXIT
         u = make_user(pref=np.zeros(14))
         u.consecutive_skips = 3
-        assert react(u, make_item(), ScriptedRng([0.9, 0.501])) is UserAction.SKIP
+        assert react(u, 0, ScriptedRng([0.9, 0.501])) is UserAction.SKIP
 
     def test_satiation_discounts_click_probability(self):
         u = make_user()
@@ -83,14 +79,14 @@ class TestReact:
     def test_click_resets_skip_streak(self):
         u = make_user()
         u.consecutive_skips = 4
-        assert react(u, make_item(), ScriptedRng([0.0])) is UserAction.CLICK
+        assert react(u, 0, ScriptedRng([0.0])) is UserAction.CLICK
         assert u.consecutive_skips == 0
 
     def test_react_after_exit_rejected(self):
         u = make_user()
         u.exited = True
         with pytest.raises(SessionClosed):
-            react(u, make_item(), ScriptedRng([0.0]))
+            react(u, 0, ScriptedRng([0.0]))
 
     def test_click_rate_monotone_in_preference(self):
         probs = []
@@ -133,11 +129,11 @@ class TestEndStep:
         for step in range(300):
             visitors = np.flatnonzero(visits.random(n_users) < 0.4).tolist()
             for idx in visitors:
-                feed = [make_item(genre=int(g)) for g in visits.integers(0, n_genres, size=6)]
+                feed = visits.integers(0, n_genres, size=6).tolist()
                 for u in (users[idx], alone[idx]):
                     rng = stream(step, "feed", idx)  # the same draws for both copies
-                    for item in feed:
-                        if react(u, item, rng) is UserAction.EXIT:
+                    for genre in feed:
+                        if react(u, genre, rng) is UserAction.EXIT:
                             break
             end_step([users[idx] for idx in visitors], table, decay)
             for u in alone:

@@ -451,6 +451,16 @@ SYNTH_PINS = {
             "interactions.csv": "57dc1760bcce07fa13328ca33e2239b8ba09f4aa59feb5143bb8a0b9309da809",
         },
     ),
+    # the wide-catalog shape: the busiest user has about 4,000 interactions
+    "wide": (
+        dict(n_users=1000, n_creators=200, seed=1),
+        {
+            "users.csv": "a9e622ad99c47b7d4d1d55270edb8cba840c155a5ff6767a17006ee232173e18",
+            "creators.csv": "278c9a30cb929752738e03d78af1d17189169d3004609e9cd360b739bed5c2d5",
+            "items.csv": "66e1c21bf83f678819de88d31afbece5a4360c1deed027d24124dd1acee745ae",
+            "interactions.csv": "97a501604e6dc7ad423cae6cb6dd9b7e3bb953b5f4ec82dfc0e4e93299ddf256",
+        },
+    ),
 }
 
 

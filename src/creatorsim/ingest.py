@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,89 @@ class SynthParams:
                 raise InvalidParams(message)
 
 
+_WORD = 1 << 32
+_LOW = np.uint64(_WORD - 1)
+_WINDOW = 256  # pairs per array pass: bounds the temporaries and the work a fallback redoes
+
+
+def _draw_pairs(
+    rng: np.random.Generator, first_span: np.ndarray, base: np.ndarray, second_span: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the scalar draws `a[k] = rng.integers(first_span[k])`, then
+    `b[k] = rng.integers(second_span[base[k] + a[k]])`, for k = 0, 1, ...;
+    returns the slots `base + a` and `b`.
+
+    All arrays are uint64, spans in [1, 2**32 - 1]. The values, and the
+    generator's state afterwards, are those of the scalar calls. The words
+    come from one block of `next_uint32` output. Pairs are decoded with array
+    ops on the guess that every second draw takes one word, up to the first
+    pair where that guess may fail: a second span of 1, which takes no word,
+    or a product whose low half is below its span, which numpy may reject.
+    That pair is decoded one word at a time, the rest again with array ops,
+    at most `_WINDOW` pairs per pass. Finally the generator is rewound and
+    advances by exactly the words used.
+    """
+    n = len(first_span)
+    slots = np.empty(n, np.uint64)
+    b = np.empty(n, np.uint64)
+    if n == 0:
+        return slots, b
+    takes = first_span > 1
+    # each pair's words on that guess, counted from the block's start
+    pos_b = np.add.accumulate(takes, dtype=np.intp) + np.arange(n)
+    pos_a = pos_b - takes
+    start = rng.bit_generator.state
+    words = rng.integers(0, _WORD, size=int(pos_b[-1]) + 1, dtype=np.uint64)
+    used = i = 0
+    while i < n:
+        stop = min(i + _WINDOW, n)
+        shift = used - int(pos_a[i])
+        need = int(pos_b[stop - 1]) + shift + 1
+        if need > len(words):
+            words = np.concatenate([words, rng.integers(0, _WORD, size=need - len(words), dtype=np.uint64)])
+        span_a = first_span[i:stop]
+        m_a = words[pos_a[i:stop] + shift] * span_a
+        slot = base[i:stop] + (m_a >> 32)
+        span_b = second_span[slot]
+        m_b = words[pos_b[i:stop] + shift] * span_b
+        unsure = ((m_a & _LOW) < span_a) | ((m_b & _LOW) < span_b) | (span_b == 1)
+        j = int(unsure.argmax())
+        if not unsure[j]:
+            slots[i:stop] = slot
+            b[i:stop] = m_b >> 32
+            used = need
+            i = stop
+            continue
+        slots[i : i + j] = slot[:j]
+        b[i : i + j] = m_b[:j] >> 32
+        i += j
+        used = int(pos_a[i]) + shift
+        words, used, a_i = _draw_one(rng, words, used, int(first_span[i]))
+        slots[i] = int(base[i]) + a_i
+        words, used, b[i] = _draw_one(rng, words, used, int(second_span[slots[i]]))
+        i += 1
+    if used < len(words):
+        rng.bit_generator.state = start
+        rng.integers(0, _WORD, size=used, dtype=np.uint64)
+    return slots, b
+
+
+def _draw_one(rng: np.random.Generator, words: np.ndarray, used: int, span: int):
+    """`rng.integers(span)` by numpy's rule, reading words from `used` on;
+    returns the word block (extended when it runs out), the new read position
+    and the value."""
+    if span == 1:
+        return words, used, 0
+    threshold = (_WORD - span) % span
+    while True:
+        if used == len(words):
+            words = np.concatenate([words, rng.integers(0, _WORD, size=len(words), dtype=np.uint64)])
+        m = int(words[used]) * span
+        used += 1
+        if m & (_WORD - 1) >= threshold:
+            return words, used, m >> 32
+
+
 def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
     """Generate a reproducible synthetic dataset.
 
@@ -346,10 +430,23 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
     genre popularity follows a power law with exponent `genre_skew`, and each
     creator's genre mix is a Dirichlet draw sharpened by `genre_concentration`.
 
-    An interaction's item is drawn as `candidates[rng.integers(len(candidates))]`:
-    `Generator.choice(a)` over a 1-D population without `p` draws exactly
-    `integers(0, len(a))` and indexes with it, so this is the same stream and
-    the same dataset, without `choice`'s per-call overhead.
+    A user's interactions are defined by scalar draws: per interaction, an
+    item `candidates[rng.integers(len(candidates))]` of its genre (any item,
+    `rng.integers(n_items)`, when the genre has none; `Generator.choice(a)`
+    over a 1-D population without `p` draws the same index), then a day
+    `rng.integers(created_day[item], n_days + 1)`. `_draw_pairs` decodes them
+    from one block of words per user, relying on three facts of numpy's
+    `Generator`:
+
+    - a draw over a range of `span` values, `span` below 2**32, is Lemire's
+      multiply-shift on a `next_uint32` word `x`: `(x * span) >> 32`, redrawn
+      while `(x * span) & 0xFFFFFFFF` is below `(2**32 - span) % span`;
+    - a draw with `span` 1 uses no word;
+    - `integers(0, 2**32, dtype=np.uint64)` returns consecutive `next_uint32`
+      words.
+
+    The pinned dataset files (`SYNTH_PINS` in tests/test_ingest.py) check
+    these facts on whichever numpy is installed.
     """
     params.validate()
     p = params
@@ -367,43 +464,51 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
     item_counts = rng.multinomial(p.n_creators * p.items_per_creator, creator_weights)
 
     alpha = np.maximum(genre_pop * G / p.genre_concentration, 1e-6)
+    slugs = [DEFAULT_GENRES[g].split(" ")[0].lower().strip(",&") for g in range(G)]
+    tags = [[(slug, f"{slug}-style-{r}") for r in range(3)] for slug in slugs]
     items: list[ItemRow] = []
-    items_by_genre: list[list[int]] = [[] for _ in range(G)]
     for c in range(p.n_creators):
         mix = rng.dirichlet(alpha)
         genres = rng.choice(G, size=item_counts[c], p=mix).tolist()
         days = np.sort(rng.integers(1, p.n_days + 1, size=item_counts[c])).tolist()
+        name = creators[c].name
         for k, (g, day) in enumerate(zip(genres, days)):
-            item_id = len(items)
-            slug = DEFAULT_GENRES[g].split(" ")[0].lower().strip(",&")
             items.append(
                 ItemRow(
-                    item_id=item_id,
+                    item_id=len(items),
                     creator_id=c,
                     genre=g,
-                    title=f"{creators[c].name} clip {k + 1}",
-                    tags=(slug, f"{slug}-style-{k % 3}"),
-                    description=f"A {DEFAULT_GENRES[g]} upload by {creators[c].name}.",
+                    title=f"{name} clip {k + 1}",
+                    tags=tags[g][k % 3],
+                    description=f"A {DEFAULT_GENRES[g]} upload by {name}.",
                     created_day=day,
                 )
             )
-            items_by_genre[g].append(item_id)
 
     user_weights = (np.arange(p.n_users, dtype=float) + 1.0) ** (-1.0)
     user_weights /= user_weights.sum()
     inter_counts = rng.multinomial(p.n_users * p.interactions_per_user, user_weights)
     n_items = len(items)
-    created_day = [it.created_day for it in items]
+    item_genre = np.array([it.genre for it in items], dtype=np.int64)
+    created_day = np.array([it.created_day for it in items], dtype=np.uint64)
+    # The pool holds each genre's items in id order, then every item again for
+    # the genres without any; an interaction of genre g picks one of the
+    # span[g] slots from base[g] on.
+    size = np.bincount(item_genre, minlength=G).astype(np.uint64)
+    pool = np.concatenate([np.argsort(item_genre, kind="stable"), np.arange(n_items)])
+    span = np.where(size > 0, size, np.uint64(n_items))
+    base = np.where(size > 0, np.cumsum(size) - size, np.uint64(n_items))
+    pool_day = created_day[pool]
+    day_span = p.n_days + 1 - pool_day
+    # rows share the items' id objects, as indexing a list of ids did
+    pool_id = np.array([it.item_id for it in items], dtype=object)[pool]
+    pref_alpha = np.maximum(genre_pop * G / 2.0, 1e-6)
     interactions: list[InteractionRow] = []
     for u in range(p.n_users):
-        pref = rng.dirichlet(np.maximum(genre_pop * G / 2.0, 1e-6))
-        for g in rng.choice(G, size=inter_counts[u], p=pref).tolist():
-            candidates = items_by_genre[g]
-            if candidates:
-                item_id = candidates[int(rng.integers(len(candidates)))]
-            else:
-                item_id = int(rng.integers(n_items))
-            day = int(rng.integers(created_day[item_id], p.n_days + 1))
-            interactions.append(InteractionRow(user_id=u, item_id=item_id, day=day))
+        pref = rng.dirichlet(pref_alpha)
+        g = rng.choice(G, size=inter_counts[u], p=pref)
+        slot, b = _draw_pairs(rng, span[g], base[g], day_span)
+        day = pool_day[slot] + b
+        interactions.extend(map(InteractionRow, repeat(u, len(g)), pool_id[slot].tolist(), day.tolist()))
 
     return Dataset(users=users, creators=creators, items=items, interactions=interactions)

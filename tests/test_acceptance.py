@@ -89,17 +89,18 @@ def test_01_asymmetry_enforcement():
             items, clicked = zip(*block)
             catalog.add_feedback(np.array(items), 1, np.array(clicked))
             events += block
+        # the block's totals per item, tallied from the test's own record
+        expected_exposures = np.bincount(np.array([i for i, _ in events], dtype=int), minlength=n_items)
+        expected_clicks = np.bincount(np.array([i for i, c in events if c], dtype=int), minlength=n_items)
         for _ in range(2_500):
             queries += 1
             creator = int(rng.integers(0, n_creators))
             item = int(rng.integers(0, n_items))
             if owners[item] == creator:
-                expected = (
-                    sum(1 for i, _ in events if i == item),
-                    sum(1 for i, c in events if i == item and c),
-                )
                 exposures, clicks = creator_view(catalog, creator, [item])
-                assert (exposures.tolist(), clicks.tolist()) == ([expected[0]], [expected[1]])
+                assert (exposures.tolist(), clicks.tolist()) == (
+                    [expected_exposures[item]], [expected_clicks[item]]
+                )
             else:
                 try:
                     creator_view(catalog, creator, [item])

@@ -1,11 +1,13 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creatorsim.core import SimConfig, stream
+from creatorsim import ingest
 from creatorsim.harness import _World, _index_of
 from creatorsim.ingest import (
     DEFAULT_GENRES,
@@ -20,6 +22,7 @@ from creatorsim.ingest import (
     SchemaError,
     SynthParams,
     UserRow,
+    _draw_pairs,
     init_creator_seeds,
     init_user_seeds,
     load_dataset,
@@ -474,3 +477,57 @@ def test_synth_files_pinned(name, tmp_path):
     d.to_dir(tmp_path)
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in pinned}
     assert digests == pinned
+
+
+# Spans that stress the decoder: 1 takes no word, and for 2**31 + 1 numpy
+# rejects about half the words, so a block outruns its first buffer.
+EDGE_SPANS = [1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1]
+
+
+@st.composite
+def pair_draws(draw):
+    """A seed, a number of 32-bit words to draw first (an odd number leaves
+    half of a 64-bit output buffered), a table of second spans and the
+    (base, first span) of each pair."""
+    spans = st.one_of(st.sampled_from(EDGE_SPANS), st.integers(1, 2**32 - 1))
+    if draw(st.booleans()):
+        table = np.array(draw(st.lists(spans, min_size=1, max_size=30)), dtype=np.uint64)
+    else:
+        # one second span for every slot, so first spans may cover the full range
+        table = np.broadcast_to(np.uint64(draw(spans)), (2**32 - 1,))
+    n = len(table)
+    first = draw(st.lists(st.one_of(spans, st.integers(1, n)).map(lambda s: min(s, n)), max_size=80))
+    base = [draw(st.integers(0, n - s)) for s in first]
+    return draw(st.integers(0, 2**32)), draw(st.integers(0, 3)), table, base, first
+
+
+def rejections():
+    """Half the words rejected in both draws of 64 pairs: about 256 words
+    for a first block of 128."""
+    span = 2**31 + 1
+    return 5, 1, np.broadcast_to(np.uint64(span), (2**32 - 1,)), [0] * 64, [span] * 64
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_draws(), window=st.sampled_from([1, 3, 256]))
+@example(case=rejections(), window=256)
+@example(case=(1, 0, np.array([1], dtype=np.uint64), [0] * 20, [1] * 20), window=3)
+@example(
+    case=(2, 1, np.array([5, 1, 1, 2**31 + 1], dtype=np.uint64), [0, 0, 1, 3, 0, 2, 1], [3, 4, 3, 1, 1, 2, 2]),
+    window=3,
+)
+def test_draw_pairs_equal_scalar_draws(case, window):
+    seed, warm, table, base, first = case
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for r in (rng, ref):
+        r.integers(0, 2**32, size=warm, dtype=np.uint64)
+    with mock.patch.object(ingest, "_WINDOW", window):  # small windows: many array passes
+        slots, b = _draw_pairs(
+            rng, np.array(first, dtype=np.uint64), np.array(base, dtype=np.uint64), table
+        )
+    want_slots, want_b = [], []
+    for k, s in zip(base, first):
+        want_slots.append(k + int(ref.integers(s)))
+        want_b.append(int(ref.integers(int(table[want_slots[-1]]))))
+    assert (slots.tolist(), b.tolist()) == (want_slots, want_b)
+    assert rng.bit_generator.state == ref.bit_generator.state

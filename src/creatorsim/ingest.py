@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -326,8 +325,10 @@ class SynthParams:
             (self.n_users >= 1, "n_users must be >= 1"),
             (self.n_creators >= 1, "n_creators must be >= 1"),
             (1 <= self.n_genres <= len(DEFAULT_GENRES), f"n_genres must be in [1, {len(DEFAULT_GENRES)}]"),
-            (self.n_days >= 1, "n_days must be >= 1"),
+            # every draw of an item index or a day must span fewer than 2**32 values
+            (1 <= self.n_days < 2**32, "n_days must be in [1, 2**32 - 1]"),
             (self.items_per_creator >= 1, "items_per_creator must be >= 1"),
+            (self.n_creators * self.items_per_creator < 2**32, "n_creators * items_per_creator must be < 2**32"),
             (self.interactions_per_user >= 0, "interactions_per_user must be >= 0"),
             (self.genre_skew >= 0.0, "genre_skew must be >= 0"),
             (self.genre_concentration > 0.0, "genre_concentration must be > 0"),
@@ -341,86 +342,44 @@ class SynthParams:
 
 
 _WORD = 1 << 32
-_LOW = np.uint64(_WORD - 1)
-_WINDOW = 256  # pairs per array pass: bounds the temporaries and the work a fallback redoes
 
 
-def _draw_pairs(
-    rng: np.random.Generator, first_span: np.ndarray, base: np.ndarray, second_span: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _draw_pairs(rng: np.random.Generator, first_span, base, second_span) -> tuple[list, list]:
     """Decode the scalar draws `a[k] = rng.integers(first_span[k])`, then
     `b[k] = rng.integers(second_span[base[k] + a[k]])`, for k = 0, 1, ...;
-    returns the slots `base + a` and `b`.
+    returns the slots `base + a` and `b` as lists.
 
-    All arrays are uint64, spans in [1, 2**32 - 1]. The values, and the
-    generator's state afterwards, are those of the scalar calls. The words
-    come from one block of `next_uint32` output. Pairs are decoded with array
-    ops on the guess that every second draw takes one word, up to the first
-    pair where that guess may fail: a second span of 1, which takes no word,
-    or a product whose low half is below its span, which numpy may reject.
-    That pair is decoded one word at a time, the rest again with array ops,
-    at most `_WINDOW` pairs per pass. Finally the generator is rewound and
-    advances by exactly the words used.
+    Spans are Python ints in [1, 2**32 - 1] (a numpy uint64 would wrap the
+    64-bit products). The values, and the generator's state afterwards, are
+    those of the scalar calls: the words come from one block of `next_uint32`
+    output (extended if rejections use it up), each draw is decoded from them
+    by numpy's rule, and the generator is then rewound and advances by exactly
+    the words used.
     """
-    n = len(first_span)
-    slots = np.empty(n, np.uint64)
-    b = np.empty(n, np.uint64)
-    if n == 0:
-        return slots, b
-    takes = first_span > 1
-    # each pair's words on that guess, counted from the block's start
-    pos_b = np.add.accumulate(takes, dtype=np.intp) + np.arange(n)
-    pos_a = pos_b - takes
     start = rng.bit_generator.state
-    words = rng.integers(0, _WORD, size=int(pos_b[-1]) + 1, dtype=np.uint64)
-    used = i = 0
-    while i < n:
-        stop = min(i + _WINDOW, n)
-        shift = used - int(pos_a[i])
-        need = int(pos_b[stop - 1]) + shift + 1
-        if need > len(words):
-            words = np.concatenate([words, rng.integers(0, _WORD, size=need - len(words), dtype=np.uint64)])
-        span_a = first_span[i:stop]
-        m_a = words[pos_a[i:stop] + shift] * span_a
-        slot = base[i:stop] + (m_a >> 32)
-        span_b = second_span[slot]
-        m_b = words[pos_b[i:stop] + shift] * span_b
-        unsure = ((m_a & _LOW) < span_a) | ((m_b & _LOW) < span_b) | (span_b == 1)
-        j = int(unsure.argmax())
-        if not unsure[j]:
-            slots[i:stop] = slot
-            b[i:stop] = m_b >> 32
-            used = need
-            i = stop
-            continue
-        slots[i : i + j] = slot[:j]
-        b[i : i + j] = m_b[:j] >> 32
-        i += j
-        used = int(pos_a[i]) + shift
-        words, used, a_i = _draw_one(rng, words, used, int(first_span[i]))
-        slots[i] = int(base[i]) + a_i
-        words, used, b[i] = _draw_one(rng, words, used, int(second_span[slots[i]]))
-        i += 1
-    if used < len(words):
-        rng.bit_generator.state = start
-        rng.integers(0, _WORD, size=used, dtype=np.uint64)
+    words = rng.integers(0, _WORD, size=2 * len(first_span), dtype=np.uint64).tolist()
+    used = 0
+
+    def draw(span):
+        nonlocal used
+        if span == 1:
+            return 0
+        threshold = (_WORD - span) % span
+        while True:
+            if used == len(words):
+                words.extend(rng.integers(0, _WORD, size=len(words) + 1, dtype=np.uint64).tolist())
+            m = words[used] * span
+            used += 1
+            if m & (_WORD - 1) >= threshold:
+                return m >> 32
+
+    slots, b = [], []
+    for span, k in zip(first_span, base):
+        slots.append(k + draw(span))
+        b.append(draw(second_span[slots[-1]]))
+    rng.bit_generator.state = start
+    rng.integers(0, _WORD, size=used, dtype=np.uint64)
     return slots, b
-
-
-def _draw_one(rng: np.random.Generator, words: np.ndarray, used: int, span: int):
-    """`rng.integers(span)` by numpy's rule, reading words from `used` on;
-    returns the word block (extended when it runs out), the new read position
-    and the value."""
-    if span == 1:
-        return words, used, 0
-    threshold = (_WORD - span) % span
-    while True:
-        if used == len(words):
-            words = np.concatenate([words, rng.integers(0, _WORD, size=len(words), dtype=np.uint64)])
-        m = int(words[used]) * span
-        used += 1
-        if m & (_WORD - 1) >= threshold:
-            return words, used, m >> 32
 
 
 def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
@@ -499,16 +458,17 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
     span = np.where(size > 0, size, np.uint64(n_items))
     base = np.where(size > 0, np.cumsum(size) - size, np.uint64(n_items))
     pool_day = created_day[pool]
-    day_span = p.n_days + 1 - pool_day
+    day_span = (p.n_days + 1 - pool_day).tolist()
+    pool_day = pool_day.tolist()
     # rows share the items' id objects, as indexing a list of ids did
-    pool_id = np.array([it.item_id for it in items], dtype=object)[pool]
+    ids = [it.item_id for it in items]
+    pool_id = [ids[i] for i in pool.tolist()]
     pref_alpha = np.maximum(genre_pop * G / 2.0, 1e-6)
     interactions: list[InteractionRow] = []
     for u in range(p.n_users):
         pref = rng.dirichlet(pref_alpha)
         g = rng.choice(G, size=inter_counts[u], p=pref)
-        slot, b = _draw_pairs(rng, span[g], base[g], day_span)
-        day = pool_day[slot] + b
-        interactions.extend(map(InteractionRow, repeat(u, len(g)), pool_id[slot].tolist(), day.tolist()))
+        slots, b = _draw_pairs(rng, span[g].tolist(), base[g].tolist(), day_span)
+        interactions.extend(InteractionRow(u, pool_id[s], pool_day[s] + d) for s, d in zip(slots, b))
 
     return Dataset(users=users, creators=creators, items=items, interactions=interactions)

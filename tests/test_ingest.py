@@ -1,13 +1,13 @@
 import hashlib
-from unittest import mock
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from creatorsim.cli import main as cli_main
 from creatorsim.core import SimConfig, stream
-from creatorsim import ingest
 from creatorsim.harness import _World, _index_of
 from creatorsim.ingest import (
     DEFAULT_GENRES,
@@ -401,6 +401,21 @@ class TestSynth:
             SynthParams(n_genres=15).validate()
         with pytest.raises(InvalidParams):
             SynthParams(genre_concentration=0.0).validate()
+        with pytest.raises(InvalidParams, match="n_days"):
+            SynthParams(n_days=2**32).validate()
+        with pytest.raises(InvalidParams, match="items_per_creator"):
+            SynthParams(n_creators=2**16, items_per_creator=2**16).validate()
+
+    def test_day_span_beyond_32_bits_is_a_usage_error(self, tmp_path):
+        """The decoder's draws span fewer than 2**32 values; a longer horizon
+        is refused up front instead of looping on an unreachable threshold."""
+        params = tmp_path / "params.txt"
+        params.write_text(f"n_users = 3\nn_creators = 2\nn_days = {2**32 + 1}\n")
+        assert cli_main(["synth", "--params", str(params), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        p = SynthParams(n_users=3, n_creators=2, n_days=2**32 - 1)
+        d = synth_dataset(p, stream(p.seed, "synth"))
+        assert max(r.day for r in d.interactions) <= 2**32 - 1
 
     def test_params_file_roundtrip(self, tmp_path):
         path = tmp_path / "params.txt"
@@ -491,11 +506,13 @@ def pair_draws(draw):
     (base, first span) of each pair."""
     spans = st.one_of(st.sampled_from(EDGE_SPANS), st.integers(1, 2**32 - 1))
     if draw(st.booleans()):
-        table = np.array(draw(st.lists(spans, min_size=1, max_size=30)), dtype=np.uint64)
+        table = draw(st.lists(spans, min_size=1, max_size=30))
+        n = len(table)
     else:
         # one second span for every slot, so first spans may cover the full range
-        table = np.broadcast_to(np.uint64(draw(spans)), (2**32 - 1,))
-    n = len(table)
+        span = draw(spans)
+        table = defaultdict(lambda: span)
+        n = 2**32 - 1
     first = draw(st.lists(st.one_of(spans, st.integers(1, n)).map(lambda s: min(s, n)), max_size=80))
     base = [draw(st.integers(0, n - s)) for s in first]
     return draw(st.integers(0, 2**32)), draw(st.integers(0, 3)), table, base, first
@@ -505,29 +522,23 @@ def rejections():
     """Half the words rejected in both draws of 64 pairs: about 256 words
     for a first block of 128."""
     span = 2**31 + 1
-    return 5, 1, np.broadcast_to(np.uint64(span), (2**32 - 1,)), [0] * 64, [span] * 64
+    return 5, 1, defaultdict(lambda: span), [0] * 64, [span] * 64
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=pair_draws(), window=st.sampled_from([1, 3, 256]))
-@example(case=rejections(), window=256)
-@example(case=(1, 0, np.array([1], dtype=np.uint64), [0] * 20, [1] * 20), window=3)
-@example(
-    case=(2, 1, np.array([5, 1, 1, 2**31 + 1], dtype=np.uint64), [0, 0, 1, 3, 0, 2, 1], [3, 4, 3, 1, 1, 2, 2]),
-    window=3,
-)
-def test_draw_pairs_equal_scalar_draws(case, window):
+@given(case=pair_draws())
+@example(case=rejections())
+@example(case=(1, 0, [1], [0] * 20, [1] * 20))
+@example(case=(2, 1, [5, 1, 1, 2**31 + 1], [0, 0, 1, 3, 0, 2, 1], [3, 4, 3, 1, 1, 2, 2]))
+def test_draw_pairs_equal_scalar_draws(case):
     seed, warm, table, base, first = case
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for r in (rng, ref):
         r.integers(0, 2**32, size=warm, dtype=np.uint64)
-    with mock.patch.object(ingest, "_WINDOW", window):  # small windows: many array passes
-        slots, b = _draw_pairs(
-            rng, np.array(first, dtype=np.uint64), np.array(base, dtype=np.uint64), table
-        )
+    slots, b = _draw_pairs(rng, first, base, table)
     want_slots, want_b = [], []
     for k, s in zip(base, first):
         want_slots.append(k + int(ref.integers(s)))
-        want_b.append(int(ref.integers(int(table[want_slots[-1]]))))
-    assert (slots.tolist(), b.tolist()) == (want_slots, want_b)
+        want_b.append(int(ref.integers(table[want_slots[-1]])))
+    assert (slots, b) == (want_slots, want_b)
     assert rng.bit_generator.state == ref.bit_generator.state

@@ -6,9 +6,11 @@ in that order. SERVE ranks every visitor from one `recsys.PoolView` of the
 step's pool (the ranker's scorer and the pool's tie order, both built once per
 step), gathers the step's events as columns, appends them to the log as one
 block, and adds them to the catalog's exposure and click totals, which creators
-read through `core.creator_view`. LIFECYCLE decays every user's satiation
-counters, rows of one (n_users, n_genres) table, in one in-place multiply, and
-resets the session state of that step's visitors, the only users who had one.
+read through `core.creator_view`. Users are rows of the world's arrays
+(preference, visit probability, satiation counters); a session's skip streak
+lives only inside `users.serve_session`. LIFECYCLE decays every user's
+satiation counters, rows of one (n_users, n_genres) table, in one in-place
+multiply.
 A creator's beliefs are refreshed from those totals inside CREATE, only when it
 is about to decide.
 The fairness re-rankers read creator-indexed arrays: the served exposure per
@@ -77,7 +79,6 @@ from .recsys import (
     make_ranker,
     pool_view,
     rank_scored,
-    serve_session,
 )
 from .rerank import (
     fairco_errors,
@@ -87,7 +88,7 @@ from .rerank import (
     mmr_rerank,
     pmmf_rerank,
 )
-from .users import UserRuntime, end_step, is_active
+from .users import serve_session
 
 
 class ArtifactError(DataError):
@@ -214,15 +215,11 @@ class _World:
             seen[:, 0], genre[seen[:, 1]], seen[:, 2], len(users), G
         )
 
-        # each user's satiation counters are a row of one table, decayed in one op
+        # users are rows: genre preference, visit probability per step, and
+        # satiation counters, decayed in one op
+        self.preference = preference
+        self.activity = user_activity
         self.recent_exposure = np.zeros((len(users), G))
-        self.users = [
-            UserRuntime(
-                user_id=i, preference=preference[i], activity=float(user_activity[i]),
-                recent_exposure=self.recent_exposure[i],
-            )
-            for i in range(len(users))
-        ]
         self.population_preference = np.mean(preference, axis=0)
         # with full information every creator believes the population's preference
         self.revealed_audience = (
@@ -255,7 +252,7 @@ class _World:
         ]
 
         self.ranker = make_ranker(
-            cfg.ranker, n_users=len(self.users), seed=cfg.seed, pop_window=cfg.pop_window,
+            cfg.ranker, n_users=len(users), seed=cfg.seed, pop_window=cfg.pop_window,
             **cfg.section("mf"),
         )
         if len(self.seed_clicks) or cfg.ranker in ("random", "pop"):
@@ -274,7 +271,7 @@ class _World:
         self.duals = np.zeros(len(self.creators))
         self.creator_activity_rng = [stream(cfg.seed, "creator_activity", c.creator_id) for c in self.creators]
         self.creator_policy_rng = [stream(cfg.seed, "creator_policy", c.creator_id) for c in self.creators]
-        self.user_rng = [stream(cfg.seed, "user", u.user_id) for u in self.users]
+        self.user_rng = [stream(cfg.seed, "user", u) for u in range(len(users))]
         self.trace_rows: list[str] = []  # CSV lines of TRACE_FILE, as are timeseries_rows
         self.timeseries_rows: list[str] = []
         self.tuw_incremental = 0
@@ -375,8 +372,8 @@ class _World:
                 f"{z_text},true,{q:.10g}"
             )
 
-    def phase_serve(self, n: int, pool) -> list[int]:
-        """Serve this step's visitors and commit their events; returns the visitors."""
+    def phase_serve(self, n: int, pool) -> None:
+        """Serve this step's visitors and commit their events."""
         cfg = self.cfg
         K = cfg.list_length
         reranker = cfg.reranker if n >= cfg.warmup else "none"
@@ -399,15 +396,16 @@ class _World:
                 step=pool.step,
             )
 
-        active: list[int] = []
-        for idx, user in enumerate(self.users):
-            if is_active(user, self.user_rng[idx]):
-                active.append(idx)
+        # one draw per user, in id order, on that user's stream
+        active = [
+            idx for idx, (rng, p) in enumerate(zip(self.user_rng, self.activity.tolist()))
+            if rng.random() < p
+        ]
 
         view = pool_view(self.ranker, pool, self.catalog)
         users, items, clicks = [], [], []
         for idx in active:
-            ranked, scores = rank_scored(view, self.users[idx].user_id, top_m)
+            ranked, scores = rank_scored(view, idx, top_m)
             if reranker == "none":
                 final = ranked[:K]
             elif reranker == "mmr":
@@ -423,13 +421,14 @@ class _World:
                 )]
             flags = serve_session(
                 genre[final],
-                self.users[idx],
+                self.preference[idx],
+                self.recent_exposure[idx],
                 self.user_rng[idx],
                 alpha_click=cfg.user_alpha_click,
                 exit_base=cfg.user_exit_base,
                 exit_per_skip=cfg.user_exit_per_skip,
             )
-            users += [self.users[idx].user_id] * len(flags)
+            users += [idx] * len(flags)
             items.append(final[: len(flags)])
             clicks += flags
 
@@ -444,12 +443,11 @@ class _World:
             self.tuw_incremental += int(np.count_nonzero(clicked))
         if n >= cfg.warmup:
             self.exposure += np.bincount(owner[item], minlength=len(self.exposure))
-        return active
 
-    def phase_lifecycle(self, n: int, visitors: list[int], step_seconds: float) -> None:
+    def phase_lifecycle(self, n: int, step_seconds: float) -> None:
         cfg = self.cfg
         alive = sum(1 for c in self.creators if c.alive)
-        end_step([self.users[idx] for idx in visitors], self.recent_exposure, cfg.user_novelty_decay)
+        self.recent_exposure *= cfg.user_novelty_decay
         window_lo = max(1, n - cfg.timeliness_window + 1)
         try:
             cgd_window = content_genre_diversity(
@@ -459,7 +457,7 @@ class _World:
             cgd_text = f"{cgd_window:.10g}"
         except NoExposures:
             cgd_text = ""
-        agent_seconds = step_seconds / (alive + len(self.users))
+        agent_seconds = step_seconds / (alive + len(self.preference))
         self.timeseries_rows.append(
             f"{n},{self.tuw_incremental},{alive},{cgd_text},{step_seconds:.6f},{agent_seconds:.8f}"
         )
@@ -485,7 +483,7 @@ class _World:
         summary = {
             "genres": list(self.genres),
             "n_creators": len(self.creators),
-            "n_users": len(self.users),
+            "n_users": len(self.preference),
             "dataset_genre_counts": genre_histogram(ref_genres, len(self.genres)).tolist(),
             "dataset_creator_entropies": per_creator_entropies(ref_creators, ref_genres, len(self.genres)),
             "population_preference": self.population_preference.tolist(),
@@ -514,8 +512,8 @@ def run_simulation(
             clicks = world.training_clicks()
             if len(clicks) or cfg.ranker in ("random", "pop"):
                 world.ranker.retrain(clicks, world.catalog, n)
-        visitors = world.phase_serve(n, pool)
-        world.phase_lifecycle(n, visitors, time.perf_counter() - started)
+        world.phase_serve(n, pool)
+        world.phase_lifecycle(n, time.perf_counter() - started)
     out_dir = Path(out_dir)
     world.write_artifacts(out_dir)
     metrics = report(out_dir)
@@ -611,12 +609,21 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
             raise CorruptLog(f"{ITEMS_FILE}: {name} outside [{lo}, {hi}]")
 
     with _reading(TRACE_FILE, ValueError):
-        departures = sorted(int(r["step"]) for r in trace if r["action_kind"] == "DEPART")
+        departs = [r for r in trace if r["action_kind"] == "DEPART"]
+        departures = sorted(int(r["step"]) for r in departs)
+        departed = [int(r["creator_id"]) for r in departs]
         decisions = [
             (float(r["reward_pct"]), r["action_kind"])
             for r in trace
             if r["action_kind"] in ("EXPLORE", "EXPLOIT")
         ]
+    for bad, what in (
+        (any(not 0 <= c < n_creators for c in departed), f"creator outside [0, {n_creators})"),
+        (len(set(departed)) < len(departed), "creator repeated"),
+        (any(not 1 <= s <= end for s in departures), f"step outside [1, {end}]"),
+    ):
+        if bad:
+            raise CorruptLog(f"{TRACE_FILE}: DEPART {what}")
 
     def alive_at(step: int) -> int:
         return n_creators - sum(1 for s in departures if s <= step)
@@ -701,7 +708,7 @@ def compare(run_dirs, metric_keys=("tuw", "crr", "cgd")) -> list[dict]:
             label = ",".join(f"{k}={cond['pairs'].get(k, '')}" for k in differing)
         else:
             label = ",".join(
-                f"{k}={cond['pairs'][k]}" for k in ("ranker", "reranker", "creator_policy")
+                f"{k}={cond['pairs'].get(k, '')}" for k in ("ranker", "reranker", "creator_policy")
             )
         stats = {}
         for metric in metric_keys:

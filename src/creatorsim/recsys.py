@@ -1,5 +1,5 @@
-"""Two-stage recommender: timeliness-filtered candidate pool, trainable
-rankers (Random, Pop, MF, BPR), and item-by-item session serving.
+"""Two-stage recommender: timeliness-filtered candidate pool and trainable
+rankers (Random, Pop, MF, BPR).
 
 Rankers follow a fit/score shape: `retrain(clicks, catalog, step)` refits in
 place and returns self, where `clicks` holds (user, item, step) rows (an
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Catalog, SimError, hash_uniform, stream
-from .users import UserAction, UserRuntime, react
+
 
 def _click_table(clicks) -> np.ndarray:
     return np.asarray(clicks, dtype=np.int64).reshape(-1, 3)
@@ -323,26 +323,3 @@ def rank_scored(view: PoolView, user: int, k: int) -> tuple[np.ndarray, np.ndarr
             top = np.flatnonzero(neg <= kth)
     top = top[np.argsort(neg[top], kind="stable")[:k]]
     return view.tie_ids[top], scores[top]
-
-
-def serve_session(
-    genres: np.ndarray,
-    user: UserRuntime,
-    rng: np.random.Generator,
-    *,
-    alpha_click: float = 0.8,
-    exit_base: float = 0.05,
-    exit_per_skip: float = 0.15,
-) -> list[bool]:
-    """Serve a ranked list, given as its items' genres, item by item; exposure stops at EXIT.
-
-    Returns one click flag per exposure, so the exposed items are the list's
-    first `len(result)`.
-    """
-    clicked = []
-    for genre in genres.tolist():
-        action = react(user, genre, rng, alpha_click, exit_base, exit_per_skip)
-        clicked.append(action is UserAction.CLICK)
-        if action is UserAction.EXIT:
-            break
-    return clicked

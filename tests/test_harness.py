@@ -241,25 +241,29 @@ class TestPhaseInvariants:
         assert sorted((n, creator) for n, creator, _ in calls) == [d for d in decisions if d[0] >= 2]
         assert all(arg == n - 1 for n, _, arg in calls)
 
-    def test_lifecycle_resets_sessions_and_decays_one_table(self, tmp_path, monkeypatch):
+    def test_lifecycle_decays_one_table(self, tmp_path, monkeypatch):
         import creatorsim.harness as harness
 
-        original = harness._World.phase_lifecycle
-        visits = []
+        original_serve, original_lifecycle = harness._World.phase_serve, harness._World.phase_lifecycle
+        served = []
 
-        def lifecycle(world, n, visitors, step_seconds):
-            served = {u.user_id for u in world.users if u.items_seen}
+        def serve(world, n, pool):
             before = world.recent_exposure.copy()
-            original(world, n, visitors, step_seconds)
-            assert served <= set(visitors)
-            assert all((u.consecutive_skips, u.items_seen, u.exited) == (0, 0, False) for u in world.users)
-            assert np.array_equal(world.recent_exposure, before * world.cfg.user_novelty_decay)
-            assert all(np.shares_memory(u.recent_exposure, world.recent_exposure) for u in world.users)
-            visits.append(len(visitors))
+            original_serve(world, n, pool)
+            # each of the step's exposures adds one to its user's row, and only there
+            exposures = np.bincount(world.log.user[world.log.step == n], minlength=len(before))
+            assert np.allclose(world.recent_exposure.sum(axis=1) - before.sum(axis=1), exposures)
+            served.append(int(exposures.sum()))
 
+        def lifecycle(world, n, step_seconds):
+            before = world.recent_exposure.copy()
+            original_lifecycle(world, n, step_seconds)
+            assert np.array_equal(world.recent_exposure, before * world.cfg.user_novelty_decay)
+
+        monkeypatch.setattr(harness._World, "phase_serve", serve)
         monkeypatch.setattr(harness._World, "phase_lifecycle", lifecycle)
         run_simulation(small_cfg(n_steps=10), out_dir=tmp_path / "spy")
-        assert len(visits) == 10 and sum(visits) > 0
+        assert len(served) == 10 and sum(served) > 0
 
 
 class TestReport:
@@ -342,6 +346,16 @@ class TestCompare:
         (other / "config.txt").write_text(_without_key(other / "config.txt", "mmr.lambda"))
         rows = compare([smoke_run.out_dir, other])
         assert sorted(r["label"] for r in rows) == ["mmr.lambda=", "mmr.lambda=0.7"]
+
+    @pytest.mark.parametrize("key", ["ranker", "reranker", "creator_policy"])
+    def test_label_key_missing_from_every_run(self, smoke_run, tmp_path, key):
+        runs = [shutil.copytree(smoke_run.out_dir, tmp_path / name) for name in ("r1", "r2")]
+        for run in runs:
+            (run / "config.txt").write_text(_without_key(run / "config.txt", key + " ="))
+        rows = compare(runs)
+        assert [r["n_runs"] for r in rows] == [2]
+        assert f"{key}=" in rows[0]["label"].split(",")
+        assert cli_main(["compare", *map(str, runs)]) == 0
 
 
 class HoldingStub:
@@ -612,6 +626,31 @@ class TestCli:
         lines = edit((broken / artifact).read_text().splitlines())
         (broken / artifact).write_text("\n".join(lines).replace("{simulated}", simulated) + "\n")
         assert cli_main(["report", str(broken)]) == 3
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda fresh, n_steps: ["3,10,DEPART,,,0.5,false,"],
+            lambda fresh, n_steps: ["3,-1,DEPART,,,0.5,false,"],
+            lambda fresh, n_steps: [f"3,{fresh},DEPART,,,0.5,false,"] * 2,
+            lambda fresh, n_steps: [f"0,{fresh},DEPART,,,0.5,false,"],
+            lambda fresh, n_steps: [f"{n_steps + 1},{fresh},DEPART,,,0.5,false,"],
+        ],
+        ids=["creator-above-n-creators", "creator-negative", "creator-repeated", "step-0",
+             "step-above-n-steps"],
+    )
+    def test_report_impossible_depart_exit_code(self, smoke_run, tmp_path, rows):
+        broken = copy_run(smoke_run, tmp_path)
+        trace = (broken / "creator_trace.csv").read_text()
+        with open(broken / "creator_trace.csv") as f:
+            departed = {int(r["creator_id"]) for r in csv.DictReader(f) if r["action_kind"] == "DEPART"}
+        fresh = min(set(range(10)) - departed)  # small_cfg has 10 creators
+        n_steps = SimConfig.from_file(broken / "config.txt").n_steps
+        (broken / "creator_trace.csv").write_text(trace + "".join(r + "\n" for r in rows(fresh, n_steps)))
+        assert cli_main(["report", str(broken)]) == 3
+        # one valid departure of the same creator is accepted
+        (broken / "creator_trace.csv").write_text(trace + f"3,{fresh},DEPART,,,0.5,false,\n")
+        assert cli_main(["report", str(broken)]) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(

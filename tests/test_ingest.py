@@ -227,7 +227,7 @@ class TestWorldSeedsEqualRowReference:
             )
             for c in world.creators
         ] == creators
-        assert [(u.preference.tolist(), u.activity) for u in world.users] == users
+        assert list(zip(world.preference.tolist(), world.activity.tolist())) == users
 
 
 @settings(max_examples=200, deadline=None)

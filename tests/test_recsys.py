@@ -18,9 +18,8 @@ from creatorsim.recsys import (
     pool_view,
     rank_scored,
     _scatter_add,
-    serve_session,
 )
-from creatorsim.users import UserRuntime
+from creatorsim.users import serve_session
 
 
 def top_ids(ranker, user, pool, k, cat):
@@ -126,23 +125,25 @@ class ScriptedRng:
 
 
 class TestServeSession:
-    def _user(self):
-        pref = np.full(14, 1.0 / 14)
-        return UserRuntime(user_id=0, preference=pref, activity=1.0)
+    def _serve(self, genres, rng):
+        return serve_session(
+            genres, np.full(14, 1.0 / 14), np.zeros(14), rng,
+            alpha_click=0.8, exit_base=0.05, exit_per_skip=0.15,
+        )
 
     def test_exit_at_position_two_yields_two_exposures(self):
         genres = np.zeros(5, dtype=np.int64)
         # item1: no click (0.9), no exit (0.9); item2: no click (0.9), exit (0.0)
         rng = ScriptedRng([0.9, 0.9, 0.9, 0.0])
-        assert serve_session(genres, self._user(), rng) == [False, False]
+        assert self._serve(genres, rng) == [False, False]
 
     def test_click_all(self):
         genres = np.zeros(5, dtype=np.int64)
         rng = ScriptedRng([0.0] * 5)
-        assert serve_session(genres, self._user(), rng) == [True] * 5
+        assert self._serve(genres, rng) == [True] * 5
 
     def test_empty_list(self):
-        assert serve_session(np.empty(0, np.int64), self._user(), ScriptedRng([])) == []
+        assert self._serve(np.empty(0, np.int64), ScriptedRng([])) == []
 
 
 def block_diagonal_setup(ranker_name, seed=13):

@@ -172,13 +172,6 @@ def register_creation_outcome(state: CreatorRuntime, item_id: int, clicks_in_win
         state.consecutive_zero_click = 0
 
 
-def wants_to_create(state: CreatorRuntime, rng: np.random.Generator) -> bool:
-    """Bernoulli draw on the creator's max-normalized activity."""
-    if not state.alive:
-        raise DeadCreator(f"creator {state.creator_id} has departed")
-    return bool(rng.random() < state.create_prob)
-
-
 # ---------------------------------------------------------------------------
 # The rule-based thinking policy
 

@@ -2,15 +2,21 @@
 artifact persistence, and post-hoc reporting.
 
 Each step executes CREATE, POOL, RETRAIN (on schedule), SERVE, and LIFECYCLE
-in that order. SERVE ranks every visitor from one `recsys.PoolView` of the
-step's pool (the ranker's scorer and the pool's tie order, both built once per
-step), gathers the step's events as columns, appends them to the log as one
-block, and adds them to the catalog's exposure and click totals, which creators
-read through `core.creator_view`. Users are rows of the world's arrays
-(preference, visit probability, satiation counters); a session's skip streak
-lives only inside `users.serve_session`. LIFECYCLE decays every user's
-satiation counters, rows of one (n_users, n_genres) table, in one in-place
-multiply.
+in that order. CREATE picks the creators that create with one comparison of
+each alive creator's next uniform against its creation probability, and only
+those think; SERVE picks its visitors with one comparison of each user's next
+uniform against its visit probability, and a visitor's session reads that
+user's following uniforms. The uniforms are each agent's own seeded stream,
+drawn ahead in blocks by `core.UniformStreams`: the same doubles, in the same
+order, as one scalar draw at a time. SERVE ranks every visitor from one
+`recsys.PoolView` of the step's pool (the ranker's scorer and the pool's tie
+order, both built once per step), gathers the step's events as columns,
+appends them to the log as one block, and adds them to the catalog's exposure
+and click totals, which creators read through `core.creator_view`. Users are
+rows of the world's arrays (preference, visit probability, satiation
+counters); a session's skip streak lives only inside `users.serve_session`.
+LIFECYCLE decays every user's satiation counters, rows of one
+(n_users, n_genres) table, in one in-place multiply.
 A creator's beliefs are refreshed from those totals inside CREATE, only when it
 is about to decide.
 The fairness re-rankers read creator-indexed arrays: the served exposure per
@@ -19,9 +25,10 @@ duals, which change visitor by visitor inside the serial SERVE loop.
 Agents read the previous step's committed world and mutate only their own
 state; cross-agent effects (the event log, the catalog, the exposure counts)
 are committed at phase barriers in stable id order, so results are
-bit-identical for any worker count. Only the CREATE phase fans out over
-`workers` threads, because only it waits on I/O (the LLM policy's round trips);
-every other phase runs serially, since its work holds the interpreter lock.
+bit-identical for any worker count. Only the CREATE phase fans out, its
+creating creators over `workers` threads, because only it waits on I/O (the
+LLM policy's round trips); every other phase runs serially, since its work
+holds the interpreter lock.
 Metrics are always recomputed from the persisted artifacts, which makes every
 run replayable and every report reproducible.
 """
@@ -46,6 +53,7 @@ from .core import (
     EventLogError,
     SimConfig,
     SimError,
+    UniformStreams,
     stream,
 )
 from .creator import (
@@ -56,7 +64,6 @@ from .creator import (
     register_creation_outcome,
     reward_percentile,
     update_beliefs,
-    wants_to_create,
 )
 from .baselines import CfdPolicy, LbrPolicy, RandomPolicy, SimulinePolicy
 from .ingest import Dataset, SynthParams, init_creator_seeds, init_user_seeds, load_dataset, synth_dataset
@@ -269,9 +276,12 @@ class _World:
         # served exposures per creator since warm-up, and P-MMF's dual variables
         self.exposure = np.zeros(len(self.creators), dtype=np.int64)
         self.duals = np.zeros(len(self.creators))
-        self.creator_activity_rng = [stream(cfg.seed, "creator_activity", c.creator_id) for c in self.creators]
+        # a creator's id is its row; one uniform a step decides whether it creates
+        self.create_prob = np.asarray([c.create_prob for c in self.creators])
+        self.creator_draws = UniformStreams(cfg.seed, "creator_activity", len(self.creators))
         self.creator_policy_rng = [stream(cfg.seed, "creator_policy", c.creator_id) for c in self.creators]
-        self.user_rng = [stream(cfg.seed, "user", u) for u in range(len(users))]
+        # a user's visit and session draws
+        self.user_draws = UniformStreams(cfg.seed, "user", len(users))
         self.trace_rows: list[str] = []  # CSV lines of TRACE_FILE, as are timeseries_rows
         self.timeseries_rows: list[str] = []
         self.tuw_incremental = 0
@@ -325,10 +335,6 @@ class _World:
 
         def think(idx: int):
             state = self.creators[idx]
-            if not state.alive:
-                return None
-            if not wants_to_create(state, self.creator_activity_rng[idx]):
-                return None
             if state.pending_item is not None:
                 clicks = int(state.clicks[state.position(state.pending_item)])
                 last_utility = item_utility(state, state.pending_item, n)
@@ -349,10 +355,11 @@ class _World:
             content = self.policy.make_content(state, action, n)
             return ("create", idx, q, z_last, action, content)
 
-        results = _map_workers(think, range(len(self.creators)), cfg.workers)
+        # one draw per alive creator, on that creator's stream; only those that pass think
+        alive = np.flatnonzero([c.alive for c in self.creators])
+        creating = alive[self.creator_draws.draw(alive) < self.create_prob[alive]]
+        results = _map_workers(think, creating.tolist(), cfg.workers)
         for result in results:
-            if result is None:
-                continue
             if result[0] == "depart":
                 _, idx, last_utility = result
                 creator_id = self.creators[idx].creator_id
@@ -396,11 +403,9 @@ class _World:
                 step=pool.step,
             )
 
-        # one draw per user, in id order, on that user's stream
-        active = [
-            idx for idx, (rng, p) in enumerate(zip(self.user_rng, self.activity.tolist()))
-            if rng.random() < p
-        ]
+        # one draw per user, on that user's stream
+        draws = self.user_draws.draw(np.arange(len(self.activity)))
+        active = np.flatnonzero(draws < self.activity).tolist()
 
         view = pool_view(self.ranker, pool, self.catalog)
         users, items, clicks = [], [], []
@@ -423,11 +428,13 @@ class _World:
                 genre[final],
                 self.preference[idx],
                 self.recent_exposure[idx],
-                self.user_rng[idx],
+                self.user_draws.peek(idx, 2 * len(final)),
                 alpha_click=cfg.user_alpha_click,
                 exit_base=cfg.user_exit_base,
                 exit_per_skip=cfg.user_exit_per_skip,
             )
+            # a click read one uniform, a miss two
+            self.user_draws.advance(idx, 2 * len(flags) - sum(flags))
             users += [idx] * len(flags)
             items.append(final[: len(flags)])
             clicks += flags

@@ -30,7 +30,7 @@ def serve_session(
     genres: np.ndarray,
     preference_row: np.ndarray,
     satiation_row: np.ndarray,
-    rng: np.random.Generator,
+    uniforms: np.ndarray,
     *,
     alpha_click: float,
     exit_base: float,
@@ -39,23 +39,25 @@ def serve_session(
     """Serve a ranked list, given as its items' genres, item by item; exposure stops at EXIT.
 
     Each item's click probability uses the satiation from before the item,
-    which then counts it; `satiation_row` is updated in place. One draw
-    decides the click; on a miss, a second decides the exit, whose hazard
-    exit_base + exit_per_skip * skips grows with the current skip streak.
-    Returns one click flag per exposure, so the exposed items are the list's
-    first `len(result)`.
+    which then counts it; `satiation_row` is updated in place. The user's
+    next uniform decides the click; on a miss, the one after decides the exit,
+    whose hazard exit_base + exit_per_skip * skips grows with the current skip
+    streak. A session so reads one of `uniforms` per click and two per miss,
+    two per item at most. Returns one click flag per exposure, so the exposed
+    items are the list's first `len(result)`.
     """
     preference, satiation = preference_row.tolist(), satiation_row.tolist()
+    draws = iter(uniforms.tolist())
     clicked: list[bool] = []
     skips = 0
     for genre in genres.tolist():
         p_click = click_probability(preference, satiation, genre, alpha_click)
         satiation[genre] += 1.0
-        click = rng.random() < p_click
+        click = next(draws) < p_click
         clicked.append(click)
         if click:
             skips = 0
-        elif rng.random() < exit_base + exit_per_skip * skips:
+        elif next(draws) < exit_base + exit_per_skip * skips:
             break
         else:
             skips += 1

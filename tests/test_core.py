@@ -16,7 +16,9 @@ from creatorsim.core import (
     EventLogError,
     IllegalClick,
     OutOfOrder,
+    DRAW_BLOCK,
     SimConfig,
+    UniformStreams,
     creator_view,
     hash_uniform,
     stream,
@@ -375,6 +377,81 @@ class TestRngStreams:
         assert ((a >= 0) & (a < 1)).all()
         assert not np.array_equal(a, hash_uniform(7, 4, ids))
         assert not np.array_equal(a, hash_uniform(8, 3, ids))
+
+
+class ScalarStreams:
+    """The reference: each agent's doubles from scalar `random()` calls, and a cursor."""
+
+    def __init__(self, seed, purpose, n):
+        self.rngs = [stream(seed, purpose, a) for a in range(n)]
+        self.drawn = [[] for _ in range(n)]
+        self.cursor = [0] * n
+
+    def peek(self, agent, m):
+        while len(self.drawn[agent]) < self.cursor[agent] + m:
+            self.drawn[agent].append(self.rngs[agent].random())
+        c = self.cursor[agent]
+        return self.drawn[agent][c : c + m]
+
+    def take(self, agent, m):
+        out = self.peek(agent, m)
+        self.cursor[agent] += m
+        return out
+
+
+@st.composite
+def stream_ops(draw):
+    """An agent count and an interleaving of whole-population draws (repeated),
+    subset draws and session windows, some longer than a block."""
+    n = draw(st.integers(1, 6))
+    whole = st.tuples(st.just("all"), st.integers(1, 2 * DRAW_BLOCK))
+    subset = st.tuples(
+        st.just("subset"),
+        st.permutations(range(n)).flatmap(lambda p: st.integers(0, n).map(lambda k: p[:k])),
+    )
+    session = st.tuples(
+        st.just("session"), st.integers(0, n - 1), st.integers(0, 3 * DRAW_BLOCK)
+    ).flatmap(lambda t: st.integers(0, t[2]).map(lambda used: (*t, used)))
+    return n, draw(st.lists(st.one_of(whole, subset, session), max_size=40))
+
+
+class TestUniformStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), case=stream_ops())
+    def test_every_agent_reads_its_scalar_draws(self, seed, case):
+        n, ops = case
+        streams, ref = UniformStreams(seed, "agent", n), ScalarStreams(seed, "agent", n)
+        for op in ops:
+            if op[0] == "all":
+                for _ in range(op[1]):
+                    got = streams.draw(np.arange(n))
+                    assert got.tolist() == [ref.take(a, 1)[0] for a in range(n)]
+            elif op[0] == "subset":
+                agents = np.asarray(op[1], dtype=np.int64)
+                got = streams.draw(agents)
+                assert got.tolist() == [ref.take(a, 1)[0] for a in op[1]]
+            else:
+                _, agent, m, used = op
+                # a window is not consumed until advanced, by at most its length
+                assert streams.peek(agent, m).tolist() == ref.peek(agent, m)
+                assert streams.peek(agent, m).tolist() == ref.peek(agent, m)
+                streams.advance(agent, used)
+                ref.take(agent, used)
+        # what is left to read continues each scalar stream
+        for a in range(n):
+            assert streams.peek(a, 2 * DRAW_BLOCK).tolist() == ref.peek(a, 2 * DRAW_BLOCK)
+
+    def test_block_edges_crossed_by_draws_and_windows(self):
+        streams, ref = UniformStreams(5, "agent", 3), ScalarStreams(5, "agent", 3)
+        for _ in range(2 * DRAW_BLOCK + 10):
+            assert streams.draw(np.arange(3)).tolist() == [ref.take(a, 1)[0] for a in range(3)]
+        # a window of 2.5 blocks from mid-row, of which 1.5 blocks are used
+        m, used = 5 * DRAW_BLOCK // 2, 3 * DRAW_BLOCK // 2
+        assert streams.peek(1, m).tolist() == ref.peek(1, m)
+        streams.advance(1, used)
+        ref.take(1, used)
+        for _ in range(DRAW_BLOCK + 1):
+            assert streams.draw(np.array([2, 1])).tolist() == [ref.take(a, 1)[0] for a in (2, 1)]
 
 
 class TestSimConfig:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from creatorsim.core import AsymmetryViolation, EventLog, stream
+import creatorsim.harness as harness
+from creatorsim.core import AsymmetryViolation, EventLog, SimConfig, stream
 from creatorsim.creator import (
     ActionKind,
     Beliefs,
@@ -20,8 +21,8 @@ from creatorsim.creator import (
     rule_based_decide,
     template_content,
     update_beliefs,
-    wants_to_create,
 )
+from creatorsim.ingest import SynthParams, synth_dataset
 
 GENRES = tuple(f"G{i}" for i in range(14))
 
@@ -228,8 +229,6 @@ class TestDecision:
         c.alive = False
         with pytest.raises(DeadCreator):
             rule_based_decide(c, 1, ScriptedRng([0.0]))
-        with pytest.raises(DeadCreator):
-            wants_to_create(c, ScriptedRng([0.0]))
 
 
 class TestContent:
@@ -316,22 +315,104 @@ class TestLifecycle:
             register_creation_outcome(c, 7, 0)
 
 
+def gate_world(create_prob, n_creators=10, seed=1):
+    """A world whose creators never depart, each creating with `create_prob` a step."""
+    cfg = SimConfig(
+        n_users=5, n_creators=n_creators, n_steps=50, ranker="random", reranker="none",
+        departure_threshold=1_000_000, synth_items_per_creator=2, synth_interactions_per_user=2,
+        seed=seed,
+    )
+    world = harness._World(cfg, synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth")))
+    world.create_prob[:] = create_prob
+    return world
+
+
+def creators_creating(world, steps):
+    """Each step's creating creators, read from the trace rows CREATE adds."""
+    created = []
+    for n in steps:
+        before = len(world.trace_rows)
+        world.phase_create(n)
+        created.append([int(row.split(",")[1]) for row in world.trace_rows[before:]])
+    return created
+
+
+def reference_gates(seed, create_prob, n_draws):
+    """Each creator's first `n_draws` gate outcomes from scalar draws on its own stream."""
+    gates = []
+    for c, p in enumerate(create_prob.tolist()):
+        rng = stream(seed, "creator_activity", c)
+        gates.append([rng.random() < p for _ in range(n_draws)])
+    return gates
+
+
 class TestActivity:
+    """CREATE's gate: one uniform per alive creator a step, against its create_prob."""
+
     def test_max_activity_always_creates(self):
-        c = make_creator(create_prob=1.0)
-        rng = stream(1, "act")
-        assert all(wants_to_create(c, rng) for _ in range(50))
+        world = gate_world(1.0)
+        assert creators_creating(world, range(1, 51)) == [list(range(10))] * 50
 
     def test_zero_never_creates(self):
-        c = make_creator(create_prob=0.0)
-        rng = stream(1, "act")
-        assert not any(wants_to_create(c, rng) for _ in range(50))
+        world = gate_world(0.0)
+        assert creators_creating(world, range(1, 51)) == [[]] * 50
 
     def test_half_rate_monte_carlo(self):
-        c = make_creator(create_prob=0.5)
-        rng = stream(2, "act")
-        hits = sum(wants_to_create(c, rng) for _ in range(10_000))
+        world = gate_world(0.5, n_creators=200)
+        hits = sum(map(len, creators_creating(world, range(1, 51))))
         assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
+
+    def test_departed_creator_never_draws(self):
+        # creator 3 is gone for ten steps, then back: its gates continue its
+        # stream from the first draw, so it drew nothing while gone
+        world = gate_world(0.5)
+        expected = reference_gates(1, world.create_prob, 40)
+        world.creators[3].alive = False
+        gone = creators_creating(world, range(1, 11))
+        assert all(3 not in step for step in gone)
+        world.creators[3].alive = True
+        back = creators_creating(world, range(11, 41))
+        assert [3 in step for step in back] == expected[3][:30]
+        assert [0 in step for step in gone + back] == expected[0]
+
+    def test_only_gated_creators_think(self, tmp_path, monkeypatch):
+        # with departures and two workers: at every step, the creators that
+        # decide plus those that depart are exactly those whose gate passed
+        step, worlds, thought = [0], [], []
+        original_create = harness._World.phase_create
+
+        def create(world, n):
+            step[0] = n
+            worlds.append(world)
+            return original_create(world, n)
+
+        def think(policy, state, n, rng):
+            thought.append((n, state.creator_id))
+            return original_decide(policy, state, n, rng)
+
+        monkeypatch.setattr(harness._World, "phase_create", create)
+        original_decide = RuleBasedPolicy.decide
+        monkeypatch.setattr(RuleBasedPolicy, "decide", think)
+        cfg = SimConfig(
+            n_users=20, n_creators=12, n_steps=30, ranker="pop", reranker="pmmf", workers=2,
+            departure_threshold=2, synth_items_per_creator=4, synth_interactions_per_user=6,
+            seed=4,
+        )
+        out = harness.run_simulation(cfg, out_dir=tmp_path / "run")
+        with open(out.out_dir / "creator_trace.csv") as f:
+            departs = {
+                (int(row.split(",")[0]), int(row.split(",")[1]))
+                for row in f.readlines()[1:] if ",DEPART," in row
+            }
+        assert departs, "the run should have departures"
+        world = worlds[0]
+        gates = [iter(g) for g in reference_gates(cfg.seed, world.create_prob, cfg.n_steps)]
+        alive = set(range(cfg.n_creators))
+        for n in range(1, cfg.n_steps + 1):
+            passed = {c for c in sorted(alive) if next(gates[c])}
+            departed = {c for s, c in departs if s == n}
+            assert {c for s, c in thought if s == n} | departed == passed
+            alive -= departed
 
 
 def test_policy_wrapper_round_trip():

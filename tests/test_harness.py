@@ -266,6 +266,52 @@ class TestPhaseInvariants:
         assert len(served) == 10 and sum(served) > 0
 
 
+class TestDrawBlocks:
+    """Runs whose per-agent uniform streams cross the ends of drawn-ahead blocks."""
+
+    def test_a_pinned_run_refills_a_user_row_twice(self, tmp_path, monkeypatch):
+        import creatorsim.harness as harness
+        from test_digests import PINNED, run_digests
+
+        made = []
+
+        class CountingStreams(core.UniformStreams):
+            def __init__(self, seed, purpose, n):
+                super().__init__(seed, purpose, n)
+                self.purpose, self.refills = purpose, np.zeros(n, dtype=np.int64)
+                made.append(self)
+
+            def draw(self, agents):
+                self.refills[agents[self._cursor[agents] == core.DRAW_BLOCK]] += 1
+                return super().draw(agents)
+
+        monkeypatch.setattr(harness, "UniformStreams", CountingStreams)
+        monkeypatch.chdir(tmp_path)
+        assert run_digests("pop-mmr-lbr", Path("run")) == PINNED["pop-mmr-lbr"]
+        (users,) = [s for s in made if s.purpose == "user"]
+        assert users.refills.max() >= 2
+
+    def test_sessions_longer_than_a_block(self, tmp_path):
+        # no exits, so each session exposes the whole list and reads between
+        # one and two uniforms per item: more than a block's worth
+        K = 80
+        assert K > core.DRAW_BLOCK
+        cfg = small_cfg(
+            n_steps=12, warmup=2, list_length=K, user_exit_base=0.0, user_exit_per_skip=0.0
+        )
+        run = run_simulation(cfg, out_dir=tmp_path / "long")
+        with open(run.out_dir / "events.csv") as f:
+            events = np.array([[int(v) for v in line.split(",")] for line in f.readlines()[1:]])
+        step, user, exposed, clicked = events[:, 0], events[:, 1], events[:, 3], events[:, 4]
+        assert exposed.all() and (clicked <= exposed).all()
+        sessions = step * cfg.n_users + user
+        _, exposures = np.unique(sessions, return_counts=True)
+        assert len(exposures) > 0 and (exposures == K).all()
+        _, session_of = np.unique(sessions, return_inverse=True)
+        uniforms = np.bincount(session_of, weights=2 - clicked)
+        assert (uniforms > core.DRAW_BLOCK).all()
+
+
 class TestReport:
     def test_report_equals_metrics_json(self, smoke_run):
         stored = json.loads((smoke_run.out_dir / "metrics.json").read_text())

@@ -116,34 +116,24 @@ class TestRandomRanker:
         assert np.array_equal(before, r.scorer(ids, cat)(3))
 
 
-class ScriptedRng:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
 class TestServeSession:
-    def _serve(self, genres, rng):
+    def _serve(self, genres, uniforms):
         return serve_session(
-            genres, np.full(14, 1.0 / 14), np.zeros(14), rng,
+            genres, np.full(14, 1.0 / 14), np.zeros(14), np.asarray(uniforms, dtype=float),
             alpha_click=0.8, exit_base=0.05, exit_per_skip=0.15,
         )
 
     def test_exit_at_position_two_yields_two_exposures(self):
         genres = np.zeros(5, dtype=np.int64)
         # item1: no click (0.9), no exit (0.9); item2: no click (0.9), exit (0.0)
-        rng = ScriptedRng([0.9, 0.9, 0.9, 0.0])
-        assert self._serve(genres, rng) == [False, False]
+        assert self._serve(genres, [0.9, 0.9, 0.9, 0.0]) == [False, False]
 
     def test_click_all(self):
         genres = np.zeros(5, dtype=np.int64)
-        rng = ScriptedRng([0.0] * 5)
-        assert self._serve(genres, rng) == [True] * 5
+        assert self._serve(genres, [0.0] * 5) == [True] * 5
 
     def test_empty_list(self):
-        assert self._serve(np.empty(0, np.int64), ScriptedRng([])) == []
+        assert self._serve(np.empty(0, np.int64), []) == []
 
 
 def block_diagonal_setup(ranker_name, seed=13):

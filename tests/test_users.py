@@ -14,16 +14,6 @@ from creatorsim.users import NOVELTY_WEIGHT, click_probability, serve_session
 PARAMS = dict(alpha_click=0.8, exit_base=0.05, exit_per_skip=0.15)
 
 
-class ScriptedRng:
-    """Feeds a fixed sequence of uniform draws."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
 # -- the reference: a user object that keeps its session state across items --
 
 
@@ -71,9 +61,11 @@ def uniform(n_genres=14):
     return np.full(n_genres, 1.0 / n_genres)
 
 
-def serve(genres, preference, satiation, rng):
-    return serve_session(np.asarray(genres, dtype=np.int64), preference, satiation, rng, **PARAMS)
-
+def serve(genres, preference, satiation, uniforms):
+    return serve_session(
+        np.asarray(genres, dtype=np.int64), preference, satiation, np.asarray(uniforms, dtype=float),
+        **PARAMS,
+    )
 
 @st.composite
 def sessions(draw):
@@ -101,14 +93,19 @@ class TestServeSessionEqualsReactLoop:
         expected = ref_session(case["genres"], user, ref_rng, **case["params"])
 
         satiation = case["satiation"].copy()
-        rng = np.random.default_rng(case["seed"])
+        # two uniforms per item is the most a session can read
+        uniforms = np.random.default_rng(case["seed"]).random(2 * len(case["genres"]))
         got = serve_session(
-            np.asarray(case["genres"], dtype=np.int64), case["preference"], satiation, rng,
+            np.asarray(case["genres"], dtype=np.int64), case["preference"], satiation, uniforms,
             **case["params"],
         )
         assert got == expected
         assert all(type(flag) is bool for flag in got)
         assert np.array_equal(satiation, user.recent_exposure)
+        # the session read as many uniforms as the reference drew: one per
+        # click, two per miss
+        rng = np.random.default_rng(case["seed"])
+        rng.random(2 * len(got) - sum(got))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -150,15 +147,15 @@ class TestReact:
         pref[1] = 1.0
         rng = stream(3, "u")
         for _ in range(30):
-            assert not any(serve([0] * 5, pref, np.zeros(14), rng))
+            assert not any(serve([0] * 5, pref, np.zeros(14), rng.random(10)))
 
     def test_exit_probability_after_three_skips(self):
         # never clicks; three skips (click draw, exit draw each), then the fourth
         # item's exit draw is compared against 0.05 + 0.15 * 3 = 0.5
         skips = [0.9, 0.9] * 3
-        exits = serve([0] * 5, np.zeros(14), np.zeros(14), ScriptedRng(skips + [0.9, 0.499]))
+        exits = serve([0] * 5, np.zeros(14), np.zeros(14), skips + [0.9, 0.499])
         assert exits == [False] * 4
-        stays = serve([0] * 5, np.zeros(14), np.zeros(14), ScriptedRng(skips + [0.9, 0.501, 0.9, 0.9]))
+        stays = serve([0] * 5, np.zeros(14), np.zeros(14), skips + [0.9, 0.501, 0.9, 0.9])
         assert stays == [False] * 5
 
     def test_satiation_discounts_click_probability(self):
@@ -170,7 +167,7 @@ class TestReact:
         # four skips, a click, then a miss whose exit draw 0.06 stays under the
         # reset hazard 0.05 but not the streak's 0.05 + 0.15 * 4
         draws = [0.99, 0.99] * 4 + [0.0] + [0.99, 0.06] + [0.99, 0.99]
-        flags = serve([0] * 7, uniform(), np.zeros(14), ScriptedRng(draws))
+        flags = serve([0] * 7, uniform(), np.zeros(14), draws)
         assert flags == [False] * 4 + [True, False, False]
 
     def test_click_rate_monotone_in_preference(self):
@@ -206,7 +203,7 @@ class TestEndStep:
             for idx in visitors:
                 feed = visits.integers(0, n_genres, size=6)
                 # the same draws for both copies
-                flags = serve(feed, pref[idx], table[idx], stream(step, "feed", idx))
+                flags = serve(feed, pref[idx], table[idx], stream(step, "feed", idx).random(12))
                 expected = ref_session(feed.tolist(), alone[idx], stream(step, "feed", idx), **PARAMS)
                 assert flags == expected
             table *= decay

@@ -32,9 +32,18 @@ class EmptyGenres(SimError):
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Clamp negatives to zero and renormalize; uniform if everything clamps."""
+    """Clamp negatives to zero and renormalize; uniform if everything clamps.
+
+    When the clamped sum is not finite, the +inf entries share the mass
+    equally; without any, the entries are first scaled by the largest.
+    """
     w = np.maximum(v, 0.0)
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        top = np.isposinf(w)
+        w = top * 1.0 if top.any() else w / w.max()
+        return w / w.sum()
     if total <= 0:
         return np.full(len(v), 1.0 / len(v))
     return w / total
@@ -46,7 +55,8 @@ def cfd_step(s: np.ndarray, feedback: np.ndarray, lr: float) -> np.ndarray:
     total = feedback.sum()
     if total <= 0 or lr == 0:
         return s.copy()
-    return project_to_simplex(s + lr * feedback / total)
+    with np.errstate(over="ignore"):  # a huge lr steps to +inf
+        return project_to_simplex(s + lr * feedback / total)
 
 
 def lbr_step(
@@ -60,7 +70,8 @@ def lbr_step(
         return s.copy()
     direction = rng.normal(size=len(s))
     direction -= direction.mean()
-    candidate = project_to_simplex(s + step_size * direction)
+    with np.errstate(over="ignore"):  # a huge step size steps to +-inf
+        candidate = project_to_simplex(s + step_size * direction)
     if utility_of(candidate) > utility_of(s):
         return candidate
     return s.copy()
@@ -101,7 +112,7 @@ class _BaselinePolicy:
     """Shared state handling: one strategy vector per creator, seeded by `register`
     from the creator's seed skill before the first step."""
 
-    def __init__(self, genre_names, memory_k: int = 3):
+    def __init__(self, genre_names, memory_k: int):
         self.genre_names = tuple(genre_names)
         self.memory_k = memory_k
         self.strategies: dict[int, np.ndarray] = {}
@@ -117,7 +128,7 @@ class _BaselinePolicy:
 class CfdPolicy(_BaselinePolicy):
     name = "cfd"
 
-    def __init__(self, genre_names, lr: float = 0.1, memory_k: int = 3):
+    def __init__(self, genre_names, lr: float, memory_k: int):
         super().__init__(genre_names, memory_k)
         self.lr = lr
         self._click_snapshots: dict[int, np.ndarray] = {}
@@ -137,7 +148,7 @@ class CfdPolicy(_BaselinePolicy):
 class LbrPolicy(_BaselinePolicy):
     name = "lbr"
 
-    def __init__(self, genre_names, step_size: float = 0.1, memory_k: int = 3):
+    def __init__(self, genre_names, step_size: float, memory_k: int):
         super().__init__(genre_names, memory_k)
         self.step_size = step_size
 

@@ -1,5 +1,6 @@
 """Shared domain types: identifiers, the platform's item catalog and
-interaction event log, run configuration, and seeded random streams.
+interaction event log, run configuration and synthetic-data parameters, and
+seeded random streams.
 
 The catalog and the event log are the platform's store, both kept as numpy
 columns that `extend` fills a block at a time: each item fact and each event
@@ -13,7 +14,8 @@ ownership column and enforces the platform/creator information boundary.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -30,6 +32,10 @@ class SimError(Exception):
 
 class ConfigError(SimError):
     """Invalid or unknown configuration."""
+
+
+class InvalidParams(ConfigError):
+    """Synthetic generator parameters out of range."""
 
 
 class DataError(SimError):
@@ -454,10 +460,22 @@ def hash_uniform(seed: int, a: int, ids: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Run configuration
+#
+# A settings class is a dataclass whose fields are its settings, each stated
+# once: its field declares the default and, through `setting`, the bounds.
+# `_Settings` derives the file keys, the typed parse of `key = value` pairs and
+# the bound checks from the fields.
 
 RANKERS = ("random", "pop", "mf", "bpr")
 RERANKERS = ("none", "mmr", "fairrec", "fairco", "pmmf")
 CREATOR_POLICIES = ("creagent", "creagent_llm", "cfd", "lbr", "simuline", "random")
+
+# Content categories of a mainstream video platform; the default vocabulary.
+DEFAULT_GENRES = (
+    "Film & Animation", "Autos & Vehicles", "Music", "Pets & Animals", "Sports", "Travel & Events",
+    "Gaming", "People & Blogs", "Comedy", "Entertainment", "News & Politics", "Howto & Style",
+    "Education", "Science & Technology",
+)
 
 
 # Config-file sections: field `<section>_<name>` is written `<section>.<name>`.
@@ -476,102 +494,130 @@ def _config_key(field_name: str) -> str:
     return field_name
 
 
+def setting(default, *, ge=None, gt=None, le=None):
+    """A settings field: `default`, and values must be >= `ge` (or > `gt`) and <= `le`."""
+    return field(default=default, metadata={"ge": ge, "gt": gt, "le": le})
+
+
+class _Settings:
+    """Base of the settings dataclasses: file keys, parsing and checks from the fields."""
+
+    _error = ConfigError  # raised for a bad key or value
+
+    @staticmethod
+    def _key(name: str) -> str:
+        return name
+
+    @classmethod
+    def file_keys(cls) -> dict[str, str]:
+        """Config-file key -> field name, in field order."""
+        return {cls._key(f.name): f.name for f in fields(cls)}
+
+    @classmethod
+    def from_pairs(cls, pairs: dict[str, str]):
+        """The settings of `key = value` pairs, each typed as its field's default, validated."""
+        by_key = {cls._key(f.name): f for f in fields(cls)}
+        kwargs = {}
+        for key, raw in pairs.items():
+            if key not in by_key:
+                raise cls._error(f"unknown config key {key!r}")
+            kind = type(by_key[key].default)
+            try:
+                if kind is bool:
+                    low = raw.strip().lower()
+                    if low not in ("true", "1", "yes", "false", "0", "no"):
+                        raise ValueError(f"not a boolean: {raw!r}")
+                    value = low in ("true", "1", "yes")
+                elif kind is str:
+                    value = raw.strip()
+                else:
+                    value = kind(raw)
+            except ValueError as e:
+                raise cls._error(f"bad value for {key}: {e}") from e
+            kwargs[by_key[key].name] = value
+        settings = cls(**kwargs)
+        settings.validate()
+        return settings
+
+    @classmethod
+    def from_file(cls, path: str | Path):
+        return cls.from_pairs(read_kv_file(path))
+
+    def validate(self) -> None:
+        """Check that every float is finite and every setting within its bounds."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            ge, gt, le = (f.metadata.get(k) for k in ("ge", "gt", "le"))
+            if isinstance(value, float) and not math.isfinite(value):
+                need = "finite"
+            elif le is not None and not ge <= value <= le:
+                need = f"in [{ge}, {le}]"
+            elif ge is not None and not value >= ge:
+                need = f">= {ge}"
+            elif gt is not None and not value > gt:
+                need = f"> {gt}"
+            else:
+                continue
+            raise self._error(f"{self._key(f.name)} must be {need}")
+
+
 @dataclass
-class SimConfig:
+class SimConfig(_Settings):
     """Flat run configuration; persisted verbatim with every run."""
 
-    n_users: int = 100
-    n_creators: int = 50
-    n_steps: int = 100
-    warmup: int = 10
-    list_length: int = 5
-    retrain_period: int = 5
-    timeliness_window: int = 20
-    beta: float = 0.5
-    departure_threshold: int = 5
-    seed: int = 0
-    workers: int = 1
+    _key = staticmethod(_config_key)
+
+    n_users: int = setting(100, ge=1)
+    n_creators: int = setting(50, ge=1)
+    n_steps: int = setting(100, ge=1)
+    warmup: int = setting(10, ge=1)  # and <= n_steps
+    list_length: int = setting(5, ge=1)
+    retrain_period: int = setting(5, ge=1)
+    timeliness_window: int = setting(20, ge=1)
+    beta: float = setting(0.5, ge=0, le=1)
+    departure_threshold: int = setting(5, ge=1)
+    seed: int = setting(0, ge=0)
+    workers: int = setting(1, ge=1)
     ranker: str = "mf"
     reranker: str = "none"
     creator_policy: str = "creagent"
     data_dir: str = ""
     creator_full_information: bool = False
-    creagent_p_explore_max: float = 0.40
-    creagent_p_explore_min: float = 0.05
-    creagent_memory_k: int = 3
-    cfd_lr: float = 0.1
-    lbr_step_size: float = 0.1
-    user_alpha_click: float = 0.8
-    user_exit_base: float = 0.05
-    user_exit_per_skip: float = 0.15
-    user_novelty_decay: float = 0.8
-    mf_dim: int = 32
-    mf_lr: float = 0.05
-    mf_epochs: int = 5
-    mf_l2: float = 1e-4
-    pop_window: int = 20
-    rerank_pool_multiplier: int = 4
-    mmr_lambda: float = 0.7
-    fairrec_min_share: float = 0.5
-    fairco_lambda: float = 0.5
-    pmmf_eta_dual: float = 0.1
-    pmmf_dual_max: float = 2.0
+    creagent_p_explore_max: float = setting(0.40, ge=0, le=1)
+    creagent_p_explore_min: float = setting(0.05, ge=0, le=1)  # and <= p_explore_max
+    creagent_memory_k: int = setting(3, ge=1)
+    cfd_lr: float = setting(0.1, ge=0)
+    lbr_step_size: float = setting(0.1, ge=0)
+    user_alpha_click: float = setting(0.8, ge=0)
+    user_exit_base: float = setting(0.05, ge=0)
+    user_exit_per_skip: float = setting(0.15, ge=0)
+    user_novelty_decay: float = setting(0.8, ge=0, le=1)
+    mf_dim: int = setting(32, ge=1)
+    mf_lr: float = setting(0.05, gt=0)
+    mf_epochs: int = setting(5, ge=1)
+    mf_l2: float = setting(1e-4, ge=0)
+    pop_window: int = setting(20, ge=1)
+    rerank_pool_multiplier: int = setting(4, ge=1)
+    mmr_lambda: float = setting(0.7, ge=0, le=1)
+    fairrec_min_share: float = setting(0.5, ge=0, le=1)
+    fairco_lambda: float = setting(0.5, ge=0)
+    pmmf_eta_dual: float = setting(0.1, gt=0)
+    pmmf_dual_max: float = setting(2.0, ge=0)
     llm_endpoint: str = ""
     llm_model: str = ""
     llm_temperature: float = 0.0
-    llm_max_tokens: int = 256
-    llm_timeout: float = 10.0
-    llm_retries: int = 1
-    synth_n_genres: int = 14
-    synth_n_days: int = 60
-    synth_items_per_creator: int = 15
-    synth_interactions_per_user: int = 30
-    synth_genre_skew: float = 1.0
-    synth_genre_concentration: float = 12.0
-    synth_activity_skew: float = 1.0
-    synth_activity_floor: float = 0.05
-
-    @classmethod
-    def file_keys(cls) -> dict[str, str]:
-        """Dotted config-file key -> field name, in field order."""
-        return {_config_key(f.name): f.name for f in fields(cls)}
-
-    @classmethod
-    def from_pairs(cls, pairs: dict[str, str]) -> "SimConfig":
-        keys = cls.file_keys()
-        default = cls()
-        kwargs = {}
-        for key, raw in pairs.items():
-            attr = keys.get(key)
-            if attr is None:
-                raise ConfigError(f"unknown config key {key!r}")
-            kind = type(getattr(default, attr))
-            try:
-                if kind is bool:
-                    low = raw.strip().lower()
-                    if low in ("true", "1", "yes"):
-                        value = True
-                    elif low in ("false", "0", "no"):
-                        value = False
-                    else:
-                        raise ValueError(f"not a boolean: {raw!r}")
-                elif kind is int:
-                    value = int(raw)
-                elif kind is float:
-                    value = float(raw)
-                else:
-                    value = raw.strip()
-            except ValueError as e:
-                raise ConfigError(f"bad value for {key}: {e}") from e
-            kwargs[attr] = value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SimConfig":
-        pairs = read_kv_file(path)
-        return cls.from_pairs(pairs)
+    llm_max_tokens: int = setting(256, ge=1)
+    llm_timeout: float = setting(10.0, gt=0)
+    llm_retries: int = setting(1, ge=0)
+    synth_n_genres: int = setting(14, ge=1, le=len(DEFAULT_GENRES))
+    # a day is drawn over a span of at most n_days values, which must be below 2**32
+    synth_n_days: int = setting(60, ge=1, le=2**32 - 1)
+    synth_items_per_creator: int = setting(15, ge=1)
+    synth_interactions_per_user: int = setting(30, ge=0)
+    synth_genre_skew: float = setting(1.0, ge=0)  # power-law exponent of genre popularity
+    synth_genre_concentration: float = setting(12.0, gt=0)  # higher: creators focus on fewer genres
+    synth_activity_skew: float = setting(1.0, ge=0)  # power-law exponent of creator output
+    synth_activity_floor: float = setting(0.05, ge=0, le=1)  # tail output as a fraction of the head's
 
     def section(self, prefix: str) -> dict:
         """The `<prefix>.*` settings, keyed by the name after the dot."""
@@ -596,55 +642,63 @@ class SimConfig:
         return cfg
 
     def validate(self) -> None:
-        c = self
-        checks = [
-            (c.n_users >= 1, "n_users must be >= 1"),
-            (c.n_creators >= 1, "n_creators must be >= 1"),
-            (c.n_steps >= 1, "n_steps must be >= 1"),
-            (1 <= c.warmup <= c.n_steps, "warmup must satisfy 1 <= warmup <= n_steps"),
-            (c.list_length >= 1, "list_length must be >= 1"),
-            (c.retrain_period >= 1, "retrain_period must be >= 1"),
-            (c.timeliness_window >= 1, "timeliness_window must be >= 1"),
-            (0.0 <= c.beta <= 1.0, "beta must be in [0, 1]"),
-            (c.departure_threshold >= 1, "departure_threshold must be >= 1"),
-            (c.seed >= 0, "seed must be >= 0"),
-            (c.workers >= 1, "workers must be >= 1"),
-            (c.ranker in RANKERS, f"ranker must be one of {RANKERS}"),
-            (c.reranker in RERANKERS, f"reranker must be one of {RERANKERS}"),
-            (c.creator_policy in CREATOR_POLICIES, f"creator_policy must be one of {CREATOR_POLICIES}"),
-            (0.0 <= c.creagent_p_explore_min <= c.creagent_p_explore_max <= 1.0,
-             "explore probabilities must satisfy 0 <= min <= max <= 1"),
-            (c.creagent_memory_k >= 1, "creagent.memory_k must be >= 1"),
-            (c.cfd_lr >= 0.0, "cfd.lr must be >= 0"),
-            (c.lbr_step_size >= 0.0, "lbr.step_size must be >= 0"),
-            (c.user_alpha_click >= 0.0, "user.alpha_click must be >= 0"),
-            (c.user_exit_base >= 0.0, "user.exit_base must be >= 0"),
-            (c.user_exit_per_skip >= 0.0, "user.exit_per_skip must be >= 0"),
-            (0.0 <= c.user_novelty_decay <= 1.0, "user.novelty_decay must be in [0, 1]"),
-            (c.mf_dim >= 1, "mf.dim must be >= 1"),
-            (c.mf_lr > 0.0, "mf.lr must be > 0"),
-            (c.mf_epochs >= 1, "mf.epochs must be >= 1"),
-            (c.mf_l2 >= 0.0, "mf.l2 must be >= 0"),
-            (c.pop_window >= 1, "pop.window must be >= 1"),
-            (c.rerank_pool_multiplier >= 1, "rerank.pool_multiplier must be >= 1"),
-            (0.0 <= c.mmr_lambda <= 1.0, "mmr.lambda must be in [0, 1]"),
-            (0.0 <= c.fairrec_min_share <= 1.0, "fairrec.min_share must be in [0, 1]"),
-            (c.fairco_lambda >= 0.0, "fairco.lambda must be >= 0"),
-            (c.pmmf_eta_dual > 0.0, "pmmf.eta_dual must be > 0"),
-            (c.pmmf_dual_max >= 0.0, "pmmf.dual_max must be >= 0"),
-            (c.llm_timeout > 0.0, "llm.timeout must be > 0"),
-            (c.llm_retries >= 0, "llm.retries must be >= 0"),
-            (c.llm_max_tokens >= 1, "llm.max_tokens must be >= 1"),
-        ]
-        for ok, message in checks:
+        super().validate()
+        for ok, message in (
+            (self.warmup <= self.n_steps, "warmup must be <= n_steps"),
+            (self.creagent_p_explore_min <= self.creagent_p_explore_max,
+             "creagent.p_explore_min must be <= creagent.p_explore_max"),
+            (self.ranker in RANKERS, f"ranker must be one of {RANKERS}"),
+            (self.reranker in RERANKERS, f"reranker must be one of {RERANKERS}"),
+            (self.creator_policy in CREATOR_POLICIES, f"creator_policy must be one of {CREATOR_POLICIES}"),
+        ):
             if not ok:
                 raise ConfigError(message)
-        from .ingest import InvalidParams, SynthParams
-
         try:
             SynthParams.from_config(self).validate()
         except InvalidParams as e:
             raise ConfigError(f"synth.{e}") from e
+
+
+def _config_field(name: str):
+    """A field with the default and bounds of `SimConfig`'s field `name`."""
+    f = SimConfig.__dataclass_fields__[name]
+    return field(default=f.default, metadata=f.metadata)
+
+
+@dataclass
+class SynthParams(_Settings):
+    """Knobs for the synthetic generator; desk-scale stand-in data.
+
+    Each knob is the run config's `synth.<name>`, or its `n_users`, `n_creators`
+    or `seed`, with that setting's default and bounds.
+    """
+
+    _error = InvalidParams
+
+    n_users: int = _config_field("n_users")
+    n_creators: int = _config_field("n_creators")
+    n_genres: int = _config_field("synth_n_genres")
+    n_days: int = _config_field("synth_n_days")
+    items_per_creator: int = _config_field("synth_items_per_creator")
+    interactions_per_user: int = _config_field("synth_interactions_per_user")
+    genre_skew: float = _config_field("synth_genre_skew")
+    genre_concentration: float = _config_field("synth_genre_concentration")
+    activity_skew: float = _config_field("synth_activity_skew")
+    activity_floor: float = _config_field("synth_activity_floor")
+    seed: int = _config_field("seed")
+
+    @classmethod
+    def from_config(cls, cfg: SimConfig) -> "SynthParams":
+        """A run config's `synth.*` section, sized and seeded by the run."""
+        return cls(
+            n_users=cfg.n_users, n_creators=cfg.n_creators, seed=cfg.seed, **cfg.section("synth")
+        )
+
+    def validate(self) -> None:
+        super().validate()
+        # every draw of an item index spans fewer than 2**32 values
+        if self.n_creators * self.items_per_creator >= 2**32:
+            raise InvalidParams("n_creators * items_per_creator must be < 2**32")
 
 
 def read_kv_file(path: str | Path) -> dict[str, str]:

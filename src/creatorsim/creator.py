@@ -71,12 +71,12 @@ class CreatorRuntime:
     create_prob: float                     # activity / population max
     n_genres: int
     beliefs: Beliefs
+    departure_threshold: int
+    beta: float
     catalog: Catalog = field(default_factory=Catalog)  # the platform's items
     # Own item ids in creation order, which is also id order, so every float
     # reduction over them is reproducible.
     items: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    departure_threshold: int = 5
-    beta: float = 0.5
     consecutive_zero_click: int = 0
     alive: bool = True
     creation_count: int = 0                # simulated creations, for title numbering
@@ -190,7 +190,7 @@ def reward_percentile(state: CreatorRuntime, n: int) -> float:
     return (below + 0.5 * ties) / len(others)
 
 
-def explore_probability(q: float, p_max: float = 0.40, p_min: float = 0.05) -> float:
+def explore_probability(q: float, p_max: float, p_min: float) -> float:
     """Linear map from reward percentile to explore probability."""
     return p_max - (p_max - p_min) * q
 
@@ -199,8 +199,8 @@ def rule_based_decide(
     state: CreatorRuntime,
     n: int,
     rng: np.random.Generator,
-    p_max: float = 0.40,
-    p_min: float = 0.05,
+    p_max: float,
+    p_min: float,
 ) -> ExploreAction:
     """Default explore/exploit decision.
 
@@ -257,8 +257,8 @@ def template_content(
     state: CreatorRuntime,
     action: ExploreAction,
     genre_names,
-    memory_k: int = 3,
-    n: int = 0,
+    memory_k: int,
+    n: int,
 ) -> CreatedContent:
     """Deterministic template creation for the decided genre.
 
@@ -292,7 +292,7 @@ class RuleBasedPolicy:
 
     name = "creagent"
 
-    def __init__(self, genre_names, p_max: float = 0.40, p_min: float = 0.05, memory_k: int = 3):
+    def __init__(self, genre_names, p_max: float, p_min: float, memory_k: int):
         self.genre_names = tuple(genre_names)
         self.p_max = p_max
         self.p_min = p_min

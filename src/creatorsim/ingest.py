@@ -12,30 +12,13 @@ kept interaction.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DataError, read_kv_file
-
-# Content categories of a mainstream video platform; the default vocabulary.
-DEFAULT_GENRES = (
-    "Film & Animation",
-    "Autos & Vehicles",
-    "Music",
-    "Pets & Animals",
-    "Sports",
-    "Travel & Events",
-    "Gaming",
-    "People & Blogs",
-    "Comedy",
-    "Entertainment",
-    "News & Politics",
-    "Howto & Style",
-    "Education",
-    "Science & Technology",
-)
+# SynthParams and InvalidParams live beside the run config they share settings with
+from .core import DEFAULT_GENRES, DataError, InvalidParams, SynthParams  # noqa: F401
 
 PREF_SMOOTHING = 0.1  # add-alpha smoothing for user genre histograms
 
@@ -50,10 +33,6 @@ class DanglingRef(DataError):
 
 class EmptyDataset(DataError):
     """One of the required record files has no data rows."""
-
-
-class InvalidParams(ConfigError):
-    """Synthetic generator parameters out of range."""
 
 
 @dataclass(frozen=True)
@@ -278,67 +257,6 @@ def init_user_seeds(
 
 # ---------------------------------------------------------------------------
 # Synthetic datasets
-
-
-@dataclass
-class SynthParams:
-    """Knobs for the synthetic generator; desk-scale stand-in data."""
-
-    n_users: int = 100
-    n_creators: int = 50
-    n_genres: int = 14
-    n_days: int = 60
-    items_per_creator: int = 15
-    interactions_per_user: int = 30
-    genre_skew: float = 1.0            # power-law exponent of genre popularity
-    genre_concentration: float = 12.0  # higher = creators focus on fewer genres
-    activity_skew: float = 1.0         # power-law exponent of creator output
-    activity_floor: float = 0.05       # tail output as a fraction of the head's
-    seed: int = 0
-
-    @classmethod
-    def from_config(cls, cfg) -> "SynthParams":
-        """A run config's `synth.*` section, sized and seeded by the run."""
-        return cls(
-            n_users=cfg.n_users, n_creators=cfg.n_creators, seed=cfg.seed, **cfg.section("synth")
-        )
-
-    @classmethod
-    def from_file(cls, path) -> "SynthParams":
-        pairs = read_kv_file(path)
-        valid = {f.name for f in fields(cls)}
-        kwargs = {}
-        for key, raw in pairs.items():
-            if key not in valid:
-                raise InvalidParams(f"unknown synth param {key!r}")
-            kind = type(getattr(cls(), key))
-            try:
-                kwargs[key] = kind(raw)
-            except ValueError as e:
-                raise InvalidParams(f"bad value for {key}: {e}") from e
-        params = cls(**kwargs)
-        params.validate()
-        return params
-
-    def validate(self) -> None:
-        checks = [
-            (self.n_users >= 1, "n_users must be >= 1"),
-            (self.n_creators >= 1, "n_creators must be >= 1"),
-            (1 <= self.n_genres <= len(DEFAULT_GENRES), f"n_genres must be in [1, {len(DEFAULT_GENRES)}]"),
-            # every draw of an item index or a day must span fewer than 2**32 values
-            (1 <= self.n_days < 2**32, "n_days must be in [1, 2**32 - 1]"),
-            (self.items_per_creator >= 1, "items_per_creator must be >= 1"),
-            (self.n_creators * self.items_per_creator < 2**32, "n_creators * items_per_creator must be < 2**32"),
-            (self.interactions_per_user >= 0, "interactions_per_user must be >= 0"),
-            (self.genre_skew >= 0.0, "genre_skew must be >= 0"),
-            (self.genre_concentration > 0.0, "genre_concentration must be > 0"),
-            (self.activity_skew >= 0.0, "activity_skew must be >= 0"),
-            (0.0 <= self.activity_floor <= 1.0, "activity_floor must be in [0, 1]"),
-            (self.seed >= 0, "seed must be >= 0"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise InvalidParams(message)
 
 
 _WORD = 1 << 32

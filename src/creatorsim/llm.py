@@ -52,12 +52,14 @@ class ExhaustedRetries(LlmError):
 
 @dataclass(frozen=True)
 class LlmConfig:
+    """The run config's `llm.*` section."""
+
     endpoint: str
     model: str
-    temperature: float = 0.0
-    max_tokens: int = 256
-    timeout: float = 10.0
-    retries: int = 1
+    temperature: float
+    max_tokens: int
+    timeout: float
+    retries: int
 
 
 @dataclass(frozen=True)

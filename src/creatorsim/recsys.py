@@ -162,21 +162,21 @@ class _FactorRanker:
         return self._read_only(self.QB[:, self.dim])
 
     def _grow(self, catalog: Catalog) -> None:
+        """Add a row per item created since the last retrain, from its genre's cold factor.
+
+        The cold table is `_refresh_cold`'s from the end of that retrain, which
+        left `Q` and `bi` as they are now.
+        """
         n = len(catalog)
         if n <= self.n_items:
             return
-        genres = catalog.genre
-        n_genres = int(genres.max()) + 1
         grown = np.zeros((n, self.dim + 1))
         grown[: self.n_items] = self.QB
-        if self.n_items > 0:
-            for g in range(n_genres):
-                old = np.where(genres[: self.n_items] == g)[0]
-                if len(old) == 0:
-                    continue
-                fresh = np.where(genres[self.n_items:] == g)[0] + self.n_items
-                grown[fresh, : self.dim] = self.Q[old].mean(axis=0)
-                grown[fresh, self.dim] = self.bi[old].mean()
+        genres = catalog.genre[self.n_items :]
+        in_table = genres < len(self.cold_vec)
+        rows = np.flatnonzero(in_table) + self.n_items
+        grown[rows, : self.dim] = self.cold_vec[genres[in_table]]
+        grown[rows, self.dim] = self.cold_bias[genres[in_table]]
         self.QB, self.n_items = grown, n
 
     def _refresh_cold(self, catalog: Catalog, n_genres: int) -> None:
@@ -246,7 +246,8 @@ class MfRanker(_FactorRanker):
             u, i, yy = u_all[sel], i_all[sel], y[sel]
             pu, qi = self.PB[u], self.QB[i]
             logits = pu[:, d] + qi[:, d] + (pu[:, :d] * qi[:, :d]).sum(axis=1)
-            g = 1.0 / (1.0 + np.exp(-logits)) - yy
+            with np.errstate(over="ignore"):  # exp overflows to inf, and g is then -yy
+                g = 1.0 / (1.0 + np.exp(-logits)) - yy
             # the bias column's input is 1, and g * 1.0 == g exactly
             grad_u, grad_i = g[:, None] * qi, g[:, None] * pu
             grad_u[:, d] = grad_i[:, d] = g
@@ -268,7 +269,8 @@ class BprRanker(_FactorRanker):
             pu, qi, qj = self.PB[u], self.QB[i], self.QB[j]
             diff = qi - qj
             x = diff[:, d] + (pu[:, :d] * diff[:, :d]).sum(axis=1)
-            g = -1.0 / (1.0 + np.exp(x))  # d(-ln sigma(x))/dx
+            with np.errstate(over="ignore"):  # exp overflows to inf, and g is then -0.0
+                g = -1.0 / (1.0 + np.exp(x))  # d(-ln sigma(x))/dx
             grad_u, grad_i = g[:, None] * diff, g[:, None] * pu
             grad_u[:, d] = 0.0  # BPR has no user bias
             grad_i[:, d] = g
@@ -279,8 +281,7 @@ class BprRanker(_FactorRanker):
             _scatter_add(self.QB, j, -self.lr * (-grad_i + self.l2 * qj))
 
 
-def make_ranker(name: str, n_users: int, seed: int, *, dim=32, lr=0.05, epochs=5,
-                l2=1e-4, pop_window=20):
+def make_ranker(name: str, n_users: int, seed: int, *, dim, lr, epochs, l2, pop_window):
     if name == "random":
         return RandomRanker(seed)
     if name == "pop":

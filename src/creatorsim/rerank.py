@@ -93,7 +93,7 @@ def pmmf_rerank(
     eta_dual: float,
     k: int,
     alive: np.ndarray,
-    dual_max: float = 2.0,
+    dual_max: float,
 ) -> np.ndarray:
     """Dual-adjusted max-min exposure selection.
 

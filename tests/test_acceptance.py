@@ -121,7 +121,8 @@ def test_02_utility_oracle():
     state = CreatorRuntime(
         creator_id=0, name="c", identity="", motivation="", activity=1.0, create_prob=1.0,
         n_genres=4,
-        beliefs=Beliefs(skill=np.full(4, 0.25), audience={}), beta=0.5,
+        beliefs=Beliefs(skill=np.full(4, 0.25), audience={}),
+        departure_threshold=SimConfig().departure_threshold, beta=0.5,
     )
     items: dict[int, int] = {}
     totals: dict[int, list[int]] = {}  # running (exposures, clicks) the test accumulates
@@ -284,7 +285,8 @@ def test_10_ranker_sanity():
         for i in range(4):
             cat.add(creator_id=i, genre=i // 2, title=f"i{i}", tags=[], description="", created_step=0)
         train = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (2, 2, 0), (2, 3, 0), (3, 2, 0)]
-        ranker = make_ranker(name, n_users=4, seed=13)
+        cfg = SimConfig()
+        ranker = make_ranker(name, n_users=4, seed=13, pop_window=cfg.pop_window, **cfg.section("mf"))
         for step in range(30):
             ranker.retrain(train, cat, step)
         wins = total = 0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from creatorsim.core import stream
+from creatorsim.core import SimConfig, stream
 from creatorsim.baselines import (
     EmptyGenres,
     cfd_step,
@@ -12,6 +13,7 @@ from creatorsim.baselines import (
     random_choose,
     simuline_choose,
 )
+from creatorsim.harness import run_simulation
 
 
 class TestCfd:
@@ -116,3 +118,29 @@ def test_lbr_never_decreases_utility(seed, step):
         now = utility(s)
         assert now >= last - 1e-12
         last = now
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(v=np.array([1e308, -1.0, 1.5e308]))
+def test_any_finite_vector_projects_to_a_simplex_point(v):
+    # finite entries may still sum past the largest float
+    p = project_to_simplex(v)
+    assert np.isfinite(p).all() and (p >= 0).all()
+    assert p.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_infinite_entries_share_the_mass():
+    assert project_to_simplex(np.array([np.inf, 1.0, -np.inf, np.inf])).tolist() == [0.5, 0, 0, 0.5]
+
+
+@pytest.mark.parametrize("policy, setting", [("cfd", "cfd_lr"), ("lbr", "lbr_step_size")])
+def test_run_with_a_huge_step_finishes(tmp_path, policy, setting):
+    """A step of 1e308 overflows the strategy update to +-inf; the projection
+    still gives a point the policy can sample from, and no overflow warns."""
+    cfg = SimConfig(
+        n_users=30, n_creators=10, n_steps=15, warmup=2, creator_policy=policy, **{setting: 1e308}
+    )
+    run = run_simulation(cfg, out_dir=tmp_path / "run")
+    trace = (tmp_path / "run" / "creator_trace.csv").read_text().splitlines()
+    assert len(trace) > 10 and run.report["tuw"] > 0

@@ -1,5 +1,7 @@
+import re
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,13 @@ from creatorsim.core import (
     OutOfOrder,
     DRAW_BLOCK,
     SimConfig,
+    SynthParams,
     UniformStreams,
     creator_view,
     hash_uniform,
     stream,
 )
+from creatorsim.cli import main as cli_main
 
 
 def ev(step, user, item, exposed=True, clicked=False):
@@ -490,3 +494,94 @@ class TestSimConfig:
     def test_bad_value_type_rejected(self):
         with pytest.raises(ConfigError):
             SimConfig.from_pairs({"n_users": "many"})
+
+
+# ---------------------------------------------------------------------------
+# The settings schema: every check derives from the fields of SimConfig and
+# SynthParams, so these cases are generated from the same fields.
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _file_key(cls, name):
+    return {attr: key for key, attr in cls.file_keys().items()}[name]
+
+
+def _past_bounds(f):
+    """Values just outside each bound of settings field `f`."""
+    ge, gt, le = (f.metadata.get(k) for k in ("ge", "gt", "le"))
+    kind = type(f.default)
+    if kind is float:
+        def past(b, direction):
+            return float(np.nextafter(b, direction * np.inf))
+    else:
+        def past(b, direction):
+            return b + direction
+    values = [] if ge is None else [past(ge, -1)]
+    values += [] if gt is None else [kind(gt)]
+    return values + ([] if le is None else [past(le, 1)])
+
+
+SETTINGS = [(cls, f) for cls in (SimConfig, SynthParams) for f in fields(cls)]
+FLOAT_SETTINGS = [(cls, f.name) for cls, f in SETTINGS if isinstance(f.default, float)]
+PAST_BOUNDS = [(cls, f.name, v) for cls, f in SETTINGS for v in _past_bounds(f)]
+
+
+class TestSettingsSchema:
+    def test_every_numeric_setting_but_llm_temperature_is_bounded(self):
+        unbounded = {
+            (cls.__name__, f.name) for cls, f in SETTINGS
+            if type(f.default) in (int, float) and not _past_bounds(f)
+        }
+        assert unbounded == {("SimConfig", "llm_temperature")}
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "cls, name", FLOAT_SETTINGS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_SETTINGS]
+    )
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, cls, name, text):
+        key = _file_key(cls, name)
+        path = tmp_path / "settings.txt"
+        path.write_text(f"{key} = {text}\n")
+        command = ["run", "--config"] if cls is SimConfig else ["synth", "--params"]
+        assert cli_main([*command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cls, name, value", PAST_BOUNDS, ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in PAST_BOUNDS]
+    )
+    def test_value_past_a_bound_is_rejected_by_key(self, cls, name, value):
+        key = _file_key(cls, name)
+        with pytest.raises(ConfigError, match=re.escape(key) + " must be "):
+            cls.from_pairs({key: repr(value)})
+        with pytest.raises(ConfigError, match=re.escape(key) + " must be "):
+            cls(**{name: value}).validate()
+
+    def test_synth_params_share_the_run_config_defaults_and_bounds(self):
+        cfg = SimConfig()
+        assert SynthParams.from_config(cfg) == SynthParams()
+        config_fields = {f.name: f for f in fields(SimConfig)}
+        for f in fields(SynthParams):
+            twin = config_fields.get(f.name) or config_fields[f"synth_{f.name}"]
+            assert (f.default, dict(f.metadata)) == (twin.default, dict(twin.metadata))
+
+    def test_both_files_share_one_value_syntax(self):
+        params = SynthParams.from_pairs({"n_users": " 12 ", "genre_skew": "0.5", "seed": "3"})
+        cfg = SimConfig.from_pairs({"n_users": " 12 ", "synth.genre_skew": "0.5", "seed": "3"})
+        assert params == SynthParams.from_config(cfg)
+        for cls in (SimConfig, SynthParams):
+            with pytest.raises(ConfigError, match="bad value for n_users"):
+                cls.from_pairs({"n_users": "many"})
+            with pytest.raises(ConfigError, match="unknown config key"):
+                cls.from_pairs({"not_a_key": "1"})
+
+    def test_readme_config_example_parses_to_the_defaults(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+        path = tmp_path / "config.txt"
+        path.write_text(example)
+        assert SimConfig.from_file(path) == SimConfig()
+        named = set(re.findall(r"^([a-z0-9_.]+) =", example, re.M))
+        named |= set(re.findall(r"`([a-z0-9_.]+)`", text))
+        assert set(SimConfig.file_keys()) - named == set()

@@ -25,6 +25,8 @@ from creatorsim.creator import (
 from creatorsim.ingest import SynthParams, synth_dataset
 
 GENRES = tuple(f"G{i}" for i in range(14))
+CFG = SimConfig()
+P_EXPLORE = (CFG.creagent_p_explore_max, CFG.creagent_p_explore_min)
 
 
 def make_creator(name="Ada", n_genres=14, beta=0.5, create_prob=0.5):
@@ -37,6 +39,7 @@ def make_creator(name="Ada", n_genres=14, beta=0.5, create_prob=0.5):
         create_prob=create_prob,
         n_genres=n_genres,
         beliefs=Beliefs(skill=np.full(n_genres, 1.0 / n_genres), audience={}),
+        departure_threshold=CFG.departure_threshold,
         beta=beta,
     )
 
@@ -177,9 +180,9 @@ class TestBeliefs:
 
 class TestDecision:
     def test_explore_probability_endpoints(self):
-        assert explore_probability(0.0) == pytest.approx(0.40)
-        assert explore_probability(1.0) == pytest.approx(0.05)
-        assert explore_probability(0.5) == pytest.approx(0.225)
+        assert explore_probability(0.0, *P_EXPLORE) == pytest.approx(0.40)
+        assert explore_probability(1.0, *P_EXPLORE) == pytest.approx(0.05)
+        assert explore_probability(0.5, *P_EXPLORE) == pytest.approx(0.225)
 
     def test_first_decision_uses_midpoint(self):
         c = make_creator()
@@ -188,7 +191,7 @@ class TestDecision:
     def test_threshold_behavior_via_scripted_rng(self):
         c = make_creator()
         # cold creator, q=0.5 -> p_explore=0.225; no known genres forces explore anyway
-        action = rule_based_decide(c, 1, ScriptedRng([0.224], ints=[2]))
+        action = rule_based_decide(c, 1, ScriptedRng([0.224], ints=[2]), *P_EXPLORE)
         assert action.kind is ActionKind.EXPLORE
 
     def test_exploit_picks_argmax_product_with_tie_to_lowest(self):
@@ -197,7 +200,7 @@ class TestDecision:
             add_item(c, i, g, step=1)
         update_beliefs(c, 1)
         c.beliefs.audience = {0: 3.0, 1: 3.0, 2: 1.0}
-        action = rule_based_decide(c, 2, ScriptedRng([0.99]))
+        action = rule_based_decide(c, 2, ScriptedRng([0.99]), *P_EXPLORE)
         assert action.kind is ActionKind.EXPLOIT
         assert action.genre == 0
 
@@ -206,7 +209,7 @@ class TestDecision:
         add_item(c, 0, 0, step=1)
         update_beliefs(c, 1)
         rng = stream(3, "explore")
-        actions = [rule_based_decide(c, 2, rng) for _ in range(300)]
+        actions = [rule_based_decide(c, 2, rng, *P_EXPLORE) for _ in range(300)]
         seen = {a.genre for a in actions if a.kind is ActionKind.EXPLORE}
         assert seen == {1, 2, 3}
 
@@ -215,45 +218,45 @@ class TestDecision:
         for i, g in enumerate([0, 0, 1, 1, 2]):
             add_item(c, i, g, step=1)
         update_beliefs(c, 1)
-        action = rule_based_decide(c, 2, ScriptedRng([0.0]))
+        action = rule_based_decide(c, 2, ScriptedRng([0.0]), *P_EXPLORE)
         assert action.kind is ActionKind.EXPLORE
         assert action.genre == 2
 
     def test_exploit_probability_monotone_in_percentile(self):
         grid = np.linspace(0, 1, 11)
-        p = [1 - explore_probability(q) for q in grid]
+        p = [1 - explore_probability(q, *P_EXPLORE) for q in grid]
         assert all(a <= b for a, b in zip(p, p[1:]))
 
     def test_dead_creator_rejected(self):
         c = make_creator()
         c.alive = False
         with pytest.raises(DeadCreator):
-            rule_based_decide(c, 1, ScriptedRng([0.0]))
+            rule_based_decide(c, 1, ScriptedRng([0.0]), *P_EXPLORE)
 
 
 class TestContent:
     def test_title_template(self):
         c = make_creator(name="Ada")
         c.creation_count = 2  # two prior creations; this is the 3rd
-        content = template_content(c, ExploreAction(ActionKind.EXPLOIT, 2), GENRES)
+        content = template_content(c, ExploreAction(ActionKind.EXPLOIT, 2), GENRES, CFG.creagent_memory_k, 0)
         assert content.title == "Ada — G2 #3"
 
     def test_tag_fallback_is_genre_name(self):
         c = make_creator()
-        content = template_content(c, ExploreAction(ActionKind.EXPLORE, 5), GENRES)
+        content = template_content(c, ExploreAction(ActionKind.EXPLORE, 5), GENRES, CFG.creagent_memory_k, 0)
         assert content.tags == ("G5",)
 
     def test_tags_from_retrieved_memories(self):
         c = make_creator()
         add_item(c, 0, 2, step=1, tags=("rock", "live"))
         add_item(c, 1, 2, step=2, tags=("rock",))
-        content = template_content(c, ExploreAction(ActionKind.EXPLOIT, 2), GENRES, n=3)
+        content = template_content(c, ExploreAction(ActionKind.EXPLOIT, 2), GENRES, CFG.creagent_memory_k, 3)
         assert content.tags[0] == "rock"
 
     def test_deterministic(self):
         c = make_creator()
-        a = template_content(c, ExploreAction(ActionKind.EXPLORE, 1), GENRES)
-        b = template_content(c, ExploreAction(ActionKind.EXPLORE, 1), GENRES)
+        a = template_content(c, ExploreAction(ActionKind.EXPLORE, 1), GENRES, CFG.creagent_memory_k, 0)
+        b = template_content(c, ExploreAction(ActionKind.EXPLORE, 1), GENRES, CFG.creagent_memory_k, 0)
         assert a == b
 
 
@@ -416,7 +419,7 @@ class TestActivity:
 
 
 def test_policy_wrapper_round_trip():
-    policy = RuleBasedPolicy(GENRES, memory_k=3)
+    policy = RuleBasedPolicy(GENRES, *P_EXPLORE, memory_k=CFG.creagent_memory_k)
     c = make_creator()
     action = policy.decide(c, 1, stream(0, "p"))
     content = policy.make_content(c, action, 1)

@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from creatorsim.core import SimConfig
 from creatorsim.creator import ActionKind
 from creatorsim.llm import (
     FAST_THINKER,
@@ -23,6 +24,11 @@ from creatorsim.llm import (
 )
 
 GENRES = ("Music", "Gaming", "Entertainment", "Sports")
+
+
+def llm_config(**settings):
+    """The default run config's `llm.*` section, with `settings` replacing some of it."""
+    return LlmConfig(**{**SimConfig().section("llm"), **settings})
 
 
 def slow_vars(**overrides):
@@ -145,7 +151,7 @@ def test_complete_happy_path_with_fake_transport():
         calls.append(payload)
         return 200, canned_reply("hello")
 
-    cfg = LlmConfig(endpoint="http://example/v1", model="m", retries=1)
+    cfg = llm_config(endpoint="http://example/v1", model="m", retries=1)
     assert complete(cfg, "prompt", transport=transport) == "hello"
     assert calls[0]["messages"][0]["content"] == "prompt"
     assert calls[0]["model"] == "m"
@@ -160,13 +166,13 @@ def test_complete_retries_transient_500_then_succeeds():
             return 500, "boom"
         return 200, canned_reply("ok")
 
-    cfg = LlmConfig(endpoint="http://example", model="m", retries=1)
+    cfg = llm_config(endpoint="http://example", model="m", retries=1)
     assert complete(cfg, "p", transport=transport) == "ok"
     assert state["n"] == 2
 
 
 def test_complete_exhausted_retries_on_500():
-    cfg = LlmConfig(endpoint="http://example", model="m", retries=2)
+    cfg = llm_config(endpoint="http://example", model="m", retries=2)
     with pytest.raises(ExhaustedRetries):
         complete(cfg, "p", transport=lambda u, p, t: (500, "boom"))
 
@@ -178,7 +184,7 @@ def test_complete_timeout_counts_attempts():
         attempts.append(timeout)
         raise TimeoutError("unreachable")
 
-    cfg = LlmConfig(endpoint="http://example", model="m", timeout=0.5, retries=2)
+    cfg = llm_config(endpoint="http://example", model="m", timeout=0.5, retries=2)
     with pytest.raises(Timeout):
         complete(cfg, "p", transport=transport)
     assert attempts == [0.5, 0.5, 0.5]
@@ -191,7 +197,7 @@ def test_complete_client_error_not_retried():
         calls["n"] += 1
         return 404, "nope"
 
-    cfg = LlmConfig(endpoint="http://example", model="m", retries=3)
+    cfg = llm_config(endpoint="http://example", model="m", retries=3)
     with pytest.raises(HttpError):
         complete(cfg, "p", transport=transport)
     assert calls["n"] == 1
@@ -207,7 +213,7 @@ def test_endpoint_env_override(monkeypatch):
         return 200, canned_reply("ok")
 
     monkeypatch.setenv(ENDPOINT_ENV, "http://override/v1")
-    cfg = LlmConfig(endpoint="http://configured/v1", model="m")
+    cfg = llm_config(endpoint="http://configured/v1", model="m")
     complete(cfg, "p", transport=transport)
     assert seen == ["http://override/v1"]
 
@@ -234,7 +240,7 @@ def test_api_key_header_env(monkeypatch):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        cfg = LlmConfig(endpoint=f"http://127.0.0.1:{server.server_port}/v1", model="m", timeout=5.0)
+        cfg = llm_config(endpoint=f"http://127.0.0.1:{server.server_port}/v1", model="m", timeout=5.0)
         assert complete(cfg, "p") == "ok"
         assert captured["auth"] == "Bearer sekrit"
     finally:
@@ -260,7 +266,7 @@ def test_complete_against_local_http_stub():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        cfg = LlmConfig(
+        cfg = llm_config(
             endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
             model="stub",
             timeout=5.0,

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from creatorsim.core import Catalog
+from creatorsim.core import Catalog, SimConfig
+from creatorsim.harness import run_simulation
 from creatorsim.recsys import (
     SGD_BATCH,
     BprRanker,
@@ -20,6 +21,10 @@ from creatorsim.recsys import (
     _scatter_add,
 )
 from creatorsim.users import serve_session
+
+CFG = SimConfig()
+# make_ranker's settings as the default run config gives them
+RANKER_SETTINGS = dict(pop_window=CFG.pop_window, **CFG.section("mf"))
 
 
 def top_ids(ranker, user, pool, k, cat):
@@ -144,7 +149,7 @@ def block_diagonal_setup(ranker_name, seed=13):
     train = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (2, 2, 0), (2, 3, 0), (3, 2, 0)]
     held_out = [(1, 1), (3, 3)]
     cross = {1: [2, 3], 3: [0, 1]}
-    r = make_ranker(ranker_name, n_users=4, seed=seed)
+    r = make_ranker(ranker_name, n_users=4, seed=seed, **RANKER_SETTINGS)
     for step in range(30):
         r.retrain(train, cat, step)
     return r, cat, held_out, cross
@@ -314,6 +319,66 @@ def test_factor_sgd_bit_identical_to_2d_add_at(fast, reference):
         assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
+def _grow_per_genre(self, catalog):
+    """`_FactorRanker._grow` as a per-genre loop: each fresh row takes the mean
+    of the trained rows of its genre (the reference)."""
+    n = len(catalog)
+    if n <= self.n_items:
+        return
+    genres = catalog.genre
+    grown = np.zeros((n, self.dim + 1))
+    grown[: self.n_items] = self.QB
+    if self.n_items > 0:
+        for g in range(int(genres.max()) + 1):
+            old = np.where(genres[: self.n_items] == g)[0]
+            if len(old) == 0:
+                continue
+            fresh = np.where(genres[self.n_items:] == g)[0] + self.n_items
+            grown[fresh, : self.dim] = self.Q[old].mean(axis=0)
+            grown[fresh, self.dim] = self.bi[old].mean()
+    self.QB, self.n_items = grown, n
+
+
+class _MfPerGenre(MfRanker):
+    _grow = _grow_per_genre
+
+
+class _BprPerGenre(BprRanker):
+    _grow = _grow_per_genre
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fast, reference", [(MfRanker, _MfPerGenre), (BprRanker, _BprPerGenre)])
+def test_grow_from_cold_table_bit_identical_to_per_genre_means(fast, reference, seed):
+    # items arrive every step, in genres 0-5 of which the seed catalog has 0-2,
+    # and the rankers retrain every second step on the grown catalog
+    rng = np.random.default_rng(seed)
+    cat = catalog_with(20, genre_of=lambda i: i % 3)
+    rankers = [cls(n_users=12, dim=8, lr=0.05, epochs=2, l2=1e-4, seed=seed) for cls in (fast, reference)]
+    for step in range(1, 26):
+        for k in range(int(rng.integers(0, 4))):
+            cat.add(k % 2, int(rng.integers(0, 6)), "new", [], "", step)
+        if step % 2 == 0:
+            clicks = np.column_stack([
+                rng.integers(0, 12, 100), rng.integers(0, len(cat), 100), np.full(100, step)
+            ])
+            for r in rankers:
+                r.retrain(clicks, cat, step)
+    got, want = rankers
+    assert got.n_items == want.n_items > 20 and len(got.cold_vec) == 6
+    for attr in ("PB", "QB", "cold_vec", "cold_bias"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+@pytest.mark.parametrize("name", ["mf", "bpr"])
+def test_one_item_catalog_run_does_not_warn(tmp_path, name):
+    """A run whose synthetic catalog starts with one item drives some logits
+    far enough that `exp` overflows to inf; the gradient there is exact."""
+    cfg = SimConfig(n_users=60, n_creators=1, n_steps=30, synth_items_per_creator=1, ranker=name)
+    run = run_simulation(cfg, out_dir=tmp_path / "run")
+    assert run.report["tuw"] > 0
+
+
 def test_factor_views_are_read_only():
     r = MfRanker(n_users=3, dim=4, lr=0.05, epochs=1, l2=0.0, seed=1)
     r.retrain([(0, 0, 0), (1, 1, 0)], catalog_with(2), 0)
@@ -343,7 +408,7 @@ def _trained_rankers():
     cat = catalog_with(40, genre_of=lambda i: i % 4)
     rng = np.random.default_rng(11)
     clicks = np.column_stack([rng.integers(0, 6, 200), rng.integers(0, 40, 200), np.ones(200, int)])
-    rankers = [make_ranker(name, n_users=6, seed=4, dim=8) for name in ("random", "pop", "mf", "bpr")]
+    rankers = [make_ranker(name, n_users=6, seed=4, **{**RANKER_SETTINGS, "dim": 8}) for name in ("random", "pop", "mf", "bpr")]
     for r in rankers:
         r.retrain(clicks, cat, 1)
     for k in range(12):

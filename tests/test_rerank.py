@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from creatorsim.core import SimConfig
 from creatorsim.rerank import (
     fairco_errors,
     fairco_rerank,
@@ -14,6 +15,8 @@ from creatorsim.rerank import (
     mmr_rerank,
     pmmf_rerank,
 )
+
+DUAL_MAX = SimConfig().pmmf_dual_max
 
 
 def candidates(specs):
@@ -103,7 +106,9 @@ class TestFairco:
 class TestPmmf:
     def test_zero_duals_is_relevance_order(self):
         ids, creators, _, scores = candidates([(0, 0, 0, 0.9), (1, 1, 0, 0.8)])
-        out = pmmf_rerank(scores, creators, np.zeros(2), eta_dual=0.1, k=2, alive=alive_ids(2))
+        out = pmmf_rerank(
+            scores, creators, np.zeros(2), eta_dual=0.1, k=2, alive=alive_ids(2), dual_max=DUAL_MAX
+        )
         assert ids[out].tolist() == [0, 1]
 
     def test_never_selected_creator_dual_grows_linearly(self):
@@ -111,7 +116,8 @@ class TestPmmf:
         duals = np.zeros(5)
         for _ in range(10):
             _, creators, _, scores = candidates([(i, i, 0, 1.0 - 0.1 * i) for i in range(4)])
-            pmmf_rerank(scores, creators, duals, eta_dual=0.1, k=5, alive=alive_ids(5))
+            pmmf_rerank(scores, creators, duals, eta_dual=0.1, k=5, alive=alive_ids(5),
+                        dual_max=DUAL_MAX)
         assert duals[4] == pytest.approx(1.0)
 
     def test_duals_clamped_at_max(self):
@@ -128,7 +134,9 @@ class TestPmmf:
         exposure = {0: 0, 1: 0}
         _, creators, _, scores = candidates([(0, 0, 0, 1.0), (1, 1, 1, 0.9)])
         for _ in range(200):
-            out = pmmf_rerank(scores, creators, duals, eta_dual=0.1, k=1, alive=alive_ids(2))
+            out = pmmf_rerank(
+                scores, creators, duals, eta_dual=0.1, k=1, alive=alive_ids(2), dual_max=DUAL_MAX
+            )
             exposure[int(creators[out[0]])] += 1
         assert exposure[1] / 200 > 0.2
         # pure relevance starves creator 1 completely
@@ -153,7 +161,7 @@ def test_rerankers_return_permutation_prefix(data):
         fairco_rerank(
             scores, creators, fairco_errors(exposure, alive), data.draw(st.floats(0, 2))
         )[:k],
-        pmmf_rerank(scores, creators, np.zeros(4), 0.1, k, alive),
+        pmmf_rerank(scores, creators, np.zeros(4), 0.1, k, alive, DUAL_MAX),
     ]
     input_ids = set(ids.tolist())
     for out in outputs:
@@ -173,7 +181,7 @@ def test_neutral_parameters_are_identity():
     assert ids[fairrec_rerank(creators, under, 4)].tolist() == ids.tolist()
     out = fairco_rerank(scores, creators, fairco_errors(exposure, alive), 0.0)
     assert ids[out].tolist() == ids.tolist()
-    out = pmmf_rerank(scores, creators, np.zeros(3), 0.1, 4, alive)
+    out = pmmf_rerank(scores, creators, np.zeros(3), 0.1, 4, alive, DUAL_MAX)
     assert ids[out].tolist() == ids.tolist()
 
 
@@ -264,7 +272,7 @@ def ref_fairco(scored, ledger, lambda_fair, alive_creators):
     return [rec for _, _, rec in adjusted]
 
 
-def ref_pmmf(scored, duals, eta_dual, k, alive_creators, dual_max=2.0):
+def ref_pmmf(scored, duals, eta_dual, k, alive_creators, dual_max):
     alive = list(alive_creators)
     adjusted = []
     for pos, (rec, rel) in enumerate(scored):
@@ -360,7 +368,7 @@ def test_array_rerankers_equal_reference(case, lam, min_share, lambda_fair, eta)
     # the same candidates for three visitors in turn: the duals carry over
     ref_duals = dict(enumerate(duals.tolist()))
     for _ in range(3):
-        got = pmmf_rerank(scores, creators, duals, eta, k, alive)
-        want, ref_duals = ref_pmmf(scored, ref_duals, eta, k, alive_list)
+        got = pmmf_rerank(scores, creators, duals, eta, k, alive, DUAL_MAX)
+        want, ref_duals = ref_pmmf(scored, ref_duals, eta, k, alive_list, DUAL_MAX)
         assert got.tolist() == positions(want)
         assert duals.tobytes() == np.array([ref_duals[c] for c in range(len(duals))]).tobytes()

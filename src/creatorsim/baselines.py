@@ -9,8 +9,8 @@ simplex point) and picks the next genre from it:
 * like-sampling: sample the genre proportionally to accumulated clicks,
 * random: uniform over all genres.
 
-All of them share the creator policy interface (decide + make_content) with
-the default agent, reusing the template content generator.
+All of them share the default agent's `TemplatePolicy` base: its per-step
+`create` over their own `decide`, and its template content.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import numpy as np
 from .core import SimError
 from .creator import (
     ActionKind,
-    CreatedContent,
     CreatorRuntime,
     ExploreAction,
-    template_content,
+    TemplatePolicy,
 )
 
 
@@ -108,21 +107,17 @@ def _action_for(state: CreatorRuntime, genre: int) -> ExploreAction:
     return ExploreAction(kind, genre)
 
 
-class _BaselinePolicy:
+class _BaselinePolicy(TemplatePolicy):
     """Shared state handling: one strategy vector per creator, seeded by `register`
     from the creator's seed skill before the first step."""
 
     def __init__(self, genre_names, memory_k: int):
-        self.genre_names = tuple(genre_names)
-        self.memory_k = memory_k
+        super().__init__(genre_names, memory_k)
         self.strategies: dict[int, np.ndarray] = {}
 
     def register(self, state: CreatorRuntime) -> None:
         skill = np.asarray(state.beliefs.skill, dtype=float)
         self.strategies[state.creator_id] = project_to_simplex(skill)
-
-    def make_content(self, state: CreatorRuntime, action: ExploreAction, n: int) -> CreatedContent:
-        return template_content(state, action, self.genre_names, self.memory_k, n)
 
 
 class CfdPolicy(_BaselinePolicy):

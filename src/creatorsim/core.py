@@ -365,8 +365,8 @@ def creator_view(catalog: Catalog, creator: int, items) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 # Seeded randomness
 #
-# Streams are keyed by (master seed, stable ids), never by execution order,
-# so the worker schedule cannot change results.
+# Streams are keyed by (master seed, stable ids), never by execution order, so
+# neither the order agents are visited in nor LLM reply timing changes results.
 
 
 def _key_part(part) -> int:
@@ -550,12 +550,12 @@ class _Settings:
             ge, gt, le = (f.metadata.get(k) for k in ("ge", "gt", "le"))
             if isinstance(value, float) and not math.isfinite(value):
                 need = "finite"
-            elif le is not None and not ge <= value <= le:
-                need = f"in [{ge}, {le}]"
             elif ge is not None and not value >= ge:
                 need = f">= {ge}"
             elif gt is not None and not value > gt:
                 need = f"> {gt}"
+            elif le is not None and not value <= le:
+                need = f"<= {le}"
             else:
                 continue
             raise self._error(f"{self._key(f.name)} must be {need}")
@@ -601,7 +601,7 @@ class SimConfig(_Settings):
     mmr_lambda: float = setting(0.7, ge=0, le=1)
     fairrec_min_share: float = setting(0.5, ge=0, le=1)
     fairco_lambda: float = setting(0.5, ge=0)
-    pmmf_eta_dual: float = setting(0.1, gt=0)
+    pmmf_eta_dual: float = setting(0.1, gt=0, le=1e6)  # larger steps only saturate the duals
     pmmf_dual_max: float = setting(2.0, ge=0)
     llm_endpoint: str = ""
     llm_model: str = ""
@@ -615,7 +615,9 @@ class SimConfig(_Settings):
     synth_items_per_creator: int = setting(15, ge=1)
     synth_interactions_per_user: int = setting(30, ge=0)
     synth_genre_skew: float = setting(1.0, ge=0)  # power-law exponent of genre popularity
-    synth_genre_concentration: float = setting(12.0, gt=0)  # higher: creators focus on fewer genres
+    # higher: creators focus on fewer genres; at 1e-6 every creator's mix is the
+    # popularity mix to ~1e-3 already, and near 0 the Dirichlet weights overflow
+    synth_genre_concentration: float = setting(12.0, ge=1e-6)
     synth_activity_skew: float = setting(1.0, ge=0)  # power-law exponent of creator output
     synth_activity_floor: float = setting(0.05, ge=0, le=1)  # tail output as a fraction of the head's
 

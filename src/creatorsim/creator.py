@@ -287,19 +287,38 @@ def template_content(
     return CreatedContent(title=title, genre=action.genre, tags=tags, description=description)
 
 
-class RuleBasedPolicy:
+class TemplatePolicy:
+    """A policy that decides each creator's action in turn and writes template content.
+
+    `create(states, n, rngs)` is the per-step call of every creator policy: the
+    (action, content) of each creating creator, in the order given, each
+    drawing on its own rng.
+    """
+
+    def __init__(self, genre_names, memory_k: int):
+        self.genre_names = tuple(genre_names)
+        self.memory_k = memory_k
+
+    def create(self, states, n: int, rngs) -> list[tuple[ExploreAction, CreatedContent]]:
+        created = []
+        for state, rng in zip(states, rngs):
+            action = self.decide(state, n, rng)
+            created.append((action, self.make_content(state, action, n)))
+        return created
+
+    def make_content(self, state: CreatorRuntime, action: ExploreAction, n: int) -> CreatedContent:
+        return template_content(state, action, self.genre_names, self.memory_k, n)
+
+
+class RuleBasedPolicy(TemplatePolicy):
     """The default creator policy: rule-based thinking plus template content."""
 
     name = "creagent"
 
     def __init__(self, genre_names, p_max: float, p_min: float, memory_k: int):
-        self.genre_names = tuple(genre_names)
+        super().__init__(genre_names, memory_k)
         self.p_max = p_max
         self.p_min = p_min
-        self.memory_k = memory_k
 
     def decide(self, state: CreatorRuntime, n: int, rng: np.random.Generator) -> ExploreAction:
         return rule_based_decide(state, n, rng, self.p_max, self.p_min)
-
-    def make_content(self, state: CreatorRuntime, action: ExploreAction, n: int) -> CreatedContent:
-        return template_content(state, action, self.genre_names, self.memory_k, n)

@@ -24,11 +24,13 @@ creator, which SERVE adds the step's exposures to at its end, and P-MMF's
 duals, which change visitor by visitor inside the serial SERVE loop.
 Agents read the previous step's committed world and mutate only their own
 state; cross-agent effects (the event log, the catalog, the exposure counts)
-are committed at phase barriers in stable id order, so results are
-bit-identical for any worker count. Only the CREATE phase fans out, its
-creating creators over `workers` threads, because only it waits on I/O (the
-LLM policy's round trips); every other phase runs serially, since its work
-holds the interpreter lock.
+are committed at phase barriers in stable id order. Every phase runs in one
+thread, CREATE included: it registers each creating creator's last outcome and
+refreshes its beliefs in id order, asks the policy for all their creations with
+one `create` call, and commits them in id order. The only I/O, the LLM policy's
+completion calls, fans out over `workers` threads inside that call, and its
+replies are parsed in creator order, so results are bit-identical for any
+worker count.
 Metrics are always recomputed from the persisted artifacts, which makes every
 run replayable and every report reproducible.
 """
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
@@ -134,14 +135,6 @@ class RunArtifacts:
     tuw_incremental: int
 
 
-def _map_workers(fn, items, workers: int) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _build_policy(cfg: SimConfig, genres, transport=None):
     rule = RuleBasedPolicy(
         genres,
@@ -154,7 +147,9 @@ def _build_policy(cfg: SimConfig, genres, transport=None):
     if cfg.creator_policy == "creagent_llm":
         from .llm import LlmConfig, LlmPolicy
 
-        return LlmPolicy(LlmConfig(**cfg.section("llm")), genres, fallback=rule, transport=transport)
+        return LlmPolicy(
+            LlmConfig(**cfg.section("llm")), genres, rule, transport=transport, workers=cfg.workers
+        )
     if cfg.creator_policy == "cfd":
         return CfdPolicy(genres, lr=cfg.cfd_lr, memory_k=cfg.creagent_memory_k)
     if cfg.creator_policy == "lbr":
@@ -270,7 +265,7 @@ class _World:
             for state in self.creators:
                 self.policy.register(state)
         if cfg.creator_policy == "creagent_llm":
-            self._summarize_profiles([c.followers for c in creators], transport)
+            self.policy.summarize_profiles(self.creators, [c.followers for c in creators])
 
         self.log = EventLog()
         # served exposures per creator since warm-up, and P-MMF's dual variables
@@ -286,42 +281,6 @@ class _World:
         self.timeseries_rows: list[str] = []
         self.tuw_incremental = 0
 
-    def _summarize_profiles(self, followers: list[int], transport) -> None:
-        """Fill profile slots through the completion endpoint where possible,
-        fanned out over `workers` like CREATE and assigned in creator order."""
-        from .llm import summarize_profile_slots
-
-        cfg, genres = self.policy.cfg, self.genres
-
-        def summarize(state: CreatorRuntime) -> tuple[str, str]:
-            last = state.last_item()  # its last seed item in catalog order
-            if last is None:
-                recent_text = "(none yet)"
-            else:
-                recent = self.catalog[last]
-                recent_text = (
-                    f"title: {recent.title}, genre: {genres[recent.genre]}, "
-                    f"description: {recent.description}"
-                )
-            skill = state.beliefs.skill
-            skill_text = ", ".join(
-                f"{genres[g]}: {skill[g]:.2f}" for g in range(len(genres)) if skill[g] > 0
-            )
-            return summarize_profile_slots(
-                cfg,
-                name=state.name,
-                followers=followers[state.creator_id],
-                activity=state.activity,
-                skill_text=skill_text,
-                recent_content=recent_text,
-                fallback=(state.identity, state.motivation),
-                transport=transport,
-            )
-
-        slots = _map_workers(summarize, self.creators, self.cfg.workers)
-        for state, (identity, motivation) in zip(self.creators, slots):
-            state.identity, state.motivation = identity, motivation
-
     def training_clicks(self) -> np.ndarray:
         """(user, item, step) rows: the seed clicks, then the log's clicks."""
         log, clicked = self.log, self.log.clicked
@@ -331,17 +290,19 @@ class _World:
     # -- phases -------------------------------------------------------------
 
     def phase_create(self, n: int) -> None:
-        cfg = self.cfg
-
-        def think(idx: int):
-            state = self.creators[idx]
+        # one draw per alive creator, on that creator's stream; only those that pass think
+        alive = np.flatnonzero([c.alive for c in self.creators])
+        creating = alive[self.creator_draws.draw(alive) < self.create_prob[alive]]
+        thinking = []  # (trace row slot, state, q, z_last) of each creator that decides
+        for state in map(self.creators.__getitem__, creating.tolist()):
             if state.pending_item is not None:
                 clicks = int(state.clicks[state.position(state.pending_item)])
                 last_utility = item_utility(state, state.pending_item, n)
                 register_creation_outcome(state, state.pending_item, clicks)
                 state.pending_item = None
                 if not state.alive:
-                    return ("depart", idx, last_utility)
+                    self.trace_rows.append(f"{n},{state.creator_id},DEPART,,,{last_utility:.10g},false,")
+                    continue
             # the totals last changed in SERVE at step n - 1; step 1 decides
             # on the seed beliefs
             if n > 1:
@@ -351,22 +312,13 @@ class _World:
             q = reward_percentile(state, n)
             last = state.last_item()
             z_last = item_utility(state, last, n) if last is not None else None
-            action = self.policy.decide(state, n, self.creator_policy_rng[idx])
-            content = self.policy.make_content(state, action, n)
-            return ("create", idx, q, z_last, action, content)
+            thinking.append((len(self.trace_rows), state, q, z_last))
+            self.trace_rows.append("")  # written once the creation is committed
 
-        # one draw per alive creator, on that creator's stream; only those that pass think
-        alive = np.flatnonzero([c.alive for c in self.creators])
-        creating = alive[self.creator_draws.draw(alive) < self.create_prob[alive]]
-        results = _map_workers(think, creating.tolist(), cfg.workers)
-        for result in results:
-            if result[0] == "depart":
-                _, idx, last_utility = result
-                creator_id = self.creators[idx].creator_id
-                self.trace_rows.append(f"{n},{creator_id},DEPART,,,{last_utility:.10g},false,")
-                continue
-            _, idx, q, z_last, action, content = result
-            state = self.creators[idx]
+        states = [state for _, state, _, _ in thinking]
+        rngs = [self.creator_policy_rng[state.creator_id] for state in states]
+        created = self.policy.create(states, n, rngs)
+        for (slot, state, q, z_last), (action, content) in zip(thinking, created):
             rec = self.catalog.add(
                 state.creator_id, content.genre, content.title, content.tags, content.description, n
             )
@@ -374,7 +326,7 @@ class _World:
             state.creation_count += 1
             state.pending_item = rec.item_id
             z_text = "" if z_last is None else f"{z_last:.10g}"
-            self.trace_rows.append(
+            self.trace_rows[slot] = (
                 f"{n},{state.creator_id},{action.kind.value},{content.genre},{rec.item_id},"
                 f"{z_text},true,{q:.10g}"
             )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import SimError
@@ -281,12 +282,25 @@ def parse_profile_slot(text: str, slot: str) -> str:
 # Policy
 
 
+def _parsed(parse, reply: str | None, default, *args):
+    """`parse(reply, *args)`, or `default` when there is no reply or it does not parse."""
+    if reply is None:
+        return default
+    try:
+        return parse(reply, *args)
+    except ParseFailure:
+        return default
+
+
 class LlmPolicy:
     """Creator policy backed by a completion endpoint.
 
     Every failure mode (transport, grammar, vocabulary, belief-support
     mismatch) falls back to the wrapped rule-based policy with the same rng
     stream, so a fully garbled endpoint reproduces the deterministic run.
+    Only the completion calls run on threads, at most `workers` at once;
+    prompts are built and replies parsed in the calling thread, in creator
+    order, so a run does not depend on which reply arrives first.
     """
 
     name = "creagent_llm"
@@ -297,68 +311,57 @@ class LlmPolicy:
         genre_names,
         fallback: RuleBasedPolicy,
         transport=None,
+        workers: int = 1,
         platform: str = "the platform",
     ):
         self.cfg = cfg
         self.genre_names = tuple(genre_names)
         self.fallback = fallback
         self.transport = transport
+        self.workers = workers
         self.platform = platform
+
+    def _ask(self, prompt: str) -> str | None:
+        """The endpoint's reply to `prompt`, or None when the call fails."""
+        try:
+            return complete(self.cfg, prompt, transport=self.transport)
+        except LlmError:
+            return None
 
     def _profile_text(self, state: CreatorRuntime) -> str:
         return f"{state.name} is a {state.identity} who creates for {state.motivation}."
 
-    def _belief_text(self, state: CreatorRuntime) -> tuple[str, str, list[str], list[str]]:
-        known, unknown = [], []
-        audience_parts, skill_parts = [], []
-        for g, name in enumerate(self.genre_names):
-            if g in state.beliefs.audience:
-                known.append(name)
-                audience_parts.append(f"{name}: {state.beliefs.audience[g]:.3f}")
-            else:
-                unknown.append(name)
-                audience_parts.append(f"{name}: [unknown]")
-            if state.beliefs.skill[g] > 0:
-                skill_parts.append(f"{name}: {state.beliefs.skill[g]:.3f}")
-        return ", ".join(audience_parts), ", ".join(skill_parts), known, unknown
-
-    def decide(self, state: CreatorRuntime, n: int, rng) -> ExploreAction:
-        audience_text, skill_text, known, unknown = self._belief_text(state)
+    def _decide_prompt(self, state: CreatorRuntime, n: int) -> str:
+        audience, skill, names = state.beliefs.audience, state.beliefs.skill, self.genre_names
+        known = [name for g, name in enumerate(names) if g in audience]
+        unknown = [name for g, name in enumerate(names) if g not in audience]
         last = state.last_item()
-        last_genre = self.genre_names[state.catalog.genre[last]] if last is not None else "none"
-        last_utility = f"{item_utility(state, last, n):.3f}" if last is not None else "0.000"
-        prompt = render_prompt(
+        return render_prompt(
             SLOW_THINKER,
             {
                 "platform": self.platform,
                 "name": state.name,
                 "profile": self._profile_text(state),
-                "audience_beliefs": audience_text,
-                "last_genre": last_genre,
-                "last_utility": last_utility,
-                "skill_beliefs": skill_text,
+                "audience_beliefs": ", ".join(
+                    f"{name}: {audience[g]:.3f}" if g in audience else f"{name}: [unknown]"
+                    for g, name in enumerate(names)
+                ),
+                "last_genre": names[state.catalog.genre[last]] if last is not None else "none",
+                "last_utility": f"{item_utility(state, last, n):.3f}" if last is not None else "0.000",
+                "skill_beliefs": ", ".join(
+                    f"{name}: {skill[g]:.3f}" for g, name in enumerate(names) if skill[g] > 0
+                ),
                 "unknown_genres": ", ".join(unknown) if unknown else "(none)",
                 "known_genres": ", ".join(known) if known else "(none)",
             },
         )
-        try:
-            reply = complete(self.cfg, prompt, transport=self.transport)
-            action = parse_explore_action(reply, self.genre_names)
-            known_ids = set(state.beliefs.audience)
-            if action.kind is ActionKind.EXPLOIT and action.genre not in known_ids:
-                raise ParseFailure("exploit outside the known-genre support")
-            if action.kind is ActionKind.EXPLORE and action.genre in known_ids:
-                raise ParseFailure("explore inside the known-genre support")
-            return action
-        except LlmError:
-            return self.fallback.decide(state, n, rng)
 
-    def make_content(self, state: CreatorRuntime, action: ExploreAction, n: int) -> CreatedContent:
+    def _content_prompt(self, state: CreatorRuntime, action: ExploreAction, n: int) -> str:
         retrieved = retrieve_creation_memory(state, action, self.fallback.memory_k, n)
         history = "; ".join(
             f"{e.title} ({self.genre_names[e.genre]}, tags: {', '.join(e.tags)})" for e in retrieved
         )
-        prompt = render_prompt(
+        return render_prompt(
             FAST_THINKER,
             {
                 "platform": self.platform,
@@ -368,53 +371,74 @@ class LlmPolicy:
                 "history": history or "(none yet)",
             },
         )
-        try:
-            reply = complete(self.cfg, prompt, transport=self.transport)
-            return parse_content(reply, self.genre_names)
-        except LlmError:
-            return self.fallback.make_content(state, action, n)
 
+    def create(self, states, n: int, rngs) -> list[tuple[ExploreAction, CreatedContent]]:
+        """Every decision prompt is sent at once; each reply is parsed in creator
+        order, and that creator's content prompt is sent as soon as its action is
+        known. The content replies are then parsed in creator order."""
+        with ThreadPoolExecutor(self.workers) as pool:
+            decisions = [pool.submit(self._ask, self._decide_prompt(s, n)) for s in states]
+            actions, contents = [], []
+            for state, rng, reply in zip(states, rngs, decisions):
+                actions.append(self.decide(state, n, rng, reply.result()))
+                contents.append(pool.submit(self._ask, self._content_prompt(state, actions[-1], n)))
+            return [
+                (action, self.make_content(state, action, n, reply.result()))
+                for state, action, reply in zip(states, actions, contents)
+            ]
 
-def summarize_profile(
-    cfg: LlmConfig, slot: str, variables: dict[str, str], transport=None
-) -> str:
-    """LLM-backed profile slot summarization; raises LlmError on any failure."""
-    template = SOCIAL_IDENTITY if slot == "social_identity" else INTRINSIC_MOTIVATION
-    reply = complete(cfg, render_prompt(template, variables), transport=transport)
-    return parse_profile_slot(reply, slot)
+    def decide(self, state: CreatorRuntime, n: int, rng, reply: str | None) -> ExploreAction:
+        """The action `reply` names, if the beliefs allow it: EXPLOIT of a known
+        genre or EXPLORE of an unknown one; otherwise the rule-based action."""
+        action = _parsed(parse_explore_action, reply, None, self.genre_names)
+        if action is not None and (action.kind is ActionKind.EXPLOIT) == (
+            action.genre in state.beliefs.audience
+        ):
+            return action
+        return self.fallback.decide(state, n, rng)
 
+    def make_content(
+        self, state: CreatorRuntime, action: ExploreAction, n: int, reply: str | None
+    ) -> CreatedContent:
+        content = _parsed(parse_content, reply, None, self.genre_names)
+        return content or self.fallback.make_content(state, action, n)
 
-def summarize_profile_slots(
-    cfg: LlmConfig,
-    name: str,
-    followers: int,
-    activity: float,
-    skill_text: str,
-    recent_content: str,
-    fallback: tuple[str, str],
-    transport=None,
-    platform: str = "the platform",
-) -> tuple[str, str]:
-    """Summarize (identity, motivation) for one creator, slot by slot.
-
-    Each slot falls back independently to its deterministic template value.
-    """
-    shared = {
-        "platform": platform,
-        "name": name,
-        "recent_content": recent_content,
-        "creation_frequency": f"{activity:.3f}",
-    }
-    try:
-        identity = summarize_profile(
-            cfg, "social_identity", {**shared, "genre_proportions": skill_text}, transport
-        )
-    except LlmError:
-        identity = fallback[0]
-    try:
-        motivation = summarize_profile(
-            cfg, "intrinsic_motivation", {**shared, "followers": str(followers)}, transport
-        )
-    except LlmError:
-        motivation = fallback[1]
-    return identity, motivation
+    def summarize_profiles(self, states, followers) -> None:
+        """Summarize each creator's social identity and intrinsic motivation
+        through the endpoint, all 2 * len(states) prompts over `workers` threads;
+        a slot whose reply fails or does not parse keeps its template value.
+        `followers` is indexed by creator id."""
+        genres, prompts = self.genre_names, []
+        for state in states:
+            last = state.last_item()  # its last seed item in catalog order
+            if last is None:
+                recent_text = "(none yet)"
+            else:
+                recent = state.catalog[last]
+                recent_text = (
+                    f"title: {recent.title}, genre: {genres[recent.genre]}, "
+                    f"description: {recent.description}"
+                )
+            shared = {
+                "platform": self.platform,
+                "name": state.name,
+                "recent_content": recent_text,
+                "creation_frequency": f"{state.activity:.3f}",
+            }
+            skill = state.beliefs.skill
+            proportions = ", ".join(
+                f"{genres[g]}: {skill[g]:.2f}" for g in range(len(genres)) if skill[g] > 0
+            )
+            prompts += [
+                render_prompt(SOCIAL_IDENTITY, {**shared, "genre_proportions": proportions}),
+                render_prompt(
+                    INTRINSIC_MOTIVATION, {**shared, "followers": str(followers[state.creator_id])}
+                ),
+            ]
+        with ThreadPoolExecutor(self.workers) as pool:
+            replies = list(pool.map(self._ask, prompts))
+        for state, identity, motivation in zip(states, replies[::2], replies[1::2]):
+            state.identity = _parsed(parse_profile_slot, identity, state.identity, "social_identity")
+            state.motivation = _parsed(
+                parse_profile_slot, motivation, state.motivation, "intrinsic_motivation"
+            )

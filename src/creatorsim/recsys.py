@@ -47,6 +47,10 @@ class EmptyInteractions(SimError):
     """MF/BPR retraining requires at least one click."""
 
 
+class Diverged(SimError):
+    """Training grew the factors until a score may overflow: `mf.lr` or `mf.l2` is too large."""
+
+
 @dataclass(frozen=True)
 class CandidatePool:
     """Items eligible for recommendation at `step` (age <= window)."""
@@ -201,7 +205,11 @@ class _FactorRanker:
             collide = negatives == items
             if collide.any():
                 negatives[collide] = (negatives[collide] + 1) % self.n_items
-            self._epoch(users, items, negatives, rng)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                self._epoch(users, items, negatives, rng)
+            p, q = (float(np.abs(t).max(initial=0.0)) for t in (self.PB, self.QB))
+            if not np.isfinite(p + q + self.dim * p * q):  # bounds every score's magnitude
+                raise Diverged(f"{self.name} factors diverged in an epoch at step {step}")
         self._refresh_cold(catalog, int(catalog.genre.max(initial=-1)) + 1)
         return self
 

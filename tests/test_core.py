@@ -558,6 +558,26 @@ class TestSettingsSchema:
         with pytest.raises(ConfigError, match=re.escape(key) + " must be "):
             cls(**{name: value}).validate()
 
+    @pytest.mark.parametrize("ranker", ["mf", "bpr"])
+    @pytest.mark.parametrize(
+        "line, status",
+        [("mf.lr = 1e308", 4), ("mf.l2 = 1e308", 4), ("mf.lr = 10", 4), ("pmmf.eta_dual = 1e308", 2)],
+    )
+    def test_overflowing_setting_exits_with_its_documented_code(
+        self, tmp_path, capsys, ranker, line, status
+    ):
+        """A learning rate or L2 weight that drives the factors toward overflow ends
+        the run as `Diverged` (exit 4), never a numpy warning or NaN scores; a dual
+        step past its bound is a config error (exit 2)."""
+        path = tmp_path / "config.txt"
+        path.write_text(
+            f"n_users = 15\nn_creators = 6\nn_steps = 100\nwarmup = 2\nreranker = pmmf\n"
+            f"ranker = {ranker}\n{line}\n"
+        )
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == status
+        err = capsys.readouterr().err
+        assert ("diverged" if status == 4 else f"{line.split()[0]} must be <= ") in err
+
     def test_synth_params_share_the_run_config_defaults_and_bounds(self):
         cfg = SimConfig()
         assert SynthParams.from_config(cfg) == SynthParams()

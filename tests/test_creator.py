@@ -379,8 +379,9 @@ class TestActivity:
         assert [0 in step for step in gone + back] == expected[0]
 
     def test_only_gated_creators_think(self, tmp_path, monkeypatch):
-        # with departures and two workers: at every step, the creators that
-        # decide plus those that depart are exactly those whose gate passed
+        # with departures, and workers = 2, which a rule-based run leaves
+        # unused: at every step, the creators that decide plus those that
+        # depart are exactly those whose gate passed
         step, worlds, thought = [0], [], []
         original_create = harness._World.phase_create
 

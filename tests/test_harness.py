@@ -538,6 +538,60 @@ class TestLlmIntegration:
         assert gaming in created_genres
 
 
+def out_of_order(url, payload, timeout):
+    """A reply that is a pure function of the prompt, after a delay that is one too,
+
+    so replies to prompts sent together finish in an order unrelated to the order
+    they were sent in. One prompt in four gets nonsense, so the fallback runs too.
+    """
+    prompt = payload["messages"][0]["content"]
+    h = hashlib.sha256(prompt.encode("utf-8")).digest()
+    time.sleep(h[1] / 255 * 0.004)
+    if h[0] % 4 == 0:
+        text = "~~nonsense~~"
+    elif "[Social Identity]" in prompt:
+        text = f"[Social Identity]: persona {h[2] % 5}"
+    elif "[Intrinsic Motivation]" in prompt:
+        text = "[Intrinsic Motivation]: " + ("profit" if h[2] % 2 else "sharing")
+    elif "must choose one of the two actions" in prompt:
+        unknown, known = (
+            part[: part.index(".\n\n")].split(", ")
+            for part in prompt.split("genre name chosen from ")[1:]
+        )
+        kind, choices = ("EXPLORE", unknown) if h[2] % 2 else ("EXPLOIT", known)
+        text = f"[{kind}]:: {choices[h[3] % len(choices)]}"
+    else:
+        genre = prompt.split("Based on the analysis: [", 1)[1].split(", please", 1)[0].split("]: ")[1]
+        text = json.dumps({"name": f"clip {h.hex()[:6]}", "genre": genre, "tags": ["t"],
+                           "description": "d"})
+    return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+
+
+class TestOneExecutionModel:
+    @pytest.mark.parametrize("policy", core.CREATOR_POLICIES)
+    def test_every_policy_byte_identical_for_any_worker_count(self, tmp_path, policy):
+        outputs = {}
+        for workers in (1, 2, 3):
+            cfg = small_cfg(n_steps=12, workers=workers, creator_policy=policy,
+                            departure_threshold=3, llm_endpoint="http://stub.invalid",
+                            llm_model="stub")
+            out = run_simulation(cfg, out_dir=tmp_path / f"w{workers}", transport=out_of_order).out_dir
+            outputs[workers] = [
+                (out / name).read_bytes()
+                for name in ("events.csv", "items.csv", "creator_trace.csv", "metrics.json")
+            ]
+        assert outputs[1] == outputs[2] == outputs[3]
+
+    @pytest.mark.parametrize("policy", [p for p in core.CREATOR_POLICIES if p != "creagent_llm"])
+    def test_policies_without_llm_start_no_thread(self, tmp_path, monkeypatch, policy):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = small_cfg(n_steps=10, workers=3, creator_policy=policy, departure_threshold=3)
+        assert run_simulation(cfg, out_dir=tmp_path / policy).report["tuw"] > 0
+
+
 class TestBaselinePolicies:
     @pytest.mark.parametrize("policy", ["cfd", "lbr", "simuline", "random"])
     def test_baseline_policies_run(self, tmp_path, policy):

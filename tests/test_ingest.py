@@ -417,6 +417,17 @@ class TestSynth:
         d = synth_dataset(p, stream(p.seed, "synth"))
         assert max(r.day for r in d.interactions) <= 2**32 - 1
 
+    def test_vanishing_genre_concentration_is_a_usage_error(self, tmp_path):
+        """Near 0 the Dirichlet weights genre_pop * n_genres / genre_concentration
+        overflow; such a value is refused up front, and the bound itself synthesizes."""
+        params = tmp_path / "params.txt"
+        params.write_text("n_users = 15\nn_creators = 6\ngenre_concentration = 5e-324\n")
+        assert cli_main(["synth", "--params", str(params), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        p = SynthParams(n_users=15, n_creators=6, genre_concentration=1e-6)
+        d = synth_dataset(p, stream(p.seed, "synth"))
+        assert d.items and all(0 <= it.genre < p.n_genres for it in d.items)
+
     def test_params_file_roundtrip(self, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("n_users = 12\nn_creators = 4\ngenre_skew = 0.5\nseed = 3\n")

@@ -23,6 +23,7 @@ from .creator import (
     CreatorRuntime,
     ExploreAction,
     TemplatePolicy,
+    own_totals,
 )
 
 
@@ -99,7 +100,7 @@ def random_choose(genres, rng: np.random.Generator) -> int:
 
 
 def _per_genre_clicks(state: CreatorRuntime) -> np.ndarray:
-    return np.bincount(state.genres, weights=state.clicks, minlength=state.n_genres)
+    return np.bincount(state.genres, weights=own_totals(state)[0], minlength=state.n_genres)
 
 
 def _action_for(state: CreatorRuntime, genre: int) -> ExploreAction:
@@ -116,8 +117,7 @@ class _BaselinePolicy(TemplatePolicy):
         self.strategies: dict[int, np.ndarray] = {}
 
     def register(self, state: CreatorRuntime) -> None:
-        skill = np.asarray(state.beliefs.skill, dtype=float)
-        self.strategies[state.creator_id] = project_to_simplex(skill)
+        self.strategies[state.creator_id] = project_to_simplex(state.beliefs.skill)
 
 
 class CfdPolicy(_BaselinePolicy):
@@ -149,14 +149,9 @@ class LbrPolicy(_BaselinePolicy):
 
     def decide(self, state: CreatorRuntime, n: int, rng: np.random.Generator) -> ExploreAction:
         s = self.strategies[state.creator_id]
-        audience = np.zeros(state.n_genres)
-        for g, value in state.beliefs.audience.items():
-            audience[g] = value
-
-        def utility_of(strategy: np.ndarray) -> float:
-            return float(strategy @ audience)
-
-        s = lbr_step(s, utility_of, self.step_size, rng)
+        # an unknown genre is worth nothing yet
+        audience = np.where(np.isnan(state.beliefs.audience), 0.0, state.beliefs.audience)
+        s = lbr_step(s, lambda strategy: float(strategy @ audience), self.step_size, rng)
         self.strategies[state.creator_id] = s
         genre = int(rng.choice(len(s), p=s))
         return _action_for(state, genre)

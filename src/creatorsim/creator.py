@@ -4,13 +4,15 @@ content creation, and departure.
 A creator only ever sees feedback on its own items. Its memory is the ids of
 its own items in creation order; their genres, creation steps and exposure and
 click totals are the platform catalog's columns, and the totals are read only
-through the ownership-checked `core.creator_view`.
-It distills the memory into two beliefs: skill (its per-genre creation share)
-and audience (its per-genre estimate of receptiveness, the mean utility of its
-own items in that genre, unknown for genres never tried). The thinking step
-is pluggable; the default rule-based policy explores more after poor rewards
-and exploits more after good ones, with the explore probability falling
-linearly in the reward percentile of the latest item.
+through `own_totals`, one ownership-checked `core.creator_view` per decision:
+every utility, the latest item's outcome and reward percentile, and the belief
+refresh come from that one read. It distills the memory into two genre-indexed
+beliefs: skill (its per-genre creation share) and audience (its per-genre
+estimate of receptiveness, the mean utility of its own items in that genre,
+NaN for genres never tried). The thinking step is pluggable; the default
+rule-based policy explores more after poor rewards and exploits more after
+good ones, with the explore probability falling linearly in the reward
+percentile of the latest item.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ class CreatedContent:
 
 @dataclass
 class Beliefs:
+    # both (n_genres,) arrays, replaced on refresh and never written in place
     skill: np.ndarray                      # simplex over genres
-    audience: dict[int, float]             # genre -> mean utility; absent = unknown
+    audience: np.ndarray                   # mean utility per genre; NaN = unknown
 
 
 @dataclass
@@ -68,7 +71,6 @@ class CreatorRuntime:
     identity: str
     motivation: str
     activity: float                        # items per day from the seed profile
-    create_prob: float                     # activity / population max
     n_genres: int
     beliefs: Beliefs
     departure_threshold: int
@@ -81,6 +83,10 @@ class CreatorRuntime:
     alive: bool = True
     creation_count: int = 0                # simulated creations, for title numbering
     pending_item: int | None = None        # last creation awaiting its outcome
+    # the latest item's reward percentile among the own items and its utility,
+    # as the read at the deciding step found them (utility None without items)
+    reward_pct: float = 0.5
+    last_utility: float | None = None
 
     @property
     def creations(self) -> list[ItemRecord]:
@@ -91,16 +97,6 @@ class CreatorRuntime:
     def genres(self) -> np.ndarray:
         """Genre of each own item, aligned with `items`."""
         return self.catalog.genre[self.items]
-
-    @property
-    def exposures(self) -> np.ndarray:
-        """Exposures of each own item so far, aligned with `items`."""
-        return core.creator_view(self.catalog, self.creator_id, self.items)[0]
-
-    @property
-    def clicks(self) -> np.ndarray:
-        """Clicks on each own item so far, aligned with `items`."""
-        return core.creator_view(self.catalog, self.creator_id, self.items)[1]
 
     def add_item(self, item_id: int) -> None:
         if len(self.items) and item_id <= self.items[-1]:
@@ -120,42 +116,37 @@ class CreatorRuntime:
 # Utility, beliefs and departure
 
 
-def _utilities(state: CreatorRuntime, n: int) -> np.ndarray:
-    """Utility of every own item at step `n` (see `item_utility`)."""
-    created = state.catalog.created_step[state.items]
+def own_totals(state: CreatorRuntime) -> tuple[np.ndarray, np.ndarray]:
+    """Clicks, and the blend beta * exposures + (1 - beta) * clicks, of each own
+    item, aligned with `items`: one ownership-checked read of the platform's totals."""
     exposures, clicks = core.creator_view(state.catalog, state.creator_id, state.items)
-    weighted = state.beta * exposures + (1.0 - state.beta) * clicks
+    return clicks, state.beta * exposures + (1.0 - state.beta) * clicks
+
+
+def item_utility(state: CreatorRuntime, weighted: np.ndarray, n: int) -> np.ndarray:
+    """Utility at step `n` of each own item: its blend from `own_totals`
+    averaged over the steps since its creation.
+
+    z = (beta * exposures + (1 - beta) * clicks) / (n - created_step + 1).
+    Items are in creation order, so only the latest can postdate `n`.
+    """
+    created = state.catalog.created_step[state.items]
+    if len(created) and n < created[-1]:
+        raise FutureItem(f"item {state.items[-1]} created at step {created[-1]}, queried at {n}")
     return weighted / (n - created + 1)
 
 
-def item_utility(state: CreatorRuntime, item_id: int, n: int) -> float:
-    """Time-averaged blend of an item's exposures and clicks since creation.
-
-    z = (beta * exposures + (1 - beta) * clicks) / (n - created_step + 1).
-    """
-    pos = state.position(item_id)
-    if pos is None:
-        raise NotOwned(f"creator {state.creator_id} does not own item {item_id}")
-    created = int(state.catalog.created_step[item_id])
-    if n < created:
-        raise FutureItem(f"item {item_id} created at step {created}, queried at {n}")
-    return float(_utilities(state, n)[pos])
-
-
-def update_beliefs(state: CreatorRuntime, n: int) -> None:
-    """Refresh skill and audience beliefs from the current memories.
-
-    `n` is the step whose feedback the totals last took in, so a creator
-    deciding at step n is refreshed with n - 1.
-    """
+def update_beliefs(state: CreatorRuntime, utilities: np.ndarray) -> None:
+    """Refresh skill and audience beliefs from `item_utility` at the step whose
+    feedback the totals last took in: n - 1 for a creator deciding at step n."""
     genres = state.genres
-    counts = np.bincount(genres, minlength=state.n_genres).astype(float)
+    counts = np.bincount(genres, minlength=state.n_genres)
     if len(genres):
         state.beliefs.skill = counts / counts.sum()
-    utilities = _utilities(state, n)
-    state.beliefs.audience = {
-        g: float(np.mean(utilities[genres == g])) for g in np.flatnonzero(counts).tolist()
-    }
+    audience = np.full(state.n_genres, np.nan)
+    for g in np.flatnonzero(counts):
+        audience[g] = np.mean(utilities[genres == g])
+    state.beliefs.audience = audience
 
 
 def register_creation_outcome(state: CreatorRuntime, item_id: int, clicks_in_window: int) -> None:
@@ -176,14 +167,13 @@ def register_creation_outcome(state: CreatorRuntime, item_id: int, clicks_in_win
 # The rule-based thinking policy
 
 
-def reward_percentile(state: CreatorRuntime, n: int) -> float:
-    """Rank of the latest item's utility within the creator's own history.
+def reward_percentile(utilities: np.ndarray) -> float:
+    """Rank of the latest item's utility among the creator's own `utilities`.
 
     Midrank convention for ties; 0.5 when there is nothing to compare against.
     """
-    if len(state.items) < 2:
+    if len(utilities) < 2:
         return 0.5
-    utilities = _utilities(state, n)
     z_last, others = utilities[-1], utilities[:-1]
     below = int(np.count_nonzero(others < z_last))
     ties = int(np.count_nonzero(others == z_last))
@@ -197,39 +187,33 @@ def explore_probability(q: float, p_max: float, p_min: float) -> float:
 
 def rule_based_decide(
     state: CreatorRuntime,
-    n: int,
     rng: np.random.Generator,
     p_max: float,
     p_min: float,
 ) -> ExploreAction:
     """Default explore/exploit decision.
 
-    Explores with probability falling linearly in the latest reward
-    percentile. Exploit picks the known genre maximizing audience * skill
-    (ties to the lowest genre id); explore samples uniformly among unknown
-    genres, degrading to the least-created genre once all are known.
+    Explores with probability falling linearly in `state.reward_pct`, the
+    latest reward percentile. Exploit picks the known genre maximizing
+    audience * skill (ties to the lowest genre id); explore samples uniformly
+    among unknown genres, degrading to the least-created genre once all are known.
     """
     if not state.alive:
         raise DeadCreator(f"creator {state.creator_id} has departed")
-    G = state.n_genres
-    q = reward_percentile(state, n)
-    p_explore = explore_probability(q, p_max, p_min)
-    known = sorted(state.beliefs.audience.keys())
-    explore = rng.random() < p_explore or not known
+    p_explore = explore_probability(state.reward_pct, p_max, p_min)
+    audience = state.beliefs.audience
+    known = ~np.isnan(audience)
+    explore = rng.random() < p_explore or not known.any()
 
     if not explore:
-        best_g, best_v = None, -np.inf
-        for g in known:
-            v = state.beliefs.audience[g] * state.beliefs.skill[g]
-            if v > best_v:
-                best_g, best_v = g, v
-        return ExploreAction(ActionKind.EXPLOIT, best_g)
+        value = np.where(known, audience * state.beliefs.skill, -np.inf)
+        return ExploreAction(ActionKind.EXPLOIT, int(np.argmax(value)))
 
-    unknown = [g for g in range(G) if g not in state.beliefs.audience]
-    if unknown:
+    unknown = np.flatnonzero(~known)
+    if len(unknown):
         genre = int(unknown[rng.integers(0, len(unknown))])
     else:
-        genre = int(np.argmin(np.bincount(state.genres, minlength=G)))
+        genre = int(np.argmin(np.bincount(state.genres, minlength=state.n_genres)))
     return ExploreAction(ActionKind.EXPLORE, genre)
 
 
@@ -321,4 +305,4 @@ class RuleBasedPolicy(TemplatePolicy):
         self.p_min = p_min
 
     def decide(self, state: CreatorRuntime, n: int, rng: np.random.Generator) -> ExploreAction:
-        return rule_based_decide(state, n, rng, self.p_max, self.p_min)
+        return rule_based_decide(state, rng, self.p_max, self.p_min)

@@ -17,20 +17,20 @@ rows of the world's arrays (preference, visit probability, satiation
 counters); a session's skip streak lives only inside `users.serve_session`.
 LIFECYCLE decays every user's satiation counters, rows of one
 (n_users, n_genres) table, in one in-place multiply.
-A creator's beliefs are refreshed from those totals inside CREATE, only when it
-is about to decide.
 The fairness re-rankers read creator-indexed arrays: the served exposure per
 creator, which SERVE adds the step's exposures to at its end, and P-MMF's
 duals, which change visitor by visitor inside the serial SERVE loop.
 Agents read the previous step's committed world and mutate only their own
 state; cross-agent effects (the event log, the catalog, the exposure counts)
 are committed at phase barriers in stable id order. Every phase runs in one
-thread, CREATE included: it registers each creating creator's last outcome and
-refreshes its beliefs in id order, asks the policy for all their creations with
-one `create` call, and commits them in id order. The only I/O, the LLM policy's
-completion calls, fans out over `workers` threads inside that call, and its
-replies are parsed in creator order, so results are bit-identical for any
-worker count.
+thread, CREATE included. For each creating creator, in id order, it reads the
+creator's totals once; from that read come the utilities at this step and the
+last, the last creation's outcome (a creator may depart here), the belief
+refresh, and the reward percentile and latest utility the policy decides on.
+It then asks the policy for all their creations with one `create` call and
+commits them in id order. The only I/O, the LLM policy's completion calls, fans
+out over `workers` threads inside that call, and its replies are parsed in
+creator order, so results are bit-identical for any worker count.
 Metrics are always recomputed from the persisted artifacts, which makes every
 run replayable and every report reproducible.
 """
@@ -62,6 +62,7 @@ from .creator import (
     CreatorRuntime,
     RuleBasedPolicy,
     item_utility,
+    own_totals,
     register_creation_outcome,
     reward_percentile,
     update_beliefs,
@@ -224,14 +225,15 @@ class _World:
         self.recent_exposure = np.zeros((len(users), G))
         self.population_preference = np.mean(preference, axis=0)
         # with full information every creator believes the population's preference
-        self.revealed_audience = (
-            dict(enumerate(self.population_preference.tolist()))
-            if cfg.creator_full_information
-            else None
-        )
+        self.revealed_audience = self.population_preference if cfg.creator_full_information else None
+        if self.revealed_audience is not None:
+            audience[:] = self.revealed_audience
 
         follower_median = float(np.median([c.followers for c in creators]))
+        # a creator's id is its row; one uniform a step decides whether it
+        # creates, against its activity over the population's highest
         eta = activity.max(initial=0.0)
+        self.create_prob = activity / eta if eta > 0 else np.zeros(len(creators))
         # each creator's seed items as ascending catalog rows
         n_own = np.bincount(owner, minlength=len(creators))
         own = np.split(np.argsort(owner, kind="stable"), np.cumsum(n_own)[:-1])
@@ -242,9 +244,8 @@ class _World:
                 identity=f"{self.genres[np.argmax(skill[c])]} enthusiast" if n_own[c] else "new creator",
                 motivation="profit" if row.followers > follower_median else "sharing",
                 activity=float(activity[c]),
-                create_prob=float(activity[c] / eta) if eta > 0 else 0.0,
                 n_genres=G,
-                beliefs=Beliefs(skill=skill[c], audience=dict(self.revealed_audience or audience[c])),
+                beliefs=Beliefs(skill=skill[c], audience=audience[c]),
                 catalog=self.catalog,
                 items=own[c],
                 departure_threshold=cfg.departure_threshold,
@@ -271,8 +272,6 @@ class _World:
         # served exposures per creator since warm-up, and P-MMF's dual variables
         self.exposure = np.zeros(len(self.creators), dtype=np.int64)
         self.duals = np.zeros(len(self.creators))
-        # a creator's id is its row; one uniform a step decides whether it creates
-        self.create_prob = np.asarray([c.create_prob for c in self.creators])
         self.creator_draws = UniformStreams(cfg.seed, "creator_activity", len(self.creators))
         self.creator_policy_rng = [stream(cfg.seed, "creator_policy", c.creator_id) for c in self.creators]
         # a user's visit and session draws
@@ -293,42 +292,42 @@ class _World:
         # one draw per alive creator, on that creator's stream; only those that pass think
         alive = np.flatnonzero([c.alive for c in self.creators])
         creating = alive[self.creator_draws.draw(alive) < self.create_prob[alive]]
-        thinking = []  # (trace row slot, state, q, z_last) of each creator that decides
+        slots, states = [], []  # the trace row slot of each creator that decides
         for state in map(self.creators.__getitem__, creating.tolist()):
+            # the creator's one read of its totals; a pending item is its latest
+            clicks, weighted = own_totals(state)
+            utilities = item_utility(state, weighted, n)
+            z_last = state.last_utility = float(utilities[-1]) if len(utilities) else None
             if state.pending_item is not None:
-                clicks = int(state.clicks[state.position(state.pending_item)])
-                last_utility = item_utility(state, state.pending_item, n)
-                register_creation_outcome(state, state.pending_item, clicks)
+                register_creation_outcome(state, state.pending_item, int(clicks[-1]))
                 state.pending_item = None
                 if not state.alive:
-                    self.trace_rows.append(f"{n},{state.creator_id},DEPART,,,{last_utility:.10g},false,")
+                    self.trace_rows.append(f"{n},{state.creator_id},DEPART,,,{z_last:.10g},false,")
                     continue
             # the totals last changed in SERVE at step n - 1; step 1 decides
             # on the seed beliefs
             if n > 1:
-                update_beliefs(state, n - 1)
+                update_beliefs(state, item_utility(state, weighted, n - 1))
                 if self.revealed_audience is not None:
-                    state.beliefs.audience = dict(self.revealed_audience)
-            q = reward_percentile(state, n)
-            last = state.last_item()
-            z_last = item_utility(state, last, n) if last is not None else None
-            thinking.append((len(self.trace_rows), state, q, z_last))
+                    state.beliefs.audience = self.revealed_audience
+            state.reward_pct = reward_percentile(utilities)
+            slots.append(len(self.trace_rows))
+            states.append(state)
             self.trace_rows.append("")  # written once the creation is committed
 
-        states = [state for _, state, _, _ in thinking]
         rngs = [self.creator_policy_rng[state.creator_id] for state in states]
         created = self.policy.create(states, n, rngs)
-        for (slot, state, q, z_last), (action, content) in zip(thinking, created):
+        for slot, state, (action, content) in zip(slots, states, created):
             rec = self.catalog.add(
                 state.creator_id, content.genre, content.title, content.tags, content.description, n
             )
             state.add_item(rec.item_id)
             state.creation_count += 1
             state.pending_item = rec.item_id
-            z_text = "" if z_last is None else f"{z_last:.10g}"
+            z_text = "" if state.last_utility is None else f"{state.last_utility:.10g}"
             self.trace_rows[slot] = (
                 f"{n},{state.creator_id},{action.kind.value},{content.genre},{rec.item_id},"
-                f"{z_text},true,{q:.10g}"
+                f"{z_text},true,{state.reward_pct:.10g}"
             )
 
     def phase_serve(self, n: int, pool) -> None:
@@ -349,11 +348,7 @@ class _World:
         # departed creators' items leave the platform with them
         keep = alive[owner[pool.item_ids]]
         if not keep.all():
-            pool = CandidatePool(
-                item_ids=pool.item_ids[keep],
-                created_steps=pool.created_steps[keep],
-                step=pool.step,
-            )
+            pool = CandidatePool(item_ids=pool.item_ids[keep], created_steps=pool.created_steps[keep])
 
         # one draw per user, on that user's stream
         draws = self.user_draws.draw(np.arange(len(self.activity)))

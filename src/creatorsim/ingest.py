@@ -24,7 +24,7 @@ PREF_SMOOTHING = 0.1  # add-alpha smoothing for user genre histograms
 
 
 class SchemaError(DataError):
-    """Record file is missing a column or holds an out-of-vocabulary value."""
+    """Record file is missing a column, holds an out-of-vocabulary value or repeats an id."""
 
 
 class DanglingRef(DataError):
@@ -118,8 +118,18 @@ def _read_rows(path: Path, required: list[str]) -> list[dict[str, str]]:
         return list(reader)
 
 
+def _unique_ids(ids, what: str) -> set[int]:
+    """The set of `ids`; an id on two rows is a SchemaError naming `what`."""
+    seen: set[int] = set()
+    for i in ids:
+        if i in seen:
+            raise SchemaError(f"{what} {i} is on more than one row")
+        seen.add(i)
+    return seen
+
+
 def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> Dataset:
-    """Load and cross-validate the four record files under `path`."""
+    """Load and cross-validate the four record files under `path`; each id is on one row."""
     path = Path(path)
     genre_index = {g: i for i, g in enumerate(genres)}
 
@@ -139,7 +149,7 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
     if not users or not creators or not item_rows:
         raise EmptyDataset(f"dataset at {path} has an empty record file")
 
-    creator_ids = {c.creator_id for c in creators}
+    creator_ids = _unique_ids((c.creator_id for c in creators), "creators.csv: creator_id")
     items: list[ItemRow] = []
     for r in item_rows:
         genre_name = r["genre"]
@@ -161,8 +171,8 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
             raise DanglingRef(f"item {item.item_id} references unknown creator {item.creator_id}")
         items.append(item)
 
-    user_ids = {u.user_id for u in users}
-    item_ids = {it.item_id for it in items}
+    user_ids = _unique_ids((u.user_id for u in users), "users.csv: user_id")
+    item_ids = _unique_ids((it.item_id for it in items), "items.csv: item_id")
     # the world re-indexes user and item ids as int64 columns
     if not all(-(2**63) <= i < 2**63 for i in user_ids | item_ids):
         raise SchemaError("a user_id or item_id does not fit in 64 bits")
@@ -205,16 +215,16 @@ def _rates(owner: np.ndarray, day: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 def init_creator_seeds(
     creator: np.ndarray, genre: np.ndarray, day: np.ndarray, interactions: np.ndarray,
     n_creators: int, n_genres: int,
-) -> tuple[np.ndarray, np.ndarray, list[dict[int, float]]]:
-    """Per-creator activity, skill rows and audience dicts from aligned item columns.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-creator activity, skill rows and audience rows from aligned item columns.
 
     Each seed item gives its creator index, genre, creation day and
     interaction count. Activity is items per day over the creator's span of
-    creation days; skill is the per-genre share of its items; audience maps
-    each genre it created in to the mean interaction count of those items,
-    genres never created being unknown. Creators without items fall back to
-    the median activity of the others (1.0 if none has items), a uniform
-    skill and an empty audience.
+    creation days; skill is the per-genre share of its items; audience is,
+    for each genre it created in, the mean interaction count of those items,
+    and NaN (unknown) for genres never created. Creators without items fall
+    back to the median activity of the others (1.0 if none has items), a
+    uniform skill and an all-unknown audience.
     """
     activity, has = _rates(creator, day, n_creators)
     activity[~has] = float(np.median(activity[has])) if has.any() else 1.0
@@ -224,10 +234,7 @@ def init_creator_seeds(
     total = np.bincount(cell, weights=interactions, minlength=size).reshape(n_creators, n_genres)
     skill = np.full((n_creators, n_genres), 1.0 / n_genres)
     skill[has] = made[has] / made[has].sum(axis=1, keepdims=True)
-    audience = [
-        {g: float(total[c, g] / made[c, g]) for g in np.flatnonzero(made[c]).tolist()}
-        for c in range(n_creators)
-    ]
+    audience = np.divide(total, made, out=np.full(size, np.nan).reshape(made.shape), where=made > 0)
     return activity, skill, audience
 
 

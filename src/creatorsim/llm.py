@@ -17,14 +17,17 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import SimError
 from .creator import (
-    ActionKind, CreatedContent, CreatorRuntime, ExploreAction, RuleBasedPolicy, item_utility,
+    ActionKind, CreatedContent, CreatorRuntime, ExploreAction, RuleBasedPolicy,
     retrieve_creation_memory,
 )
 
 ENDPOINT_ENV = "CREATORSIM_LLM_ENDPOINT"
 API_KEY_ENV = "CREATORSIM_LLM_API_KEY"
+PLATFORM = "the platform"  # how the prompts name the platform
 
 
 class LlmError(SimError):
@@ -312,14 +315,12 @@ class LlmPolicy:
         fallback: RuleBasedPolicy,
         transport=None,
         workers: int = 1,
-        platform: str = "the platform",
     ):
         self.cfg = cfg
         self.genre_names = tuple(genre_names)
         self.fallback = fallback
         self.transport = transport
         self.workers = workers
-        self.platform = platform
 
     def _ask(self, prompt: str) -> str | None:
         """The endpoint's reply to `prompt`, or None when the call fails."""
@@ -331,28 +332,27 @@ class LlmPolicy:
     def _profile_text(self, state: CreatorRuntime) -> str:
         return f"{state.name} is a {state.identity} who creates for {state.motivation}."
 
-    def _decide_prompt(self, state: CreatorRuntime, n: int) -> str:
+    def _decide_prompt(self, state: CreatorRuntime) -> str:
         audience, skill, names = state.beliefs.audience, state.beliefs.skill, self.genre_names
-        known = [name for g, name in enumerate(names) if g in audience]
-        unknown = [name for g, name in enumerate(names) if g not in audience]
+        unknown = np.isnan(audience)
         last = state.last_item()
         return render_prompt(
             SLOW_THINKER,
             {
-                "platform": self.platform,
+                "platform": PLATFORM,
                 "name": state.name,
                 "profile": self._profile_text(state),
                 "audience_beliefs": ", ".join(
-                    f"{name}: {audience[g]:.3f}" if g in audience else f"{name}: [unknown]"
+                    f"{name}: [unknown]" if unknown[g] else f"{name}: {audience[g]:.3f}"
                     for g, name in enumerate(names)
                 ),
                 "last_genre": names[state.catalog.genre[last]] if last is not None else "none",
-                "last_utility": f"{item_utility(state, last, n):.3f}" if last is not None else "0.000",
+                "last_utility": f"{state.last_utility:.3f}" if last is not None else "0.000",
                 "skill_beliefs": ", ".join(
                     f"{name}: {skill[g]:.3f}" for g, name in enumerate(names) if skill[g] > 0
                 ),
-                "unknown_genres": ", ".join(unknown) if unknown else "(none)",
-                "known_genres": ", ".join(known) if known else "(none)",
+                "unknown_genres": ", ".join(np.compress(unknown, names)) or "(none)",
+                "known_genres": ", ".join(np.compress(~unknown, names)) or "(none)",
             },
         )
 
@@ -364,7 +364,7 @@ class LlmPolicy:
         return render_prompt(
             FAST_THINKER,
             {
-                "platform": self.platform,
+                "platform": PLATFORM,
                 "name": state.name,
                 "profile": self._profile_text(state),
                 "analysis": f"[{action.kind.value}]: {self.genre_names[action.genre]}",
@@ -377,7 +377,7 @@ class LlmPolicy:
         order, and that creator's content prompt is sent as soon as its action is
         known. The content replies are then parsed in creator order."""
         with ThreadPoolExecutor(self.workers) as pool:
-            decisions = [pool.submit(self._ask, self._decide_prompt(s, n)) for s in states]
+            decisions = [pool.submit(self._ask, self._decide_prompt(s)) for s in states]
             actions, contents = [], []
             for state, rng, reply in zip(states, rngs, decisions):
                 actions.append(self.decide(state, n, rng, reply.result()))
@@ -391,8 +391,8 @@ class LlmPolicy:
         """The action `reply` names, if the beliefs allow it: EXPLOIT of a known
         genre or EXPLORE of an unknown one; otherwise the rule-based action."""
         action = _parsed(parse_explore_action, reply, None, self.genre_names)
-        if action is not None and (action.kind is ActionKind.EXPLOIT) == (
-            action.genre in state.beliefs.audience
+        if action is not None and (action.kind is ActionKind.EXPLOIT) != np.isnan(
+            state.beliefs.audience[action.genre]
         ):
             return action
         return self.fallback.decide(state, n, rng)
@@ -420,7 +420,7 @@ class LlmPolicy:
                     f"description: {recent.description}"
                 )
             shared = {
-                "platform": self.platform,
+                "platform": PLATFORM,
                 "name": state.name,
                 "recent_content": recent_text,
                 "creation_frequency": f"{state.activity:.3f}",

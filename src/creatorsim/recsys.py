@@ -53,11 +53,10 @@ class Diverged(SimError):
 
 @dataclass(frozen=True)
 class CandidatePool:
-    """Items eligible for recommendation at `step` (age <= window)."""
+    """Items eligible for recommendation at a step (age <= window)."""
 
     item_ids: np.ndarray
     created_steps: np.ndarray
-    step: int
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -66,7 +65,7 @@ class CandidatePool:
 def build_candidate_pool(catalog: Catalog, step: int, window: int) -> CandidatePool:
     age = step - catalog.created_step
     ids = np.flatnonzero((age >= 0) & (age <= window))
-    return CandidatePool(item_ids=ids, created_steps=catalog.created_step[ids], step=step)
+    return CandidatePool(item_ids=ids, created_steps=catalog.created_step[ids])
 
 
 class RandomRanker:

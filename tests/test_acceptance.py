@@ -21,7 +21,7 @@ from creatorsim.core import (
     creator_view,
     stream,
 )
-from creatorsim.creator import CreatorRuntime, Beliefs, item_utility
+from creatorsim.creator import CreatorRuntime, Beliefs, item_utility, own_totals
 from creatorsim.harness import run_simulation
 from creatorsim.metrics import (
     alignment_from_distributions,
@@ -119,9 +119,8 @@ def test_02_utility_oracle():
     rng = stream(7, "acceptance", "utility")
     started = time.perf_counter()
     state = CreatorRuntime(
-        creator_id=0, name="c", identity="", motivation="", activity=1.0, create_prob=1.0,
-        n_genres=4,
-        beliefs=Beliefs(skill=np.full(4, 0.25), audience={}),
+        creator_id=0, name="c", identity="", motivation="", activity=1.0, n_genres=4,
+        beliefs=Beliefs(skill=np.full(4, 0.25), audience=np.full(4, np.nan)),
         departure_threshold=SimConfig().departure_threshold, beta=0.5,
     )
     items: dict[int, int] = {}
@@ -144,12 +143,13 @@ def test_02_utility_oracle():
                     totals[item_id][0] += 1
                     totals[item_id][1] += clicked
         state.catalog.add_feedback(np.array(shown, dtype=np.int64), 1, np.array(clicks, dtype=bool))
+        utilities = item_utility(state, own_totals(state)[1], step)
         for item_id in rng.choice(list(items), size=min(20, len(items)), replace=False):
             item_id = int(item_id)
             t = items[item_id]
             exp, clk = totals[item_id]
             brute = (0.5 * exp + 0.5 * clk) / (step - t + 1)
-            max_err = max(max_err, abs(item_utility(state, item_id, step) - brute))
+            max_err = max(max_err, abs(utilities[state.position(item_id)] - brute))
             checked += 1
             if checked >= 1000:
                 break

@@ -1,3 +1,4 @@
+import json
 import re
 import tempfile
 import warnings
@@ -27,6 +28,7 @@ from creatorsim.core import (
     stream,
 )
 from creatorsim.cli import main as cli_main
+from creatorsim.harness import report
 
 
 def ev(step, user, item, exposed=True, clicked=False):
@@ -605,3 +607,85 @@ class TestSettingsSchema:
         named = set(re.findall(r"^([a-z0-9_.]+) =", example, re.M))
         named |= set(re.findall(r"`([a-z0-9_.]+)`", text))
         assert set(SimConfig.file_keys()) - named == set()
+
+
+def _at_bounds(f):
+    """Settings field `f`'s sweep values: each bound, and for a float also the
+    largest and the smallest positive double."""
+    values = [f.metadata[k] for k in ("ge", "gt", "le") if f.metadata.get(k) is not None]
+    if type(f.default) is float:
+        values = [1e308, 5e-324, *values]
+    return list(dict.fromkeys(type(f.default)(v) for v in values))
+
+
+# the settings that pick the component reading each section, besides the ranker
+READERS = {
+    "mmr": {"reranker": "mmr"}, "fairrec": {"reranker": "fairrec"},
+    "fairco": {"reranker": "fairco"}, "pmmf": {"reranker": "pmmf"}, "rerank": {"reranker": "mmr"},
+    "cfd": {"creator_policy": "cfd"}, "lbr": {"creator_policy": "lbr"},
+    "pop": {"ranker": "pop"}, "llm": {"creator_policy": "creagent_llm"},
+}
+TINY = {"n_users": 12, "n_creators": 6, "n_steps": 8, "warmup": 2, "retrain_period": 2}
+SWEEP = [
+    (cls, _file_key(cls, f.name), value)
+    for cls, f in SETTINGS
+    if type(f.default) in (int, float)
+    for value in _at_bounds(f)
+]
+RUN_SWEEP = [
+    (key, value, ranker)
+    for cls, key, value in SWEEP if cls is SimConfig
+    for ranker in (("pop",) if key.startswith("pop.") else ("random", "pop", "mf", "bpr"))
+]
+
+
+def _stub_reply(url, payload, timeout):
+    """Every reply holds a decision and a creation, so both parse paths run."""
+    content = (
+        '[EXPLOIT]: Music {"name": "stub", "genre": "Music", "tags": ["a"], "description": "d"}'
+    )
+    return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+
+def _sim(command, path, settings, out):
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    flag = "--config" if command == "run" else "--params"
+    return cli_main([command, flag, str(path), "--out", str(out)])
+
+
+def _run_checked(tmp_path, settings):
+    """`sim run` on `settings` exits 0, 2 or 4, and on 0 `report()` equals the
+    run's `metrics.json`."""
+    out = tmp_path / "run"
+    status = _sim("run", tmp_path / "config.txt", settings, out)
+    assert status in (0, 2, 4)
+    if status == 0:
+        assert report(out) == json.loads((out / "metrics.json").read_text())
+
+
+@pytest.mark.filterwarnings("error")
+class TestSettingsSweep:
+    """Every valid setting either finishes or is rejected with its documented
+    exit code (2 config, 4 runtime), on a tiny run under warnings-as-errors,
+    with the component that reads it."""
+
+    @pytest.mark.parametrize(
+        "key, value, ranker", RUN_SWEEP, ids=[f"{k}={v!r}-{r}" for k, v, r in RUN_SWEEP]
+    )
+    def test_run_setting_at_extreme(self, tmp_path, monkeypatch, key, value, ranker):
+        monkeypatch.setattr("creatorsim.llm.requests_transport", _stub_reply)
+        section = READERS.get(key.split(".")[0], {})
+        _run_checked(tmp_path, {**TINY, "ranker": ranker, **section, key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(k, v) for cls, k, v in SWEEP if cls is SynthParams],
+        ids=[f"{k}={v!r}" for cls, k, v in SWEEP if cls is SynthParams],
+    )
+    def test_synth_setting_at_extreme(self, tmp_path, key, value):
+        data = tmp_path / "data"
+        size = {k: TINY[k] for k in ("n_users", "n_creators")}
+        status = _sim("synth", tmp_path / "params.txt", {**size, key: value}, data)
+        assert status in (0, 2, 4)
+        if status == 0:
+            _run_checked(tmp_path, {**TINY, "data_dir": data})

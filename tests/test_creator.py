@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import creatorsim.harness as harness
-from creatorsim.core import AsymmetryViolation, EventLog, SimConfig, stream
+from creatorsim.core import AsymmetryViolation, EventLog, SimConfig, creator_view, stream
 from creatorsim.creator import (
     ActionKind,
     Beliefs,
@@ -15,6 +17,7 @@ from creatorsim.creator import (
     RuleBasedPolicy,
     explore_probability,
     item_utility,
+    own_totals,
     register_creation_outcome,
     retrieve_creation_memory,
     reward_percentile,
@@ -29,16 +32,15 @@ CFG = SimConfig()
 P_EXPLORE = (CFG.creagent_p_explore_max, CFG.creagent_p_explore_min)
 
 
-def make_creator(name="Ada", n_genres=14, beta=0.5, create_prob=0.5):
+def make_creator(name="Ada", n_genres=14, beta=0.5):
     return CreatorRuntime(
         creator_id=0,
         name=name,
         identity="music enthusiast",
         motivation="sharing",
         activity=1.0,
-        create_prob=create_prob,
         n_genres=n_genres,
-        beliefs=Beliefs(skill=np.full(n_genres, 1.0 / n_genres), audience={}),
+        beliefs=Beliefs(skill=np.full(n_genres, 1.0 / n_genres), audience=np.full(n_genres, np.nan)),
         departure_threshold=CFG.departure_threshold,
         beta=beta,
     )
@@ -49,6 +51,22 @@ def add_item(state, item_id, genre, step, tags=()):
         state.catalog.add(state.creator_id + 1, 0, "other", (), "", 0)
     state.catalog.add(state.creator_id, genre, f"t{item_id}", tuple(tags), "", step)
     state.add_item(item_id)
+
+
+def utility(state, item_id, n):
+    """Own item `item_id`'s utility at step `n`, from one read of the totals."""
+    return float(item_utility(state, own_totals(state)[1], n)[state.position(item_id)])
+
+
+def refresh(state, n):
+    """Refresh the beliefs as CREATE does, from the utilities at step `n`."""
+    update_beliefs(state, item_utility(state, own_totals(state)[1], n))
+
+
+def totals(state, pos):
+    """(exposures, clicks) of the own item at `pos`, as the platform keeps them."""
+    exposures, clicks = creator_view(state.catalog, state.creator_id, state.items)
+    return exposures[pos], clicks[pos]
 
 
 def add_feedback(state, counts):
@@ -74,24 +92,22 @@ class TestFeedbackMemory:
         c = make_creator()
         add_item(c, 5, 0, step=1)
         add_feedback(c, [(5, 3, 1), (5, 2, 0)])
-        pos = c.position(5)
-        assert (c.exposures[pos], c.clicks[pos]) == (5, 1)
+        assert totals(c, c.position(5)) == (5, 1)
+        assert own_totals(c)[0].tolist() == [1]
 
     def test_empty_step_is_noop(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
         c.catalog.add_feedback(np.array([], dtype=np.int64), 1, 1)
-        pos = c.position(5)
-        assert (c.exposures[pos], c.clicks[pos]) == (0, 0)
+        assert totals(c, c.position(5)) == (0, 0)
 
     def test_foreign_item_rejected(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
         c.add_item(6)  # in the memory, but the catalog has no item 6 of creator 0
         c.catalog.add(c.creator_id + 1, 0, "other", (), "", 1)
-        for read in (lambda: c.exposures, lambda: c.clicks, lambda: item_utility(c, 5, 2)):
-            with pytest.raises(AsymmetryViolation):
-                read()
+        with pytest.raises(AsymmetryViolation):
+            own_totals(c)
 
 
 class TestItemUtility:
@@ -100,29 +116,24 @@ class TestItemUtility:
         c = make_creator(beta=0.5)
         add_item(c, 0, 0, step=3)
         add_feedback(c, [(0, 2, 1), (0, 3, 1), (0, 1, 0)])
-        assert item_utility(c, 0, 5) == pytest.approx(4 / 3)
+        assert utility(c, 0, 5) == pytest.approx(4 / 3)
 
     def test_exposure_only_beta(self):
         c = make_creator(beta=1.0)
         add_item(c, 0, 0, step=3)
         add_feedback(c, [(0, 2, 1), (0, 3, 1), (0, 1, 0)])
-        assert item_utility(c, 0, 5) == pytest.approx(2.0)
+        assert utility(c, 0, 5) == pytest.approx(2.0)
 
     def test_no_events_zero(self):
         c = make_creator()
         add_item(c, 0, 0, step=3)
-        assert item_utility(c, 0, 10) == 0.0
-
-    def test_not_owned(self):
-        c = make_creator()
-        with pytest.raises(NotOwned):
-            item_utility(c, 9, 5)
+        assert utility(c, 0, 10) == 0.0
 
     def test_future_item(self):
         c = make_creator()
         add_item(c, 0, 0, step=5)
         with pytest.raises(FutureItem):
-            item_utility(c, 0, 4)
+            item_utility(c, own_totals(c)[1], 4)
 
     def test_matches_event_log_brute_force(self):
         rng = stream(17, "oracle")
@@ -150,7 +161,7 @@ class TestItemUtility:
                 exp = sum(1 for s, i, _ in events if i == item_id and t <= s <= step)
                 clk = sum(1 for s, i, clicked in events if i == item_id and clicked and t <= s <= step)
                 brute = (0.5 * exp + 0.5 * clk) / (step - t + 1)
-                assert abs(item_utility(c, item_id, step) - brute) <= 1e-9
+                assert abs(utility(c, item_id, step) - brute) <= 1e-9
 
 
 class TestBeliefs:
@@ -158,7 +169,7 @@ class TestBeliefs:
         c = make_creator()
         for i, g in enumerate([0, 0, 1]):
             add_item(c, i, g, step=1)
-        update_beliefs(c, 2)
+        refresh(c, 2)
         assert c.beliefs.skill[0] == pytest.approx(2 / 3)
         assert c.beliefs.skill[1] == pytest.approx(1 / 3)
 
@@ -168,14 +179,15 @@ class TestBeliefs:
         add_item(c, 1, 0, step=1)
         # clicks so that utilities at n=2 are 1.0 and 3.0 (divide by 2)
         add_feedback(c, [(0, 2, 2), (1, 6, 6)])
-        update_beliefs(c, 2)
+        refresh(c, 2)
         assert c.beliefs.audience[0] == pytest.approx(2.0)
 
     def test_explored_genre_becomes_known_at_zero(self):
         c = make_creator()
         add_item(c, 0, 3, step=1)
-        update_beliefs(c, 1)
+        refresh(c, 1)
         assert c.beliefs.audience[3] == 0.0
+        assert np.isnan(np.delete(c.beliefs.audience, 3)).all()
 
 
 class TestDecision:
@@ -186,30 +198,31 @@ class TestDecision:
 
     def test_first_decision_uses_midpoint(self):
         c = make_creator()
-        assert reward_percentile(c, 1) == 0.5
+        assert reward_percentile(item_utility(c, own_totals(c)[1], 1)) == 0.5
+        assert c.reward_pct == 0.5
 
     def test_threshold_behavior_via_scripted_rng(self):
         c = make_creator()
         # cold creator, q=0.5 -> p_explore=0.225; no known genres forces explore anyway
-        action = rule_based_decide(c, 1, ScriptedRng([0.224], ints=[2]), *P_EXPLORE)
+        action = rule_based_decide(c, ScriptedRng([0.224], ints=[2]), *P_EXPLORE)
         assert action.kind is ActionKind.EXPLORE
 
     def test_exploit_picks_argmax_product_with_tie_to_lowest(self):
         c = make_creator()
         for i, g in enumerate([0, 1, 2]):
             add_item(c, i, g, step=1)
-        update_beliefs(c, 1)
-        c.beliefs.audience = {0: 3.0, 1: 3.0, 2: 1.0}
-        action = rule_based_decide(c, 2, ScriptedRng([0.99]), *P_EXPLORE)
+        refresh(c, 1)
+        c.beliefs.audience = np.array([3.0, 3.0, 1.0] + [np.nan] * 11)
+        action = rule_based_decide(c, ScriptedRng([0.99]), *P_EXPLORE)
         assert action.kind is ActionKind.EXPLOIT
         assert action.genre == 0
 
     def test_explore_uniform_over_unknown(self):
         c = make_creator(n_genres=4)
         add_item(c, 0, 0, step=1)
-        update_beliefs(c, 1)
+        refresh(c, 1)
         rng = stream(3, "explore")
-        actions = [rule_based_decide(c, 2, rng, *P_EXPLORE) for _ in range(300)]
+        actions = [rule_based_decide(c, rng, *P_EXPLORE) for _ in range(300)]
         seen = {a.genre for a in actions if a.kind is ActionKind.EXPLORE}
         assert seen == {1, 2, 3}
 
@@ -217,8 +230,8 @@ class TestDecision:
         c = make_creator(n_genres=3)
         for i, g in enumerate([0, 0, 1, 1, 2]):
             add_item(c, i, g, step=1)
-        update_beliefs(c, 1)
-        action = rule_based_decide(c, 2, ScriptedRng([0.0]), *P_EXPLORE)
+        refresh(c, 1)
+        action = rule_based_decide(c, ScriptedRng([0.0]), *P_EXPLORE)
         assert action.kind is ActionKind.EXPLORE
         assert action.genre == 2
 
@@ -231,7 +244,67 @@ class TestDecision:
         c = make_creator()
         c.alive = False
         with pytest.raises(DeadCreator):
-            rule_based_decide(c, 1, ScriptedRng([0.0]), *P_EXPLORE)
+            rule_based_decide(c, ScriptedRng([0.0]), *P_EXPLORE)
+
+
+def reference_decide(state, audience, rng, p_max, p_min):
+    """The rule-based decision with audience beliefs as a dict of the known
+    genres, looping over them in genre order, as it was before the array."""
+    p_explore = explore_probability(state.reward_pct, p_max, p_min)
+    known = sorted(audience.keys())
+    explore = rng.random() < p_explore or not known
+    if not explore:
+        best_g, best_v = None, -np.inf
+        for g in known:
+            v = audience[g] * state.beliefs.skill[g]
+            if v > best_v:
+                best_g, best_v = g, v
+        return ExploreAction(ActionKind.EXPLOIT, best_g)
+    unknown = [g for g in range(state.n_genres) if g not in audience]
+    if unknown:
+        genre = int(unknown[rng.integers(0, len(unknown))])
+    else:
+        genre = int(np.argmin(np.bincount(state.genres, minlength=state.n_genres)))
+    return ExploreAction(ActionKind.EXPLORE, genre)
+
+
+@st.composite
+def belief_cases(draw):
+    """A creator with beliefs drawn from a few values, so products tie, and
+    with all, some or none of its genres known."""
+    G = draw(st.integers(1, 6))
+    c = make_creator(n_genres=G)
+    for i, g in enumerate(draw(st.lists(st.integers(0, G - 1), max_size=8))):
+        add_item(c, i, g, step=1)
+    known = draw(st.sampled_from(["all", "none", "some"]))
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    audience = {
+        g: draw(values) for g in range(G) if known == "all" or (known == "some" and draw(st.booleans()))
+    }
+    c.beliefs = Beliefs(
+        skill=np.array([draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for _ in range(G)]),
+        audience=np.array([audience.get(g, np.nan) for g in range(G)]),
+    )
+    c.reward_pct = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return c, audience
+
+
+class TestDecisionOnArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(case=belief_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_array_beliefs_decide_as_the_dict_loop(self, case, seed):
+        c, audience = case
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert rule_based_decide(c, rng, *P_EXPLORE) == reference_decide(
+            c, audience, reference_rng, *P_EXPLORE
+        )
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_reward_percentile_midrank(self):
+        # the latest utility 2.0 is above one of four and ties two
+        assert reward_percentile(np.array([1.0, 2.0, 2.0, 3.0, 2.0])) == 0.5
+        assert reward_percentile(np.array([1.0, 0.5, 3.0])) == 1.0
+        assert reward_percentile(np.array([4.0])) == 0.5
 
 
 class TestContent:

@@ -212,20 +212,53 @@ class TestPhaseInvariants:
         assert calls[0] > 0, "no creator read went through core.creator_view"
         assert foreign == []
 
+    @pytest.mark.parametrize("policy", ["creagent", "creagent_llm"])
+    def test_create_reads_each_creators_totals_once(self, tmp_path, monkeypatch, policy):
+        """One ownership-checked read per creator CREATE lets through; each such
+        creator writes one trace row, its decision or its DEPART."""
+        import creatorsim.harness as harness
+
+        reads, per_step = [0], []  # (reads, trace rows) of each CREATE
+        original_view, original_create = core.creator_view, harness._World.phase_create
+
+        def view(*args):
+            reads[0] += 1
+            return original_view(*args)
+
+        def create(world, n):
+            reads[0], rows = 0, len(world.trace_rows)
+            original_create(world, n)
+            per_step.append((reads[0], len(world.trace_rows) - rows))
+
+        def stub(url, payload, timeout):  # no reply parses: every decision falls back
+            return 200, json.dumps({"choices": [{"message": {"content": "~~nonsense~~"}}]})
+
+        monkeypatch.setattr(core, "creator_view", view)
+        monkeypatch.setattr(harness._World, "phase_create", create)
+        cfg = small_cfg(creator_policy=policy, departure_threshold=2, llm_endpoint="http://stub.invalid")
+        out = run_simulation(cfg, out_dir=tmp_path / "run", transport=stub).out_dir
+        assert ",DEPART," in (out / "creator_trace.csv").read_text(), "the run should have departures"
+        assert sum(rows for _, rows in per_step) > cfg.n_steps
+        assert [r for r, _ in per_step] == [rows for _, rows in per_step]
+
     def test_beliefs_refreshed_only_when_deciding(self, tmp_path, monkeypatch):
         import creatorsim.harness as harness
 
         step = [0]  # the step whose phases are running
-        calls = []  # (step, creator, argument) of each belief refresh
+        calls = []  # (step, creator, step of the utilities) of each belief refresh
         original_create, original_update = harness._World.phase_create, harness.update_beliefs
 
         def create(world, n):
             step[0] = n
             return original_create(world, n)
 
-        def spy(state, n):
-            calls.append((step[0], state.creator_id, n))
-            return original_update(state, n)
+        def spy(state, utilities):
+            # the utilities of the step before, from the platform's totals
+            n, cat, items = step[0], state.catalog, state.items
+            blend = state.beta * cat.exposures[items] + (1.0 - state.beta) * cat.clicks[items]
+            before = np.array_equal(utilities, blend / (n - 1 - cat.created_step[items] + 1))
+            calls.append((n, state.creator_id, before))
+            return original_update(state, utilities)
 
         monkeypatch.setattr(harness._World, "phase_create", create)
         monkeypatch.setattr(harness, "update_beliefs", spy)
@@ -239,7 +272,7 @@ class TestPhaseInvariants:
         assert decisions[0][0] == 1, "step 1 should have decisions, made on seed beliefs"
         assert not [c for c in calls if c[0] == 1]
         assert sorted((n, creator) for n, creator, _ in calls) == [d for d in decisions if d[0] >= 2]
-        assert all(arg == n - 1 for n, _, arg in calls)
+        assert all(before for _, _, before in calls)
 
     def test_lifecycle_decays_one_table(self, tmp_path, monkeypatch):
         import creatorsim.harness as harness

@@ -50,6 +50,11 @@ def tiny_dataset():
     return Dataset(users, creators, items, interactions)
 
 
+def known(audience):
+    """The known genres of an audience belief row, with their values."""
+    return {g: v for g, v in enumerate(audience.tolist()) if not np.isnan(v)}
+
+
 def creator_seeds(d):
     """(activity, skill, audience) of a dataset whose ids are already 0..n-1."""
     counts = np.bincount([r.item_id for r in d.interactions], minlength=len(d.items))
@@ -221,9 +226,10 @@ class TestWorldSeedsEqualRowReference:
         creators, users = reference_world(cfg, data)
         assert [
             dict(
-                skill=c.beliefs.skill.tolist(), audience=c.beliefs.audience, activity=c.activity,
-                create_prob=c.create_prob, items=c.items.tolist(), exposures=c.exposures.tolist(),
-                clicks=c.clicks.tolist(),
+                skill=c.beliefs.skill.tolist(), audience=known(c.beliefs.audience),
+                activity=c.activity, create_prob=world.create_prob[c.creator_id],
+                items=c.items.tolist(), exposures=world.catalog.exposures[c.items].tolist(),
+                clicks=world.catalog.clicks[c.items].tolist(),
             )
             for c in world.creators
         ] == creators
@@ -247,7 +253,7 @@ class TestCreatorSeeds:
     def test_audience_is_mean_interaction_count(self):
         # genre 0 items have counts {3, 1, 0} -> mean 4/3; genre 1 count {1}
         _, _, audience = creator_seeds(tiny_dataset())
-        ada = audience[0]
+        ada = known(audience[0])
         assert ada[0] == pytest.approx(4 / 3)
         assert ada[1] == pytest.approx(1.0)
         assert 2 not in ada
@@ -265,7 +271,7 @@ class TestCreatorSeeds:
     def test_cold_creator_fallbacks(self):
         activity, skill, audience = creator_seeds(tiny_dataset())
         assert np.allclose(skill[1], 1.0 / len(DEFAULT_GENRES))
-        assert audience[1] == {}
+        assert np.isnan(audience[1]).all()
         assert activity[1] == pytest.approx(activity[0])  # median of one value
 
     def test_skill_always_probability_vector(self):
@@ -352,6 +358,27 @@ class TestLoadDataset:
         d.to_dir(tmp_path)
         with pytest.raises(EmptyDataset):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "file, column", [("users.csv", "user_id"), ("creators.csv", "creator_id"), ("items.csv", "item_id")]
+    )
+    def test_repeated_id_exits_3(self, tmp_path, capsys, file, column):
+        """A row repeated in a record file would make its id a phantom agent or
+        item; `sim validate` and `sim run` both reject it as a data error."""
+        data = tmp_path / "data"
+        synth_dataset(SynthParams(n_users=15, n_creators=6, seed=2), stream(2, "synth")).to_dir(data)
+        lines = (data / file).read_text().splitlines(keepends=True)
+        (data / file).write_text("".join(lines + [lines[2]]))
+        message = f"{file}: {column} {lines[2].split(',')[0]} is on more than one row"
+        with pytest.raises(SchemaError, match=message):
+            load_dataset(data)
+        assert cli_main(["validate", str(data)]) == 3
+        assert message in capsys.readouterr().err
+        config = tmp_path / "config.txt"
+        config.write_text(f"n_users = 15\nn_creators = 6\nn_steps = 8\nwarmup = 2\ndata_dir = {data}\n")
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestSynth:

@@ -468,7 +468,7 @@ def ranked_pools(draw):
 @given(ranked_pools())
 def test_rank_scored_equals_lexsort(case):
     ids, created, scores, k = case
-    view = pool_view(_FixedScores(scores), CandidatePool(ids, created, 0), None)
+    view = pool_view(_FixedScores(scores), CandidatePool(ids, created), None)
     got_ids, got_scores = rank_scored(view, 0, k)
     want_ids, want_scores = _lexsort_top(ids, created, scores, k)
     assert got_ids.tolist() == want_ids
@@ -479,6 +479,6 @@ def test_rank_scored_equals_lexsort(case):
 def test_rank_scored_nan_cut_keeps_every_item():
     scores = np.array([np.nan, 1.0, np.nan, 0.0, np.nan])
     ids, created = np.arange(5), np.zeros(5, dtype=np.int64)
-    view = pool_view(_FixedScores(scores), CandidatePool(ids, created, 0), None)
+    view = pool_view(_FixedScores(scores), CandidatePool(ids, created), None)
     assert rank_scored(view, 0, 3)[0].tolist() == [1, 3, 0]
     assert rank_scored(view, 0, 4)[0].tolist() == [1, 3, 0, 2]

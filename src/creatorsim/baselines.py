@@ -23,7 +23,6 @@ from .creator import (
     CreatorRuntime,
     ExploreAction,
     TemplatePolicy,
-    own_totals,
 )
 
 
@@ -100,7 +99,7 @@ def random_choose(genres, rng: np.random.Generator) -> int:
 
 
 def _per_genre_clicks(state: CreatorRuntime) -> np.ndarray:
-    return np.bincount(state.genres, weights=own_totals(state)[0], minlength=state.n_genres)
+    return np.bincount(state.genres, weights=state.clicks, minlength=state.n_genres)
 
 
 def _action_for(state: CreatorRuntime, genre: int) -> ExploreAction:

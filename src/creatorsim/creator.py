@@ -5,11 +5,11 @@ A creator only ever sees feedback on its own items. Its memory is the ids of
 its own items in creation order; their genres, creation steps and exposure and
 click totals are the platform catalog's columns, and the totals are read only
 through `own_totals`, one ownership-checked `core.creator_view` per decision:
-every utility, the latest item's outcome and reward percentile, and the belief
-refresh come from that one read. It distills the memory into two genre-indexed
-beliefs: skill (its per-genre creation share) and audience (its per-genre
-estimate of receptiveness, the mean utility of its own items in that genre,
-NaN for genres never tried). The thinking step is pluggable; the default
+every utility, the latest item's outcome and reward percentile, the belief
+refresh and the clicks a baseline policy decides on come from that one read.
+It distills the memory into two genre-indexed beliefs: skill (its per-genre
+creation share) and audience (its per-genre estimate of receptiveness, the
+mean utility of its own items in that genre, NaN for genres never tried). The thinking step is pluggable; the default
 rule-based policy explores more after poor rewards and exploits more after
 good ones, with the explore probability falling linearly in the reward
 percentile of the latest item.
@@ -83,10 +83,11 @@ class CreatorRuntime:
     alive: bool = True
     creation_count: int = 0                # simulated creations, for title numbering
     pending_item: int | None = None        # last creation awaiting its outcome
-    # the latest item's reward percentile among the own items and its utility,
-    # as the read at the deciding step found them (utility None without items)
+    # the latest item's reward percentile among the own items, its utility (None
+    # without items) and each own item's clicks, as the read at the deciding step found them
     reward_pct: float = 0.5
     last_utility: float | None = None
+    clicks: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def creations(self) -> list[ItemRecord]:

@@ -41,7 +41,6 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +67,8 @@ from .creator import (
     update_beliefs,
 )
 from .baselines import CfdPolicy, LbrPolicy, RandomPolicy, SimulinePolicy
-from .ingest import Dataset, SynthParams, init_creator_seeds, init_user_seeds, load_dataset, synth_dataset
+from .ingest import Dataset, SynthParams, check_dataset, load_dataset, synth_dataset
+from .ingest import init_creator_seeds, init_user_seeds
 from .metrics import (
     EmptyItems,
     NoCreatorsAtStart,
@@ -197,14 +197,10 @@ class _World:
             [0] * len(items), [it.title for it in items], [it.tags for it in items],
             [it.description for it in items],
         )
-        user, item, day = (
-            np.fromiter(map(attrgetter(name), data.interactions), np.int64, len(data.interactions))
-            for name in ("user_id", "item_id", "day")
-        )
-        user = _index_of(np.asarray([u.user_id for u in users], dtype=np.int64), user)
-        item = _index_of(np.asarray([it.item_id for it in items], dtype=np.int64), item)
+        user = _index_of(np.asarray([u.user_id for u in users], dtype=np.int64), data.interactions.user_id)
+        item = _index_of(np.asarray([it.item_id for it in items], dtype=np.int64), data.interactions.item_id)
         kept = (user >= 0) & (item >= 0)
-        seen = np.column_stack((user[kept], item[kept], day[kept]))
+        seen = np.column_stack((user[kept], item[kept], data.interactions.day[kept]))
         # the dataset's interactions train the ranker as clicks at step 0, and
         # count toward each seed item's exposure and click totals
         self.seed_clicks = seen * (1, 1, 0)
@@ -295,11 +291,11 @@ class _World:
         slots, states = [], []  # the trace row slot of each creator that decides
         for state in map(self.creators.__getitem__, creating.tolist()):
             # the creator's one read of its totals; a pending item is its latest
-            clicks, weighted = own_totals(state)
+            state.clicks, weighted = own_totals(state)
             utilities = item_utility(state, weighted, n)
             z_last = state.last_utility = float(utilities[-1]) if len(utilities) else None
             if state.pending_item is not None:
-                register_creation_outcome(state, state.pending_item, int(clicks[-1]))
+                register_creation_outcome(state, state.pending_item, int(state.clicks[-1]))
                 state.pending_item = None
                 if not state.alive:
                     self.trace_rows.append(f"{n},{state.creator_id},DEPART,,,{z_last:.10g},false,")
@@ -452,12 +448,14 @@ def run_simulation(
 ) -> RunArtifacts:
     """Execute the full step loop and persist all artifacts under `out_dir`."""
     cfg.validate()
-    if data is None:
-        if cfg.data_dir:
-            data = load_dataset(cfg.data_dir)
-        else:
-            data = synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth"))
+    if data is not None:
+        check_dataset(data)
+    elif cfg.data_dir:
+        data = load_dataset(cfg.data_dir)
+    else:
+        data = synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth"))
     world = _World(cfg, data, transport)
+    del data  # the world keeps what it needs; a dataset loaded or synthesized here is freed
     for n in range(1, cfg.n_steps + 1):
         started = time.perf_counter()
         world.phase_create(n)

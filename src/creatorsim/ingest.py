@@ -66,13 +66,38 @@ class InteractionRow:
     day: int
 
 
+@dataclass(frozen=True, eq=False)
+class Interactions:
+    """The interaction table as three aligned int64 columns; iterating builds its rows."""
+
+    user_id: np.ndarray
+    item_id: np.ndarray
+    day: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __iter__(self):
+        return map(InteractionRow, self.user_id.tolist(), self.item_id.tolist(), self.day.tolist())
+
+    @classmethod
+    def of(cls, rows) -> "Interactions":  # from (user_id, item_id, day) tuples
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy())
+
+
 @dataclass
 class Dataset:
+    """The four record files; a list of interaction rows is converted to columns once."""
+
     users: list[UserRow]
     creators: list[CreatorRow]
     items: list[ItemRow]
-    interactions: list[InteractionRow]
+    interactions: Interactions
     genres: tuple[str, ...] = DEFAULT_GENRES
+
+    def __post_init__(self):
+        if not isinstance(self.interactions, Interactions):
+            self.interactions = Interactions.of([(r.user_id, r.item_id, r.day) for r in self.interactions])
 
     @property
     def n_genres(self) -> int:
@@ -102,8 +127,8 @@ class Dataset:
         with open(path / "interactions.csv", "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["user_id", "item_id", "day"])
-            for r in self.interactions:
-                w.writerow([r.user_id, r.item_id, r.day])
+            cols = self.interactions
+            w.writerows(zip(cols.user_id.tolist(), cols.item_id.tolist(), cols.day.tolist()))
 
 
 def _read_rows(path: Path, required: list[str]) -> list[dict[str, str]]:
@@ -126,6 +151,22 @@ def _unique_ids(ids, what: str) -> set[int]:
             raise SchemaError(f"{what} {i} is on more than one row")
         seen.add(i)
     return seen
+
+
+def _check_days(days, what: str) -> None:
+    """A day outside [0, 2**62], where any span of days fits in int64, is a SchemaError naming `what`."""
+    bad = next((d for d in days if not 0 <= d <= 2**62), None)
+    if bad is not None:
+        raise SchemaError(f"{what} {bad} outside [0, 2**62]")
+
+
+def check_dataset(data: Dataset) -> None:
+    """`load_dataset`'s checks within each record file, for a dataset built in memory."""
+    _unique_ids((u.user_id for u in data.users), "users.csv: user_id")
+    _unique_ids((c.creator_id for c in data.creators), "creators.csv: creator_id")
+    _unique_ids((it.item_id for it in data.items), "items.csv: item_id")
+    _check_days((it.created_day for it in data.items), "items.csv: created_day")
+    _check_days(data.interactions.day.tolist(), "interactions.csv: day")
 
 
 def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> Dataset:
@@ -170,25 +211,26 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
         if item.creator_id not in creator_ids:
             raise DanglingRef(f"item {item.item_id} references unknown creator {item.creator_id}")
         items.append(item)
+    _check_days((it.created_day for it in items), "items.csv: created_day")
 
     user_ids = _unique_ids((u.user_id for u in users), "users.csv: user_id")
     item_ids = _unique_ids((it.item_id for it in items), "items.csv: item_id")
     # the world re-indexes user and item ids as int64 columns
     if not all(-(2**63) <= i < 2**63 for i in user_ids | item_ids):
         raise SchemaError("a user_id or item_id does not fit in 64 bits")
-    interactions: list[InteractionRow] = []
+    rows: list[tuple[int, int, int]] = []
     for r in inter_rows:
         try:
-            row = InteractionRow(int(r["user_id"]), int(r["item_id"]), int(r["day"]))
+            user_id, item_id, day = int(r["user_id"]), int(r["item_id"]), int(r["day"])
         except ValueError as e:
             raise SchemaError(f"interactions.csv: {e}") from e
-        if row.user_id not in user_ids:
-            raise DanglingRef(f"interaction references unknown user {row.user_id}")
-        if row.item_id not in item_ids:
-            raise DanglingRef(f"interaction references unknown item {row.item_id}")
-        interactions.append(row)
-
-    return Dataset(users=users, creators=creators, items=items, interactions=interactions, genres=genres)
+        if user_id not in user_ids:
+            raise DanglingRef(f"interaction references unknown user {user_id}")
+        if item_id not in item_ids:
+            raise DanglingRef(f"interaction references unknown item {item_id}")
+        rows.append((user_id, item_id, day))
+    _check_days((day for _, _, day in rows), "interactions.csv: day")
+    return Dataset(users, creators, items, Interactions.of(rows), genres)
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +426,17 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
     base = np.where(size > 0, np.cumsum(size) - size, np.uint64(n_items))
     pool_day = created_day[pool]
     day_span = (p.n_days + 1 - pool_day).tolist()
-    pool_day = pool_day.tolist()
-    # rows share the items' id objects, as indexing a list of ids did
-    ids = [it.item_id for it in items]
-    pool_id = [ids[i] for i in pool.tolist()]
     pref_alpha = np.maximum(genre_pop * G / 2.0, 1e-6)
-    interactions: list[InteractionRow] = []
+    slots, offsets = [], []  # each interaction's pool slot and days after its item's creation
     for u in range(p.n_users):
         pref = rng.dirichlet(pref_alpha)
         g = rng.choice(G, size=inter_counts[u], p=pref)
-        slots, b = _draw_pairs(rng, span[g].tolist(), base[g].tolist(), day_span)
-        interactions.extend(InteractionRow(u, pool_id[s], pool_day[s] + d) for s, d in zip(slots, b))
-
+        s, b = _draw_pairs(rng, span[g].tolist(), base[g].tolist(), day_span)
+        slots += s
+        offsets += b
+    slots = np.array(slots, dtype=np.int64)
+    interactions = Interactions(  # an item's id is its index in `items`
+        np.repeat(np.arange(p.n_users), inter_counts), pool[slots],
+        pool_day[slots].astype(np.int64) + np.array(offsets, dtype=np.int64),
+    )
     return Dataset(users=users, creators=creators, items=items, interactions=interactions)

@@ -243,18 +243,17 @@ class MfRanker(_FactorRanker):
     name = "mf"
 
     def _epoch(self, users, items, negatives, rng) -> None:
-        d = self.dim
-        u_all = np.concatenate([users, users])
-        i_all = np.concatenate([items, negatives])
-        y = np.concatenate([np.ones(len(items)), np.zeros(len(items))])
-        order = rng.permutation(len(u_all))
+        d, n = self.dim, len(items)
+        # positions below n are the positives (label 1.0), the rest their negatives (0.0)
+        order = rng.permutation(2 * n)
         for lo in range(0, len(order), SGD_BATCH):
             sel = order[lo : lo + SGD_BATCH]
-            u, i, yy = u_all[sel], i_all[sel], y[sel]
+            row, positive = sel % n, sel < n
+            u, i = users[row], np.where(positive, items[row], negatives[row])
             pu, qi = self.PB[u], self.QB[i]
             logits = pu[:, d] + qi[:, d] + (pu[:, :d] * qi[:, :d]).sum(axis=1)
-            with np.errstate(over="ignore"):  # exp overflows to inf, and g is then -yy
-                g = 1.0 / (1.0 + np.exp(-logits)) - yy
+            with np.errstate(over="ignore"):  # exp overflows to inf, and g is then -label
+                g = 1.0 / (1.0 + np.exp(-logits)) - positive
             # the bias column's input is 1, and g * 1.0 == g exactly
             grad_u, grad_i = g[:, None] * qi, g[:, None] * pu
             grad_u[:, d] = grad_i[:, d] = g

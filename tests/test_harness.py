@@ -212,10 +212,11 @@ class TestPhaseInvariants:
         assert calls[0] > 0, "no creator read went through core.creator_view"
         assert foreign == []
 
-    @pytest.mark.parametrize("policy", ["creagent", "creagent_llm"])
+    @pytest.mark.parametrize("policy", ["creagent", "creagent_llm", "cfd", "simuline"])
     def test_create_reads_each_creators_totals_once(self, tmp_path, monkeypatch, policy):
         """One ownership-checked read per creator CREATE lets through; each such
-        creator writes one trace row, its decision or its DEPART."""
+        creator writes one trace row, its decision or its DEPART. The policies
+        that follow clicks per genre decide on that read's clicks."""
         import creatorsim.harness as harness
 
         reads, per_step = [0], []  # (reads, trace rows) of each CREATE

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from creatorsim.cli import main as cli_main
 from creatorsim.core import SimConfig, stream
-from creatorsim.harness import _World, _index_of
+from creatorsim.harness import _World, _index_of, run_simulation
 from creatorsim.ingest import (
     DEFAULT_GENRES,
     PREF_SMOOTHING,
@@ -259,12 +261,8 @@ class TestCreatorSeeds:
         assert 2 not in ada
 
     def test_activity_is_items_over_day_span(self):
-        d = tiny_dataset()
-        d.items = [
-            ItemRow(i, 0, 0, "t", (), "", day)
-            for i, day in enumerate(np.linspace(1, 60, 30).astype(int))
-        ]
-        d.interactions = []
+        items = [ItemRow(i, 0, 0, "t", (), "", day) for i, day in enumerate(np.linspace(1, 60, 30).astype(int))]
+        d = dataclasses.replace(tiny_dataset(), items=items, interactions=[])
         activity, _, _ = creator_seeds(d)
         assert activity[0] == pytest.approx(30 / 60)
 
@@ -295,7 +293,7 @@ class TestUserSeeds:
 
     def test_no_history_gives_uniform(self):
         d = tiny_dataset()
-        d.interactions = [r for r in d.interactions if r.user_id != 1]
+        d = dataclasses.replace(d, interactions=[r for r in d.interactions if r.user_id != 1])
         preference, _ = user_seeds(d)
         assert np.allclose(preference[1], 1.0 / len(DEFAULT_GENRES))
 
@@ -324,7 +322,7 @@ class TestLoadDataset:
 
     def test_dangling_interaction_rejected(self, tmp_path):
         d = tiny_dataset()
-        d.interactions.append(InteractionRow(0, 99, 1))
+        d = dataclasses.replace(d, interactions=[*d.interactions, InteractionRow(0, 99, 1)])
         d.to_dir(tmp_path)
         with pytest.raises(DanglingRef):
             load_dataset(tmp_path)
@@ -352,10 +350,7 @@ class TestLoadDataset:
             load_dataset(tmp_path)
 
     def test_empty_dataset_rejected(self, tmp_path):
-        d = tiny_dataset()
-        d.items = []
-        d.interactions = []
-        d.to_dir(tmp_path)
+        dataclasses.replace(tiny_dataset(), items=[], interactions=[]).to_dir(tmp_path)
         with pytest.raises(EmptyDataset):
             load_dataset(tmp_path)
 
@@ -387,7 +382,7 @@ class TestSynth:
         a = synth_dataset(p, stream(7, "synth"))
         b = synth_dataset(p, stream(7, "synth"))
         assert a.items == b.items
-        assert a.interactions == b.interactions
+        assert list(a.interactions) == list(b.interactions)
         assert a.creators == b.creators
 
     def test_zero_skew_gives_near_uniform_genres(self):
@@ -463,6 +458,128 @@ class TestSynth:
         (tmp_path / "bad.txt").write_text("nope = 1\n")
         with pytest.raises(InvalidParams):
             SynthParams.from_file(tmp_path / "bad.txt")
+
+
+COLUMNS = ("user_id", "item_id", "day")
+
+
+def small_synth():
+    return synth_dataset(SynthParams(n_users=15, n_creators=6, seed=2), stream(2, "synth"))
+
+
+class TestInteractionColumns:
+    def test_synth_and_load_give_int64_columns(self, tmp_path):
+        d = small_synth()
+        d.to_dir(tmp_path)
+        back = load_dataset(tmp_path)
+        for name in COLUMNS:
+            a, b = getattr(d.interactions, name), getattr(back.interactions, name)
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+
+    def test_rows_rebuild_the_same_columns_and_files(self, tmp_path):
+        d = small_synth()
+        rows = list(d.interactions)
+        assert len(rows) == len(d.interactions) > 0
+        assert all(type(r) is InteractionRow for r in rows)
+        rebuilt = Dataset(d.users, d.creators, d.items, rows, d.genres)
+        for name in COLUMNS:
+            assert np.array_equal(getattr(rebuilt.interactions, name), getattr(d.interactions, name))
+        d.to_dir(tmp_path / "columns")
+        rebuilt.to_dir(tmp_path / "rows")
+        for f in ("users.csv", "creators.csv", "items.csv", "interactions.csv"):
+            assert (tmp_path / "columns" / f).read_bytes() == (tmp_path / "rows" / f).read_bytes()
+
+    def test_run_frees_the_dataset_it_synthesized(self, tmp_path, monkeypatch):
+        """The world keeps what it needs of the dataset; the dataset itself is
+        gone before the first step."""
+        import creatorsim.harness as harness
+
+        refs, alive = [], []
+        original_synth, original_create = harness.synth_dataset, harness._World.phase_create
+
+        def synth(*args):
+            data = original_synth(*args)
+            refs.append(weakref.ref(data))
+            return data
+
+        def create(world, n):
+            alive.append(refs[0]() is not None)
+            return original_create(world, n)
+
+        monkeypatch.setattr(harness, "synth_dataset", synth)
+        monkeypatch.setattr(harness._World, "phase_create", create)
+        run_simulation(SimConfig(n_users=15, n_creators=6, n_steps=2, warmup=1), out_dir=tmp_path / "run")
+        assert alive == [False, False]
+
+
+def _with_last_field(path, line, value):
+    """Record file `path` with the last field of data line `line` set to `value`."""
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line] = f"{lines[line].rstrip().rsplit(',', 1)[0]},{value}\n"
+    path.write_text("".join(lines))
+
+
+class TestDayRange:
+    @pytest.mark.parametrize("file", ["interactions.csv", "items.csv"])
+    @pytest.mark.parametrize("day", [2**63, 2**62 + 1, -1, -(2**62)])
+    def test_day_outside_range_exits_3(self, tmp_path, capsys, file, day):
+        """A day past int64 used to crash `sim run`, and a span of days past
+        int64 wrapped a user's activity; both are data errors now."""
+        data = tmp_path / "data"
+        small_synth().to_dir(data)
+        _with_last_field(data / file, 1, day)
+        column = "day" if file == "interactions.csv" else "created_day"
+        message = f"{file}: {column} {day} outside [0, 2**62]"
+        assert cli_main(["validate", str(data)]) == 3
+        assert message in capsys.readouterr().err
+        config = tmp_path / "config.txt"
+        config.write_text(f"n_users = 15\nn_creators = 6\nn_steps = 8\nwarmup = 2\ndata_dir = {data}\n")
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_days_at_the_bounds_run(self, tmp_path):
+        data = tmp_path / "data"
+        small_synth().to_dir(data)
+        first_user = [k for k, line in enumerate((data / "interactions.csv").read_text().splitlines())
+                      if line.startswith("0,")]
+        _with_last_field(data / "interactions.csv", first_user[0], 2**62)
+        _with_last_field(data / "items.csv", 1, 0)
+        assert cli_main(["validate", str(data)]) == 0
+        cfg = SimConfig(n_users=15, n_creators=6, n_steps=4, warmup=2, data_dir=str(data))
+        run_simulation(cfg, out_dir=tmp_path / "run")
+
+
+class TestInMemoryDataset:
+    """`run_simulation(data=...)` checks a dataset built in memory as
+    `load_dataset` checks the same dataset's files."""
+
+    @pytest.mark.parametrize("edit", ["user", "creator", "item", "created_day", "day"])
+    def test_rejected_as_its_files_are(self, tmp_path, edit):
+        d = small_synth()
+        if edit == "user":
+            d.users.append(d.users[3])
+            message = "users.csv: user_id 3 is on more than one row"
+        elif edit == "creator":
+            d.creators.append(d.creators[2])
+            message = "creators.csv: creator_id 2 is on more than one row"
+        elif edit == "item":
+            d.items.append(d.items[5])
+            message = "items.csv: item_id 5 is on more than one row"
+        elif edit == "created_day":
+            d.items[0] = dataclasses.replace(d.items[0], created_day=-1)
+            message = r"items.csv: created_day -1 outside \[0, 2\*\*62\]"
+        else:
+            d.interactions.day[0] = 2**62 + 1
+            message = rf"interactions.csv: day {2**62 + 1} outside \[0, 2\*\*62\]"
+        cfg = SimConfig(n_users=15, n_creators=6, n_steps=4, warmup=2)
+        with pytest.raises(SchemaError, match=message):
+            run_simulation(cfg, data=d, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        d.to_dir(tmp_path / "data")
+        with pytest.raises(SchemaError, match=message):
+            load_dataset(tmp_path / "data")
 
 
 # sha256 of each `Dataset.to_dir` file for fixed params, drawn from the same

@@ -68,7 +68,7 @@ from .creator import (
 )
 from .baselines import CfdPolicy, LbrPolicy, RandomPolicy, SimulinePolicy
 from .ingest import Dataset, SynthParams, check_dataset, load_dataset, synth_dataset
-from .ingest import init_creator_seeds, init_user_seeds
+from .ingest import _median, init_creator_seeds, init_user_seeds
 from .metrics import (
     EmptyItems,
     NoCreatorsAtStart,
@@ -225,7 +225,7 @@ class _World:
         if self.revealed_audience is not None:
             audience[:] = self.revealed_audience
 
-        follower_median = float(np.median([c.followers for c in creators]))
+        follower_median = float(_median([c.followers for c in creators]))
         # a creator's id is its row; one uniform a step decides whether it
         # creates, against its activity over the population's highest
         eta = activity.max(initial=0.0)
@@ -283,6 +283,20 @@ class _World:
         return np.concatenate((self.seed_clicks, logged))
 
     # -- phases -------------------------------------------------------------
+
+    def run_steps(self) -> None:
+        """Steps 1 to n_steps; a step's pool and training clicks end with this call."""
+        cfg = self.cfg
+        for n in range(1, cfg.n_steps + 1):
+            started = time.perf_counter()
+            self.phase_create(n)
+            pool = build_candidate_pool(self.catalog, n, cfg.timeliness_window)
+            if n % cfg.retrain_period == 0:
+                clicks = self.training_clicks()
+                if len(clicks) or cfg.ranker in ("random", "pop"):
+                    self.ranker.retrain(clicks, self.catalog, n)
+            self.phase_serve(n, pool)
+            self.phase_lifecycle(n, time.perf_counter() - started)
 
     def phase_create(self, n: int) -> None:
         # one draw per alive creator, on that creator's stream; only those that pass think
@@ -456,25 +470,18 @@ def run_simulation(
         data = synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth"))
     world = _World(cfg, data, transport)
     del data  # the world keeps what it needs; a dataset loaded or synthesized here is freed
-    for n in range(1, cfg.n_steps + 1):
-        started = time.perf_counter()
-        world.phase_create(n)
-        pool = build_candidate_pool(world.catalog, n, cfg.timeliness_window)
-        if n % cfg.retrain_period == 0:
-            clicks = world.training_clicks()
-            if len(clicks) or cfg.ranker in ("random", "pop"):
-                world.ranker.retrain(clicks, world.catalog, n)
-        world.phase_serve(n, pool)
-        world.phase_lifecycle(n, time.perf_counter() - started)
+    world.run_steps()
     out_dir = Path(out_dir)
     world.write_artifacts(out_dir)
+    tuw_incremental = world.tuw_incremental
+    # report() re-reads the artifacts; the run state is freed first, so the
+    # run holds one of the two at a time
+    del world
     metrics = report(out_dir)
     with open(out_dir / METRICS_FILE, "w", encoding="utf-8", newline="\n") as f:
         json.dump(metrics, f, sort_keys=True, indent=2)
         f.write("\n")
-    return RunArtifacts(
-        out_dir=out_dir, seed=cfg.seed, report=metrics, tuw_incremental=world.tuw_incremental
-    )
+    return RunArtifacts(out_dir=out_dir, seed=cfg.seed, report=metrics, tuw_incremental=tuw_incremental)
 
 
 # ---------------------------------------------------------------------------

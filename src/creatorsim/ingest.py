@@ -12,7 +12,9 @@ kept interaction.
 from __future__ import annotations
 
 import csv
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -131,16 +133,16 @@ class Dataset:
             w.writerows(zip(cols.user_id.tolist(), cols.item_id.tolist(), cols.day.tolist()))
 
 
-def _read_rows(path: Path, required: list[str]) -> list[dict[str, str]]:
+def _open_rows(files: ExitStack, path: Path, required: list[str]) -> csv.DictReader:
+    """A reader of the rows of record file `path`, whose header holds `required`."""
     if not path.exists():
         raise SchemaError(f"missing record file {path}")
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
-        for col in required:
-            if col not in header:
-                raise SchemaError(f"{path.name}: missing column {col!r}")
-        return list(reader)
+    reader = csv.DictReader(files.enter_context(open(path, "r", encoding="utf-8", newline="")))
+    header = reader.fieldnames or []
+    for col in required:
+        if col not in header:
+            raise SchemaError(f"{path.name}: missing column {col!r}")
+    return reader
 
 
 def _unique_ids(ids, what: str) -> set[int]:
@@ -170,29 +172,40 @@ def check_dataset(data: Dataset) -> None:
 
 
 def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> Dataset:
-    """Load and cross-validate the four record files under `path`; each id is on one row."""
-    path = Path(path)
-    genre_index = {g: i for i, g in enumerate(genres)}
+    """Load and cross-validate the four record files under `path`; each id is on one row.
 
+    Every file's presence and header are checked before any row is read; each
+    row is then parsed as it is read.
+    """
+    path = Path(path)
     try:
-        user_rows = _read_rows(path / "users.csv", ["user_id", "name"])
-        creator_rows = _read_rows(path / "creators.csv", ["creator_id", "name", "followers"])
-        item_rows = _read_rows(
-            path / "items.csv",
-            ["item_id", "creator_id", "genre", "title", "tags", "description", "created_day"],
-        )
-        inter_rows = _read_rows(path / "interactions.csv", ["user_id", "item_id", "day"])
-        users = [UserRow(int(r["user_id"]), r["name"]) for r in user_rows]
-        creators = [CreatorRow(int(r["creator_id"]), r["name"], int(r["followers"])) for r in creator_rows]
-    except ValueError as e:
+        with ExitStack() as files:
+            return _parse_rows(
+                path, genres,
+                _open_rows(files, path / "users.csv", ["user_id", "name"]),
+                _open_rows(files, path / "creators.csv", ["creator_id", "name", "followers"]),
+                _open_rows(
+                    files, path / "items.csv",
+                    ["item_id", "creator_id", "genre", "title", "tags", "description", "created_day"],
+                ),
+                _open_rows(files, path / "interactions.csv", ["user_id", "item_id", "day"]),
+            )
+    except ValueError as e:  # bytes that are not UTF-8, or a non-numeric user or creator field
         raise SchemaError(f"non-numeric id field: {e}") from e
 
-    if not users or not creators or not item_rows:
+
+def _parse_rows(path, genres, user_rows, creator_rows, item_rows, inter_rows) -> Dataset:
+    """`load_dataset`'s checks, in its order, on the four files' row readers."""
+    genre_index = {g: i for i, g in enumerate(genres)}
+    users = [UserRow(int(r["user_id"]), r["name"]) for r in user_rows]
+    creators = [CreatorRow(int(r["creator_id"]), r["name"], int(r["followers"])) for r in creator_rows]
+    first_item = next(item_rows, None)  # an empty file is reported before any id check
+    if not users or not creators or first_item is None:
         raise EmptyDataset(f"dataset at {path} has an empty record file")
 
     creator_ids = _unique_ids((c.creator_id for c in creators), "creators.csv: creator_id")
     items: list[ItemRow] = []
-    for r in item_rows:
+    for r in chain([first_item], item_rows):
         genre_name = r["genre"]
         if genre_name not in genre_index:
             raise SchemaError(f"items.csv: genre {genre_name!r} outside the vocabulary")
@@ -241,6 +254,12 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
 # integer count, which is bit for bit the `np.mean` of the same integers.
 
 
+def _median(values) -> np.float64:
+    """`np.median` of finite values, bit for bit, without its NaN check (which imports numpy.ma)."""
+    s = np.sort(values)
+    return np.mean(s[(len(s) - 1) // 2 : len(s) // 2 + 1])
+
+
 def _rates(owner: np.ndarray, day: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows per day over each owner's span of days (0 without rows), and which owners have rows."""
     count = np.bincount(owner, minlength=n)
@@ -269,7 +288,7 @@ def init_creator_seeds(
     uniform skill and an all-unknown audience.
     """
     activity, has = _rates(creator, day, n_creators)
-    activity[~has] = float(np.median(activity[has])) if has.any() else 1.0
+    activity[~has] = float(_median(activity[has])) if has.any() else 1.0
     cell = creator * n_genres + genre
     size = n_creators * n_genres
     made = np.bincount(cell, minlength=size).reshape(n_creators, n_genres)
@@ -300,7 +319,7 @@ def init_user_seeds(
     )
     if not has.any():
         return preference, np.full(n_users, 0.5)
-    rate[~has] = np.median(rate[has])
+    rate[~has] = _median(rate[has])
     return preference, rate / rate.max()
 
 

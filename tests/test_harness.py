@@ -1,10 +1,14 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import creatorsim
 import creatorsim.core as core
+import creatorsim.harness as harness
 from creatorsim.cli import main as cli_main
 from creatorsim.core import SimConfig
 from creatorsim.harness import (
@@ -828,3 +834,61 @@ class TestCli:
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert metrics["alive_at_start"] == 0
         assert metrics["crr"] is None
+
+
+def _garbage_llm(url, payload, timeout):
+    return 200, json.dumps({"choices": [{"message": {"content": "~~nonsense~~"}}]})
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"ranker": "bpr", "reranker": "fairco"},
+        {"creator_policy": "creagent_llm", "llm_endpoint": "http://stub.invalid", "llm_model": "stub",
+         "workers": 2},
+    ])
+    def test_world_is_freed_before_report(self, tmp_path, monkeypatch, overrides):
+        """report() re-reads the artifacts; the run state is gone by then, so
+        the run never holds both."""
+        refs, alive = [], []
+        original_create, original_report = harness._World.phase_create, harness.report
+
+        def create(world, n):
+            refs.append(weakref.ref(world))
+            return original_create(world, n)
+
+        def report(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return original_report(*args, **kwargs)
+
+        monkeypatch.setattr(harness._World, "phase_create", create)
+        monkeypatch.setattr(harness, "report", report)
+        cfg = small_cfg(n_steps=3, warmup=1, **overrides)
+        run_simulation(cfg, out_dir=tmp_path / "run", transport=_garbage_llm)
+        assert alive == [[False] * 3]
+
+    @pytest.mark.parametrize("source", ["synth", "data_dir"])
+    def test_run_does_not_import_numpy_ma(self, tmp_path, source):
+        """numpy.ma costs about 1 MB of RSS; np.median's NaN check imports it,
+        and a run takes its medians without that check."""
+        code = """
+import sys
+from creatorsim import SimConfig, run_simulation
+from creatorsim.core import stream
+from creatorsim.ingest import SynthParams, synth_dataset
+
+source, data, out = sys.argv[1:]
+cfg = SimConfig(n_users=15, n_creators=6, n_steps=3, warmup=1, seed=2)
+if source == "data_dir":
+    synth_dataset(SynthParams.from_config(cfg), stream(2, "synth")).to_dir(data)
+    cfg = cfg.with_overrides(data_dir=data)
+run_simulation(cfg, out_dir=out)
+print("numpy" in sys.modules, "numpy.ma" in sys.modules)
+"""
+        src = str(Path(creatorsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        args = [sys.executable, "-c", code, source, str(tmp_path / "data"), str(tmp_path / "run")]
+        done = subprocess.run(args, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "False"]
+        assert (tmp_path / "run" / "metrics.json").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import weakref
 from collections import defaultdict
 
@@ -25,6 +26,7 @@ from creatorsim.ingest import (
     SynthParams,
     UserRow,
     _draw_pairs,
+    _median,
     init_creator_seeds,
     init_user_seeds,
     load_dataset,
@@ -374,6 +376,70 @@ class TestLoadDataset:
         assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+class TestStreamingLoad:
+    def test_peak_is_a_small_multiple_of_the_dataset(self, tmp_path):
+        """Each file's rows are parsed as they are read, so loading never holds
+        a file's rows as text; reading them all first peaked at 7x the result."""
+        synth_dataset(SynthParams(n_users=1000, n_creators=200, seed=1), stream(1, "synth")).to_dir(tmp_path)
+        tracemalloc.start()
+        try:
+            data = load_dataset(tmp_path)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data.users) == 1000 and len(data.interactions) > 25_000
+        assert peak < 4 * size
+
+    @pytest.mark.parametrize("file", ["users.csv", "creators.csv", "items.csv", "interactions.csv"])
+    def test_headers_are_checked_before_any_row(self, tmp_path, file):
+        """A missing column is reported before a bad row in an earlier file."""
+        small_synth().to_dir(tmp_path)
+        users = (tmp_path / "users.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "users.csv").write_text("".join([users[0], "not-a-number,x\n", *users[1:]]))
+        text = (tmp_path / file).read_text()
+        column = text.split(",", 1)[0]
+        (tmp_path / file).write_text(text.replace(column, "renamed", 1))
+        with pytest.raises(SchemaError, match=f"{file}: missing column '{column}'"):
+            load_dataset(tmp_path)
+
+    def test_bytes_that_are_not_utf8_after_the_first_block_exit_3(self, tmp_path, capsys):
+        """A bad byte deep in a file is met while its rows are parsed, and is
+        the same data error as one met at its header."""
+        synth_dataset(SynthParams(n_users=100, n_creators=20, seed=2), stream(2, "synth")).to_dir(tmp_path)
+        path = tmp_path / "interactions.csv"
+        raw = path.read_bytes()
+        assert len(raw) > 8192
+        path.write_bytes(raw + b"0,0,\xff\n")
+        with pytest.raises(SchemaError, match="non-numeric id field: 'utf-8' codec can't decode"):
+            load_dataset(tmp_path)
+        assert cli_main(["validate", str(tmp_path)]) == 3
+        assert "can't decode" in capsys.readouterr().err
+
+
+_SIGNED_ZEROS = st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]), min_size=1, max_size=40)
+
+
+class TestMedian:
+    @given(st.one_of(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40),
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+        _SIGNED_ZEROS,
+        _SIGNED_ZEROS.map(lambda v: v + v),  # every value repeated, an even length
+    ))
+    @example([7])
+    @example([-0.0])
+    @example([3, 1, 2, 2])
+    @example([0.0, -0.0, -0.0])
+    @example([-0.0, 0.0, 0.0, -0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_median_bit_for_bit(self, values):
+        got, want = _median(values), np.median(values)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        array = np.asarray(values)
+        assert np.asarray(_median(array)).tobytes() == np.asarray(np.median(array)).tobytes()
 
 
 class TestSynth:

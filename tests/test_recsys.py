@@ -298,17 +298,21 @@ class _Bpr2d(BprRanker):
     _epoch = _bpr_epoch_2d
 
 
+@pytest.mark.parametrize("dim", [1, 7, 8, 31, 32])
 @pytest.mark.parametrize("fast, reference", [(MfRanker, _Mf2d), (BprRanker, _Bpr2d)])
-def test_factor_sgd_bit_identical_to_2d_add_at(fast, reference):
+def test_factor_sgd_bit_identical_to_2d_add_at(fast, reference, dim):
     # skewed ids put many duplicate rows in every batch; the catalog grows
-    # between retrains, so warm starts and cold-genre rows are covered too
+    # between retrains, so warm starts and cold-genre rows are covered too.
+    # A sum over d products rounds like one over d + 1 (with a zero appended)
+    # only at some d, so the dims include ones where a kernel that sums the
+    # bias column into the dot product would differ.
     rng = np.random.default_rng(7)
     cat = catalog_with(30, genre_of=lambda i: i % 4)
     n = 3000
     clicks = np.column_stack([
         np.minimum(rng.zipf(1.5, n) - 1, 49), np.minimum(rng.zipf(1.3, n) - 1, 29), np.zeros(n, int)
     ])
-    rankers = [cls(n_users=50, dim=8, lr=0.01, epochs=2, l2=1e-3, seed=3) for cls in (fast, reference)]
+    rankers = [cls(n_users=50, dim=dim, lr=0.01, epochs=2, l2=1e-3, seed=3) for cls in (fast, reference)]
     for step in range(3):
         for r in rankers:
             r.retrain(clicks, cat, step)

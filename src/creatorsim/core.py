@@ -13,11 +13,12 @@ ownership column and enforces the platform/creator information boundary.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -236,52 +237,34 @@ class EventLog(_Columns):
 # Item catalog
 
 
-class ItemRecord(NamedTuple):
-    item_id: int
-    creator_id: int
-    genre: int
-    title: str
-    tags: tuple[str, ...]
-    description: str
-    created_step: int
-
-
 class Catalog(_Columns):
     """All items on the platform, seeded and simulated, in creation order.
 
     An item's id is its row. `creator_id`, `genre` and `created_step` are int
     columns, the only place those facts are stored; `exposures` and `clicks`
-    are the item's feedback totals, grown by `add_feedback`. Titles, tags and
-    descriptions are lists. Items enter only through `extend`, of which `add`
-    is the one-row case. Indexing and iteration build `ItemRecord`s.
+    are the item's feedback totals, grown by `add_feedback`. `title`, `tags`
+    and `description` are lists aligned with them. Items enter only through
+    `extend`, of which `add` is the one-row case; an item is read by its row
+    in each column.
     """
 
     CSV_HEADER = "item_id,creator_id,genre,title,tags,description,created_step"
-    __slots__ = ("_titles", "_tags", "_descriptions")
+    __slots__ = ("title", "tags", "description")
 
     def __init__(self) -> None:
         columns = ("creator_id", "genre", "created_step", "exposures", "clicks")
         super().__init__({name: np.empty(0, np.int64) for name in columns})
-        self._titles: list[str] = []
-        self._tags: list[tuple[str, ...]] = []
-        self._descriptions: list[str] = []
-
-    def __getitem__(self, item_id: int) -> ItemRecord:
-        if not 0 <= item_id < self.n:
-            raise IndexError(f"item {item_id} not in the catalog")
-        data = self._data
-        return ItemRecord(
-            int(item_id), data["creator_id"].item(item_id), data["genre"].item(item_id),
-            self._titles[item_id], self._tags[item_id], self._descriptions[item_id],
-            data["created_step"].item(item_id),
-        )
+        self.title: list[str] = []
+        self.tags: list[tuple[str, ...]] = []
+        self.description: list[str] = []
 
     def add(
         self, creator_id: int, genre: int, title: str, tags: Iterable[str], description: str,
         created_step: int,
-    ) -> ItemRecord:
+    ) -> int:
+        """Append one item; returns its id."""
         self.extend((creator_id,), (genre,), (created_step,), (title,), (tags,), (description,))
-        return self[len(self) - 1]
+        return self.n - 1
 
     def extend(
         self, creator_id: Sequence[int], genre: Sequence[int], created_step: Sequence[int],
@@ -293,9 +276,9 @@ class Catalog(_Columns):
         if len({len(column) for column in columns}) != 1:
             raise ValueError("catalog columns of unequal length")
         self._extend((creator_id, genre, created_step, 0, 0))
-        self._titles.extend(titles)
-        self._tags.extend(tags)
-        self._descriptions.extend(descriptions)
+        self.title.extend(titles)
+        self.tags.extend(tags)
+        self.description.extend(descriptions)
 
     def add_feedback(self, items: np.ndarray, exposures, clicks) -> None:
         """Add counts to the totals of `items`; an item listed twice gets both."""
@@ -303,11 +286,9 @@ class Catalog(_Columns):
         np.add.at(self.clicks, items, clicks)
 
     def to_csv(self, path: str | Path) -> None:
-        import csv
-
         rows = zip(
-            range(len(self)), self.creator_id.tolist(), self.genre.tolist(), self._titles,
-            ("|".join(t) for t in self._tags), self._descriptions, self.created_step.tolist(),
+            range(len(self)), self.creator_id.tolist(), self.genre.tolist(), self.title,
+            map("|".join, self.tags), self.description, self.created_step.tolist(),
         )
         with open(path, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
@@ -317,27 +298,25 @@ class Catalog(_Columns):
     @classmethod
     def from_csv(cls, path: str | Path) -> "Catalog":
         """Read a persisted catalog: rows are parsed one by one, then added with one `extend`."""
-        import csv
-
         creators, genres, steps, titles, tags, descriptions = [], [], [], [], [], []
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
-            header = next(reader, None)
-            if header != cls.CSV_HEADER.split(","):
-                raise DataError(f"bad catalog header in {path}")
-            for row in reader:
-                try:
+            try:
+                if next(reader, None) != cls.CSV_HEADER.split(","):
+                    raise DataError(f"bad catalog header in {path}")
+                for row in reader:
                     item_id, creator_id, genre, title, tag_text, desc, step = row
                     if int(item_id) != len(titles):
                         raise DataError(f"non-contiguous item id {item_id} in {path}")
                     creators.append(int(creator_id))
                     genres.append(int(genre))
                     steps.append(int(step))
-                except ValueError as e:
-                    raise DataError(f"{path} line {reader.line_num}: {e}") from e
-                titles.append(title)
-                tags.append(tag_text.split("|") if tag_text else ())
-                descriptions.append(desc)
+                    titles.append(title)
+                    tags.append(tag_text.split("|") if tag_text else ())
+                    descriptions.append(desc)
+            # a short row, a non-integer, bytes that are not UTF-8, a field over csv's size limit
+            except (ValueError, csv.Error) as e:
+                raise DataError(f"{path} line {reader.line_num}: {e}") from e
         cat = cls()
         try:
             cat.extend(creators, genres, steps, titles, tags, descriptions)

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import core
-from .core import Catalog, ItemRecord, SimError
+from .core import Catalog, SimError
 
 
 class NotOwned(SimError):
@@ -90,9 +90,9 @@ class CreatorRuntime:
     clicks: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
-    def creations(self) -> list[ItemRecord]:
-        """The creation memory: records of the creator's own items, oldest first."""
-        return [self.catalog[i] for i in self.items.tolist()]
+    def creations(self) -> np.ndarray:
+        """The creation memory, oldest first: an alias of `items`."""
+        return self.items
 
     @property
     def genres(self) -> np.ndarray:
@@ -220,22 +220,21 @@ def rule_based_decide(
 
 def retrieve_creation_memory(
     state: CreatorRuntime, action: ExploreAction, k: int, n: int
-) -> list[ItemRecord]:
-    """Top-k past creations by relevance * recency.
+) -> np.ndarray:
+    """Catalog rows of the top-k past creations by relevance * recency.
 
     Relevance is 1 for the action's genre and 0.25 otherwise; recency decays
-    as (n - created_step + 1) ** -0.5. Ties prefer the newer item.
+    as (n - created_step + 1) ** -0.5. Ties prefer the newer item. The scores
+    are Python floats: numpy's `**` rounds some of these powers differently,
+    which reorders near and exact ties.
     """
-    items = state.items.tolist()
-    genres = state.genres.tolist()
-    created = state.catalog.created_step[state.items].tolist()
-
-    def score(j: int) -> float:
-        relevance = 1.0 if genres[j] == action.genre else 0.25
-        return relevance * (n - created[j] + 1) ** -0.5
-
-    ordered = sorted(range(len(items)), key=lambda j: (-score(j), -created[j], -items[j]))
-    return [state.catalog[items[j]] for j in ordered[:k]]
+    items = state.items
+    created = state.catalog.created_step[items]
+    score = np.array([
+        (1.0 if genre == action.genre else 0.25) * (n - step + 1) ** -0.5
+        for genre, step in zip(state.genres.tolist(), created.tolist())
+    ])
+    return items[np.lexsort((-items, -created, -score))[:k]]
 
 
 def template_content(
@@ -255,10 +254,8 @@ def template_content(
     title = f"{state.name} — {genre_name} #{counter}"
     retrieved = retrieve_creation_memory(state, action, memory_k, n)
     tag_counts: dict[str, int] = {}
-    for rec in retrieved:
-        if rec.genre != action.genre:
-            continue
-        for tag in rec.tags:
+    for i in retrieved[state.catalog.genre[retrieved] == action.genre].tolist():
+        for tag in state.catalog.tags[i]:
             tag_counts[tag] = tag_counts.get(tag, 0) + 1
     if tag_counts:
         ranked = sorted(tag_counts.items(), key=lambda kv: (-kv[1], kv[0]))

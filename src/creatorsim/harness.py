@@ -186,30 +186,32 @@ class _World:
         # the interactions among them as (user, item, day) rows.
         users = sorted(data.users, key=lambda u: u.user_id)[: cfg.n_users]
         creators = sorted(data.creators, key=lambda c: c.creator_id)[: cfg.n_creators]
-        creator_index = {c.creator_id: i for i, c in enumerate(creators)}
-        items = sorted(
-            (it for it in data.items if it.creator_id in creator_index),
-            key=lambda it: (it.created_day, it.item_id),
-        )
+        items = data.items
+        creator_ids = np.asarray([c.creator_id for c in creators], dtype=np.int64)
+        creator_of = _index_of(creator_ids, items.creator_id)
+        rows = np.flatnonzero(creator_of >= 0)  # the kept items, by (created_day, item_id)
+        rows = rows[np.lexsort((items.item_id[rows], items.created_day[rows]))]
+        picked = rows.tolist()
         self.catalog = Catalog()
         self.catalog.extend(
-            [creator_index[it.creator_id] for it in items], [it.genre for it in items],
-            [0] * len(items), [it.title for it in items], [it.tags for it in items],
-            [it.description for it in items],
+            creator_of[rows], items.genre[rows], np.zeros(len(rows), dtype=np.int64),
+            [items.title[i] for i in picked], [items.tags[i] for i in picked],
+            [items.description[i] for i in picked],
         )
         user = _index_of(np.asarray([u.user_id for u in users], dtype=np.int64), data.interactions.user_id)
-        item = _index_of(np.asarray([it.item_id for it in items], dtype=np.int64), data.interactions.item_id)
+        item = _index_of(items.item_id[rows], data.interactions.item_id)
         kept = (user >= 0) & (item >= 0)
         seen = np.column_stack((user[kept], item[kept], data.interactions.day[kept]))
         # the dataset's interactions train the ranker as clicks at step 0, and
         # count toward each seed item's exposure and click totals
         self.seed_clicks = seen * (1, 1, 0)
-        counts = np.bincount(seen[:, 1], minlength=len(items))
-        self.catalog.add_feedback(np.arange(len(items)), counts, counts)
+        counts = np.bincount(seen[:, 1], minlength=len(rows))
+        self.catalog.add_feedback(np.arange(len(rows)), counts, counts)
 
         owner, genre = self.catalog.creator_id, self.catalog.genre
-        days = np.asarray([it.created_day for it in items], dtype=np.int64)
-        activity, skill, audience = init_creator_seeds(owner, genre, days, counts, len(creators), G)
+        activity, skill, audience = init_creator_seeds(
+            owner, genre, items.created_day[rows], counts, len(creators), G
+        )
         preference, user_activity = init_user_seeds(
             seen[:, 0], genre[seen[:, 1]], seen[:, 2], len(users), G
         )
@@ -328,15 +330,15 @@ class _World:
         rngs = [self.creator_policy_rng[state.creator_id] for state in states]
         created = self.policy.create(states, n, rngs)
         for slot, state, (action, content) in zip(slots, states, created):
-            rec = self.catalog.add(
+            item = self.catalog.add(
                 state.creator_id, content.genre, content.title, content.tags, content.description, n
             )
-            state.add_item(rec.item_id)
+            state.add_item(item)
             state.creation_count += 1
-            state.pending_item = rec.item_id
+            state.pending_item = item
             z_text = "" if state.last_utility is None else f"{state.last_utility:.10g}"
             self.trace_rows[slot] = (
-                f"{n},{state.creator_id},{action.kind.value},{content.genre},{rec.item_id},"
+                f"{n},{state.creator_id},{action.kind.value},{content.genre},{item},"
                 f"{z_text},true,{state.reward_pct:.10g}"
             )
 

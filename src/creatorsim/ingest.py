@@ -51,17 +51,6 @@ class CreatorRow:
 
 
 @dataclass(frozen=True)
-class ItemRow:
-    item_id: int
-    creator_id: int
-    genre: int
-    title: str
-    tags: tuple[str, ...]
-    description: str
-    created_day: int
-
-
-@dataclass(frozen=True)
 class InteractionRow:
     user_id: int
     item_id: int
@@ -87,13 +76,29 @@ class Interactions:
         return cls(*np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy())
 
 
+@dataclass(frozen=True, eq=False)
+class Items:
+    """The item table as four aligned int64 columns and three aligned lists of text."""
+
+    item_id: np.ndarray
+    creator_id: np.ndarray
+    genre: np.ndarray
+    created_day: np.ndarray
+    title: list[str]
+    tags: list[tuple[str, ...]]
+    description: list[str]
+
+    def __len__(self) -> int:
+        return len(self.item_id)
+
+
 @dataclass
 class Dataset:
     """The four record files; a list of interaction rows is converted to columns once."""
 
     users: list[UserRow]
     creators: list[CreatorRow]
-    items: list[ItemRow]
+    items: Items
     interactions: Interactions
     genres: tuple[str, ...] = DEFAULT_GENRES
 
@@ -121,11 +126,11 @@ class Dataset:
         with open(path / "items.csv", "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["item_id", "creator_id", "genre", "title", "tags", "description", "created_day"])
-            for it in self.items:
-                w.writerow(
-                    [it.item_id, it.creator_id, self.genres[it.genre], it.title,
-                     "|".join(it.tags), it.description, it.created_day]
-                )
+            it = self.items
+            w.writerows(zip(
+                it.item_id.tolist(), it.creator_id.tolist(), [self.genres[g] for g in it.genre.tolist()],
+                it.title, map("|".join, it.tags), it.description, it.created_day.tolist(),
+            ))
         with open(path / "interactions.csv", "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["user_id", "item_id", "day"])
@@ -133,16 +138,37 @@ class Dataset:
             w.writerows(zip(cols.user_id.tolist(), cols.item_id.tolist(), cols.day.tolist()))
 
 
-def _open_rows(files: ExitStack, path: Path, required: list[str]) -> csv.DictReader:
-    """A reader of the rows of record file `path`, whose header holds `required`."""
+def _open_rows(files: ExitStack, path: Path, required: list[str]):
+    """The rows of record file `path`, whose header holds `required`, read as they are used.
+
+    A row with fewer fields than the header, or a line csv cannot read (a
+    field over its size limit), is a SchemaError naming the file and line.
+    """
     if not path.exists():
         raise SchemaError(f"missing record file {path}")
     reader = csv.DictReader(files.enter_context(open(path, "r", encoding="utf-8", newline="")))
-    header = reader.fieldnames or []
+    try:
+        header = reader.fieldnames or []
+    except csv.Error as e:
+        raise SchemaError(f"{path.name} line {reader.reader.line_num}: {e}") from e
     for col in required:
         if col not in header:
             raise SchemaError(f"{path.name}: missing column {col!r}")
-    return reader
+    return _checked_rows(reader, path.name)
+
+
+def _checked_rows(reader: csv.DictReader, name: str):
+    # the csv reader counts the line it fails on; DictReader only a line it has read
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise SchemaError(f"{name} line {reader.reader.line_num}: {e}") from e
+        if None in row.values():  # DictReader's value for a field the row lacks
+            raise SchemaError(f"{name} line {reader.line_num}: fewer fields than the header")
+        yield row
 
 
 def _unique_ids(ids, what: str) -> set[int]:
@@ -166,8 +192,8 @@ def check_dataset(data: Dataset) -> None:
     """`load_dataset`'s checks within each record file, for a dataset built in memory."""
     _unique_ids((u.user_id for u in data.users), "users.csv: user_id")
     _unique_ids((c.creator_id for c in data.creators), "creators.csv: creator_id")
-    _unique_ids((it.item_id for it in data.items), "items.csv: item_id")
-    _check_days((it.created_day for it in data.items), "items.csv: created_day")
+    _unique_ids(data.items.item_id.tolist(), "items.csv: item_id")
+    _check_days(data.items.created_day.tolist(), "items.csv: created_day")
     _check_days(data.interactions.day.tolist(), "interactions.csv: day")
 
 
@@ -204,33 +230,30 @@ def _parse_rows(path, genres, user_rows, creator_rows, item_rows, inter_rows) ->
         raise EmptyDataset(f"dataset at {path} has an empty record file")
 
     creator_ids = _unique_ids((c.creator_id for c in creators), "creators.csv: creator_id")
-    items: list[ItemRow] = []
+    items = []  # (item_id, creator_id, genre, created_day, title, tags, description) rows
     for r in chain([first_item], item_rows):
         genre_name = r["genre"]
         if genre_name not in genre_index:
             raise SchemaError(f"items.csv: genre {genre_name!r} outside the vocabulary")
         try:
-            item = ItemRow(
-                item_id=int(r["item_id"]),
-                creator_id=int(r["creator_id"]),
-                genre=genre_index[genre_name],
-                title=r["title"],
-                tags=tuple(t for t in r["tags"].split("|") if t),
-                description=r["description"],
-                created_day=int(r["created_day"]),
-            )
+            item_id, creator_id, day = int(r["item_id"]), int(r["creator_id"]), int(r["created_day"])
         except ValueError as e:
             raise SchemaError(f"items.csv: {e}") from e
-        if item.creator_id not in creator_ids:
-            raise DanglingRef(f"item {item.item_id} references unknown creator {item.creator_id}")
-        items.append(item)
-    _check_days((it.created_day for it in items), "items.csv: created_day")
+        if creator_id not in creator_ids:
+            raise DanglingRef(f"item {item_id} references unknown creator {creator_id}")
+        tags = tuple(t for t in r["tags"].split("|") if t)
+        items.append(
+            (item_id, creator_id, genre_index[genre_name], day, r["title"], tags, r["description"])
+        )
+    columns = list(zip(*items))
+    _check_days(columns[3], "items.csv: created_day")
 
     user_ids = _unique_ids((u.user_id for u in users), "users.csv: user_id")
-    item_ids = _unique_ids((it.item_id for it in items), "items.csv: item_id")
-    # the world re-indexes user and item ids as int64 columns
-    if not all(-(2**63) <= i < 2**63 for i in user_ids | item_ids):
-        raise SchemaError("a user_id or item_id does not fit in 64 bits")
+    item_ids = _unique_ids(columns[0], "items.csv: item_id")
+    # the world re-indexes user, creator and item ids as int64 columns
+    if not all(-(2**63) <= i < 2**63 for i in user_ids | creator_ids | item_ids):
+        raise SchemaError("a user_id, creator_id or item_id does not fit in 64 bits")
+    items = Items(*(np.array(c, dtype=np.int64) for c in columns[:4]), *map(list, columns[4:]))
     rows: list[tuple[int, int, int]] = []
     for r in inter_rows:
         try:
@@ -411,31 +434,26 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
     alpha = np.maximum(genre_pop * G / p.genre_concentration, 1e-6)
     slugs = [DEFAULT_GENRES[g].split(" ")[0].lower().strip(",&") for g in range(G)]
     tags = [[(slug, f"{slug}-style-{r}") for r in range(3)] for slug in slugs]
-    items: list[ItemRow] = []
+    genres, days, titles, item_tags, descriptions = [], [], [], [], []  # genres and days per creator
     for c in range(p.n_creators):
         mix = rng.dirichlet(alpha)
-        genres = rng.choice(G, size=item_counts[c], p=mix).tolist()
-        days = np.sort(rng.integers(1, p.n_days + 1, size=item_counts[c])).tolist()
+        genres.append(rng.choice(G, size=item_counts[c], p=mix))
+        days.append(np.sort(rng.integers(1, p.n_days + 1, size=item_counts[c])))
         name = creators[c].name
-        for k, (g, day) in enumerate(zip(genres, days)):
-            items.append(
-                ItemRow(
-                    item_id=len(items),
-                    creator_id=c,
-                    genre=g,
-                    title=f"{name} clip {k + 1}",
-                    tags=tags[g][k % 3],
-                    description=f"A {DEFAULT_GENRES[g]} upload by {name}.",
-                    created_day=day,
-                )
-            )
+        for k, g in enumerate(genres[-1].tolist()):
+            titles.append(f"{name} clip {k + 1}")
+            item_tags.append(tags[g][k % 3])
+            descriptions.append(f"A {DEFAULT_GENRES[g]} upload by {name}.")
+    item_genre, created_day = np.concatenate(genres), np.concatenate(days)
+    n_items = len(item_genre)
+    items = Items(  # an item's id is its row
+        np.arange(n_items, dtype=np.int64), np.repeat(np.arange(p.n_creators, dtype=np.int64), item_counts),
+        item_genre, created_day, titles, item_tags, descriptions,
+    )
 
     user_weights = (np.arange(p.n_users, dtype=float) + 1.0) ** (-1.0)
     user_weights /= user_weights.sum()
     inter_counts = rng.multinomial(p.n_users * p.interactions_per_user, user_weights)
-    n_items = len(items)
-    item_genre = np.array([it.genre for it in items], dtype=np.int64)
-    created_day = np.array([it.created_day for it in items], dtype=np.uint64)
     # The pool holds each genre's items in id order, then every item again for
     # the genres without any; an interaction of genre g picks one of the
     # span[g] slots from base[g] on.
@@ -454,8 +472,8 @@ def synth_dataset(params: SynthParams, rng: np.random.Generator) -> Dataset:
         slots += s
         offsets += b
     slots = np.array(slots, dtype=np.int64)
-    interactions = Interactions(  # an item's id is its index in `items`
+    interactions = Interactions(
         np.repeat(np.arange(p.n_users), inter_counts), pool[slots],
-        pool_day[slots].astype(np.int64) + np.array(offsets, dtype=np.int64),
+        pool_day[slots] + np.array(offsets, dtype=np.int64),
     )
     return Dataset(users=users, creators=creators, items=items, interactions=interactions)

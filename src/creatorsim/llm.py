@@ -357,9 +357,11 @@ class LlmPolicy:
         )
 
     def _content_prompt(self, state: CreatorRuntime, action: ExploreAction, n: int) -> str:
+        catalog = state.catalog
         retrieved = retrieve_creation_memory(state, action, self.fallback.memory_k, n)
         history = "; ".join(
-            f"{e.title} ({self.genre_names[e.genre]}, tags: {', '.join(e.tags)})" for e in retrieved
+            f"{catalog.title[i]} ({self.genre_names[g]}, tags: {', '.join(catalog.tags[i])})"
+            for i, g in zip(retrieved.tolist(), catalog.genre[retrieved].tolist())
         )
         return render_prompt(
             FAST_THINKER,
@@ -414,10 +416,10 @@ class LlmPolicy:
             if last is None:
                 recent_text = "(none yet)"
             else:
-                recent = state.catalog[last]
+                catalog = state.catalog
                 recent_text = (
-                    f"title: {recent.title}, genre: {genres[recent.genre]}, "
-                    f"description: {recent.description}"
+                    f"title: {catalog.title[last]}, genre: {genres[catalog.genre[last]]}, "
+                    f"description: {catalog.description[last]}"
                 )
             shared = {
                 "platform": PLATFORM,

@@ -16,7 +16,6 @@ from creatorsim.core import (
     AsymmetryViolation,
     Catalog,
     EventLog,
-    ItemRecord,
     SimConfig,
     creator_view,
     stream,
@@ -132,7 +131,7 @@ def test_02_utility_oracle():
             item_id = len(items)
             items[item_id] = step
             totals[item_id] = [0, 0]
-            state.add_item(state.catalog.add(0, 0, f"t{item_id}", (), "", step).item_id)
+            state.add_item(state.catalog.add(0, 0, f"t{item_id}", (), "", step))
         shown, clicks = [], []
         for user in range(6):
             for item_id in items:

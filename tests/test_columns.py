@@ -143,6 +143,10 @@ def test_log_and_catalog_round_trip_their_inputs(world, data):
     frm = data.draw(st.integers(-1, n_steps + 1))
     to = data.draw(st.integers(frm, n_steps + 2))
     assert rows_of(log.window(frm, to)) == [e for e in events if frm <= e.step <= to]
-    assert [r._asdict() for r in catalog] == [
-        dict(r, title=f"t{r['item_id']}", tags=(), description="") for r in records
+    assert list(zip(
+        range(len(catalog)), catalog.creator_id.tolist(), catalog.genre.tolist(),
+        catalog.created_step.tolist(), catalog.title, catalog.tags, catalog.description,
+    )) == [
+        (r["item_id"], r["creator_id"], r["genre"], r["created_step"], f"t{r['item_id']}", (), "")
+        for r in records
     ]

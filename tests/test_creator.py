@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import creatorsim.harness as harness
@@ -333,17 +333,73 @@ class TestContent:
         assert a == b
 
 
+def reference_retrieve(state, action, k, n):
+    """Retrieval as one `sorted` over (-score, -created, -item) keys of Python
+    values, as it was before the array, kept to check the array version."""
+    items = state.items.tolist()
+    genres = state.genres.tolist()
+    created = state.catalog.created_step[state.items].tolist()
+
+    def score(j: int) -> float:
+        relevance = 1.0 if genres[j] == action.genre else 0.25
+        return relevance * (n - created[j] + 1) ** -0.5
+
+    ordered = sorted(range(len(items)), key=lambda j: (-score(j), -created[j], -items[j]))
+    return [items[j] for j in ordered[:k]]
+
+
+# An own item of the action's genre at age 16a scores exactly as one of another
+# genre at age a. numpy's `**` rounds a ** -0.5 differently from Python's at
+# ages 15, 26 and 33 (the first three of 574 in 1..10,000), and breaks the tie
+# at a = 2,397 differently.
+TIE_AGES = (15, 240, 26, 416, 33, 528, 2_397, 38_352)
+
+
+@st.composite
+def memory_cases(draw):
+    """(genre, k, memory, n): the own items as (id gap, genre, age at step n),
+    drawn so that ages, and so scores and creation steps, often tie."""
+    G = draw(st.integers(1, 4))
+    age = st.one_of(st.integers(1, 40), st.integers(1, 40_000), st.sampled_from(TIE_AGES))
+    memory = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, G - 1), age), max_size=12))
+    n = draw(st.integers(max([a for *_, a in memory], default=2) - 1, 40_001))
+    return draw(st.integers(0, G - 1)), draw(st.integers(1, 14)), memory, n
+
+
+def _tie(age, genre=0):
+    """The tie case at `age`: the action's genre at 16 * age, another genre at `age`."""
+    return genre, 2, [(1, genre, 16 * age), (1, genre + 1, age)], 16 * age
+
+
 class TestRetrieval:
+    @settings(max_examples=300, deadline=None)
+    @given(case=memory_cases())
+    @example(case=_tie(15))
+    @example(case=_tie(26))
+    @example(case=_tie(33))
+    @example(case=_tie(2_397))
+    @example(case=(1, 3, [(2, 1, 15), (1, 0, 15), (3, 1, 240), (1, 0, 38_352), (1, 0, 2_397)], 40_000))
+    def test_array_retrieval_equals_the_sorted_loop(self, case):
+        genre, k, memory, n = case
+        c, item = make_creator(), -1
+        for gap, g, age in memory:
+            item += gap
+            add_item(c, item, g, step=n - age + 1)
+        action = ExploreAction(ActionKind.EXPLOIT, genre)
+        got = retrieve_creation_memory(c, action, k, n)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_retrieve(c, action, k, n)
+
     def test_recency_prefers_newer(self):
         c = make_creator()
         add_item(c, 0, 1, step=1)
         add_item(c, 1, 1, step=9)
         out = retrieve_creation_memory(c, ExploreAction(ActionKind.EXPLOIT, 1), k=1, n=10)
-        assert out[0].item_id == 1
+        assert out[0] == 1
 
     def test_empty_memory(self):
         c = make_creator()
-        assert retrieve_creation_memory(c, ExploreAction(ActionKind.EXPLORE, 0), 3, 1) == []
+        assert retrieve_creation_memory(c, ExploreAction(ActionKind.EXPLORE, 0), 3, 1).tolist() == []
 
     def test_k_larger_than_memory(self):
         c = make_creator()
@@ -357,7 +413,7 @@ class TestRetrieval:
         add_item(c, 0, 1, step=9)   # wrong genre, recent: 0.25 * 0.707
         add_item(c, 1, 2, step=1)   # right genre, old: 1.0 * 0.316
         out = retrieve_creation_memory(c, ExploreAction(ActionKind.EXPLOIT, 2), k=1, n=10)
-        assert out[0].item_id == 1
+        assert out[0] == 1
 
 
 class TestLifecycle:

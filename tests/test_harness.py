@@ -752,12 +752,14 @@ class TestCli:
             ("items.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 1, str(2**63))]),
             ("events.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0] + ",2,0"]),
             ("events.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0] + ",1,-1"]),
+            ("items.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "," + "9" * 200_000]),
         ],
         ids=["items-non-numeric", "items-short-row", "summary-truncated", "items-genre-out-of-range",
              "events-step-above-n-steps", "events-click-at-step-0", "events-item-outside-catalog",
              "summary-negative-entropy", "summary-infinite-count", "items-creator-negative",
              "items-creator-above-n-creators", "items-step-negative", "items-step-above-n-steps",
-             "items-creator-beyond-int64", "events-exposed-2", "events-clicked-negative"],
+             "items-creator-beyond-int64", "events-exposed-2", "events-clicked-negative",
+             "items-field-over-csv-limit"],
     )
     def test_report_malformed_artifact_exit_code(self, smoke_run, tmp_path, artifact, edit):
         broken = copy_run(smoke_run, tmp_path)

@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import tracemalloc
 import weakref
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from creatorsim.ingest import (
     EmptyDataset,
     InteractionRow,
     InvalidParams,
-    ItemRow,
+    Items,
     SchemaError,
     SynthParams,
     UserRow,
@@ -34,16 +34,40 @@ from creatorsim.ingest import (
 )
 
 
+Item = namedtuple("Item", "item_id creator_id genre title tags description created_day")
+
+
+def items_of(rows) -> Items:
+    """The item table of `Item` rows."""
+    rows = list(rows)
+    ints = ("item_id", "creator_id", "genre", "created_day")
+    return Items(
+        *(np.array([getattr(r, name) for r in rows], dtype=np.int64) for name in ints),
+        [r.title for r in rows], [tuple(r.tags) for r in rows], [r.description for r in rows],
+    )
+
+
+def item_rows(items: Items) -> list[Item]:
+    """The rows of an item table, as `Item`s."""
+    return list(map(
+        Item, items.item_id.tolist(), items.creator_id.tolist(), items.genre.tolist(), items.title,
+        items.tags, items.description, items.created_day.tolist(),
+    ))
+
+
+RECORD_FILES = ("users.csv", "creators.csv", "items.csv", "interactions.csv")
+
+
 def tiny_dataset():
     users = [UserRow(0, "u0"), UserRow(1, "u1")]
     creators = [CreatorRow(0, "Ada", 100), CreatorRow(1, "Bob", 10)]
     # Ada: genres [0,0,1,0] over days 1..60; Bob: no items
-    items = [
-        ItemRow(0, 0, 0, "a", ("t",), "", 1),
-        ItemRow(1, 0, 0, "b", (), "", 20),
-        ItemRow(2, 0, 1, "c", (), "", 40),
-        ItemRow(3, 0, 0, "d", (), "", 60),
-    ]
+    items = items_of([
+        Item(0, 0, 0, "a", ("t",), "", 1),
+        Item(1, 0, 0, "b", (), "", 20),
+        Item(2, 0, 1, "c", (), "", 40),
+        Item(3, 0, 0, "d", (), "", 60),
+    ])
     interactions = [
         InteractionRow(0, 0, 2),
         InteractionRow(0, 0, 3),
@@ -63,18 +87,14 @@ def creator_seeds(d):
     """(activity, skill, audience) of a dataset whose ids are already 0..n-1."""
     counts = np.bincount([r.item_id for r in d.interactions], minlength=len(d.items))
     return init_creator_seeds(
-        np.asarray([it.creator_id for it in d.items], dtype=np.int64),
-        np.asarray([it.genre for it in d.items], dtype=np.int64),
-        np.asarray([it.created_day for it in d.items], dtype=np.int64),
-        counts[[it.item_id for it in d.items]],
-        len(d.creators),
-        d.n_genres,
+        d.items.creator_id, d.items.genre, d.items.created_day, counts[d.items.item_id],
+        len(d.creators), d.n_genres,
     )
 
 
 def user_seeds(d):
     """(preference, activity) of a dataset whose ids are already 0..n-1."""
-    genre_of = {it.item_id: it.genre for it in d.items}
+    genre_of = dict(zip(d.items.item_id.tolist(), d.items.genre.tolist()))
     return init_user_seeds(
         np.asarray([r.user_id for r in d.interactions], dtype=np.int64),
         np.asarray([genre_of[r.item_id] for r in d.interactions], dtype=np.int64),
@@ -89,15 +109,15 @@ def user_seeds(d):
 # column reductions, kept to check the reductions against.
 
 
-def reference_creator_seeds(d: Dataset) -> list[tuple[list[ItemRow], float, np.ndarray, dict]]:
+def reference_creator_seeds(d: Dataset) -> list[tuple[list[Item], float, np.ndarray, dict]]:
     """(history, activity, skill, audience) per creator, in `d.creators` order."""
     G = d.n_genres
     counts_per_item: dict[int, int] = {}
     for r in d.interactions:
         counts_per_item[r.item_id] = counts_per_item.get(r.item_id, 0) + 1
 
-    by_creator: dict[int, list[ItemRow]] = {c.creator_id: [] for c in d.creators}
-    for it in d.items:
+    by_creator: dict[int, list[Item]] = {c.creator_id: [] for c in d.creators}
+    for it in item_rows(d.items):
         by_creator[it.creator_id].append(it)
 
     activities = {}
@@ -135,7 +155,7 @@ def reference_creator_seeds(d: Dataset) -> list[tuple[list[ItemRow], float, np.n
 def reference_user_seeds(d: Dataset) -> list[tuple[np.ndarray, float]]:
     """(preference, activity) per user, in `d.users` order."""
     G = d.n_genres
-    genre_of = {it.item_id: it.genre for it in d.items}
+    genre_of = dict(zip(d.items.item_id.tolist(), d.items.genre.tolist()))
     by_user: dict[int, list[InteractionRow]] = {u.user_id: [] for u in d.users}
     for r in d.interactions:
         by_user[r.user_id].append(r)
@@ -173,10 +193,10 @@ def reference_world(cfg: SimConfig, d: Dataset) -> tuple[list[dict], list[tuple]
     creators = sorted(d.creators, key=lambda c: c.creator_id)[: cfg.n_creators]
     kept_users = {u.user_id for u in users}
     kept_creators = {c.creator_id for c in creators}
-    items = [it for it in d.items if it.creator_id in kept_creators]
+    items = [it for it in item_rows(d.items) if it.creator_id in kept_creators]
     kept_items = {it.item_id for it in items}
     inters = [r for r in d.interactions if r.user_id in kept_users and r.item_id in kept_items]
-    kept = Dataset(users, creators, items, inters, d.genres)
+    kept = Dataset(users, creators, items_of(items), inters, d.genres)
 
     catalog_order = sorted(items, key=lambda x: (x.created_day, x.item_id))
     item_index = {it.item_id: i for i, it in enumerate(catalog_order)}
@@ -208,7 +228,7 @@ def small_datasets(draw):
     viewers = draw(st.lists(st.sampled_from(users), min_size=1, unique=True))
     item_ids = draw(st.lists(st.integers(0, 60), max_size=15, unique=True))
     items = [
-        ItemRow(
+        Item(
             i, draw(st.sampled_from(makers)).creator_id, draw(st.integers(0, G - 1)),
             f"t{i}", (), "", draw(st.integers(1, 12)),
         )
@@ -218,7 +238,7 @@ def small_datasets(draw):
         InteractionRow(draw(st.sampled_from(viewers)).user_id, it.item_id, draw(st.integers(1, 15)))
         for it in draw(st.lists(st.sampled_from(items), max_size=30))
     ] if items else []
-    return Dataset(users, creators, items, interactions, DEFAULT_GENRES[:G])
+    return Dataset(users, creators, items_of(items), interactions, DEFAULT_GENRES[:G])
 
 
 class TestWorldSeedsEqualRowReference:
@@ -263,7 +283,8 @@ class TestCreatorSeeds:
         assert 2 not in ada
 
     def test_activity_is_items_over_day_span(self):
-        items = [ItemRow(i, 0, 0, "t", (), "", day) for i, day in enumerate(np.linspace(1, 60, 30).astype(int))]
+        days = np.linspace(1, 60, 30).astype(int)
+        items = items_of(Item(i, 0, 0, "t", (), "", day) for i, day in enumerate(days))
         d = dataclasses.replace(tiny_dataset(), items=items, interactions=[])
         activity, _, _ = creator_seeds(d)
         assert activity[0] == pytest.approx(30 / 60)
@@ -286,7 +307,7 @@ class TestUserSeeds:
         # interactions in genres [A,A,B], alpha=0.1, |G|=2 -> 2.1/3.2, 1.1/3.2
         users = [UserRow(0, "u0")]
         creators = [CreatorRow(0, "c", 1)]
-        items = [ItemRow(0, 0, 0, "", (), "", 1), ItemRow(1, 0, 1, "", (), "", 1)]
+        items = items_of([Item(0, 0, 0, "", (), "", 1), Item(1, 0, 1, "", (), "", 1)])
         inters = [InteractionRow(0, 0, 1), InteractionRow(0, 0, 2), InteractionRow(0, 1, 3)]
         d = Dataset(users, creators, items, inters, genres=("A", "B"))
         preference, _ = user_seeds(d)
@@ -320,7 +341,7 @@ class TestLoadDataset:
         assert len(back.creators) == 2
         assert len(back.items) == 4
         assert len(back.interactions) == 5
-        assert back.items[0].tags == ("t",)
+        assert back.items.tags[0] == ("t",)
 
     def test_dangling_interaction_rejected(self, tmp_path):
         d = tiny_dataset()
@@ -329,9 +350,13 @@ class TestLoadDataset:
         with pytest.raises(DanglingRef):
             load_dataset(tmp_path)
 
-    def test_id_beyond_64_bits_rejected(self, tmp_path):
+    @pytest.mark.parametrize("who", ["user", "creator"])
+    def test_id_beyond_64_bits_rejected(self, tmp_path, who):
         d = tiny_dataset()
-        d.users.append(UserRow(2**63, "huge"))
+        if who == "user":
+            d.users.append(UserRow(2**63, "huge"))
+        else:
+            d.creators.append(CreatorRow(2**63, "huge", 0))
         d.to_dir(tmp_path)
         with pytest.raises(SchemaError, match="64 bits"):
             load_dataset(tmp_path)
@@ -352,21 +377,32 @@ class TestLoadDataset:
             load_dataset(tmp_path)
 
     def test_empty_dataset_rejected(self, tmp_path):
-        dataclasses.replace(tiny_dataset(), items=[], interactions=[]).to_dir(tmp_path)
+        dataclasses.replace(tiny_dataset(), items=items_of([]), interactions=[]).to_dir(tmp_path)
         with pytest.raises(EmptyDataset):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize(
-        "file, column", [("users.csv", "user_id"), ("creators.csv", "creator_id"), ("items.csv", "item_id")]
+        "file, edit",
+        [("users.csv", "repeat"), ("creators.csv", "repeat"), ("items.csv", "repeat"),
+         *((file, edit) for edit in ("short", "long") for file in RECORD_FILES)],
     )
-    def test_repeated_id_exits_3(self, tmp_path, capsys, file, column):
+    def test_bad_row_exits_3(self, tmp_path, capsys, file, edit):
         """A row repeated in a record file would make its id a phantom agent or
-        item; `sim validate` and `sim run` both reject it as a data error."""
+        item; a row shorter than its header, or a field over csv's 131,072
+        characters, cannot be read. `sim validate` and `sim run` both reject
+        each as a data error."""
         data = tmp_path / "data"
         synth_dataset(SynthParams(n_users=15, n_creators=6, seed=2), stream(2, "synth")).to_dir(data)
         lines = (data / file).read_text().splitlines(keepends=True)
-        (data / file).write_text("".join(lines + [lines[2]]))
-        message = f"{file}: {column} {lines[2].split(',')[0]} is on more than one row"
+        head = lines[2].rstrip("\n").rsplit(",", 1)[0]  # the second row without its last field
+        line = f"{file} line {len(lines) + 1}"  # the row appended below
+        repeated = f"{lines[0].split(',')[0]} {lines[2].split(',')[0]} is on more than one row"
+        row, message = {
+            "repeat": (lines[2], f"{file}: {repeated}"),
+            "short": (head + "\n", f"{line}: fewer fields than the header"),
+            "long": (f"{head},{'9' * 200_000}\n", f"{line}: field larger than field limit"),
+        }[edit]
+        (data / file).write_text("".join(lines + [row]))
         with pytest.raises(SchemaError, match=message):
             load_dataset(data)
         assert cli_main(["validate", str(data)]) == 3
@@ -447,7 +483,7 @@ class TestSynth:
         p = SynthParams(n_users=30, n_creators=10, seed=7)
         a = synth_dataset(p, stream(7, "synth"))
         b = synth_dataset(p, stream(7, "synth"))
-        assert a.items == b.items
+        assert item_rows(a.items) == item_rows(b.items)
         assert list(a.interactions) == list(b.interactions)
         assert a.creators == b.creators
 
@@ -455,7 +491,7 @@ class TestSynth:
         p = SynthParams(n_users=50, n_creators=40, items_per_creator=50,
                         genre_skew=0.0, genre_concentration=0.1, activity_skew=0.0)
         d = synth_dataset(p, stream(11, "synth"))
-        counts = np.bincount([it.genre for it in d.items], minlength=14)
+        counts = np.bincount(d.items.genre, minlength=14)
         expected = len(d.items) / 14
         chi2 = ((counts - expected) ** 2 / expected).sum()
         # chi-square critical value for df=13 at alpha=0.001
@@ -467,7 +503,7 @@ class TestSynth:
         d = synth_dataset(p, stream(5, "synth"))
         entropies = []
         for c in d.creators:
-            hist = np.bincount([it.genre for it in d.items if it.creator_id == c.creator_id], minlength=14)
+            hist = np.bincount(d.items.genre[d.items.creator_id == c.creator_id], minlength=14)
             if hist.sum() == 0:
                 continue
             probs = hist / hist.sum()
@@ -514,7 +550,7 @@ class TestSynth:
         assert not (tmp_path / "out").exists()
         p = SynthParams(n_users=15, n_creators=6, genre_concentration=1e-6)
         d = synth_dataset(p, stream(p.seed, "synth"))
-        assert d.items and all(0 <= it.genre < p.n_genres for it in d.items)
+        assert len(d.items) and ((0 <= d.items.genre) & (d.items.genre < p.n_genres)).all()
 
     def test_params_file_roundtrip(self, tmp_path):
         path = tmp_path / "params.txt"
@@ -527,6 +563,7 @@ class TestSynth:
 
 
 COLUMNS = ("user_id", "item_id", "day")
+ITEM_COLUMNS = ("item_id", "creator_id", "genre", "created_day")
 
 
 def small_synth():
@@ -538,10 +575,14 @@ class TestInteractionColumns:
         d = small_synth()
         d.to_dir(tmp_path)
         back = load_dataset(tmp_path)
-        for name in COLUMNS:
-            a, b = getattr(d.interactions, name), getattr(back.interactions, name)
-            assert a.dtype == b.dtype == np.int64
-            assert np.array_equal(a, b)
+        for table, names in (("interactions", COLUMNS), ("items", ITEM_COLUMNS)):
+            for name in names:
+                a, b = (getattr(getattr(x, table), name) for x in (d, back))
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+        assert (back.items.title, back.items.tags, back.items.description) == (
+            d.items.title, d.items.tags, d.items.description
+        )
 
     def test_rows_rebuild_the_same_columns_and_files(self, tmp_path):
         d = small_synth()
@@ -631,10 +672,10 @@ class TestInMemoryDataset:
             d.creators.append(d.creators[2])
             message = "creators.csv: creator_id 2 is on more than one row"
         elif edit == "item":
-            d.items.append(d.items[5])
+            d = dataclasses.replace(d, items=items_of([*item_rows(d.items), item_rows(d.items)[5]]))
             message = "items.csv: item_id 5 is on more than one row"
         elif edit == "created_day":
-            d.items[0] = dataclasses.replace(d.items[0], created_day=-1)
+            d.items.created_day[0] = -1
             message = r"items.csv: created_day -1 outside \[0, 2\*\*62\]"
         else:
             d.interactions.day[0] = 2**62 + 1

@@ -201,10 +201,10 @@ def test_cold_item_scored_by_genre_mean():
     r = MfRanker(n_users=3, dim=8, lr=0.05, epochs=2, l2=0.0, seed=2)
     r.retrain(clicks, cat, 0)
     fresh = cat.add(0, 1, "fresh", [], "", 3)
-    trained_genre1 = [i for i in range(6) if cat[i].genre == 1]
+    trained_genre1 = [i for i in range(6) if cat.genre[i] == 1]
     expected_vec = r.Q[trained_genre1].mean(axis=0)
     expected = r.bu[1] + r.bi[trained_genre1].mean() + expected_vec @ r.P[1]
-    got = r.scorer(np.array([fresh.item_id]), cat)(1)[0]
+    got = r.scorer(np.array([fresh]), cat)(1)[0]
     assert got == pytest.approx(expected, abs=1e-12)
 
 

@@ -81,8 +81,8 @@ class CreatorRuntime:
     items: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     consecutive_zero_click: int = 0
     alive: bool = True
-    creation_count: int = 0                # simulated creations, for title numbering
-    pending_item: int | None = None        # last creation awaiting its outcome
+    creation_count: int = 0                # simulated creations, for title numbering; the
+                                           # latest awaits its outcome until the next decision
     # the latest item's reward percentile among the own items, its utility (None
     # without items) and each own item's clicks, as the read at the deciding step found them
     reward_pct: float = 0.5

@@ -82,13 +82,7 @@ from .metrics import (
     per_creator_entropies,
     total_user_welfare,
 )
-from .recsys import (
-    CandidatePool,
-    build_candidate_pool,
-    make_ranker,
-    pool_view,
-    rank_scored,
-)
+from .recsys import build_candidate_pool, make_ranker, pool_view, rank_scored
 from .rerank import (
     fairco_errors,
     fairco_rerank,
@@ -306,13 +300,13 @@ class _World:
         creating = alive[self.creator_draws.draw(alive) < self.create_prob[alive]]
         slots, states = [], []  # the trace row slot of each creator that decides
         for state in map(self.creators.__getitem__, creating.tolist()):
-            # the creator's one read of its totals; a pending item is its latest
+            # the creator's one read of its totals; a creator that decided
+            # before created then, so its latest item awaits its outcome
             state.clicks, weighted = own_totals(state)
             utilities = item_utility(state, weighted, n)
             z_last = state.last_utility = float(utilities[-1]) if len(utilities) else None
-            if state.pending_item is not None:
-                register_creation_outcome(state, state.pending_item, int(state.clicks[-1]))
-                state.pending_item = None
+            if state.creation_count:
+                register_creation_outcome(state, state.last_item(), int(state.clicks[-1]))
                 if not state.alive:
                     self.trace_rows.append(f"{n},{state.creator_id},DEPART,,,{z_last:.10g},false,")
                     continue
@@ -335,7 +329,6 @@ class _World:
             )
             state.add_item(item)
             state.creation_count += 1
-            state.pending_item = item
             z_text = "" if state.last_utility is None else f"{state.last_utility:.10g}"
             self.trace_rows[slot] = (
                 f"{n},{state.creator_id},{action.kind.value},{content.genre},{item},"
@@ -358,9 +351,7 @@ class _World:
             errors = fairco_errors(self.exposure, alive_ids)
 
         # departed creators' items leave the platform with them
-        keep = alive[owner[pool.item_ids]]
-        if not keep.all():
-            pool = CandidatePool(item_ids=pool.item_ids[keep], created_steps=pool.created_steps[keep])
+        pool = pool[alive[owner[pool]]]
 
         # one draw per user, on that user's stream
         draws = self.user_draws.draw(np.arange(len(self.activity)))
@@ -441,17 +432,11 @@ class _World:
             with open(out_dir / name, "w", encoding="utf-8", newline="\n") as f:
                 f.writelines(line + "\n" for line in [header, *rows])
         (out_dir / CONFIG_FILE).write_text(self.cfg.to_text(), encoding="utf-8")
-        # the reference is the seed items, grouped by creator in a stable order
-        seeded = self.catalog.created_step == 0
-        order = np.argsort(self.catalog.creator_id[seeded], kind="stable")
-        ref_creators = self.catalog.creator_id[seeded][order]
-        ref_genres = self.catalog.genre[seeded][order]
+        # the alignment reference, the seed items, is the step-0 rows of ITEMS_FILE
         summary = {
             "genres": list(self.genres),
             "n_creators": len(self.creators),
             "n_users": len(self.preference),
-            "dataset_genre_counts": genre_histogram(ref_genres, len(self.genres)).tolist(),
-            "dataset_creator_entropies": per_creator_entropies(ref_creators, ref_genres, len(self.genres)),
             "population_preference": self.population_preference.tolist(),
         }
         with open(out_dir / SUMMARY_FILE, "w", encoding="utf-8", newline="\n") as f:
@@ -496,8 +481,9 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _read_trace(path: Path) -> list[dict]:
-    rows = []
+def _read_trace(path: Path) -> tuple[list[tuple[int, int]], list[tuple[float, str]]]:
+    """The (step, creator) of each DEPART row and the (reward_pct, kind) of each decision."""
+    departs, decisions = [], []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != TRACE_HEADER:
@@ -509,8 +495,15 @@ def _read_trace(path: Path) -> list[dict]:
             parts = line.split(",")
             if len(parts) != 8:
                 raise CorruptLog(f"trace line {lineno}: expected 8 fields")
-            rows.append(dict(zip(TRACE_HEADER.split(","), parts)))
-    return rows
+            step, creator, kind, *_, reward_pct = parts
+            try:
+                if kind == "DEPART":
+                    departs.append((int(step), int(creator)))
+                elif kind in ("EXPLORE", "EXPLOIT"):
+                    decisions.append((float(reward_pct), kind))
+            except ValueError as e:
+                raise CorruptLog(f"trace line {lineno}: {e}") from e
+    return departs, decisions
 
 
 @contextmanager
@@ -536,7 +529,7 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     with _reading(ITEMS_FILE, DataError):
         catalog = Catalog.from_csv(_require(run_dir / ITEMS_FILE))
     with _reading(TRACE_FILE):
-        trace = _read_trace(_require(run_dir / TRACE_FILE))
+        departs, decisions = _read_trace(_require(run_dir / TRACE_FILE))
     with _reading(SUMMARY_FILE, ValueError, KeyError, TypeError):
         with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
             summary = json.load(f)
@@ -544,16 +537,6 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
         if type(n_creators) is not int or type(n_users) is not int:
             raise TypeError(f"n_creators {n_creators!r} or n_users {n_users!r} is not an integer")
         n_genres = len(summary["genres"])
-        dataset_genre_counts = np.asarray(summary["dataset_genre_counts"], dtype=float)
-        dataset_entropies = summary["dataset_creator_entropies"]
-        entropies = np.asarray(dataset_entropies, dtype=float)
-    if dataset_genre_counts.shape != (n_genres,) or entropies.ndim != 1 or not all(
-        np.isfinite(a).all() and (a >= 0).all() for a in (dataset_genre_counts, entropies)
-    ):
-        raise CorruptLog(
-            f"{SUMMARY_FILE}: genre counts (one per genre) and creator entropies "
-            "must be finite and non-negative"
-        )
 
     start, end = cfg.warmup, cfg.n_steps
     if not ((log.step >= 1) & (log.step <= end)).all():
@@ -569,15 +552,8 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
         if not ((column >= lo) & (column <= hi)).all():
             raise CorruptLog(f"{ITEMS_FILE}: {name} outside [{lo}, {hi}]")
 
-    with _reading(TRACE_FILE, ValueError):
-        departs = [r for r in trace if r["action_kind"] == "DEPART"]
-        departures = sorted(int(r["step"]) for r in departs)
-        departed = [int(r["creator_id"]) for r in departs]
-        decisions = [
-            (float(r["reward_pct"]), r["action_kind"])
-            for r in trace
-            if r["action_kind"] in ("EXPLORE", "EXPLOIT")
-        ]
+    departures = sorted(step for step, _ in departs)
+    departed = [creator for _, creator in departs]
     for bad, what in (
         (any(not 0 <= c < n_creators for c in departed), f"creator outside [0, {n_creators})"),
         (len(set(departed)) < len(departed), "creator repeated"),
@@ -599,13 +575,15 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     except NoExposures:
         cgd = None
 
+    # simulated creations against the seed items, the catalog's step-0 rows
     simulated = catalog.created_step >= 1
+    sim_genre, ref_genre = catalog.genre[simulated], catalog.genre[~simulated]
     try:
         preference_jsd, diversity_jsd = alignment_from_distributions(
-            genre_histogram(catalog.genre[simulated], n_genres),
-            dataset_genre_counts,
-            per_creator_entropies(catalog.creator_id[simulated], catalog.genre[simulated], n_genres),
-            dataset_entropies,
+            genre_histogram(sim_genre, n_genres),
+            genre_histogram(ref_genre, n_genres),
+            per_creator_entropies(catalog.creator_id[simulated], sim_genre, n_genres),
+            per_creator_entropies(catalog.creator_id[~simulated], ref_genre, n_genres),
             n_genres,
         )
     except EmptyItems:

@@ -138,36 +138,49 @@ class Dataset:
             w.writerows(zip(cols.user_id.tolist(), cols.item_id.tolist(), cols.day.tolist()))
 
 
-def _open_rows(files: ExitStack, path: Path, required: list[str]):
-    """The rows of record file `path`, whose header holds `required`, read as they are used.
+def _open_rows(files: ExitStack, path: Path, ints: tuple[str, ...], texts: tuple[str, ...]):
+    """The rows of record file `path`, whose header holds the columns `ints`
+    and `texts`, read as they are used, with the columns `ints` parsed as integers.
 
-    A row with fewer fields than the header, or a line csv cannot read (a
-    field over its size limit), is a SchemaError naming the file and line.
+    A row with fewer fields than the header, a line csv cannot read (a field
+    over its size limit) or a field of `ints` that is not an integer is a
+    SchemaError naming the file and line; bytes that are not UTF-8 are one
+    naming the file.
     """
     if not path.exists():
         raise SchemaError(f"missing record file {path}")
     reader = csv.DictReader(files.enter_context(open(path, "r", encoding="utf-8", newline="")))
     try:
         header = reader.fieldnames or []
-    except csv.Error as e:
-        raise SchemaError(f"{path.name} line {reader.reader.line_num}: {e}") from e
-    for col in required:
+    except (csv.Error, UnicodeDecodeError) as e:
+        raise _read_error(reader, path.name, e) from e
+    for col in ints + texts:
         if col not in header:
             raise SchemaError(f"{path.name}: missing column {col!r}")
-    return _checked_rows(reader, path.name)
+    return _checked_rows(reader, path.name, ints)
 
 
-def _checked_rows(reader: csv.DictReader, name: str):
-    # the csv reader counts the line it fails on; DictReader only a line it has read
+def _read_error(reader: csv.DictReader, name: str, e: Exception) -> SchemaError:
+    if isinstance(e, csv.Error):  # the csv reader counts the line it fails on, DictReader only one it read
+        return SchemaError(f"{name} line {reader.reader.line_num}: {e}")
+    return SchemaError(f"{name}: {e}")  # text is decoded ahead in blocks, so the line is not known
+
+
+def _checked_rows(reader: csv.DictReader, name: str, ints: tuple[str, ...]):
     while True:
         try:
             row = next(reader)
         except StopIteration:
             return
-        except csv.Error as e:
-            raise SchemaError(f"{name} line {reader.reader.line_num}: {e}") from e
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise _read_error(reader, name, e) from e
         if None in row.values():  # DictReader's value for a field the row lacks
             raise SchemaError(f"{name} line {reader.line_num}: fewer fields than the header")
+        for col in ints:
+            try:
+                row[col] = int(row[col])
+            except ValueError as e:
+                raise SchemaError(f"{name} line {reader.line_num}: {col}: {e}") from e
         yield row
 
 
@@ -204,27 +217,24 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
     row is then parsed as it is read.
     """
     path = Path(path)
-    try:
-        with ExitStack() as files:
-            return _parse_rows(
-                path, genres,
-                _open_rows(files, path / "users.csv", ["user_id", "name"]),
-                _open_rows(files, path / "creators.csv", ["creator_id", "name", "followers"]),
-                _open_rows(
-                    files, path / "items.csv",
-                    ["item_id", "creator_id", "genre", "title", "tags", "description", "created_day"],
-                ),
-                _open_rows(files, path / "interactions.csv", ["user_id", "item_id", "day"]),
-            )
-    except ValueError as e:  # bytes that are not UTF-8, or a non-numeric user or creator field
-        raise SchemaError(f"non-numeric id field: {e}") from e
+    with ExitStack() as files:
+        return _parse_rows(
+            path, genres,
+            _open_rows(files, path / "users.csv", ("user_id",), ("name",)),
+            _open_rows(files, path / "creators.csv", ("creator_id", "followers"), ("name",)),
+            _open_rows(
+                files, path / "items.csv", ("item_id", "creator_id", "created_day"),
+                ("genre", "title", "tags", "description"),
+            ),
+            _open_rows(files, path / "interactions.csv", ("user_id", "item_id", "day"), ()),
+        )
 
 
 def _parse_rows(path, genres, user_rows, creator_rows, item_rows, inter_rows) -> Dataset:
     """`load_dataset`'s checks, in its order, on the four files' row readers."""
     genre_index = {g: i for i, g in enumerate(genres)}
-    users = [UserRow(int(r["user_id"]), r["name"]) for r in user_rows]
-    creators = [CreatorRow(int(r["creator_id"]), r["name"], int(r["followers"])) for r in creator_rows]
+    users = [UserRow(r["user_id"], r["name"]) for r in user_rows]
+    creators = [CreatorRow(r["creator_id"], r["name"], r["followers"]) for r in creator_rows]
     first_item = next(item_rows, None)  # an empty file is reported before any id check
     if not users or not creators or first_item is None:
         raise EmptyDataset(f"dataset at {path} has an empty record file")
@@ -235,10 +245,7 @@ def _parse_rows(path, genres, user_rows, creator_rows, item_rows, inter_rows) ->
         genre_name = r["genre"]
         if genre_name not in genre_index:
             raise SchemaError(f"items.csv: genre {genre_name!r} outside the vocabulary")
-        try:
-            item_id, creator_id, day = int(r["item_id"]), int(r["creator_id"]), int(r["created_day"])
-        except ValueError as e:
-            raise SchemaError(f"items.csv: {e}") from e
+        item_id, creator_id, day = r["item_id"], r["creator_id"], r["created_day"]
         if creator_id not in creator_ids:
             raise DanglingRef(f"item {item_id} references unknown creator {creator_id}")
         tags = tuple(t for t in r["tags"].split("|") if t)
@@ -256,10 +263,7 @@ def _parse_rows(path, genres, user_rows, creator_rows, item_rows, inter_rows) ->
     items = Items(*(np.array(c, dtype=np.int64) for c in columns[:4]), *map(list, columns[4:]))
     rows: list[tuple[int, int, int]] = []
     for r in inter_rows:
-        try:
-            user_id, item_id, day = int(r["user_id"]), int(r["item_id"]), int(r["day"])
-        except ValueError as e:
-            raise SchemaError(f"interactions.csv: {e}") from e
+        user_id, item_id, day = r["user_id"], r["item_id"], r["day"]
         if user_id not in user_ids:
             raise DanglingRef(f"interaction references unknown user {user_id}")
         if item_id not in item_ids:

@@ -1,6 +1,9 @@
 """Two-stage recommender: timeliness-filtered candidate pool and trainable
 rankers (Random, Pop, MF, BPR).
 
+A step's candidate pool is an array of item ids; their creation steps and
+genres stay in the catalog's columns.
+
 Rankers follow a fit/score shape: `retrain(clicks, catalog, step)` refits in
 place and returns self, where `clicks` holds (user, item, step) rows (an
 (n, 3) int array or anything `np.asarray` turns into one);
@@ -51,21 +54,10 @@ class Diverged(SimError):
     """Training grew the factors until a score may overflow: `mf.lr` or `mf.l2` is too large."""
 
 
-@dataclass(frozen=True)
-class CandidatePool:
-    """Items eligible for recommendation at a step (age <= window)."""
-
-    item_ids: np.ndarray
-    created_steps: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.item_ids)
-
-
-def build_candidate_pool(catalog: Catalog, step: int, window: int) -> CandidatePool:
+def build_candidate_pool(catalog: Catalog, step: int, window: int) -> np.ndarray:
+    """The ids of the items eligible for recommendation at `step` (age <= window), ascending."""
     age = step - catalog.created_step
-    ids = np.flatnonzero((age >= 0) & (age <= window))
-    return CandidatePool(item_ids=ids, created_steps=catalog.created_step[ids])
+    return np.flatnonzero((age >= 0) & (age <= window))
 
 
 class RandomRanker:
@@ -308,9 +300,10 @@ class PoolView:
     tie_ids: np.ndarray  # the pool's item ids in tie order
 
 
-def pool_view(ranker, pool: CandidatePool, catalog: Catalog) -> PoolView:
-    tie_order = np.lexsort((pool.item_ids, -pool.created_steps))
-    return PoolView(ranker.scorer(pool.item_ids, catalog), tie_order, pool.item_ids[tie_order])
+def pool_view(ranker, pool: np.ndarray, catalog: Catalog) -> PoolView:
+    """The view of the items `pool`; their creation steps are the catalog's."""
+    tie_order = np.lexsort((pool, -catalog.created_step[pool]))
+    return PoolView(ranker.scorer(pool, catalog), tie_order, pool[tie_order])
 
 
 def rank_scored(view: PoolView, user: int, k: int) -> tuple[np.ndarray, np.ndarray]:

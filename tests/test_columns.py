@@ -130,8 +130,8 @@ def test_columns_match_plain_loops(world, data):
         window = data.draw(st.integers(0, 3))
         pool = build_candidate_pool(catalog, step, window)
         expected = reference_pool(records, step, window)
-        assert pool.item_ids.tolist() == expected
-        assert pool.created_steps.tolist() == [records[i]["created_step"] for i in expected]
+        assert pool.tolist() == expected
+        assert catalog.created_step[pool].tolist() == [records[i]["created_step"] for i in expected]
 
 
 @settings(max_examples=60, deadline=None)

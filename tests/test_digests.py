@@ -8,8 +8,8 @@ re-ranker, whose alive set then shrinks while it serves) and an LLM policy run
 against an in-process stub endpoint; one more LLM run reads its
 dataset from disk, with more users and creators than the run keeps, so the
 world drops some of them with their items and interactions. Each run also pins
-`dataset_summary.json`, the reference the alignment metrics compare against.
-A change that keeps these
+`dataset_summary.json` (the genre vocabulary, the kept user and creator counts
+and the population preference). A change that keeps these
 digests keeps the simulator's behaviour; a change that alters them must say
 why in CHANGES.md and re-pin them here.
 
@@ -73,7 +73,7 @@ PINNED = {
         "creator_trace.csv": "26fc3b5ce93a207b07ac004b7781a63b7d79be7bb889b75911043b3adaef6c9a",
         "metrics.json": "e6e3459cb34bf7234b0f385bf34189a494df7c991e547bffeb378135cf451e40",
         "config.txt": "0dc4f2bfe0eec89cd8b8577ab7683a247fabe8a1508c1ae340cead31f2694b2c",
-        "dataset_summary.json": "a30cc73b7c922cb3ab197e06f9f2cec3bd614774e2056659bb22418550406884",
+        "dataset_summary.json": "3e4936566353d3d13da54f6ffb985f20be427377122edcedb269ab7669e342d3",
     },
     "bpr-pmmf-cfd-workers3": {
         "events.csv": "c2c595d70693f879ac93287d1ed4096b516dc846f8fa59ba5ce539219dd3fec0",
@@ -81,7 +81,7 @@ PINNED = {
         "creator_trace.csv": "e4d072d8c992a9fa1551d0c01539c4081a2dead0f9a7221acdcc0edf9f9de248",
         "metrics.json": "1ef092deb6c9a7f2581ad3f68b82c6df2b6bfb1dbf95367047fb7849febaea34",
         "config.txt": "cc0bc91bd5d07fdaf4e948c9ee68aa2828a46406d12f098b3b142c25879f1b07",
-        "dataset_summary.json": "a2651b2e22f2ab5da1d02a4f4d622bdd57df6080c817c79d9322d742e97ecf5d",
+        "dataset_summary.json": "285627a704081982e30b99ea21c437682b481157fd814f54f9480a01c1c672cd",
     },
     "mf-fairco-llm-loaded-workers2": {
         "events.csv": "9db12472a77f44d59089622ee900bc30e90ac173837ae2649eb640c227bf3cde",
@@ -89,7 +89,7 @@ PINNED = {
         "creator_trace.csv": "2716eddfcfe500e887f12879c67ce853f9beacadecb7d8ec4bc7821f81b245d1",
         "metrics.json": "f0c27a1590b21f6f9030d8ec83a2cc8e27fec749c07d8c5965d4f72f557f7b3a",
         "config.txt": "8092ec208f2588c62746291be047f15a7088228e84f68c218fadbc94f31a3128",
-        "dataset_summary.json": "52bef4719cabc63b650ec36662be99ee5feb3a4dbc24c6b06bfe1fbea75d7e65",
+        "dataset_summary.json": "dc9bfb0fc5e43d9519163ee41c4c6d3218784aa414a82aad98248443ca8f54e0",
     },
     "mf-fairco-random-full": {
         "events.csv": "f310810b16cb6b5b59b0e83a3c818ebabb283a30c76916f6258a9f04e62b1830",
@@ -97,7 +97,7 @@ PINNED = {
         "creator_trace.csv": "21e0ae86b08fc248b366f5325bbbeded47012edb2025f7a5f85cdf10360b506d",
         "metrics.json": "d3158d7c909ebcc36bdf289fbd0cf0eb6773f850257406be2177310cd258c4f0",
         "config.txt": "e5eb81f6f7bdc8e3f1f2ff3a56faa589a078cb25db653704640cf2fbc78ab114",
-        "dataset_summary.json": "00c113a64c1b889d1c33e98494670e5df6c3579333bbca0909b7287777570599",
+        "dataset_summary.json": "24a0eec06cfd6b65935b7dd1951e9d00923418a8c5d542df762e6c0e0a2d834f",
     },
     "mf-none-creagent-full": {
         "events.csv": "acd33f87a30cea608a855a7acfe21a8cd25a0d3a0625b0a89ac35499f8f4c86f",
@@ -105,7 +105,7 @@ PINNED = {
         "creator_trace.csv": "3275b3249a8124fe568a45010cb991d772de35a1e21d0f7a8fbfb997391c8199",
         "metrics.json": "e9124797d40490dff73d0ec28ab8b24ac07fececfe7191219106d51f1ef3248c",
         "config.txt": "9d45fc5d8d85bb51b32aa4cf11c3ed925f7e8ebf004b97a9a8773be1e993cac9",
-        "dataset_summary.json": "9156bb92b743d1cc187a3c814e5d4fcc868479220db167851358b0b451b5a42a",
+        "dataset_summary.json": "6791848c6ea7b3b2ef280df31da404d377371003ca1f9e9bb665b527a6e6a5e8",
     },
     "mf-none-creagent": {
         "events.csv": "edd735184fd012184a9ee28275f1ba57edf455dad8298f9d71a0b913c2539c13",
@@ -113,7 +113,7 @@ PINNED = {
         "creator_trace.csv": "f6278c5150098c1bfb0b91b1502a296d52f4cc5990e9c47d628ebe6c79ae1540",
         "metrics.json": "7ea01e7ab60a8221881432a690368068fd936b3e92d3f71445dfe22298d10e79",
         "config.txt": "2242723ec6a167e56b58747fe899324890d864d9a028403206768e8bb2348c94",
-        "dataset_summary.json": "a0f78a4b5174b3886edeabfd650648e35ea7b38e0d91b007134c2a7c192af1aa",
+        "dataset_summary.json": "90eab5ac23cf3e85694c808ed0308ea08f43761e0f3231f484419d58fceac565",
     },
     "pop-mmr-lbr": {
         "events.csv": "f2670a3bfd9b888a505d27672fb2fc132f901d406666e1721c21d3b1bb8e95f3",
@@ -121,7 +121,7 @@ PINNED = {
         "creator_trace.csv": "27c00b6d50df728ba4271a684d1b3e474ef7b1c1fd97a120af423f0fe7eb59bc",
         "metrics.json": "70f49b1495e7633594deceab3af24add6230bc765502a34a3e35396914e558d9",
         "config.txt": "680d313c78f7491a4759c93390c938e67275375778d8215b866aa8bc20e8da26",
-        "dataset_summary.json": "c1387a73d1c26804c2acc059106709945d3bf7a6b63cd2a460a592de8b34a7bc",
+        "dataset_summary.json": "0f7df127decc9a2420be800ac6cab3b39a223ac718f863d290f00c622f28434a",
     },
     "pop-pmmf-llm-stub": {
         "events.csv": "3812f298718b15e5b6981db04dd6525d251f05294786f73f403b91529aa45f48",
@@ -129,7 +129,7 @@ PINNED = {
         "creator_trace.csv": "137f781006a448f491318eb3547730135086878fc6a442fbb04aa1c1653d6f06",
         "metrics.json": "cdcd2b15f9f9765e341f5f6feaea26b09946f9862b7c946ed0f1c83badee1ab0",
         "config.txt": "617140cd2b8af4a90082d569cb6824089ea5d7161c7ce67ce9e77cc2dd542026",
-        "dataset_summary.json": "3935737ef9c475118c70e163d3df6bf797d788efdd651586087e77db0fb79936",
+        "dataset_summary.json": "4c43a93e43181ec8ef6100a7b650a5e1d201f02fe052c2f79e0e8f31e573462f",
     },
     "random-pmmf-creagent-departures": {
         "events.csv": "0f69e47271ee361fa6ffd3923305a7d876fab59a107c350d6455b0469aad66f8",
@@ -137,7 +137,7 @@ PINNED = {
         "creator_trace.csv": "9c6f6772ffdfb8f12fdefa51f53c2d00dc132b6a3e0621be24244ae7748e8116",
         "metrics.json": "d523d00f86ccbbfbd5331b026a8d4cad0c30dc4a0ff0a4b5fe6ca83b11fd6c19",
         "config.txt": "554006d7af44f4960cbed49231954f8a095fb01b24ff5fb8e49af1a7930bed96",
-        "dataset_summary.json": "eeea25c7271e2ca69a28f52364e2ee8cbda6332356f662b5e82eec2d6d1106da",
+        "dataset_summary.json": "12e1df018027dfe2c7248f425cae6f85b0b04906a317bd0cca2e192dbb7e9aca",
     },
     "random-fairrec-simuline": {
         "events.csv": "43e98d0023fad79d91905f97a796f3883ed936295b7a50835ad7b1c1945555e2",
@@ -145,7 +145,7 @@ PINNED = {
         "creator_trace.csv": "33c76f0f8d7d144f03a63e52a6218b0f2baea3c5d688b88e1477fe0102014bb7",
         "metrics.json": "399bba6578db6093b44d28c3329a6a693dc165d6c3cf885111907f333eda0cef",
         "config.txt": "0f2e862447a755ed67cec5160a93460bbda9b874619a4b6f604ee2b6e67c6d0d",
-        "dataset_summary.json": "bb65bbd09d60e7df0a92a156e934a54b282a040a863e044c3f6c0976f8c451ce",
+        "dataset_summary.json": "6b7706af622bbecc1bb977043282ecb300161230110364f4f0ddbecb9cdcfcd9",
     },
 }
 

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import tempfile
 import threading
 import time
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -54,15 +57,58 @@ def _with_field(line, index, value):
     return ",".join(fields)
 
 
-def _next_line(lines, marker, value):
-    """`lines` with the line after the first one containing `marker` set to `value`."""
-    at = next(k for k, line in enumerate(lines) if marker in line) + 1
-    return lines[:at] + [value] + lines[at + 1 :]
-
-
 def _without_key(path, key):
     """The text of config file `path` without its `key` line."""
     return "".join(line for line in Path(path).read_text().splitlines(True) if not line.startswith(key))
+
+
+def _at_row(edit):
+    """A mutation that applies `edit(lines, k, draw)` at a drawn row k of the file's lines."""
+
+    def mutate(raw, draw):
+        lines = raw.splitlines(keepends=True) or [b""]
+        edit(lines, draw(st.integers(0, len(lines) - 1), label="row"), draw)
+        return b"".join(lines)
+
+    return mutate
+
+
+def _insert_byte(byte):
+    def mutate(raw, draw):
+        at = draw(st.integers(0, len(raw)), label="at")
+        return raw[:at] + byte + raw[at:]
+
+    return mutate
+
+
+def _replace_byte(raw, draw):
+    at = draw(st.integers(0, len(raw) - 1), label="at")
+    return raw[:at] + bytes([draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
+
+
+def _swap(lines, k, draw):
+    j = draw(st.integers(0, len(lines) - 1), label="other")
+    lines[k], lines[j] = lines[j], lines[k]
+
+
+# one mutation of an artifact's bytes: (raw, draw) -> mutated bytes
+MUTATIONS = {
+    "truncate": lambda raw, draw: raw[: draw(st.integers(0, len(raw)), label="at")],
+    "replace-byte": _replace_byte,
+    "drop-row": _at_row(lambda lines, k, draw: lines.pop(k)),
+    "repeat-row": _at_row(lambda lines, k, draw: lines.insert(k, lines[k])),
+    "swap-rows": _at_row(_swap),
+    "short-row": _at_row(lambda lines, k, draw: lines.insert(k, lines[k].split(b",")[0] + b"\n")),
+    "long-field": _at_row(
+        lambda lines, k, draw: lines.insert(k, lines[k].rstrip(b"\n") + b"," + b"9" * 200_000 + b"\n")
+    ),
+    "not-utf8": _insert_byte(b"\xff"),
+    "nul": _insert_byte(b"\x00"),
+    "empty": lambda raw, draw: b"",
+    "int-past-int64": _at_row(
+        lambda lines, k, draw: lines.__setitem__(k, re.sub(rb"\d+", str(2**63).encode(), lines[k], count=1))
+    ),
+}
 
 
 def copy_run(artifacts, tmp_path):
@@ -359,6 +405,20 @@ class TestReport:
 
     def test_report_idempotent(self, smoke_run):
         assert report(smoke_run.out_dir) == report(smoke_run.out_dir)
+
+    def test_retired_summary_keys_are_ignored(self, smoke_run, tmp_path):
+        """The seed reference is the step-0 rows of items.csv. A run directory
+        written when the summary held its own copy still reports the same
+        metrics, even with copy values no longer checked (an infinite count, a
+        negative entropy)."""
+        old = copy_run(smoke_run, tmp_path)
+        summary = (old / "dataset_summary.json").read_text().rstrip().removesuffix("}")
+        (old / "dataset_summary.json").write_text(
+            summary + ',\n  "dataset_creator_entropies": [-1.0, 0.5],\n'
+            '  "dataset_genre_counts": [1e999, 0, 3]\n}\n'
+        )
+        metrics = json.dumps(report(old), sort_keys=True, indent=2) + "\n"
+        assert metrics == (smoke_run.out_dir / "metrics.json").read_text()
 
     def test_truncated_log_rejected(self, smoke_run, tmp_path):
         import shutil
@@ -694,13 +754,14 @@ class TestCli:
     def test_report_missing_dir_exit_code(self, tmp_path):
         assert cli_main(["report", str(tmp_path / "missing")]) == 3
 
-    def test_report_non_numeric_reward_pct_exit_code(self, smoke_run, tmp_path):
+    def test_report_non_numeric_reward_pct_exit_code(self, smoke_run, tmp_path, capsys):
         broken = copy_run(smoke_run, tmp_path)
         lines = (broken / "creator_trace.csv").read_text().splitlines()
         row = next(i for i, line in enumerate(lines) if ",EXPLORE," in line or ",EXPLOIT," in line)
         lines[row] = lines[row].rsplit(",", 1)[0] + ",high"
         (broken / "creator_trace.csv").write_text("\n".join(lines) + "\n")
         assert cli_main(["report", str(broken)]) == 3
+        assert f"trace line {row + 1}: could not convert string to float: 'high'" in capsys.readouterr().err
 
     def test_report_summary_without_n_creators_exit_code(self, smoke_run, tmp_path):
         broken = copy_run(smoke_run, tmp_path)
@@ -743,8 +804,6 @@ class TestCli:
             ("events.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 0, "10000")]),
             ("events.csv", lambda lines: lines[:1] + ["0,0,{simulated},1,1"] + lines[1:]),
             ("events.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 2, "100000")]),
-            ("dataset_summary.json", lambda lines: _next_line(lines, "creator_entropies", "-1.0,")),
-            ("dataset_summary.json", lambda lines: _next_line(lines, "genre_counts", "1e999,")),
             ("items.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 1, "-1")]),
             ("items.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 1, "999")]),
             ("items.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",-1"]),
@@ -756,10 +815,9 @@ class TestCli:
         ],
         ids=["items-non-numeric", "items-short-row", "summary-truncated", "items-genre-out-of-range",
              "events-step-above-n-steps", "events-click-at-step-0", "events-item-outside-catalog",
-             "summary-negative-entropy", "summary-infinite-count", "items-creator-negative",
-             "items-creator-above-n-creators", "items-step-negative", "items-step-above-n-steps",
-             "items-creator-beyond-int64", "events-exposed-2", "events-clicked-negative",
-             "items-field-over-csv-limit"],
+             "items-creator-negative", "items-creator-above-n-creators", "items-step-negative",
+             "items-step-above-n-steps", "items-creator-beyond-int64", "events-exposed-2",
+             "events-clicked-negative", "items-field-over-csv-limit"],
     )
     def test_report_malformed_artifact_exit_code(self, smoke_run, tmp_path, artifact, edit):
         broken = copy_run(smoke_run, tmp_path)
@@ -794,24 +852,25 @@ class TestCli:
         (broken / "creator_trace.csv").write_text(trace + f"3,{fresh},DEPART,,,0.5,false,\n")
         assert cli_main(["report", str(broken)]) == 0
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         artifact=st.sampled_from(
             ["events.csv", "items.csv", "creator_trace.csv", "config.txt", "dataset_summary.json"]
         ),
+        mutation=st.sampled_from(sorted(MUTATIONS)),
         data=st.data(),
     )
-    def test_report_survives_damaged_artifact(self, smoke_run, artifact, data):
+    def test_report_survives_damaged_artifact(self, smoke_run, artifact, mutation, data):
+        """One mutation of one artifact: `sim report` accepts the run or names a
+        config or data error, and never fails with a traceback."""
         with tempfile.TemporaryDirectory() as scratch:
             broken = shutil.copytree(smoke_run.out_dir, Path(scratch) / "run")
             raw = (broken / artifact).read_bytes()
-            at = data.draw(st.integers(0, len(raw) - 1), label="at")
-            if data.draw(st.booleans(), label="truncate"):
-                damaged = raw[:at]
-            else:
-                damaged = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
-            (broken / artifact).write_bytes(damaged)
-            assert cli_main(["report", str(broken)]) in (0, 2, 3)
+            (broken / artifact).write_bytes(MUTATIONS[mutation](raw, data.draw))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                assert cli_main(["report", str(broken)]) in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
 
     def test_report_non_utf8_artifact_exit_code(self, smoke_run, tmp_path):
         broken = copy_run(smoke_run, tmp_path)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 import weakref
 from collections import defaultdict, namedtuple
@@ -384,26 +385,30 @@ class TestLoadDataset:
     @pytest.mark.parametrize(
         "file, edit",
         [("users.csv", "repeat"), ("creators.csv", "repeat"), ("items.csv", "repeat"),
-         *((file, edit) for edit in ("short", "long") for file in RECORD_FILES)],
+         *((file, edit) for edit in ("short", "long", "x7") for file in RECORD_FILES)],
     )
     def test_bad_row_exits_3(self, tmp_path, capsys, file, edit):
         """A row repeated in a record file would make its id a phantom agent or
-        item; a row shorter than its header, or a field over csv's 131,072
-        characters, cannot be read. `sim validate` and `sim run` both reject
-        each as a data error."""
+        item; a row shorter than its header, a field over csv's 131,072
+        characters, or an id that is not an integer, cannot be read. `sim
+        validate` and `sim run` both reject each as a data error naming the
+        file, and the line of a row that cannot be read."""
         data = tmp_path / "data"
         synth_dataset(SynthParams(n_users=15, n_creators=6, seed=2), stream(2, "synth")).to_dir(data)
         lines = (data / file).read_text().splitlines(keepends=True)
         head = lines[2].rstrip("\n").rsplit(",", 1)[0]  # the second row without its last field
         line = f"{file} line {len(lines) + 1}"  # the row appended below
-        repeated = f"{lines[0].split(',')[0]} {lines[2].split(',')[0]} is on more than one row"
+        column = lines[0].split(",")[0]
+        repeated = f"{column} {lines[2].split(',')[0]} is on more than one row"
         row, message = {
             "repeat": (lines[2], f"{file}: {repeated}"),
             "short": (head + "\n", f"{line}: fewer fields than the header"),
             "long": (f"{head},{'9' * 200_000}\n", f"{line}: field larger than field limit"),
+            "x7": ("x7," + lines[2].split(",", 1)[1],
+                   f"{line}: {column}: invalid literal for int() with base 10: 'x7'"),
         }[edit]
         (data / file).write_text("".join(lines + [row]))
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
             load_dataset(data)
         assert cli_main(["validate", str(data)]) == 3
         assert message in capsys.readouterr().err
@@ -448,7 +453,7 @@ class TestStreamingLoad:
         raw = path.read_bytes()
         assert len(raw) > 8192
         path.write_bytes(raw + b"0,0,\xff\n")
-        with pytest.raises(SchemaError, match="non-numeric id field: 'utf-8' codec can't decode"):
+        with pytest.raises(SchemaError, match="^interactions.csv: 'utf-8' codec can't decode"):
             load_dataset(tmp_path)
         assert cli_main(["validate", str(tmp_path)]) == 3
         assert "can't decode" in capsys.readouterr().err

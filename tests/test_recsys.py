@@ -9,7 +9,6 @@ from creatorsim.harness import run_simulation
 from creatorsim.recsys import (
     SGD_BATCH,
     BprRanker,
-    CandidatePool,
     EmptyInteractions,
     MfRanker,
     PopRanker,
@@ -43,7 +42,7 @@ class TestCandidatePool:
         cat = Catalog()
         cat.add(0, 0, "t", [], "", 1)
         pool = build_candidate_pool(cat, 21, 20)
-        assert 0 in pool.item_ids
+        assert 0 in pool
 
     def test_beyond_window_excluded(self):
         cat = Catalog()
@@ -108,7 +107,7 @@ class TestRank:
         pool = build_candidate_pool(cat, 6, 20)
         out = top_ids(r, 4, pool, 10, cat)
         assert len(out) == len(set(out)) == 10
-        assert set(out) <= {int(i) for i in pool.item_ids}
+        assert set(out) <= set(pool.tolist())
 
 
 class TestRandomRanker:
@@ -448,6 +447,16 @@ class _FixedScores:
         return lambda user: self.scores
 
 
+def catalog_created(ids, created):
+    """A catalog in which item `ids[k]` was created at step `created[k]`."""
+    n = max(ids.tolist(), default=-1) + 1
+    steps = np.zeros(n, dtype=np.int64)
+    steps[ids] = created
+    cat = Catalog()
+    cat.extend([0] * n, [0] * n, steps, [""] * n, [()] * n, [""] * n)
+    return cat
+
+
 def _lexsort_top(ids, created, scores, k):
     """The top-k as a full 3-key lexsort gives it (the reference)."""
     order = np.lexsort((ids, -created, -scores))[:k]
@@ -472,7 +481,7 @@ def ranked_pools(draw):
 @given(ranked_pools())
 def test_rank_scored_equals_lexsort(case):
     ids, created, scores, k = case
-    view = pool_view(_FixedScores(scores), CandidatePool(ids, created), None)
+    view = pool_view(_FixedScores(scores), ids, catalog_created(ids, created))
     got_ids, got_scores = rank_scored(view, 0, k)
     want_ids, want_scores = _lexsort_top(ids, created, scores, k)
     assert got_ids.tolist() == want_ids
@@ -483,6 +492,6 @@ def test_rank_scored_equals_lexsort(case):
 def test_rank_scored_nan_cut_keeps_every_item():
     scores = np.array([np.nan, 1.0, np.nan, 0.0, np.nan])
     ids, created = np.arange(5), np.zeros(5, dtype=np.int64)
-    view = pool_view(_FixedScores(scores), CandidatePool(ids, created), None)
+    view = pool_view(_FixedScores(scores), ids, catalog_created(ids, created))
     assert rank_scored(view, 0, 3)[0].tolist() == [1, 3, 0]
     assert rank_scored(view, 0, 4)[0].tolist() == [1, 3, 0, 2]

@@ -1,6 +1,10 @@
-"""Shared domain types: identifiers, the platform's item catalog and
-interaction event log, run configuration and synthetic-data parameters, and
-seeded random streams.
+"""Shared domain types: identifiers, the record-file format, the platform's
+item catalog and interaction event log, run configuration and synthetic-data
+parameters, and seeded random streams.
+
+Every CSV file the program writes goes through :func:`write_records`, and every
+one it reads but the event log through :class:`Records`: one format and one set
+of fault rules, with each file's columns declared once, beside its owner.
 
 The catalog and the event log are the platform's store, both kept as numpy
 columns that `extend` fills a block at a time: each item fact and each event
@@ -16,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,6 +48,10 @@ class DataError(SimError):
     """Invalid input data or artifacts."""
 
 
+class SchemaError(DataError):
+    """Record file is missing or lacks a column, or a row is unreadable, out of vocabulary or repeated."""
+
+
 class EventLogError(SimError):
     """Event log contract violation; `row` is the row at fault in an appended block."""
 
@@ -65,6 +74,81 @@ class DuplicateEvent(EventLogError):
 
 class AsymmetryViolation(SimError):
     """A creator attempted to read feedback on an item it does not own."""
+
+
+# ---------------------------------------------------------------------------
+# Record files
+
+
+def write_records(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write record file `path`: the `header` row, then `rows`."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+class Records:
+    """The rows of record file `path` as lists of its `header` columns, in that
+    order, with the `ints` columns parsed; read as iterated, closed with `files`.
+
+    The file's presence and header are checked first. Columns are matched by
+    name, other columns are ignored and blank lines are skipped. A row without
+    the header's field count, a line csv cannot read (a field over its size
+    limit) or an `ints` field that is not an integer is a SchemaError naming the
+    file and line; bytes that are not UTF-8, decoded ahead in blocks, are one
+    naming the file. `where` names the line for a caller's own error.
+    """
+
+    def __init__(
+        self, files: ExitStack, path: str | Path, header: Sequence[str], ints: Sequence[str] = ()
+    ) -> None:
+        path = Path(path)
+        if not path.exists():
+            raise SchemaError(f"missing record file {path}")
+        self.name = path.name
+        self._reader = csv.reader(files.enter_context(open(path, "r", encoding="utf-8", newline="")))
+        with self._faults():
+            names = next(self._reader, [])
+        for col in header:
+            if col not in names:
+                raise SchemaError(f"{self.name}: missing column {col!r}")
+        self._header = header
+        self._width = len(names)
+        self._columns = None if list(header) == names else [names.index(col) for col in header]
+        self._ints = [k for k, col in enumerate(header) if col in ints]
+
+    @property
+    def where(self) -> str:
+        """The file and the line last read, as an error message names them."""
+        return f"{self.name} line {self._reader.line_num}"
+
+    @contextmanager
+    def _faults(self):
+        try:
+            yield
+        except csv.Error as e:  # csv counts the line it fails on
+            raise SchemaError(f"{self.where}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"{self.name}: {e}") from e
+
+    def __iter__(self):
+        width, columns, ints = self._width, self._columns, self._ints
+        with self._faults():
+            for row in self._reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    than = "fewer" if len(row) < width else "more"
+                    raise SchemaError(f"{self.where}: {than} fields than the header")
+                if columns is not None:
+                    row = [row[i] for i in columns]
+                try:
+                    for k in ints:
+                        row[k] = int(row[k])
+                except ValueError as e:
+                    raise SchemaError(f"{self.where}: {self._header[k]}: {e}") from e
+                yield row
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +282,7 @@ class EventLog(_Columns):
 
     def to_csv(self, path: str | Path) -> None:
         columns = [getattr(self, name).astype(np.int64).tolist() for name in _EVENT_COLUMNS]
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(self.CSV_HEADER + "\n")
-            f.writelines(f"{s},{u},{i},{e},{c}\n" for s, u, i, e, c in zip(*columns))
+        write_records(path, self.CSV_HEADER.split(","), zip(*columns))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EventLog":
@@ -248,7 +330,7 @@ class Catalog(_Columns):
     in each column.
     """
 
-    CSV_HEADER = "item_id,creator_id,genre,title,tags,description,created_step"
+    COLUMNS = ("item_id", "creator_id", "genre", "title", "tags", "description", "created_step")
     __slots__ = ("title", "tags", "description")
 
     def __init__(self) -> None:
@@ -286,42 +368,31 @@ class Catalog(_Columns):
         np.add.at(self.clicks, items, clicks)
 
     def to_csv(self, path: str | Path) -> None:
-        rows = zip(
+        write_records(path, self.COLUMNS, zip(
             range(len(self)), self.creator_id.tolist(), self.genre.tolist(), self.title,
             map("|".join, self.tags), self.description, self.created_step.tolist(),
-        )
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(self.CSV_HEADER.split(","))
-            w.writerows(rows)
+        ))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Catalog":
         """Read a persisted catalog: rows are parsed one by one, then added with one `extend`."""
         creators, genres, steps, titles, tags, descriptions = [], [], [], [], [], []
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            try:
-                if next(reader, None) != cls.CSV_HEADER.split(","):
-                    raise DataError(f"bad catalog header in {path}")
-                for row in reader:
-                    item_id, creator_id, genre, title, tag_text, desc, step = row
-                    if int(item_id) != len(titles):
-                        raise DataError(f"non-contiguous item id {item_id} in {path}")
-                    creators.append(int(creator_id))
-                    genres.append(int(genre))
-                    steps.append(int(step))
-                    titles.append(title)
-                    tags.append(tag_text.split("|") if tag_text else ())
-                    descriptions.append(desc)
-            # a short row, a non-integer, bytes that are not UTF-8, a field over csv's size limit
-            except (ValueError, csv.Error) as e:
-                raise DataError(f"{path} line {reader.line_num}: {e}") from e
+        with ExitStack() as files:
+            rows = Records(files, path, cls.COLUMNS, ("item_id", "creator_id", "genre", "created_step"))
+            for item_id, creator_id, genre, title, tag_text, desc, step in rows:
+                if item_id != len(titles):
+                    raise SchemaError(f"{rows.where}: non-contiguous item id {item_id}")
+                creators.append(creator_id)
+                genres.append(genre)
+                steps.append(step)
+                titles.append(title)
+                tags.append(tag_text.split("|") if tag_text else ())
+                descriptions.append(desc)
         cat = cls()
         try:
             cat.extend(creators, genres, steps, titles, tags, descriptions)
         except OverflowError as e:
-            raise DataError(f"{path}: {e}") from e
+            raise SchemaError(f"{rows.name}: {e}") from e
         return cat
 
 
@@ -523,12 +594,15 @@ class _Settings:
         return cls.from_pairs(read_kv_file(path))
 
     def validate(self) -> None:
-        """Check that every float is finite and every setting within its bounds."""
+        """Check that every float is finite, every int fits in int64 and every setting is in bounds."""
         for f in fields(self):
             value = getattr(self, f.name)
             ge, gt, le = (f.metadata.get(k) for k in ("ge", "gt", "le"))
             if isinstance(value, float) and not math.isfinite(value):
                 need = "finite"
+            # an integer setting sizes, bounds or seeds numpy arrays and streams
+            elif isinstance(value, int) and not -(2**63) <= value < 2**63:
+                need = "in [-2**63, 2**63)"
             elif ge is not None and not value >= ge:
                 need = f">= {ge}"
             elif gt is not None and not value > gt:

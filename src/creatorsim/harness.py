@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,10 +51,13 @@ from .core import (
     DataError,
     EventLog,
     EventLogError,
+    Records,
+    SchemaError,
     SimConfig,
     SimError,
     UniformStreams,
     stream,
+    write_records,
 )
 from .creator import (
     Beliefs,
@@ -118,8 +121,8 @@ CONFIG_FILE = "config.txt"
 METRICS_FILE = "metrics.json"
 SUMMARY_FILE = "dataset_summary.json"
 
-TRACE_HEADER = "step,creator_id,action_kind,genre,item_id,utility_of_last,alive,reward_pct"
-TIMESERIES_HEADER = "step,tuw_cum,alive_creators,cgd_window,step_seconds,agent_seconds"
+TRACE_COLUMNS = tuple("step creator_id action_kind genre item_id utility_of_last alive reward_pct".split())
+TIMESERIES_COLUMNS = tuple("step tuw_cum alive_creators cgd_window step_seconds agent_seconds".split())
 
 
 @dataclass
@@ -268,8 +271,8 @@ class _World:
         self.creator_policy_rng = [stream(cfg.seed, "creator_policy", c.creator_id) for c in self.creators]
         # a user's visit and session draws
         self.user_draws = UniformStreams(cfg.seed, "user", len(users))
-        self.trace_rows: list[str] = []  # CSV lines of TRACE_FILE, as are timeseries_rows
-        self.timeseries_rows: list[str] = []
+        self.trace_rows: list[tuple] = []  # rows of TRACE_FILE, floats formatted, as are timeseries_rows
+        self.timeseries_rows: list[tuple] = []
         self.tuw_incremental = 0
 
     def training_clicks(self) -> np.ndarray:
@@ -308,7 +311,8 @@ class _World:
             if state.creation_count:
                 register_creation_outcome(state, state.last_item(), int(state.clicks[-1]))
                 if not state.alive:
-                    self.trace_rows.append(f"{n},{state.creator_id},DEPART,,,{z_last:.10g},false,")
+                    z_text = f"{z_last:.10g}"
+                    self.trace_rows.append((n, state.creator_id, "DEPART", "", "", z_text, "false", ""))
                     continue
             # the totals last changed in SERVE at step n - 1; step 1 decides
             # on the seed beliefs
@@ -319,7 +323,7 @@ class _World:
             state.reward_pct = reward_percentile(utilities)
             slots.append(len(self.trace_rows))
             states.append(state)
-            self.trace_rows.append("")  # written once the creation is committed
+            self.trace_rows.append(None)  # written once the creation is committed
 
         rngs = [self.creator_policy_rng[state.creator_id] for state in states]
         created = self.policy.create(states, n, rngs)
@@ -331,8 +335,8 @@ class _World:
             state.creation_count += 1
             z_text = "" if state.last_utility is None else f"{state.last_utility:.10g}"
             self.trace_rows[slot] = (
-                f"{n},{state.creator_id},{action.kind.value},{content.genre},{item},"
-                f"{z_text},true,{state.reward_pct:.10g}"
+                n, state.creator_id, action.kind.value, content.genre, item, z_text, "true",
+                f"{state.reward_pct:.10g}",
             )
 
     def phase_serve(self, n: int, pool) -> None:
@@ -416,7 +420,7 @@ class _World:
             cgd_text = ""
         agent_seconds = step_seconds / (alive + len(self.preference))
         self.timeseries_rows.append(
-            f"{n},{self.tuw_incremental},{alive},{cgd_text},{step_seconds:.6f},{agent_seconds:.8f}"
+            (n, self.tuw_incremental, alive, cgd_text, f"{step_seconds:.6f}", f"{agent_seconds:.8f}")
         )
 
     # -- persistence ----------------------------------------------------------
@@ -425,12 +429,8 @@ class _World:
         out_dir.mkdir(parents=True, exist_ok=True)
         self.log.to_csv(out_dir / EVENTS_FILE)
         self.catalog.to_csv(out_dir / ITEMS_FILE)
-        for name, header, rows in (
-            (TRACE_FILE, TRACE_HEADER, self.trace_rows),
-            (TIMESERIES_FILE, TIMESERIES_HEADER, self.timeseries_rows),
-        ):
-            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as f:
-                f.writelines(line + "\n" for line in [header, *rows])
+        write_records(out_dir / TRACE_FILE, TRACE_COLUMNS, self.trace_rows)
+        write_records(out_dir / TIMESERIES_FILE, TIMESERIES_COLUMNS, self.timeseries_rows)
         (out_dir / CONFIG_FILE).write_text(self.cfg.to_text(), encoding="utf-8")
         # the alignment reference, the seed items, is the step-0 rows of ITEMS_FILE
         summary = {
@@ -483,26 +483,20 @@ def _require(path: Path) -> Path:
 
 def _read_trace(path: Path) -> tuple[list[tuple[int, int]], list[tuple[float, str]]]:
     """The (step, creator) of each DEPART row and the (reward_pct, kind) of each decision."""
-    departs, decisions = [], []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != TRACE_HEADER:
-            raise CorruptLog(f"bad trace header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise CorruptLog(f"trace line {lineno}: expected 8 fields")
-            step, creator, kind, *_, reward_pct = parts
-            try:
-                if kind == "DEPART":
-                    departs.append((int(step), int(creator)))
-                elif kind in ("EXPLORE", "EXPLOIT"):
+    departs, decisions, seen = [], [], set()
+    with ExitStack() as files:
+        rows = Records(files, path, TRACE_COLUMNS, ("step", "creator_id"))
+        for step, creator, kind, *_, reward_pct in rows:
+            if (step, creator) in seen:  # a creator departs or decides, once a step
+                raise CorruptLog(f"{rows.where}: second row of creator {creator} at step {step}")
+            seen.add((step, creator))
+            if kind == "DEPART":
+                departs.append((step, creator))
+            elif kind in ("EXPLORE", "EXPLOIT"):
+                try:
                     decisions.append((float(reward_pct), kind))
-            except ValueError as e:
-                raise CorruptLog(f"trace line {lineno}: {e}") from e
+                except ValueError as e:
+                    raise SchemaError(f"{rows.where}: {e}") from e
     return departs, decisions
 
 
@@ -526,10 +520,8 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
         cfg = SimConfig.from_file(_require(run_dir / CONFIG_FILE))
     with _reading(EVENTS_FILE, EventLogError):
         log = EventLog.from_csv(_require(run_dir / EVENTS_FILE))
-    with _reading(ITEMS_FILE, DataError):
-        catalog = Catalog.from_csv(_require(run_dir / ITEMS_FILE))
-    with _reading(TRACE_FILE):
-        departs, decisions = _read_trace(_require(run_dir / TRACE_FILE))
+    catalog = Catalog.from_csv(_require(run_dir / ITEMS_FILE))
+    departs, decisions = _read_trace(_require(run_dir / TRACE_FILE))
     with _reading(SUMMARY_FILE, ValueError, KeyError, TypeError):
         with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
             summary = json.load(f)

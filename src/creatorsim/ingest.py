@@ -11,22 +11,28 @@ kept interaction.
 
 from __future__ import annotations
 
-import csv
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-# SynthParams and InvalidParams live beside the run config they share settings with
-from .core import DEFAULT_GENRES, DataError, InvalidParams, SynthParams  # noqa: F401
+# SynthParams, InvalidParams and SchemaError live in core, beside the code they are shared with
+from .core import (  # noqa: F401
+    DEFAULT_GENRES, DataError, InvalidParams, Records, SchemaError, SynthParams, write_records,
+)
 
 PREF_SMOOTHING = 0.1  # add-alpha smoothing for user genre histograms
 
-
-class SchemaError(DataError):
-    """Record file is missing a column, holds an out-of-vocabulary value or repeats an id."""
+# each record file's columns, in the order its rows are written and read
+RECORD_COLUMNS = {
+    "users.csv": ("user_id", "name"),
+    "creators.csv": ("creator_id", "name", "followers"),
+    "items.csv": ("item_id", "creator_id", "genre", "title", "tags", "description", "created_day"),
+    "interactions.csv": ("user_id", "item_id", "day"),
+}
+# the columns that hold integers, in whichever file they appear; the others are text
+INT_COLUMNS = ("user_id", "creator_id", "followers", "item_id", "created_day", "day")
 
 
 class DanglingRef(DataError):
@@ -113,75 +119,18 @@ class Dataset:
     def to_dir(self, path: str | Path) -> None:
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        with open(path / "users.csv", "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["user_id", "name"])
-            for u in self.users:
-                w.writerow([u.user_id, u.name])
-        with open(path / "creators.csv", "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["creator_id", "name", "followers"])
-            for c in self.creators:
-                w.writerow([c.creator_id, c.name, c.followers])
-        with open(path / "items.csv", "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["item_id", "creator_id", "genre", "title", "tags", "description", "created_day"])
-            it = self.items
-            w.writerows(zip(
+        it, cols = self.items, self.interactions
+        rows = {
+            "users.csv": ((u.user_id, u.name) for u in self.users),
+            "creators.csv": ((c.creator_id, c.name, c.followers) for c in self.creators),
+            "items.csv": zip(
                 it.item_id.tolist(), it.creator_id.tolist(), [self.genres[g] for g in it.genre.tolist()],
                 it.title, map("|".join, it.tags), it.description, it.created_day.tolist(),
-            ))
-        with open(path / "interactions.csv", "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["user_id", "item_id", "day"])
-            cols = self.interactions
-            w.writerows(zip(cols.user_id.tolist(), cols.item_id.tolist(), cols.day.tolist()))
-
-
-def _open_rows(files: ExitStack, path: Path, ints: tuple[str, ...], texts: tuple[str, ...]):
-    """The rows of record file `path`, whose header holds the columns `ints`
-    and `texts`, read as they are used, with the columns `ints` parsed as integers.
-
-    A row with fewer fields than the header, a line csv cannot read (a field
-    over its size limit) or a field of `ints` that is not an integer is a
-    SchemaError naming the file and line; bytes that are not UTF-8 are one
-    naming the file.
-    """
-    if not path.exists():
-        raise SchemaError(f"missing record file {path}")
-    reader = csv.DictReader(files.enter_context(open(path, "r", encoding="utf-8", newline="")))
-    try:
-        header = reader.fieldnames or []
-    except (csv.Error, UnicodeDecodeError) as e:
-        raise _read_error(reader, path.name, e) from e
-    for col in ints + texts:
-        if col not in header:
-            raise SchemaError(f"{path.name}: missing column {col!r}")
-    return _checked_rows(reader, path.name, ints)
-
-
-def _read_error(reader: csv.DictReader, name: str, e: Exception) -> SchemaError:
-    if isinstance(e, csv.Error):  # the csv reader counts the line it fails on, DictReader only one it read
-        return SchemaError(f"{name} line {reader.reader.line_num}: {e}")
-    return SchemaError(f"{name}: {e}")  # text is decoded ahead in blocks, so the line is not known
-
-
-def _checked_rows(reader: csv.DictReader, name: str, ints: tuple[str, ...]):
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except (csv.Error, UnicodeDecodeError) as e:
-            raise _read_error(reader, name, e) from e
-        if None in row.values():  # DictReader's value for a field the row lacks
-            raise SchemaError(f"{name} line {reader.line_num}: fewer fields than the header")
-        for col in ints:
-            try:
-                row[col] = int(row[col])
-            except ValueError as e:
-                raise SchemaError(f"{name} line {reader.line_num}: {col}: {e}") from e
-        yield row
+            ),
+            "interactions.csv": zip(cols.user_id.tolist(), cols.item_id.tolist(), cols.day.tolist()),
+        }
+        for name, columns in RECORD_COLUMNS.items():
+            write_records(path / name, columns, rows[name])
 
 
 def _unique_ids(ids, what: str) -> set[int]:
@@ -218,59 +167,43 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
     """
     path = Path(path)
     with ExitStack() as files:
-        return _parse_rows(
-            path, genres,
-            _open_rows(files, path / "users.csv", ("user_id",), ("name",)),
-            _open_rows(files, path / "creators.csv", ("creator_id", "followers"), ("name",)),
-            _open_rows(
-                files, path / "items.csv", ("item_id", "creator_id", "created_day"),
-                ("genre", "title", "tags", "description"),
-            ),
-            _open_rows(files, path / "interactions.csv", ("user_id", "item_id", "day"), ()),
-        )
+        user_rows, creator_rows, item_rows, inter_rows = [
+            Records(files, path / name, cols, INT_COLUMNS) for name, cols in RECORD_COLUMNS.items()
+        ]
+        genre_index = {g: i for i, g in enumerate(genres)}
+        users = [UserRow(*r) for r in user_rows]
+        creators = [CreatorRow(*r) for r in creator_rows]
+        items = list(item_rows)  # an empty file is reported before any id check
+        if not users or not creators or not items:
+            raise EmptyDataset(f"dataset at {path} has an empty record file")
 
+        creator_ids = _unique_ids((c.creator_id for c in creators), "creators.csv: creator_id")
+        # each row becomes (item_id, creator_id, genre, created_day, title, tags, description)
+        for k, (item_id, creator_id, genre_name, title, tag_text, desc, day) in enumerate(items):
+            if genre_name not in genre_index:
+                raise SchemaError(f"items.csv: genre {genre_name!r} outside the vocabulary")
+            if creator_id not in creator_ids:
+                raise DanglingRef(f"item {item_id} references unknown creator {creator_id}")
+            tags = tuple(t for t in tag_text.split("|") if t)
+            items[k] = (item_id, creator_id, genre_index[genre_name], day, title, tags, desc)
+        columns = list(zip(*items))
+        _check_days(columns[3], "items.csv: created_day")
 
-def _parse_rows(path, genres, user_rows, creator_rows, item_rows, inter_rows) -> Dataset:
-    """`load_dataset`'s checks, in its order, on the four files' row readers."""
-    genre_index = {g: i for i, g in enumerate(genres)}
-    users = [UserRow(r["user_id"], r["name"]) for r in user_rows]
-    creators = [CreatorRow(r["creator_id"], r["name"], r["followers"]) for r in creator_rows]
-    first_item = next(item_rows, None)  # an empty file is reported before any id check
-    if not users or not creators or first_item is None:
-        raise EmptyDataset(f"dataset at {path} has an empty record file")
-
-    creator_ids = _unique_ids((c.creator_id for c in creators), "creators.csv: creator_id")
-    items = []  # (item_id, creator_id, genre, created_day, title, tags, description) rows
-    for r in chain([first_item], item_rows):
-        genre_name = r["genre"]
-        if genre_name not in genre_index:
-            raise SchemaError(f"items.csv: genre {genre_name!r} outside the vocabulary")
-        item_id, creator_id, day = r["item_id"], r["creator_id"], r["created_day"]
-        if creator_id not in creator_ids:
-            raise DanglingRef(f"item {item_id} references unknown creator {creator_id}")
-        tags = tuple(t for t in r["tags"].split("|") if t)
-        items.append(
-            (item_id, creator_id, genre_index[genre_name], day, r["title"], tags, r["description"])
-        )
-    columns = list(zip(*items))
-    _check_days(columns[3], "items.csv: created_day")
-
-    user_ids = _unique_ids((u.user_id for u in users), "users.csv: user_id")
-    item_ids = _unique_ids(columns[0], "items.csv: item_id")
-    # the world re-indexes user, creator and item ids as int64 columns
-    if not all(-(2**63) <= i < 2**63 for i in user_ids | creator_ids | item_ids):
-        raise SchemaError("a user_id, creator_id or item_id does not fit in 64 bits")
-    items = Items(*(np.array(c, dtype=np.int64) for c in columns[:4]), *map(list, columns[4:]))
-    rows: list[tuple[int, int, int]] = []
-    for r in inter_rows:
-        user_id, item_id, day = r["user_id"], r["item_id"], r["day"]
-        if user_id not in user_ids:
-            raise DanglingRef(f"interaction references unknown user {user_id}")
-        if item_id not in item_ids:
-            raise DanglingRef(f"interaction references unknown item {item_id}")
-        rows.append((user_id, item_id, day))
-    _check_days((day for _, _, day in rows), "interactions.csv: day")
-    return Dataset(users, creators, items, Interactions.of(rows), genres)
+        user_ids = _unique_ids((u.user_id for u in users), "users.csv: user_id")
+        item_ids = _unique_ids(columns[0], "items.csv: item_id")
+        # the world re-indexes user, creator and item ids as int64 columns
+        if not all(-(2**63) <= i < 2**63 for i in user_ids | creator_ids | item_ids):
+            raise SchemaError("a user_id, creator_id or item_id does not fit in 64 bits")
+        items = Items(*(np.array(c, dtype=np.int64) for c in columns[:4]), *map(list, columns[4:]))
+        rows: list[tuple[int, int, int]] = []
+        for user_id, item_id, day in inter_rows:
+            if user_id not in user_ids:
+                raise DanglingRef(f"interaction references unknown user {user_id}")
+            if item_id not in item_ids:
+                raise DanglingRef(f"interaction references unknown item {item_id}")
+            rows.append((user_id, item_id, day))
+        _check_days((day for _, _, day in rows), "interactions.csv: day")
+        return Dataset(users, creators, items, Interactions.of(rows), genres)
 
 
 # ---------------------------------------------------------------------------

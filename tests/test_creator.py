@@ -465,7 +465,7 @@ def creators_creating(world, steps):
     for n in steps:
         before = len(world.trace_rows)
         world.phase_create(n)
-        created.append([int(row.split(",")[1]) for row in world.trace_rows[before:]])
+        created.append([row[1] for row in world.trace_rows[before:]])
     return created
 
 

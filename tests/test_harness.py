@@ -32,6 +32,7 @@ from creatorsim.harness import (
     report,
     run_simulation,
 )
+from mutations import MUTATIONS
 
 
 def small_cfg(**overrides):
@@ -60,55 +61,6 @@ def _with_field(line, index, value):
 def _without_key(path, key):
     """The text of config file `path` without its `key` line."""
     return "".join(line for line in Path(path).read_text().splitlines(True) if not line.startswith(key))
-
-
-def _at_row(edit):
-    """A mutation that applies `edit(lines, k, draw)` at a drawn row k of the file's lines."""
-
-    def mutate(raw, draw):
-        lines = raw.splitlines(keepends=True) or [b""]
-        edit(lines, draw(st.integers(0, len(lines) - 1), label="row"), draw)
-        return b"".join(lines)
-
-    return mutate
-
-
-def _insert_byte(byte):
-    def mutate(raw, draw):
-        at = draw(st.integers(0, len(raw)), label="at")
-        return raw[:at] + byte + raw[at:]
-
-    return mutate
-
-
-def _replace_byte(raw, draw):
-    at = draw(st.integers(0, len(raw) - 1), label="at")
-    return raw[:at] + bytes([draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
-
-
-def _swap(lines, k, draw):
-    j = draw(st.integers(0, len(lines) - 1), label="other")
-    lines[k], lines[j] = lines[j], lines[k]
-
-
-# one mutation of an artifact's bytes: (raw, draw) -> mutated bytes
-MUTATIONS = {
-    "truncate": lambda raw, draw: raw[: draw(st.integers(0, len(raw)), label="at")],
-    "replace-byte": _replace_byte,
-    "drop-row": _at_row(lambda lines, k, draw: lines.pop(k)),
-    "repeat-row": _at_row(lambda lines, k, draw: lines.insert(k, lines[k])),
-    "swap-rows": _at_row(_swap),
-    "short-row": _at_row(lambda lines, k, draw: lines.insert(k, lines[k].split(b",")[0] + b"\n")),
-    "long-field": _at_row(
-        lambda lines, k, draw: lines.insert(k, lines[k].rstrip(b"\n") + b"," + b"9" * 200_000 + b"\n")
-    ),
-    "not-utf8": _insert_byte(b"\xff"),
-    "nul": _insert_byte(b"\x00"),
-    "empty": lambda raw, draw: b"",
-    "int-past-int64": _at_row(
-        lambda lines, k, draw: lines.__setitem__(k, re.sub(rb"\d+", str(2**63).encode(), lines[k], count=1))
-    ),
-}
 
 
 def copy_run(artifacts, tmp_path):
@@ -761,7 +713,17 @@ class TestCli:
         lines[row] = lines[row].rsplit(",", 1)[0] + ",high"
         (broken / "creator_trace.csv").write_text("\n".join(lines) + "\n")
         assert cli_main(["report", str(broken)]) == 3
-        assert f"trace line {row + 1}: could not convert string to float: 'high'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"creator_trace.csv line {row + 1}: could not convert string to float: 'high'" in err
+
+    def test_report_setting_past_int64_exit_code(self, smoke_run, tmp_path, capsys):
+        """An integer setting sizes numpy arrays; one past int64 made report()
+        fail with an OverflowError and a traceback."""
+        broken = copy_run(smoke_run, tmp_path)
+        config = (broken / "config.txt").read_text()
+        (broken / "config.txt").write_text(re.sub(r"(?m)^n_steps = .*$", f"n_steps = {2**63}", config))
+        assert cli_main(["report", str(broken)]) == 2
+        assert "n_steps must be in [-2**63, 2**63)" in capsys.readouterr().err
 
     def test_report_summary_without_n_creators_exit_code(self, smoke_run, tmp_path):
         broken = copy_run(smoke_run, tmp_path)
@@ -830,26 +792,34 @@ class TestCli:
     @pytest.mark.parametrize(
         "rows",
         [
-            lambda fresh, n_steps: ["3,10,DEPART,,,0.5,false,"],
-            lambda fresh, n_steps: ["3,-1,DEPART,,,0.5,false,"],
-            lambda fresh, n_steps: [f"3,{fresh},DEPART,,,0.5,false,"] * 2,
-            lambda fresh, n_steps: [f"0,{fresh},DEPART,,,0.5,false,"],
-            lambda fresh, n_steps: [f"{n_steps + 1},{fresh},DEPART,,,0.5,false,"],
+            lambda fresh, free, n_steps, exploit: [f"{free[0]},10,DEPART,,,0.5,false,"],
+            lambda fresh, free, n_steps, exploit: [f"{free[0]},-1,DEPART,,,0.5,false,"],
+            lambda fresh, free, n_steps, exploit: [f"{s},{fresh},DEPART,,,0.5,false," for s in free[:2]],
+            lambda fresh, free, n_steps, exploit: [f"0,{fresh},DEPART,,,0.5,false,"],
+            lambda fresh, free, n_steps, exploit: [f"{n_steps + 1},{fresh},DEPART,,,0.5,false,"],
+            lambda fresh, free, n_steps, exploit: [exploit],
         ],
         ids=["creator-above-n-creators", "creator-negative", "creator-repeated", "step-0",
-             "step-above-n-steps"],
+             "step-above-n-steps", "exploit-repeated"],
     )
     def test_report_impossible_depart_exit_code(self, smoke_run, tmp_path, rows):
+        """The simulator writes at most one trace row per (step, creator), and a
+        creator departs once, at a step of the run."""
         broken = copy_run(smoke_run, tmp_path)
         trace = (broken / "creator_trace.csv").read_text()
         with open(broken / "creator_trace.csv") as f:
-            departed = {int(r["creator_id"]) for r in csv.DictReader(f) if r["action_kind"] == "DEPART"}
+            records = list(csv.DictReader(f))
+        departed = {int(r["creator_id"]) for r in records if r["action_kind"] == "DEPART"}
         fresh = min(set(range(10)) - departed)  # small_cfg has 10 creators
         n_steps = SimConfig.from_file(broken / "config.txt").n_steps
-        (broken / "creator_trace.csv").write_text(trace + "".join(r + "\n" for r in rows(fresh, n_steps)))
+        busy = {int(r["step"]) for r in records if int(r["creator_id"]) == fresh}
+        free = sorted(set(range(1, n_steps + 1)) - busy)  # the steps at which that creator has no row
+        exploit = next(line for line in trace.splitlines() if ",EXPLOIT," in line)
+        added = rows(fresh, free, n_steps, exploit)
+        (broken / "creator_trace.csv").write_text(trace + "".join(r + "\n" for r in added))
         assert cli_main(["report", str(broken)]) == 3
         # one valid departure of the same creator is accepted
-        (broken / "creator_trace.csv").write_text(trace + f"3,{fresh},DEPART,,,0.5,false,\n")
+        (broken / "creator_trace.csv").write_text(trace + f"{free[0]},{fresh},DEPART,,,0.5,false,\n")
         assert cli_main(["report", str(broken)]) == 0
 
     @settings(max_examples=300, deadline=None)

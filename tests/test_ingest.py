@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
+import io
 import re
+import shutil
+import tempfile
 import tracemalloc
 import weakref
 from collections import defaultdict, namedtuple
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +38,7 @@ from creatorsim.ingest import (
     load_dataset,
     synth_dataset,
 )
+from mutations import MUTATIONS
 
 
 Item = namedtuple("Item", "item_id creator_id genre title tags description created_day")
@@ -385,11 +391,11 @@ class TestLoadDataset:
     @pytest.mark.parametrize(
         "file, edit",
         [("users.csv", "repeat"), ("creators.csv", "repeat"), ("items.csv", "repeat"),
-         *((file, edit) for edit in ("short", "long", "x7") for file in RECORD_FILES)],
+         *((file, edit) for edit in ("short", "extra", "long", "x7") for file in RECORD_FILES)],
     )
     def test_bad_row_exits_3(self, tmp_path, capsys, file, edit):
         """A row repeated in a record file would make its id a phantom agent or
-        item; a row shorter than its header, a field over csv's 131,072
+        item; a row shorter or longer than its header, a field over csv's 131,072
         characters, or an id that is not an integer, cannot be read. `sim
         validate` and `sim run` both reject each as a data error naming the
         file, and the line of a row that cannot be read."""
@@ -403,6 +409,7 @@ class TestLoadDataset:
         row, message = {
             "repeat": (lines[2], f"{file}: {repeated}"),
             "short": (head + "\n", f"{line}: fewer fields than the header"),
+            "extra": (lines[2].rstrip("\n") + ",extra\n", f"{line}: more fields than the header"),
             "long": (f"{head},{'9' * 200_000}\n", f"{line}: field larger than field limit"),
             "x7": ("x7," + lines[2].split(",", 1)[1],
                    f"{line}: {column}: invalid literal for int() with base 10: 'x7'"),
@@ -417,6 +424,37 @@ class TestLoadDataset:
         assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """The four record files of a tiny synthesized dataset."""
+    data = tmp_path_factory.mktemp("tiny") / "data"
+    small_synth().to_dir(data)
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(file=st.sampled_from(RECORD_FILES), mutation=st.sampled_from(sorted(MUTATIONS)), data=st.data())
+def test_validate_and_run_survive_mutated_dataset(tiny_data, file, mutation, data):
+    """One mutation of one record file: `sim validate`, and `sim run` on a
+    dataset it accepts, finish or name a config, data or runtime error, and
+    never fail with a traceback."""
+    with tempfile.TemporaryDirectory() as scratch:
+        broken = shutil.copytree(tiny_data, Path(scratch) / "data")
+        raw = (broken / file).read_bytes()
+        (broken / file).write_bytes(MUTATIONS[mutation](raw, data.draw))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli_main(["validate", str(broken)])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                cfg = SimConfig(n_users=15, n_creators=6, n_steps=4, warmup=2, data_dir=str(broken))
+                config = Path(scratch) / "config.txt"
+                config.write_text(cfg.to_text())
+                out = str(Path(scratch) / "run")
+                assert cli_main(["run", "--config", str(config), "--out", out]) in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestStreamingLoad:

@@ -31,8 +31,13 @@ It then asks the policy for all their creations with one `create` call and
 commits them in id order. The only I/O, the LLM policy's completion calls, fans
 out over `workers` threads inside that call, and its replies are parsed in
 creator order, so results are bit-identical for any worker count.
+The retrain schedule starts with a step-0 retrain on the dataset's
+interactions, after the dataset is freed. The world keeps one click table,
+seeded with those interactions at step 0, and each retrain extends it with the
+clicks logged since the last one.
 Metrics are always recomputed from the persisted artifacts, which makes every
-run replayable and every report reproducible.
+run replayable and every report reproducible; the report first checks the
+trace against the catalog and the timeseries against the log and the trace.
 """
 
 from __future__ import annotations
@@ -201,7 +206,7 @@ class _World:
         seen = np.column_stack((user[kept], item[kept], data.interactions.day[kept]))
         # the dataset's interactions train the ranker as clicks at step 0, and
         # count toward each seed item's exposure and click totals
-        self.seed_clicks = seen * (1, 1, 0)
+        self.clicks, self.last_retrain = seen * (1, 1, 0), 0
         counts = np.bincount(seen[:, 1], minlength=len(rows))
         self.catalog.add_feedback(np.arange(len(rows)), counts, counts)
 
@@ -253,8 +258,6 @@ class _World:
             cfg.ranker, n_users=len(users), seed=cfg.seed, pop_window=cfg.pop_window,
             **cfg.section("mf"),
         )
-        if len(self.seed_clicks) or cfg.ranker in ("random", "pop"):
-            self.ranker.retrain(self.seed_clicks, self.catalog, 0)
 
         self.policy = _build_policy(cfg, self.genres, transport)
         if hasattr(self.policy, "register"):
@@ -275,25 +278,26 @@ class _World:
         self.timeseries_rows: list[tuple] = []
         self.tuw_incremental = 0
 
-    def training_clicks(self) -> np.ndarray:
-        """(user, item, step) rows: the seed clicks, then the log's clicks."""
-        log, clicked = self.log, self.log.clicked
-        logged = np.column_stack((log.user[clicked], log.item[clicked], log.step[clicked]))
-        return np.concatenate((self.seed_clicks, logged))
+    def retrain(self, n: int) -> None:
+        """Add the log's clicks since the last retrain to the click table, then retrain the ranker on it."""
+        log, rows = self.log, self.log.span(self.last_retrain, n - 1)  # retrain m precedes step m's clicks
+        logged = np.column_stack((log.user[rows], log.item[rows], log.step[rows]))[log.clicked[rows]]
+        self.clicks, self.last_retrain = np.concatenate((self.clicks, logged)), n
+        if len(self.clicks) or self.cfg.ranker in ("random", "pop"):
+            self.ranker.retrain(self.clicks, self.catalog, n)
 
     # -- phases -------------------------------------------------------------
 
     def run_steps(self) -> None:
-        """Steps 1 to n_steps; a step's pool and training clicks end with this call."""
+        """The step-0 retrain, then steps 1 to n_steps; a step's pool ends with this call."""
         cfg = self.cfg
+        self.retrain(0)
         for n in range(1, cfg.n_steps + 1):
             started = time.perf_counter()
             self.phase_create(n)
             pool = build_candidate_pool(self.catalog, n, cfg.timeliness_window)
             if n % cfg.retrain_period == 0:
-                clicks = self.training_clicks()
-                if len(clicks) or cfg.ranker in ("random", "pop"):
-                    self.ranker.retrain(clicks, self.catalog, n)
+                self.retrain(n)
             self.phase_serve(n, pool)
             self.phase_lifecycle(n, time.perf_counter() - started)
 
@@ -481,22 +485,47 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _read_trace(path: Path) -> tuple[list[tuple[int, int]], list[tuple[float, str]]]:
-    """The (step, creator) of each DEPART row and the (reward_pct, kind) of each decision."""
+def _read_trace(path: Path, catalog: Catalog) -> tuple[list[tuple[int, int]], list[tuple[float, str]]]:
+    """The (step, creator) of each DEPART row and the (reward_pct, kind) of each decision.
+
+    A creator has at most one row a step and none after the step it departs
+    at, and each decision names its creation: the catalog row created at its
+    step by its creator in its genre. Every created item has its decision.
+    """
     departs, decisions, seen = [], [], set()
+    departed, latest = {}, {}  # each creator's DEPART step, and the step of its latest row
+    owner, genre, created = catalog.creator_id, catalog.genre, catalog.created_step
     with ExitStack() as files:
         rows = Records(files, path, TRACE_COLUMNS, ("step", "creator_id"))
-        for step, creator, kind, *_, reward_pct in rows:
+        for step, creator, kind, genre_text, item_text, *_, reward_pct in rows:
             if (step, creator) in seen:  # a creator departs or decides, once a step
                 raise CorruptLog(f"{rows.where}: second row of creator {creator} at step {step}")
             seen.add((step, creator))
+            if kind not in ("DEPART", "EXPLORE", "EXPLOIT"):
+                raise CorruptLog(f"{rows.where}: action kind {kind!r} is not DEPART, EXPLORE or EXPLOIT")
+            if step > departed.get(creator, step):
+                raise CorruptLog(f"{rows.where}: creator {creator} departed at step {departed[creator]}")
+            if kind == "DEPART" and latest.get(creator, step) > step:
+                raise CorruptLog(f"{rows.where}: creator {creator} has a row at step {latest[creator]}")
+            latest[creator] = max(step, latest.get(creator, step))
             if kind == "DEPART":
+                departed[creator] = step
                 departs.append((step, creator))
-            elif kind in ("EXPLORE", "EXPLOIT"):
-                try:
-                    decisions.append((float(reward_pct), kind))
-                except ValueError as e:
-                    raise SchemaError(f"{rows.where}: {e}") from e
+                continue
+            try:
+                item, g, pct = int(item_text), int(genre_text), float(reward_pct)
+            except ValueError as e:
+                raise SchemaError(f"{rows.where}: {e}") from e
+            made = (created[item], owner[item], genre[item]) if 0 <= item < len(catalog) else None
+            if step < 1 or made != (step, creator, g):
+                raise CorruptLog(
+                    f"{rows.where}: item {item} is not creator {creator}'s step-{step} creation in genre {g}"
+                )
+            decisions.append((pct, kind))
+    # a second decision naming an item would repeat its (step, creator)
+    n_created = int(np.count_nonzero(created >= 1))
+    if len(decisions) != n_created:
+        raise CorruptLog(f"{path.name}: {len(decisions)} decisions for {n_created} created items")
     return departs, decisions
 
 
@@ -521,7 +550,7 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     with _reading(EVENTS_FILE, EventLogError):
         log = EventLog.from_csv(_require(run_dir / EVENTS_FILE))
     catalog = Catalog.from_csv(_require(run_dir / ITEMS_FILE))
-    departs, decisions = _read_trace(_require(run_dir / TRACE_FILE))
+    departs, decisions = _read_trace(_require(run_dir / TRACE_FILE), catalog)
     with _reading(SUMMARY_FILE, ValueError, KeyError, TypeError):
         with open(_require(run_dir / SUMMARY_FILE), "r", encoding="utf-8") as f:
             summary = json.load(f)
@@ -548,7 +577,6 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     departed = [creator for _, creator in departs]
     for bad, what in (
         (any(not 0 <= c < n_creators for c in departed), f"creator outside [0, {n_creators})"),
-        (len(set(departed)) < len(departed), "creator repeated"),
         (any(not 1 <= s <= end for s in departures), f"step outside [1, {end}]"),
     ):
         if bad:
@@ -556,6 +584,21 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
 
     def alive_at(step: int) -> int:
         return n_creators - sum(1 for s in departures if s <= step)
+
+    # the per-step record agrees with the log and the trace, and sizes every per-step array
+    checked = ("step", "tuw_cum", "alive_creators")
+    with ExitStack() as files:
+        series = list(Records(files, _require(run_dir / TIMESERIES_FILE), checked, checked))
+    if len(series) != end or [row[0] for row in series] != list(range(1, end + 1)):
+        raise CorruptLog(f"{TIMESERIES_FILE}: steps are not 1 to {end}")
+    clicks = np.bincount(log.step[log.clicked], minlength=end + 1)
+    clicks[:start] = 0  # welfare counts from warm-up
+    for (step, *recorded), tuw_cum in zip(series, np.cumsum(clicks)[1:].tolist()):
+        if recorded != [tuw_cum, alive_at(step)]:
+            raise CorruptLog(
+                f"{TIMESERIES_FILE}: tuw_cum and alive_creators at step {step} are {recorded}, "
+                f"the log and trace give {[tuw_cum, alive_at(step)]}"
+            )
 
     tuw = total_user_welfare(log, start, end)
     try:

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -23,7 +24,7 @@ import creatorsim
 import creatorsim.core as core
 import creatorsim.harness as harness
 from creatorsim.cli import main as cli_main
-from creatorsim.core import SimConfig
+from creatorsim.core import SimConfig, stream
 from creatorsim.harness import (
     CorruptLog,
     EmptyInput,
@@ -32,6 +33,7 @@ from creatorsim.harness import (
     report,
     run_simulation,
 )
+from creatorsim.ingest import SynthParams, synth_dataset
 from mutations import MUTATIONS
 
 
@@ -56,6 +58,12 @@ def _with_field(line, index, value):
     fields = line.split(",", index + 1)
     fields[index] = value
     return ",".join(fields)
+
+
+def _without_last(lines, ending):
+    """`lines` without the last one that ends with `ending`."""
+    drop = max(i for i, line in enumerate(lines) if line.endswith(ending))
+    return lines[:drop] + lines[drop + 1 :]
 
 
 def _without_key(path, key):
@@ -164,6 +172,47 @@ class TestPhaseInvariants:
         cfg = small_cfg(n_steps=17, retrain_period=5)
         run_simulation(cfg, out_dir=tmp_path / "cadence")
         assert calls == [0, 5, 10, 15]
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["busy", "quiet"])
+    @pytest.mark.parametrize("retrain_period", [1, 3, 5])
+    @pytest.mark.parametrize("ranker", ["mf", "pop"])
+    def test_retrain_table_is_the_seed_then_the_logged_clicks(
+        self, monkeypatch, ranker, retrain_period, quiet
+    ):
+        """The table each retrain at step n receives is the one the world once
+        rebuilt from the whole log: the seed clicks at step 0, then the log's
+        clicked rows with step < n, in log order."""
+        cfg = SimConfig(n_users=15, n_creators=6, n_steps=12, warmup=2, seed=3, ranker=ranker,
+                        retrain_period=retrain_period)
+        world = harness._World(cfg, synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth")))
+        if quiet:
+            world.activity[:] = 0.05  # so that some steps log no click
+        seed = world.clicks.copy()
+        seed_items = np.flatnonzero(world.catalog.created_step == 0)
+        assert len(seed) and not seed[:, 2].any()
+        seed_clicks = np.bincount(seed[:, 1], minlength=len(seed_items))
+        assert np.array_equal(seed_clicks, world.catalog.clicks[seed_items])
+
+        received = []
+        ranker_class = type(world.ranker)
+        original = ranker_class.retrain
+
+        def spy(self, clicks, catalog, step):
+            received.append((step, np.array(clicks, copy=True)))
+            return original(self, clicks, catalog, step)
+
+        monkeypatch.setattr(ranker_class, "retrain", spy)
+        world.run_steps()
+        log = world.log
+        assert [step for step, _ in received] == list(range(0, cfg.n_steps + 1, retrain_period))
+        for step, clicks in received:
+            logged = log.clicked & (log.step < step)
+            logged = np.column_stack((log.user[logged], log.item[logged], log.step[logged]))
+            reference = np.concatenate((seed, logged))
+            assert clicks.dtype == np.int64
+            assert np.array_equal(clicks, reference)
+        clicked_steps = len(set(log.step[log.clicked].tolist()))
+        assert (0 < clicked_steps < cfg.n_steps) if quiet else clicked_steps == cfg.n_steps
 
     def test_exposures_never_outside_pool_window(self, smoke_run):
         cfg = SimConfig.from_file(smoke_run.out_dir / "config.txt")
@@ -774,12 +823,21 @@ class TestCli:
             ("events.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0] + ",2,0"]),
             ("events.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0] + ",1,-1"]),
             ("items.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "," + "9" * 200_000]),
+            ("timeseries.csv", lambda lines: lines[:-1]),
+            ("timeseries.csv", lambda lines: lines[:-1] + lines[-2:-1]),
+            ("timeseries.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 0, "x")]),
+            ("timeseries.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 1, "0")]),
+            ("timeseries.csv", lambda lines: lines[:-1] + [_with_field(lines[-1], 2, "10")]),
+            ("config.txt", lambda lines: [re.sub(r"^n_steps = .*", "n_steps = 2000000", x) for x in lines]),
+            ("events.csv", lambda lines: _without_last(lines, ",1,1")),
         ],
         ids=["items-non-numeric", "items-short-row", "summary-truncated", "items-genre-out-of-range",
              "events-step-above-n-steps", "events-click-at-step-0", "events-item-outside-catalog",
              "items-creator-negative", "items-creator-above-n-creators", "items-step-negative",
              "items-step-above-n-steps", "items-creator-beyond-int64", "events-exposed-2",
-             "events-clicked-negative", "items-field-over-csv-limit"],
+             "events-clicked-negative", "items-field-over-csv-limit", "timeseries-step-missing",
+             "timeseries-step-repeated", "timeseries-step-non-integer", "timeseries-tuw-cum-wrong",
+             "timeseries-alive-wrong", "config-n-steps-past-the-run", "events-click-dropped"],
     )
     def test_report_malformed_artifact_exit_code(self, smoke_run, tmp_path, artifact, edit):
         broken = copy_run(smoke_run, tmp_path)
@@ -790,42 +848,63 @@ class TestCli:
         assert cli_main(["report", str(broken)]) == 3
 
     @pytest.mark.parametrize(
-        "rows",
+        "edit",
         [
-            lambda fresh, free, n_steps, exploit: [f"{free[0]},10,DEPART,,,0.5,false,"],
-            lambda fresh, free, n_steps, exploit: [f"{free[0]},-1,DEPART,,,0.5,false,"],
-            lambda fresh, free, n_steps, exploit: [f"{s},{fresh},DEPART,,,0.5,false," for s in free[:2]],
-            lambda fresh, free, n_steps, exploit: [f"0,{fresh},DEPART,,,0.5,false,"],
-            lambda fresh, free, n_steps, exploit: [f"{n_steps + 1},{fresh},DEPART,,,0.5,false,"],
-            lambda fresh, free, n_steps, exploit: [exploit],
+            lambda t: t.lines + [f"{t.free[0]},10,DEPART,,,0.5,false,"],
+            lambda t: t.lines + [f"{t.free[0]},-1,DEPART,,,0.5,false,"],
+            lambda t: t.lines + [f"{s},{t.fresh},DEPART,,,0.5,false," for s in t.free[:2]],
+            lambda t: t.lines + [f"0,{t.fresh},DEPART,,,0.5,false,"],
+            lambda t: t.lines + [f"{t.n_steps + 1},{t.fresh},DEPART,,,0.5,false,"],
+            lambda t: t.lines + [t.exploit],
+            lambda t: t.lines + [f"{t.n_steps},{t.departed},EXPLORE,3,999,0.5,true,0.9"],
+            lambda t: t.lines + [f"{t.free[0]},{t.fresh},FOO,3,999,0.5,true,0.9"],
+            lambda t: [line for line in t.lines if line != t.explore],
+            lambda t: [_with_field(line, 4, "0") if line == t.exploit else line for line in t.lines],
+            lambda t: [_with_field(line, 3, "14") if line == t.exploit else line for line in t.lines],
+            lambda t: t.lines + [f"{t.before},{t.fresh},DEPART,,,0.5,false,"],
         ],
         ids=["creator-above-n-creators", "creator-negative", "creator-repeated", "step-0",
-             "step-above-n-steps", "exploit-repeated"],
+             "step-above-n-steps", "exploit-repeated", "decision-after-depart", "unknown-action-kind",
+             "explore-deleted", "decision-names-a-seed-item", "decision-genre-not-its-item",
+             "depart-before-own-row"],
     )
-    def test_report_impossible_depart_exit_code(self, smoke_run, tmp_path, rows):
-        """The simulator writes at most one trace row per (step, creator), and a
-        creator departs once, at a step of the run."""
+    def test_report_impossible_depart_exit_code(self, smoke_run, tmp_path, edit):
+        """The simulator writes at most one trace row per (step, creator), a
+        creator departs once, at a step of the run, and has no row after that,
+        and each created item has one decision row that names it."""
         broken = copy_run(smoke_run, tmp_path)
-        trace = (broken / "creator_trace.csv").read_text()
+        lines = (broken / "creator_trace.csv").read_text().splitlines()
         with open(broken / "creator_trace.csv") as f:
             records = list(csv.DictReader(f))
         departed = {int(r["creator_id"]) for r in records if r["action_kind"] == "DEPART"}
         fresh = min(set(range(10)) - departed)  # small_cfg has 10 creators
         n_steps = SimConfig.from_file(broken / "config.txt").n_steps
         busy = {int(r["step"]) for r in records if int(r["creator_id"]) == fresh}
-        free = sorted(set(range(1, n_steps + 1)) - busy)  # the steps at which that creator has no row
-        exploit = next(line for line in trace.splitlines() if ",EXPLOIT," in line)
-        added = rows(fresh, free, n_steps, exploit)
-        (broken / "creator_trace.csv").write_text(trace + "".join(r + "\n" for r in added))
+        trace = types.SimpleNamespace(
+            lines=lines, fresh=fresh, n_steps=n_steps, departed=min(departed),
+            free=list(range(max(busy) + 1, n_steps + 1)),  # the steps after that creator's last row
+            before=min(set(range(1, max(busy))) - busy),  # a step before it, without a row
+            exploit=next(line for line in lines if ",EXPLOIT," in line),
+            explore=next(line for line in lines if ",EXPLORE," in line),
+        )
+        assert len(trace.free) >= 2
+        (broken / "creator_trace.csv").write_text("\n".join(edit(trace)) + "\n")
         assert cli_main(["report", str(broken)]) == 3
-        # one valid departure of the same creator is accepted
-        (broken / "creator_trace.csv").write_text(trace + f"{free[0]},{fresh},DEPART,,,0.5,false,\n")
+        # one valid departure of the same creator is accepted, with the
+        # timeseries counting one creator fewer from its step on
+        step = trace.free[0]
+        departure = f"{step},{fresh},DEPART,,,0.5,false,"
+        (broken / "creator_trace.csv").write_text("\n".join(lines + [departure]) + "\n")
+        series = (broken / "timeseries.csv").read_text().splitlines()  # line n holds step n
+        series[step:] = [_with_field(row, 2, str(int(row.split(",")[2]) - 1)) for row in series[step:]]
+        (broken / "timeseries.csv").write_text("\n".join(series) + "\n")
         assert cli_main(["report", str(broken)]) == 0
 
     @settings(max_examples=300, deadline=None)
     @given(
         artifact=st.sampled_from(
-            ["events.csv", "items.csv", "creator_trace.csv", "config.txt", "dataset_summary.json"]
+            ["events.csv", "items.csv", "creator_trace.csv", "timeseries.csv", "config.txt",
+             "dataset_summary.json"]
         ),
         mutation=st.sampled_from(sorted(MUTATIONS)),
         data=st.data(),

@@ -642,11 +642,13 @@ class TestInteractionColumns:
 
     def test_run_frees_the_dataset_it_synthesized(self, tmp_path, monkeypatch):
         """The world keeps what it needs of the dataset; the dataset itself is
-        gone before the first step."""
+        gone before the step-0 retrain and the first step."""
         import creatorsim.harness as harness
+        from creatorsim.recsys import MfRanker
 
-        refs, alive = [], []
+        refs, alive, retrains = [], [], []
         original_synth, original_create = harness.synth_dataset, harness._World.phase_create
+        original_retrain = MfRanker.retrain
 
         def synth(*args):
             data = original_synth(*args)
@@ -657,10 +659,17 @@ class TestInteractionColumns:
             alive.append(refs[0]() is not None)
             return original_create(world, n)
 
+        def retrain(ranker, clicks, catalog, step):
+            retrains.append((step, refs[0]() is not None))
+            return original_retrain(ranker, clicks, catalog, step)
+
         monkeypatch.setattr(harness, "synth_dataset", synth)
         monkeypatch.setattr(harness._World, "phase_create", create)
+        monkeypatch.setattr(MfRanker, "retrain", retrain)
+        # mf is the default ranker
         run_simulation(SimConfig(n_users=15, n_creators=6, n_steps=2, warmup=1), out_dir=tmp_path / "run")
         assert alive == [False, False]
+        assert retrains == [(0, False)]
 
 
 def _with_last_field(path, line, value):

@@ -4,15 +4,17 @@ parameters, and seeded random streams.
 
 Every CSV file the program writes goes through :func:`write_records`, and every
 one it reads but the event log through :class:`Records`: one format and one set
-of fault rules, with each file's columns declared once, beside its owner.
+of fault rules, with each file's columns declared once, beside its owner. An
+item's tags are one field, joined and split by :func:`join_tags` and :func:`split_tags`.
 
 The catalog and the event log are the platform's store, both kept as numpy
 columns that `extend` fills a block at a time: each item fact and each event
-is stored once, and consumers read whole columns. The log checks and records
-every event; the catalog keeps each item's running exposure and click totals
-beside its other columns. The platform reads all of it; creators may only read
-the totals, and only through :func:`creator_view`, which checks the catalog's
-ownership column and enforces the platform/creator information boundary.
+is stored once, and consumers read whole columns. An event is one exposure, a
+served item, with its click flag; the log checks and records every event. The
+catalog keeps each item's running exposure and click totals beside its other
+columns. The platform reads all of it; creators may only read the totals, and
+only through :func:`creator_view`, which checks the catalog's ownership column
+and enforces the platform/creator information boundary.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import hashlib
 import math
 from contextlib import ExitStack, contextmanager
+from itertools import repeat
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -62,10 +65,6 @@ class EventLogError(SimError):
 
 class OutOfOrder(EventLogError):
     """Appended event sorts behind its predecessor."""
-
-
-class IllegalClick(EventLogError):
-    """Click recorded without exposure."""
 
 
 class DuplicateEvent(EventLogError):
@@ -151,6 +150,16 @@ class Records:
                 yield row
 
 
+def join_tags(tags: Iterable[str]) -> str:
+    """An item's tags as one record field."""
+    return "|".join(tags)
+
+
+def split_tags(text: str) -> tuple[str, ...]:
+    """The tags of record field `text`: its `|`-separated parts, empty ones dropped."""
+    return tuple(t for t in text.split("|") if t)
+
+
 # ---------------------------------------------------------------------------
 # Columns
 
@@ -207,9 +216,7 @@ class _Columns:
 # creation order, so they are strictly increasing over time.
 
 
-_EVENT_COLUMNS = {
-    "step": np.int32, "user": np.int32, "item": np.int32, "exposed": np.bool_, "clicked": np.bool_,
-}
+_EVENT_COLUMNS = {"step": np.int32, "user": np.int32, "item": np.int32, "clicked": np.bool_}
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
@@ -225,12 +232,13 @@ def _parse_rows(rows: list[str]) -> np.ndarray:
 
 
 class EventLog(_Columns):
-    """Append-only record of exposure/click events, stored as columns.
+    """Append-only record of exposure events, stored as columns.
 
-    The `step`, `user`, `item`, `exposed` and `clicked` columns are aligned
-    and sorted by (step, user, item), one event per triple, so the events of
-    a step range are one slice found by binary search on the step column.
-    Events enter only through `extend`, a block at a time.
+    An event is one served item: the `step`, `user`, `item` and `clicked`
+    columns are aligned and sorted by (step, user, item), one event per
+    triple, so the events of a step range are one slice found by binary
+    search on the step column. Events enter only through `extend`, a block at
+    a time. The CSV file keeps an `exposed` column, always 1.
     """
 
     CSV_HEADER = "step,user_id,item_id,exposed,clicked"
@@ -240,23 +248,21 @@ class EventLog(_Columns):
         """An empty log, or one over already ordered `columns`."""
         super().__init__(columns or {name: np.empty(0, dtype) for name, dtype in _EVENT_COLUMNS.items()})
 
-    def extend(self, step, user, item, exposed, clicked) -> None:
+    def extend(self, step, user, item, clicked) -> None:
         """Append a block of events given as aligned columns; a scalar applies to every row.
 
         The block is checked as a whole, against itself and the log's last row; its first
         row at fault raises what a row-by-row check would raise, and nothing is appended.
         """
-        block = np.broadcast_arrays(*map(np.atleast_1d, (step, user, item, exposed, clicked)))
+        block = np.broadcast_arrays(*map(np.atleast_1d, (step, user, item, clicked)))
         keys = np.stack(block[:3]).astype(np.int64)
-        flags = np.stack(block[3:])
         # the key before the block's first row; (-1, -1, -1) sorts before every valid key
         last = [self._data[name][self.n - 1] if self.n else -1 for name in ("step", "user", "item")]
         gap = np.diff(np.column_stack((last, keys)), axis=1)
         order = np.where(gap[0] != 0, gap[0], np.where(gap[1] != 0, gap[1], gap[2]))
         faults = (
             (((keys < 0) | (keys > _INT32_MAX)).any(axis=0), EventLogError, "field outside [0, 2**31)"),
-            (((flags != 0) & (flags != 1)).any(axis=0), EventLogError, "exposed and clicked must be 0 or 1"),
-            ((flags[1] != 0) & (flags[0] == 0), IllegalClick, "click without exposure"),
+            ((block[3] != 0) & (block[3] != 1), EventLogError, "clicked must be 0 or 1"),
             (order == 0, DuplicateEvent, "event already recorded"),
             (order < 0, OutOfOrder, "event behind its predecessor"),
         )
@@ -281,14 +287,15 @@ class EventLog(_Columns):
         return EventLog({name: getattr(self, name)[rows] for name in _EVENT_COLUMNS})
 
     def to_csv(self, path: str | Path) -> None:
-        columns = [getattr(self, name).astype(np.int64).tolist() for name in _EVENT_COLUMNS]
-        write_records(path, self.CSV_HEADER.split(","), zip(*columns))
+        step, user, item, clicked = (getattr(self, name).astype(np.int64).tolist() for name in _EVENT_COLUMNS)
+        write_records(path, self.CSV_HEADER.split(","), zip(step, user, item, repeat(1), clicked))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EventLog":
         """Read a persisted log with one parse of the file and one `extend`.
 
-        Blank lines are skipped; an error names the file line at fault.
+        Blank lines are skipped; an error names the file line at fault, and an
+        `exposed` field other than 1 is one.
         """
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().strip()
@@ -306,11 +313,15 @@ class EventLog(_Columns):
                 except ValueError:
                     raise EventLogError(f"line {lineno}: expected 5 integer fields, got {row!r}") from e
             raise EventLogError(str(e)) from e
+        # the rows before the first exposed field other than 1 go first, so an earlier fault is named
+        stop = next(iter(np.flatnonzero(values[:, 3] != 1).tolist()), len(values))
         log = cls()
         try:
-            log.extend(*values.T)
+            log.extend(*values[:stop, [0, 1, 2, 4]].T)
         except EventLogError as e:
             raise type(e)(f"line {linenos[e.row]}: {e}") from e
+        if stop < len(values):
+            raise EventLogError(f"line {linenos[stop]}: exposed is {values[stop, 3]}, not 1")
         log._trim()
         return log
 
@@ -370,7 +381,7 @@ class Catalog(_Columns):
     def to_csv(self, path: str | Path) -> None:
         write_records(path, self.COLUMNS, zip(
             range(len(self)), self.creator_id.tolist(), self.genre.tolist(), self.title,
-            map("|".join, self.tags), self.description, self.created_step.tolist(),
+            map(join_tags, self.tags), self.description, self.created_step.tolist(),
         ))
 
     @classmethod
@@ -386,7 +397,7 @@ class Catalog(_Columns):
                 genres.append(genre)
                 steps.append(step)
                 titles.append(title)
-                tags.append(tag_text.split("|") if tag_text else ())
+                tags.append(split_tags(tag_text))
                 descriptions.append(desc)
         cat = cls()
         try:

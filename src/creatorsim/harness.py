@@ -10,11 +10,12 @@ user's following uniforms. The uniforms are each agent's own seeded stream,
 drawn ahead in blocks by `core.UniformStreams`: the same doubles, in the same
 order, as one scalar draw at a time. SERVE ranks every visitor from one
 `recsys.PoolView` of the step's pool (the ranker's scorer and the pool's tie
-order, both built once per step), gathers the step's events as columns,
-appends them to the log as one block, and adds them to the catalog's exposure
-and click totals, which creators read through `core.creator_view`. Users are
-rows of the world's arrays (preference, visit probability, satiation
-counters); a session's skip streak lives only inside `users.serve_session`.
+order, both built once per step), gathers the step's events, one per served
+item with its click flag, as columns, appends them to the log as one block,
+and adds them to the catalog's exposure and click totals, which creators read
+through `core.creator_view`. Users are rows of the world's arrays (preference,
+visit probability, satiation counters); a session's skip streak lives only
+inside `users.serve_session`.
 LIFECYCLE decays every user's satiation counters, rows of one
 (n_users, n_genres) table, in one in-place multiply.
 The fairness re-rankers read creator-indexed arrays: the served exposure per
@@ -34,7 +35,7 @@ creator order, so results are bit-identical for any worker count.
 The retrain schedule starts with a step-0 retrain on the dataset's
 interactions, after the dataset is freed. The world keeps one click table,
 seeded with those interactions at step 0, and each retrain extends it with the
-clicks logged since the last one.
+clicks logged since the last one, then hands it to the ranker, empty or not.
 Metrics are always recomputed from the persisted artifacts, which makes every
 run replayable and every report reproducible; the report first checks the
 trace against the catalog and the timeseries against the log and the trace.
@@ -127,7 +128,7 @@ METRICS_FILE = "metrics.json"
 SUMMARY_FILE = "dataset_summary.json"
 
 TRACE_COLUMNS = tuple("step creator_id action_kind genre item_id utility_of_last alive reward_pct".split())
-TIMESERIES_COLUMNS = tuple("step tuw_cum alive_creators cgd_window step_seconds agent_seconds".split())
+TIMESERIES_COLUMNS = tuple("step tuw_cum alive_creators cgd_window step_seconds".split())
 
 
 @dataclass
@@ -283,8 +284,7 @@ class _World:
         log, rows = self.log, self.log.span(self.last_retrain, n - 1)  # retrain m precedes step m's clicks
         logged = np.column_stack((log.user[rows], log.item[rows], log.step[rows]))[log.clicked[rows]]
         self.clicks, self.last_retrain = np.concatenate((self.clicks, logged)), n
-        if len(self.clicks) or self.cfg.ranker in ("random", "pop"):
-            self.ranker.retrain(self.clicks, self.catalog, n)
+        self.ranker.retrain(self.clicks, self.catalog, n)
 
     # -- phases -------------------------------------------------------------
 
@@ -397,12 +397,12 @@ class _World:
             items.append(final[: len(flags)])
             clicks += flags
 
-        # every served item is exposed; the log keeps a step's events by (user, item)
+        # an event is a served item; the log keeps a step's events by (user, item)
         user = np.array(users, dtype=np.int64)
         item = np.concatenate(items) if items else np.empty(0, np.int64)
         order = np.lexsort((item, user))
         user, item, clicked = user[order], item[order], np.array(clicks, dtype=bool)[order]
-        self.log.extend(n, user, item, True, clicked)
+        self.log.extend(n, user, item, clicked)
         self.catalog.add_feedback(item, 1, clicked)
         if cfg.warmup <= n <= cfg.n_steps:
             self.tuw_incremental += int(np.count_nonzero(clicked))
@@ -416,16 +416,12 @@ class _World:
         window_lo = max(1, n - cfg.timeliness_window + 1)
         try:
             cgd_window = content_genre_diversity(
-                self.log.window(window_lo, n), self.catalog.genre.__getitem__, len(self.genres),
-                window_lo, n,
+                self.log.window(window_lo, n), self.catalog.genre, len(self.genres), window_lo, n
             )
             cgd_text = f"{cgd_window:.10g}"
         except NoExposures:
             cgd_text = ""
-        agent_seconds = step_seconds / (alive + len(self.preference))
-        self.timeseries_rows.append(
-            (n, self.tuw_incremental, alive, cgd_text, f"{step_seconds:.6f}", f"{agent_seconds:.8f}")
-        )
+        self.timeseries_rows.append((n, self.tuw_incremental, alive, cgd_text, f"{step_seconds:.6f}"))
 
     # -- persistence ----------------------------------------------------------
 
@@ -606,7 +602,7 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     except NoCreatorsAtStart:
         crr = None
     try:
-        cgd = content_genre_diversity(log, catalog.genre.__getitem__, n_genres, start, end)
+        cgd = content_genre_diversity(log, catalog.genre, n_genres, start, end)
     except NoExposures:
         cgd = None
 

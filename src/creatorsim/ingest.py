@@ -19,7 +19,8 @@ import numpy as np
 
 # SynthParams, InvalidParams and SchemaError live in core, beside the code they are shared with
 from .core import (  # noqa: F401
-    DEFAULT_GENRES, DataError, InvalidParams, Records, SchemaError, SynthParams, write_records,
+    DEFAULT_GENRES, DataError, InvalidParams, Records, SchemaError, SynthParams, join_tags, split_tags,
+    write_records,
 )
 
 PREF_SMOOTHING = 0.1  # add-alpha smoothing for user genre histograms
@@ -125,7 +126,7 @@ class Dataset:
             "creators.csv": ((c.creator_id, c.name, c.followers) for c in self.creators),
             "items.csv": zip(
                 it.item_id.tolist(), it.creator_id.tolist(), [self.genres[g] for g in it.genre.tolist()],
-                it.title, map("|".join, it.tags), it.description, it.created_day.tolist(),
+                it.title, map(join_tags, it.tags), it.description, it.created_day.tolist(),
             ),
             "interactions.csv": zip(cols.user_id.tolist(), cols.item_id.tolist(), cols.day.tolist()),
         }
@@ -184,8 +185,7 @@ def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> 
                 raise SchemaError(f"items.csv: genre {genre_name!r} outside the vocabulary")
             if creator_id not in creator_ids:
                 raise DanglingRef(f"item {item_id} references unknown creator {creator_id}")
-            tags = tuple(t for t in tag_text.split("|") if t)
-            items[k] = (item_id, creator_id, genre_index[genre_name], day, title, tags, desc)
+            items[k] = (item_id, creator_id, genre_index[genre_name], day, title, split_tags(tag_text), desc)
         columns = list(zip(*items))
         _check_days(columns[3], "items.csv: created_day")
 

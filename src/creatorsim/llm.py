@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimError
+from .core import SimError, join_tags, split_tags
 from .creator import (
     ActionKind, CreatedContent, CreatorRuntime, ExploreAction, RuleBasedPolicy,
     retrieve_creation_memory,
@@ -242,7 +242,7 @@ def parse_content(text: str, genre_names) -> CreatedContent:
     """Extract creation JSON with keys name, genre, tags, description.
 
     The genre value may list alternatives separated by `|`; the first one
-    matching the vocabulary wins.
+    matching the vocabulary wins. The tags are kept as `items.csv` reads them back.
     """
     obj = _first_json_object(text)
     for key in ("name", "genre", "tags", "description"):
@@ -264,7 +264,7 @@ def parse_content(text: str, genre_names) -> CreatedContent:
     return CreatedContent(
         title=title,
         genre=genre,
-        tags=tuple(str(t) for t in tags),
+        tags=split_tags(join_tags(map(str, tags))),
         description=str(obj["description"]),
     )
 

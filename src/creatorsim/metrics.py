@@ -6,7 +6,7 @@ Three long-term metrics over the evaluation window [start, end]:
 * creator retention rate: alive creators at the end divided by alive
   creators when the window opened,
 * content genre diversity: participation-weighted mean per-user entropy
-  (natural log) of exposed genres; low values indicate a filter bubble.
+  (natural log) of the genres shown; low values indicate a filter bubble.
 
 Plus the behavioral analyses: Jensen-Shannon divergences (base 2, so values
 live in [0, 1]) between simulated and reference creation distributions, the
@@ -66,22 +66,18 @@ def creator_retention_rate(alive_at: Callable[[int], int], start: int, end: int)
     return alive_at(end) / base
 
 
-def content_genre_diversity(
-    log: EventLog, genre_of: Callable[[np.ndarray], np.ndarray], n_genres: int, start: int, end: int
-) -> float:
-    """Mean per-user entropy (nats) of exposed genres over [start, end].
+def content_genre_diversity(log: EventLog, genre: np.ndarray, n_genres: int, start: int, end: int) -> float:
+    """Mean per-user entropy (nats) of the genres shown over [start, end].
 
-    Users are weighted by the number of steps they participated in (steps
-    with at least one exposure). `genre_of` maps an array of item ids to
-    their genres (a scalar result applies to every item).
+    Every event is an exposure; `genre` holds each item id's genre, as the
+    catalog's column does. Users are weighted by the number of steps they
+    participated in (steps with at least one exposure).
     """
     rows = log.span(start, end)
-    exposed = log.exposed[rows]
-    users, items, steps = log.user[rows][exposed], log.item[rows][exposed], log.step[rows][exposed]
+    users, items, steps = log.user[rows], log.item[rows], log.step[rows]
     if not len(users):
         raise NoExposures(f"no exposures in [{start}, {end}]")
-    genres = np.broadcast_to(genre_of(items), items.shape)
-    hist, row = _counts_by_key(users, genres, n_genres)
+    hist, row = _counts_by_key(users, genre[items], n_genres)
     # events are sorted by (step, user): a user's step starts where either changes
     visit = np.ones(len(users), dtype=bool)
     visit[1:] = (steps[1:] != steps[:-1]) | (users[1:] != users[:-1])

@@ -46,10 +46,6 @@ def _click_table(clicks) -> np.ndarray:
 SGD_BATCH = 1024
 
 
-class EmptyInteractions(SimError):
-    """MF/BPR retraining requires at least one click."""
-
-
 class Diverged(SimError):
     """Training grew the factors until a score may overflow: `mf.lr` or `mf.l2` is too large."""
 
@@ -186,8 +182,8 @@ class _FactorRanker:
 
     def retrain(self, clicks, catalog: Catalog, step: int) -> "_FactorRanker":
         table = _click_table(clicks)
-        if not len(table):
-            raise EmptyInteractions(f"{self.name} retraining needs at least one click")
+        if not len(table):  # nothing to fit: the ranker stays as it is
+            return self
         self._grow(catalog)
         users, items = table[:, 0], table[:, 1]
         rng = stream(self.seed, "retrain", self.name, step)

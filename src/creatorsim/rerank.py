@@ -43,7 +43,7 @@ def mmr_rerank(
 
 
 def fairrec_under_served(exposure: np.ndarray, alive: np.ndarray, min_share: float) -> np.ndarray:
-    """The alive creators below `min_share` of their mean exposure, least exposed first."""
+    """The alive creators below `min_share` of their mean exposure, lowest exposure first."""
     held = exposure[alive]
     mean = held.sum() / len(alive) if len(alive) else 0.0
     under = held < min_share * mean
@@ -53,8 +53,8 @@ def fairrec_under_served(exposure: np.ndarray, alive: np.ndarray, min_share: flo
 def fairrec_rerank(creators: np.ndarray, under: np.ndarray, k: int) -> np.ndarray:
     """Two-phase greedy with a per-creator exposure floor.
 
-    Phase 1 walks the under-served creators (`fairrec_under_served`, least
-    exposed first) and gives each its best-scoring candidate; phase 2 fills
+    Phase 1 walks the under-served creators (`fairrec_under_served`, lowest
+    exposure first) and gives each its best-scoring candidate; phase 2 fills
     the remaining slots in pure relevance order.
     """
     present, first = np.unique(creators, return_index=True)
@@ -81,7 +81,7 @@ def fairco_rerank(
     """Error-driven score adjustment toward equal creator exposure.
 
     adjusted = relevance + lambda_fair * errors[creator] (`fairco_errors`);
-    over-exposed creators get no penalty, only under-exposed ones a boost.
+    creators above the mean exposure get no penalty, only those below it a boost.
     """
     return np.argsort(-(scores + lambda_fair * errors[creators]), kind="stable")
 

@@ -43,8 +43,8 @@ def serve_session(
     next uniform decides the click; on a miss, the one after decides the exit,
     whose hazard exit_base + exit_per_skip * skips grows with the current skip
     streak. A session so reads one of `uniforms` per click and two per miss,
-    two per item at most. Returns one click flag per exposure, so the exposed
-    items are the list's first `len(result)`.
+    two per item at most. Returns one click flag per exposure, so the items
+    shown are the list's first `len(result)`.
     """
     preference, satiation = preference_row.tolist(), satiation_row.tolist()
     draws = iter(uniforms.tolist())

@@ -183,11 +183,11 @@ def test_04_metric_closed_forms():
     log = EventLog()
     for step in range(1, 3):
         for user in range(3):
-            log.extend(step, user, np.arange(14), True, False)
-    uniform_cgd = content_genre_diversity(log, lambda i: i, 14, 1, 2)
+            log.extend(step, user, np.arange(14), False)
+    uniform_cgd = content_genre_diversity(log, np.arange(14), 14, 1, 2)
     single = EventLog()
-    single.extend([1, 2, 3], 0, [1, 2, 3], True, False)
-    single_cgd = content_genre_diversity(single, lambda i: 3, 14, 1, 3)
+    single.extend([1, 2, 3], 0, [1, 2, 3], False)
+    single_cgd = content_genre_diversity(single, np.full(4, 3), 14, 1, 3)
     rng = stream(5, "acceptance", "jsd")
     sym_ok = True
     for _ in range(50):

@@ -16,7 +16,7 @@ from creatorsim.core import AsymmetryViolation, Catalog, EventLog, creator_view
 from creatorsim.metrics import NoExposures, content_genre_diversity, total_user_welfare
 from creatorsim.recsys import build_candidate_pool
 
-Event = namedtuple("Event", "step user item exposed clicked")
+Event = namedtuple("Event", "step user item clicked")  # an event is an exposure
 
 
 def rows_of(log):
@@ -26,7 +26,7 @@ def rows_of(log):
 
 def reference_totals(events, item):
     own = [e for e in events if e.item == item]
-    return sum(e.exposed for e in own), sum(e.clicked for e in own)
+    return len(own), sum(e.clicked for e in own)
 
 
 def reference_tuw(events, start, end):
@@ -37,7 +37,7 @@ def reference_cgd(events, genre_of, n_genres, start, end):
     per_user = defaultdict(lambda: np.zeros(n_genres))
     active_steps = defaultdict(set)
     for e in events:
-        if e.exposed and start <= e.step <= end:
+        if start <= e.step <= end:
             per_user[e.user][genre_of(e.item)] += 1
             active_steps[e.user].add(e.step)
     if not per_user:
@@ -72,9 +72,7 @@ def worlds(draw):
         for user in range(draw(st.integers(0, 4))):
             for item in range(n_items):
                 if draw(st.booleans()):
-                    exposed = draw(st.booleans())
-                    clicked = exposed and draw(st.booleans())
-                    events.append(Event(step, user, item, exposed, clicked))
+                    events.append(Event(step, user, item, draw(st.booleans())))
     return n_genres, n_steps, records, events
 
 
@@ -87,8 +85,7 @@ def build(records, events):
         block = [e for e in events if e.step == step]
         log.extend(*zip(*block))
         catalog.add_feedback(
-            np.array([e.item for e in block], dtype=np.int64),
-            np.array([e.exposed for e in block]), np.array([e.clicked for e in block]),
+            np.array([e.item for e in block], dtype=np.int64), 1, np.array([e.clicked for e in block])
         )
     return catalog, log
 
@@ -121,9 +118,9 @@ def test_columns_match_plain_loops(world, data):
     for scanned in (log, log.window(frm, to)):
         if expected_cgd is None:
             with pytest.raises(NoExposures):
-                content_genre_diversity(scanned, catalog.genre.__getitem__, n_genres, frm, to)
+                content_genre_diversity(scanned, catalog.genre, n_genres, frm, to)
         else:
-            cgd = content_genre_diversity(scanned, catalog.genre.__getitem__, n_genres, frm, to)
+            cgd = content_genre_diversity(scanned, catalog.genre, n_genres, frm, to)
             assert cgd == expected_cgd
 
     for step in range(n_steps + 2):

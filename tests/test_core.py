@@ -17,7 +17,6 @@ from creatorsim.core import (
     DuplicateEvent,
     EventLog,
     EventLogError,
-    IllegalClick,
     OutOfOrder,
     DRAW_BLOCK,
     SimConfig,
@@ -31,19 +30,19 @@ from creatorsim.cli import main as cli_main
 from creatorsim.harness import report
 
 
-def ev(step, user, item, exposed=True, clicked=False):
-    return step, user, item, exposed, clicked
+def ev(step, user, item, clicked=False):
+    return step, user, item, clicked
 
 
 def extend(log, rows):
-    """Append (step, user, item, exposed, clicked) rows to `log` as one block."""
-    log.extend(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+    """Append (step, user, item, clicked) rows to `log` as one block."""
+    log.extend(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 class TestEventLog:
     def test_single_append(self):
         log = EventLog()
-        log.extend(*ev(1, 0, 0, exposed=True, clicked=True))
+        log.extend(*ev(1, 0, 0, clicked=True))
         assert len(log) == 1
 
     def test_step_regression_rejected(self):
@@ -52,10 +51,12 @@ class TestEventLog:
         with pytest.raises(OutOfOrder):
             log.extend(*ev(0, 0, 1))
 
-    def test_click_without_exposure_rejected(self):
-        log = EventLog()
-        with pytest.raises(IllegalClick):
-            log.extend(*ev(0, 0, 0, exposed=False, clicked=True))
+    def test_click_without_exposure_rejected(self, tmp_path):
+        # an event is an exposure: the file's exposed field must be 1
+        path = tmp_path / "events.csv"
+        path.write_text(f"{EventLog.CSV_HEADER}\n0,0,0,0,1\n")
+        with pytest.raises(EventLogError, match="^line 2: exposed is 0, not 1$"):
+            EventLog.from_csv(path)
 
     def test_duplicate_triple_rejected(self):
         log = EventLog()
@@ -72,11 +73,10 @@ class TestEventLog:
     @pytest.mark.parametrize(
         "row,error",
         [
-            (ev(2, 0, 9, exposed=False, clicked=True), IllegalClick),
-            (ev(2, 1, 3, exposed=False, clicked=True), IllegalClick),
+            (ev(2, 0, 9, clicked=-1), EventLogError),
             (ev(2, -1, 9), EventLogError),
             (ev(1, 0, 2**31), EventLogError),
-            (ev(2, 1, 3, exposed=2), EventLogError),
+            (ev(2, 1, 3, clicked=2), EventLogError),
         ],
     )
     def test_field_faults_come_before_order_faults(self, row, error):
@@ -90,12 +90,11 @@ class TestEventLog:
 
     def test_scalar_applies_to_every_row(self):
         log = EventLog()
-        log.extend(4, [0, 0, 2], [1, 5, 0], True, [False, True, False])
+        log.extend(4, [0, 0, 2], [1, 5, 0], [False, True, False])
         assert log.step.tolist() == [4, 4, 4]
-        assert log.exposed.tolist() == [True] * 3
         assert log.clicked.tolist() == [False, True, False]
         with pytest.raises(ValueError):
-            log.extend(5, [0, 1], [0, 1, 2], True, False)
+            log.extend(5, [0, 1], [0, 1, 2], False)
         assert len(log) == 3
 
     def test_csv_roundtrip_rebuilds_identical_log(self, tmp_path):
@@ -112,8 +111,10 @@ class TestEventLog:
         log.to_csv(path)
         rebuilt = EventLog.from_csv(path)
         assert len(rebuilt) == len(log) == len(rows)
-        for column in ("step", "user", "item", "exposed", "clicked"):
+        for column in ("step", "user", "item", "clicked"):
             assert np.array_equal(getattr(rebuilt, column), getattr(log, column))
+        # the file keeps its exposed column, 1 on every row
+        assert {line.split(",")[3] for line in path.read_text().splitlines()[1:]} == {"1"}
 
     @pytest.mark.parametrize("flags", ["2,0", "-1,0", "1,2", "1,-1"])
     def test_csv_flag_outside_0_1_rejected(self, tmp_path, flags):
@@ -131,7 +132,9 @@ class TestEventLog:
             ("1,0,x,1,0", EventLogError),
             (f"1,0,{2**31},1,0", EventLogError),
             (f"1,0,{2**63},1,0", EventLogError),
-            ("1,0,1,0,1", IllegalClick),
+            ("1,0,1,0,1", EventLogError),
+            ("1,0,1,0,0", EventLogError),
+            ("0,0,1,0,1", EventLogError),  # exposed 0 on a row that also sorts behind its predecessor
             ("1,0,0,1,1", DuplicateEvent),
             ("0,0,1,1,1", OutOfOrder),
         ],
@@ -150,19 +153,32 @@ class TestEventLog:
             warnings.simplefilter("error")
             log = EventLog.from_csv(path)
         assert len(log) == 0
-        assert [len(getattr(log, name)) for name in ("step", "user", "item", "exposed", "clicked")] == [0] * 5
+        assert [len(getattr(log, name)) for name in ("step", "user", "item", "clicked")] == [0] * 4
+
+    @pytest.mark.parametrize(
+        "rows,error,line",
+        [
+            (["1,0,1,0,0", "1,0,0,1,0"], EventLogError, 3),
+            (["1,0,0,1,0", "1,0,2,0,0"], DuplicateEvent, 3),
+            (["0,0,1,1,0", "1,0,2,0,0"], OutOfOrder, 3),
+        ],
+    )
+    def test_csv_first_row_at_fault_is_named(self, tmp_path, rows, error, line):
+        # an unexposed row and a later or earlier fault: the first line at fault is named
+        path = tmp_path / "events.csv"
+        path.write_text("\n".join([EventLog.CSV_HEADER, "1,0,0,1,0", *rows]) + "\n")
+        with pytest.raises(error, match=f"^line {line}: "):
+            EventLog.from_csv(path)
 
 
 def reference_fault(rows):
     """The error class and row at which appending `rows` one at a time first fails,
     or (None, None): the plain-loop statement of the log's rules."""
     last = None
-    for row, (step, user, item, exposed, clicked) in enumerate(rows):
+    for row, (step, user, item, clicked) in enumerate(rows):
         key = (step, user, item)
-        if min(key) < 0 or max(key) >= 2**31 or exposed not in (0, 1) or clicked not in (0, 1):
+        if min(key) < 0 or max(key) >= 2**31 or clicked not in (0, 1):
             return EventLogError, row
-        if clicked and not exposed:
-            return IllegalClick, row
         if last is not None and key == last:
             return DuplicateEvent, row
         if last is not None and key < last:
@@ -178,8 +194,7 @@ def event_blocks(draw):
                          unique=True, max_size=40))
     rows = []
     for key in sorted(keys):
-        exposed = draw(st.booleans())
-        rows.append((*key, exposed, exposed and draw(st.booleans())))
+        rows.append((*key, draw(st.booleans())))
     cuts = draw(st.lists(st.integers(0, len(rows)), max_size=6))
     return rows, sorted(cuts)
 
@@ -199,7 +214,7 @@ def test_extend_in_blocks_equals_one_extend(blocks, data):
     extend(whole, rows)
     for start, end in blocks_of(len(rows), cuts):
         extend(chunked, rows[start:end])
-    for name, values in zip(("step", "user", "item", "exposed", "clicked"), zip(*rows) if rows else [()] * 5):
+    for name, values in zip(("step", "user", "item", "clicked"), zip(*rows) if rows else [()] * 4):
         assert getattr(whole, name).tolist() == getattr(chunked, name).tolist() == list(values)
 
     if not rows:
@@ -209,15 +224,15 @@ def test_extend_in_blocks_equals_one_extend(blocks, data):
     # which one is raised first matters
     at = data.draw(st.integers(0, len(damaged) - 1), label="row")
     for _ in range(data.draw(st.integers(1, 3), label="faults")):
-        kind = data.draw(st.sampled_from(["swap", "duplicate", "click", "negative", "int32"]), label="kind")
+        kind = data.draw(st.sampled_from(["swap", "duplicate", "flag", "negative", "int32"]), label="kind")
         at = min(at + data.draw(st.integers(0, 1), label="next"), len(damaged) - 1)
         field = data.draw(st.integers(0, 2), label="field")
         if kind == "swap" and at + 1 < len(damaged):
             damaged[at], damaged[at + 1] = damaged[at + 1], damaged[at]
         elif kind == "duplicate":
             damaged.insert(at + 1, list(damaged[at]))
-        elif kind == "click":
-            damaged[at][3:] = [False, True]
+        elif kind == "flag":
+            damaged[at][3] = 2
         elif kind == "negative":
             damaged[at][field] = -1
         elif kind == "int32":
@@ -317,6 +332,13 @@ class TestCatalog:
         cat.to_csv(path)
         back = Catalog.from_csv(path)
         assert catalog_rows(back) == catalog_rows(cat)
+
+    def test_csv_tags_read_as_the_dataset_loader_reads_them(self, tmp_path):
+        # an empty part of a tags field is no tag, in items.csv of a run as of a dataset
+        path = tmp_path / "items.csv"
+        path.write_text("item_id,creator_id,genre,title,tags,description,created_step\n"
+                        "0,0,0,t,a||b|,d,0\n1,0,0,t,|,d,0\n2,0,0,t,,d,0\n")
+        assert Catalog.from_csv(path).tags == [("a", "b"), (), ()]
 
     def test_extend_rows_of_unequal_length_add_nothing(self):
         cat = Catalog()

@@ -153,9 +153,9 @@ class TestItemUtility:
                         rows.append((user, item_id, clicked))
             if rows:
                 users, item_ids, clicks = zip(*rows)
-                log.extend(step, users, item_ids, True, clicks)
+                log.extend(step, users, item_ids, clicks)
             block = log.window(step, step)  # the step's events, added as SERVE adds them
-            c.catalog.add_feedback(block.item, block.exposed, block.clicked)
+            c.catalog.add_feedback(block.item, 1, block.clicked)
             events = list(zip(log.step.tolist(), log.item.tolist(), log.clicked.tolist()))
             for item_id, t in items.items():
                 exp = sum(1 for s, i, _ in events if i == item_id and t <= s <= step)

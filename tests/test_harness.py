@@ -104,8 +104,7 @@ class TestRunSimulation:
         cfg = SimConfig.from_file(smoke_run.out_dir / "config.txt")
         lines = (smoke_run.out_dir / "timeseries.csv").read_text().splitlines()
         header = lines[0].split(",")
-        assert header == ["step", "tuw_cum", "alive_creators", "cgd_window",
-                          "step_seconds", "agent_seconds"]
+        assert header == ["step", "tuw_cum", "alive_creators", "cgd_window", "step_seconds"]
         assert len(lines) - 1 == cfg.n_steps
         assert all(len(line.split(",")) == len(header) for line in lines[1:])
 
@@ -535,6 +534,27 @@ class TestLlmIntegration:
         cfg = small_cfg(n_steps=8)
         run_simulation(cfg, out_dir=tmp_path / "nollm", transport=poisoned)
 
+    def test_catalog_tags_are_what_items_csv_reads_back(self, tmp_path):
+        """Tags from LLM replies, a "|" inside a tag and empty tags included, are
+        held as the run's items.csv gives them back."""
+
+        def odd_tags(url, payload, timeout):
+            prompt = payload["messages"][0]["content"]
+            text = "~~nonsense~~"
+            if "Based on the analysis: [" in prompt:
+                genre = prompt.split("Based on the analysis: [", 1)[1].split(", please", 1)[0].split("]: ")[1]
+                text = json.dumps({"name": "clip", "genre": genre, "tags": ["x|y", "", "z"], "description": "d"})
+            return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+
+        cfg = small_cfg(n_steps=4, creator_policy="creagent_llm", llm_endpoint="http://stub.invalid",
+                        llm_model="stub")
+        data = synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth"))
+        world = harness._World(cfg, data, transport=odd_tags)
+        world.run_steps()
+        world.catalog.to_csv(tmp_path / "items.csv")
+        assert ("x", "y", "z") in world.catalog.tags
+        assert core.Catalog.from_csv(tmp_path / "items.csv").tags == world.catalog.tags
+
     def test_garbage_llm_run_equals_rule_based_run(self, tmp_path):
         rule = run_simulation(small_cfg(n_steps=12), out_dir=tmp_path / "rule")
 
@@ -796,6 +816,25 @@ class TestCli:
         summary["n_users"] = n_users
         (broken / "dataset_summary.json").write_text(json.dumps(summary))
         assert cli_main(["report", str(broken)]) == 3
+
+    @pytest.mark.parametrize("which", ["first", "click", "no-click", "last"])
+    def test_report_unexposed_event_exit_code(self, smoke_run, tmp_path, which):
+        """An event is an exposure: an events.csv row whose exposed field is 0 is
+        a data error naming its line, a click row or not."""
+        broken = copy_run(smoke_run, tmp_path)
+        lines = (broken / "events.csv").read_text().splitlines()
+        k = {
+            "first": 1,
+            "click": next(k for k in range(1, len(lines)) if lines[k].endswith(",1")),
+            "no-click": next(k for k in range(1, len(lines)) if lines[k].endswith(",0")),
+            "last": len(lines) - 1,
+        }[which]
+        lines[k] = _with_field(lines[k], 3, "0")
+        (broken / "events.csv").write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert cli_main(["report", str(broken)]) == 3
+        assert f"line {k + 1}: exposed is 0, not 1" in err.getvalue()
 
     def test_report_event_from_unknown_user_exit_code(self, smoke_run, tmp_path):
         broken = copy_run(smoke_run, tmp_path)

@@ -107,6 +107,11 @@ class TestParseContent:
         assert content.genre == 2
         assert content.tags == ("fun",)
 
+    def test_tags_kept_as_a_record_file_holds_them(self):
+        # a tag holding "|" is split there, and an empty one is dropped
+        reply = '{"name": "x", "genre": "Music", "tags": ["x|y", "", "z", 7], "description": ""}'
+        assert parse_content(reply, GENRES).tags == ("x", "y", "z", "7")
+
     def test_pipe_separated_genre_takes_first_match(self):
         reply = '{"name": "x", "genre": "Music|Entertainment", "tags": [], "description": ""}'
         assert parse_content(reply, GENRES).genre == 0

@@ -26,11 +26,11 @@ from creatorsim.metrics import (
 
 
 def ev(step, user, item, clicked=False):
-    return step, user, item, True, clicked
+    return step, user, item, clicked
 
 
 def log_of(events):
-    """A log holding `events`, (step, user, item, exposed, clicked) rows in order."""
+    """A log holding `events`, (step, user, item, clicked) rows in order."""
     log = EventLog()
     if events:
         log.extend(*zip(*events))
@@ -73,12 +73,12 @@ class TestCrr:
 class TestCgd:
     def test_uniform_fourteen_genres_is_ln14(self):
         log = log_of([ev(step, user, g) for step in range(1, 3) for user in range(3) for g in range(14)])
-        val = content_genre_diversity(log, lambda i: i, 14, 1, 2)
+        val = content_genre_diversity(log, np.arange(14), 14, 1, 2)
         assert val == pytest.approx(math.log(14), abs=1e-9)
 
     def test_single_genre_is_zero(self):
         log = log_of([ev(step, 0, step) for step in range(1, 4)])
-        val = content_genre_diversity(log, lambda i: 5, 14, 1, 3)
+        val = content_genre_diversity(log, np.full(4, 5), 14, 1, 3)
         assert val == 0.0
 
     def test_bounded_by_log_g(self):
@@ -90,17 +90,17 @@ class TestCgd:
                     if rng.random() < 0.5:
                         events.append(ev(step, user, item))
         log = log_of(events)
-        val = content_genre_diversity(log, lambda i: i % 5, 5, 1, 9)
+        val = content_genre_diversity(log, np.arange(6) % 5, 5, 1, 9)
         assert 0.0 <= val <= math.log(5) + 1e-12
 
     def test_no_exposures_rejected(self):
         with pytest.raises(NoExposures):
-            content_genre_diversity(EventLog(), lambda i: 0, 14, 1, 10)
+            content_genre_diversity(EventLog(), np.zeros(1, np.int64), 14, 1, 10)
 
     def test_participation_weighting(self):
         # user 0 active 2 steps with entropy 0; user 1 active 1 step, entropy ln 2
         log = log_of([ev(1, 0, 0), ev(1, 1, 0), ev(1, 1, 1), ev(2, 0, 0)])
-        val = content_genre_diversity(log, lambda i: i, 2, 1, 2)
+        val = content_genre_diversity(log, np.arange(2), 2, 1, 2)
         assert val == pytest.approx((2 * 0.0 + 1 * math.log(2)) / 3)
 
 

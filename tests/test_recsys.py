@@ -9,7 +9,6 @@ from creatorsim.harness import run_simulation
 from creatorsim.recsys import (
     SGD_BATCH,
     BprRanker,
-    EmptyInteractions,
     MfRanker,
     PopRanker,
     RandomRanker,
@@ -188,10 +187,24 @@ def test_bpr_loss_decreases_over_retrains():
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
-def test_mf_empty_interactions_rejected():
-    cat = catalog_with(2)
-    with pytest.raises(EmptyInteractions):
-        MfRanker(n_users=2, dim=8, lr=0.05, epochs=1, l2=0.0, seed=1).retrain([], cat, 0)
+@pytest.mark.parametrize("cls", [MfRanker, BprRanker])
+def test_empty_table_leaves_ranker_unchanged(cls, monkeypatch):
+    """A retrain on no clicks returns at once: no parameter, item row or cold
+    factor changes, and no stream is read, even with new items in the catalog."""
+    cat = catalog_with(4)
+    untrained = cls(n_users=2, dim=8, lr=0.05, epochs=1, l2=0.0, seed=1)
+    trained = cls(n_users=2, dim=8, lr=0.05, epochs=1, l2=0.0, seed=1).retrain([(0, 1, 0), (1, 2, 0)], cat, 0)
+    cat.add(0, 2, "new", [], "", 1)
+    before = [{name: np.copy(value) for name, value in vars(r).items()} for r in (untrained, trained)]
+
+    def no_stream(*key):
+        raise AssertionError(f"stream {key} read")
+
+    monkeypatch.setattr("creatorsim.recsys.stream", no_stream)
+    for r, expected in zip((untrained, trained), before):
+        assert r.retrain(np.empty((0, 3), np.int64), cat, 1) is r
+        assert vars(r).keys() == expected.keys()
+        assert all(np.array_equal(value, expected[name]) for name, value in vars(r).items())
 
 
 def test_cold_item_scored_by_genre_mean():

@@ -1,5 +1,5 @@
 """Creator agents: memories, beliefs, utility, the explore/exploit decision,
-content creation, and departure.
+and content creation.
 
 A creator only ever sees feedback on its own items. Its memory is the ids of
 its own items in creation order; their genres, creation steps and exposure and
@@ -9,10 +9,13 @@ every utility, the latest item's outcome and reward percentile, the belief
 refresh and the clicks a baseline policy decides on come from that one read.
 It distills the memory into two genre-indexed beliefs: skill (its per-genre
 creation share) and audience (its per-genre estimate of receptiveness, the
-mean utility of its own items in that genre, NaN for genres never tried). The thinking step is pluggable; the default
-rule-based policy explores more after poor rewards and exploits more after
-good ones, with the explore probability falling linearly in the reward
-percentile of the latest item.
+mean utility of its own items in that genre, NaN for genres never tried). The
+thinking step is pluggable; the default rule-based policy explores more after
+poor rewards and exploits more after good ones, with the explore probability
+falling linearly in the reward percentile of the latest item.
+`CreatorRuntime` holds only what a policy reads. Departure is not the
+creator's: its liveness and zero-click streak are rows of the run's arrays,
+and the harness applies the departure rule in CREATE.
 """
 
 from __future__ import annotations
@@ -26,16 +29,8 @@ from . import core
 from .core import Catalog, SimError
 
 
-class NotOwned(SimError):
-    """Operation on an item the creator does not own."""
-
-
 class FutureItem(SimError):
     """Utility queried for a step before the item existed."""
-
-
-class DeadCreator(SimError):
-    """Action requested from a departed creator."""
 
 
 class ActionKind(Enum):
@@ -73,14 +68,10 @@ class CreatorRuntime:
     activity: float                        # items per day from the seed profile
     n_genres: int
     beliefs: Beliefs
-    departure_threshold: int
-    beta: float
     catalog: Catalog = field(default_factory=Catalog)  # the platform's items
     # Own item ids in creation order, which is also id order, so every float
     # reduction over them is reproducible.
     items: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    consecutive_zero_click: int = 0
-    alive: bool = True
     creation_count: int = 0                # simulated creations, for title numbering; the
                                            # latest awaits its outcome until the next decision
     # the latest item's reward percentile among the own items, its utility (None
@@ -107,21 +98,16 @@ class CreatorRuntime:
     def last_item(self) -> int | None:
         return int(self.items[-1]) if len(self.items) else None
 
-    def position(self, item_id: int) -> int | None:
-        """Index of `item_id` in the memory arrays, or None if not owned."""
-        pos = int(self.items.searchsorted(item_id))
-        return pos if pos < len(self.items) and self.items[pos] == item_id else None
-
 
 # ---------------------------------------------------------------------------
-# Utility, beliefs and departure
+# Utility and beliefs
 
 
-def own_totals(state: CreatorRuntime) -> tuple[np.ndarray, np.ndarray]:
+def own_totals(state: CreatorRuntime, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Clicks, and the blend beta * exposures + (1 - beta) * clicks, of each own
     item, aligned with `items`: one ownership-checked read of the platform's totals."""
     exposures, clicks = core.creator_view(state.catalog, state.creator_id, state.items)
-    return clicks, state.beta * exposures + (1.0 - state.beta) * clicks
+    return clicks, beta * exposures + (1.0 - beta) * clicks
 
 
 def item_utility(state: CreatorRuntime, weighted: np.ndarray, n: int) -> np.ndarray:
@@ -148,20 +134,6 @@ def update_beliefs(state: CreatorRuntime, utilities: np.ndarray) -> None:
     for g in np.flatnonzero(counts):
         audience[g] = np.mean(utilities[genres == g])
     state.beliefs.audience = audience
-
-
-def register_creation_outcome(state: CreatorRuntime, item_id: int, clicks_in_window: int) -> None:
-    """Advance or reset the zero-click streak; departure at the threshold."""
-    if not state.alive:
-        return
-    if state.position(item_id) is None:
-        raise NotOwned(f"creator {state.creator_id} does not own item {item_id}")
-    if clicks_in_window == 0:
-        state.consecutive_zero_click += 1
-        if state.consecutive_zero_click >= state.departure_threshold:
-            state.alive = False
-    else:
-        state.consecutive_zero_click = 0
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +171,6 @@ def rule_based_decide(
     audience * skill (ties to the lowest genre id); explore samples uniformly
     among unknown genres, degrading to the least-created genre once all are known.
     """
-    if not state.alive:
-        raise DeadCreator(f"creator {state.creator_id} has departed")
     p_explore = explore_probability(state.reward_pct, p_max, p_min)
     audience = state.beliefs.audience
     known = ~np.isnan(audience)

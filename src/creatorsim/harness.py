@@ -15,7 +15,12 @@ item with its click flag, as columns, appends them to the log as one block,
 and adds them to the catalog's exposure and click totals, which creators read
 through `core.creator_view`. Users are rows of the world's arrays (preference,
 visit probability, satiation counters); a session's skip streak lives only
-inside `users.serve_session`.
+inside `users.serve_session`. Creators' liveness and zero-click streaks are
+rows of the world's arrays too, and CREATE applies the departure rule beside
+the DEPART row it writes: a click on a creator's latest creation resets its
+streak, a miss extends it, and a streak at `departure_threshold` departs the
+creator before it decides. SERVE drops departed creators' items from the
+same step's pool, and LIFECYCLE counts the alive from the same array.
 LIFECYCLE decays every user's satiation counters, rows of one
 (n_users, n_genres) table, in one in-place multiply.
 The fairness re-rankers read creator-indexed arrays: the served exposure per
@@ -71,12 +76,11 @@ from .creator import (
     RuleBasedPolicy,
     item_utility,
     own_totals,
-    register_creation_outcome,
     reward_percentile,
     update_beliefs,
 )
 from .baselines import CfdPolicy, LbrPolicy, RandomPolicy, SimulinePolicy
-from .ingest import Dataset, SynthParams, check_dataset, load_dataset, synth_dataset
+from .ingest import Dataset, SynthParams, load_dataset, synth_dataset
 from .ingest import _median, init_creator_seeds, init_user_seeds
 from .metrics import (
     EmptyItems,
@@ -149,11 +153,9 @@ def _build_policy(cfg: SimConfig, genres, transport=None):
     if cfg.creator_policy == "creagent":
         return rule
     if cfg.creator_policy == "creagent_llm":
-        from .llm import LlmConfig, LlmPolicy
+        from .llm import LlmPolicy
 
-        return LlmPolicy(
-            LlmConfig(**cfg.section("llm")), genres, rule, transport=transport, workers=cfg.workers
-        )
+        return LlmPolicy(cfg, genres, rule, transport=transport)
     if cfg.creator_policy == "cfd":
         return CfdPolicy(genres, lr=cfg.cfd_lr, memory_k=cfg.creagent_memory_k)
     if cfg.creator_policy == "lbr":
@@ -249,8 +251,6 @@ class _World:
                 beliefs=Beliefs(skill=skill[c], audience=audience[c]),
                 catalog=self.catalog,
                 items=own[c],
-                departure_threshold=cfg.departure_threshold,
-                beta=cfg.beta,
             )
             for c, row in enumerate(creators)
         ]
@@ -268,6 +268,10 @@ class _World:
             self.policy.summarize_profiles(self.creators, [c.followers for c in creators])
 
         self.log = EventLog()
+        # creators are rows too: liveness, and the zero-click creations in a
+        # row since the last click, which decide it
+        self.alive = np.ones(len(self.creators), dtype=bool)
+        self.zero_click_streak = np.zeros(len(self.creators), dtype=np.int64)
         # served exposures per creator since warm-up, and P-MMF's dual variables
         self.exposure = np.zeros(len(self.creators), dtype=np.int64)
         self.duals = np.zeros(len(self.creators))
@@ -302,21 +306,25 @@ class _World:
             self.phase_lifecycle(n, time.perf_counter() - started)
 
     def phase_create(self, n: int) -> None:
+        cfg = self.cfg
         # one draw per alive creator, on that creator's stream; only those that pass think
-        alive = np.flatnonzero([c.alive for c in self.creators])
+        alive = np.flatnonzero(self.alive)
         creating = alive[self.creator_draws.draw(alive) < self.create_prob[alive]]
         slots, states = [], []  # the trace row slot of each creator that decides
-        for state in map(self.creators.__getitem__, creating.tolist()):
+        for c in creating.tolist():
             # the creator's one read of its totals; a creator that decided
             # before created then, so its latest item awaits its outcome
-            state.clicks, weighted = own_totals(state)
+            state = self.creators[c]
+            state.clicks, weighted = own_totals(state, cfg.beta)
             utilities = item_utility(state, weighted, n)
             z_last = state.last_utility = float(utilities[-1]) if len(utilities) else None
             if state.creation_count:
-                register_creation_outcome(state, state.last_item(), int(state.clicks[-1]))
-                if not state.alive:
-                    z_text = f"{z_last:.10g}"
-                    self.trace_rows.append((n, state.creator_id, "DEPART", "", "", z_text, "false", ""))
+                # a click resets the streak; at the threshold the creator departs
+                streak = 0 if state.clicks[-1] else self.zero_click_streak[c] + 1
+                self.zero_click_streak[c] = streak
+                if streak >= cfg.departure_threshold:
+                    self.alive[c] = False
+                    self.trace_rows.append((n, c, "DEPART", "", "", f"{z_last:.10g}", "false", ""))
                     continue
             # the totals last changed in SERVE at step n - 1; step 1 decides
             # on the seed beliefs
@@ -349,8 +357,7 @@ class _World:
         K = cfg.list_length
         reranker = cfg.reranker if n >= cfg.warmup else "none"
         top_m = K if reranker == "none" else cfg.rerank_pool_multiplier * K
-        owner, genre = self.catalog.creator_id, self.catalog.genre
-        alive = np.asarray([c.alive for c in self.creators], dtype=bool)
+        owner, genre, alive = self.catalog.creator_id, self.catalog.genre, self.alive
         alive_ids = np.flatnonzero(alive)
         # exposure changes only at the end of SERVE, so what is read from it is fixed for the step
         if reranker == "fairrec":
@@ -411,7 +418,7 @@ class _World:
 
     def phase_lifecycle(self, n: int, step_seconds: float) -> None:
         cfg = self.cfg
-        alive = sum(1 for c in self.creators if c.alive)
+        alive = int(np.count_nonzero(self.alive))
         self.recent_exposure *= cfg.user_novelty_decay
         window_lo = max(1, n - cfg.timeliness_window + 1)
         try:
@@ -444,19 +451,19 @@ class _World:
             f.write("\n")
 
 
-def run_simulation(
-    cfg: SimConfig, data: Dataset | None = None, out_dir: str | Path = "run", transport=None
-) -> RunArtifacts:
-    """Execute the full step loop and persist all artifacts under `out_dir`."""
+def run_simulation(cfg: SimConfig, out_dir: str | Path = "run", transport=None) -> RunArtifacts:
+    """Execute the full step loop and persist all artifacts under `out_dir`.
+
+    The dataset is `cfg.data_dir`'s, or synthesized from `cfg` when that is
+    empty, so the run's `config.txt` replays it.
+    """
     cfg.validate()
-    if data is not None:
-        check_dataset(data)
-    elif cfg.data_dir:
+    if cfg.data_dir:
         data = load_dataset(cfg.data_dir)
     else:
         data = synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth"))
     world = _World(cfg, data, transport)
-    del data  # the world keeps what it needs; a dataset loaded or synthesized here is freed
+    del data  # the world keeps what it needs; the dataset is freed
     world.run_steps()
     out_dir = Path(out_dir)
     world.write_artifacts(out_dir)

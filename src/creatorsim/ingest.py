@@ -151,15 +151,6 @@ def _check_days(days, what: str) -> None:
         raise SchemaError(f"{what} {bad} outside [0, 2**62]")
 
 
-def check_dataset(data: Dataset) -> None:
-    """`load_dataset`'s checks within each record file, for a dataset built in memory."""
-    _unique_ids((u.user_id for u in data.users), "users.csv: user_id")
-    _unique_ids((c.creator_id for c in data.creators), "creators.csv: creator_id")
-    _unique_ids(data.items.item_id.tolist(), "items.csv: item_id")
-    _check_days(data.items.created_day.tolist(), "items.csv: created_day")
-    _check_days(data.interactions.day.tolist(), "interactions.csv: day")
-
-
 def load_dataset(path: str | Path, genres: tuple[str, ...] = DEFAULT_GENRES) -> Dataset:
     """Load and cross-validate the four record files under `path`; each id is on one row.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimError, join_tags, split_tags
+from .core import SimConfig, SimError, join_tags, split_tags
 from .creator import (
     ActionKind, CreatedContent, CreatorRuntime, ExploreAction, RuleBasedPolicy,
     retrieve_creation_memory,
@@ -52,18 +52,6 @@ class HttpError(LlmError):
 
 class ExhaustedRetries(LlmError):
     """Transient server errors on every attempt."""
-
-
-@dataclass(frozen=True)
-class LlmConfig:
-    """The run config's `llm.*` section."""
-
-    endpoint: str
-    model: str
-    temperature: float
-    max_tokens: int
-    timeout: float
-    retries: int
 
 
 @dataclass(frozen=True)
@@ -164,26 +152,26 @@ def requests_transport(url: str, payload: dict, timeout: float) -> tuple[int, st
     return resp.status_code, resp.text
 
 
-def complete(cfg: LlmConfig, prompt: str, transport=None) -> str:
-    """One chat-completion round trip with bounded retries.
+def complete(cfg: SimConfig, prompt: str, transport=None) -> str:
+    """One chat-completion round trip with bounded retries, as the run's `llm.*` settings say.
 
     Connection failures and timeouts raise Timeout once attempts run out;
     5xx answers raise ExhaustedRetries; other non-200 answers raise HttpError
     immediately. The endpoint can be overridden through the environment.
     """
     transport = transport or requests_transport
-    endpoint = os.environ.get(ENDPOINT_ENV) or cfg.endpoint
+    endpoint = os.environ.get(ENDPOINT_ENV) or cfg.llm_endpoint
     payload = {
-        "model": cfg.model,
+        "model": cfg.llm_model,
         "messages": [{"role": "user", "content": prompt}],
-        "temperature": cfg.temperature,
-        "max_tokens": cfg.max_tokens,
+        "temperature": cfg.llm_temperature,
+        "max_tokens": cfg.llm_max_tokens,
     }
-    attempts = cfg.retries + 1
+    attempts = cfg.llm_retries + 1
     last_kind = None
     for attempt in range(attempts):
         try:
-            status, body = transport(endpoint, payload, cfg.timeout)
+            status, body = transport(endpoint, payload, cfg.llm_timeout)
         except (TimeoutError, OSError) as e:
             last_kind = Timeout(f"attempt {attempt + 1}/{attempts}: {e}")
             continue
@@ -301,26 +289,18 @@ class LlmPolicy:
     Every failure mode (transport, grammar, vocabulary, belief-support
     mismatch) falls back to the wrapped rule-based policy with the same rng
     stream, so a fully garbled endpoint reproduces the deterministic run.
-    Only the completion calls run on threads, at most `workers` at once;
-    prompts are built and replies parsed in the calling thread, in creator
+    Only the completion calls run on threads, at most the run's `workers` at
+    once; prompts are built and replies parsed in the calling thread, in creator
     order, so a run does not depend on which reply arrives first.
     """
 
     name = "creagent_llm"
 
-    def __init__(
-        self,
-        cfg: LlmConfig,
-        genre_names,
-        fallback: RuleBasedPolicy,
-        transport=None,
-        workers: int = 1,
-    ):
+    def __init__(self, cfg: SimConfig, genre_names, fallback: RuleBasedPolicy, transport=None):
         self.cfg = cfg
         self.genre_names = tuple(genre_names)
         self.fallback = fallback
         self.transport = transport
-        self.workers = workers
 
     def _ask(self, prompt: str) -> str | None:
         """The endpoint's reply to `prompt`, or None when the call fails."""
@@ -378,7 +358,7 @@ class LlmPolicy:
         """Every decision prompt is sent at once; each reply is parsed in creator
         order, and that creator's content prompt is sent as soon as its action is
         known. The content replies are then parsed in creator order."""
-        with ThreadPoolExecutor(self.workers) as pool:
+        with ThreadPoolExecutor(self.cfg.workers) as pool:
             decisions = [pool.submit(self._ask, self._decide_prompt(s)) for s in states]
             actions, contents = [], []
             for state, rng, reply in zip(states, rngs, decisions):
@@ -437,7 +417,7 @@ class LlmPolicy:
                     INTRINSIC_MOTIVATION, {**shared, "followers": str(followers[state.creator_id])}
                 ),
             ]
-        with ThreadPoolExecutor(self.workers) as pool:
+        with ThreadPoolExecutor(self.cfg.workers) as pool:
             replies = list(pool.map(self._ask, prompts))
         for state, identity, motivation in zip(states, replies[::2], replies[1::2]):
             state.identity = _parsed(parse_profile_slot, identity, state.identity, "social_identity")

@@ -120,7 +120,6 @@ def test_02_utility_oracle():
     state = CreatorRuntime(
         creator_id=0, name="c", identity="", motivation="", activity=1.0, n_genres=4,
         beliefs=Beliefs(skill=np.full(4, 0.25), audience=np.full(4, np.nan)),
-        departure_threshold=SimConfig().departure_threshold, beta=0.5,
     )
     items: dict[int, int] = {}
     totals: dict[int, list[int]] = {}  # running (exposures, clicks) the test accumulates
@@ -142,13 +141,13 @@ def test_02_utility_oracle():
                     totals[item_id][0] += 1
                     totals[item_id][1] += clicked
         state.catalog.add_feedback(np.array(shown, dtype=np.int64), 1, np.array(clicks, dtype=bool))
-        utilities = item_utility(state, own_totals(state)[1], step)
+        utilities = item_utility(state, own_totals(state, 0.5)[1], step)
         for item_id in rng.choice(list(items), size=min(20, len(items)), replace=False):
             item_id = int(item_id)
             t = items[item_id]
             exp, clk = totals[item_id]
             brute = (0.5 * exp + 0.5 * clk) / (step - t + 1)
-            max_err = max(max_err, abs(utilities[state.position(item_id)] - brute))
+            max_err = max(max_err, abs(utilities[item_id] - brute))  # the creator owns every item
             checked += 1
             if checked >= 1000:
                 break

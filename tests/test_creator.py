@@ -10,15 +10,12 @@ from creatorsim.creator import (
     Beliefs,
     CreatedContent,
     CreatorRuntime,
-    DeadCreator,
     ExploreAction,
     FutureItem,
-    NotOwned,
     RuleBasedPolicy,
     explore_probability,
     item_utility,
     own_totals,
-    register_creation_outcome,
     retrieve_creation_memory,
     reward_percentile,
     rule_based_decide,
@@ -32,7 +29,7 @@ CFG = SimConfig()
 P_EXPLORE = (CFG.creagent_p_explore_max, CFG.creagent_p_explore_min)
 
 
-def make_creator(name="Ada", n_genres=14, beta=0.5):
+def make_creator(name="Ada", n_genres=14):
     return CreatorRuntime(
         creator_id=0,
         name=name,
@@ -41,8 +38,6 @@ def make_creator(name="Ada", n_genres=14, beta=0.5):
         activity=1.0,
         n_genres=n_genres,
         beliefs=Beliefs(skill=np.full(n_genres, 1.0 / n_genres), audience=np.full(n_genres, np.nan)),
-        departure_threshold=CFG.departure_threshold,
-        beta=beta,
     )
 
 
@@ -53,14 +48,19 @@ def add_item(state, item_id, genre, step, tags=()):
     state.add_item(item_id)
 
 
-def utility(state, item_id, n):
+def position(state, item_id):
+    """Index of own item `item_id` in the memory arrays."""
+    return int(np.flatnonzero(state.items == item_id)[0])
+
+
+def utility(state, item_id, n, beta=CFG.beta):
     """Own item `item_id`'s utility at step `n`, from one read of the totals."""
-    return float(item_utility(state, own_totals(state)[1], n)[state.position(item_id)])
+    return float(item_utility(state, own_totals(state, beta)[1], n)[position(state, item_id)])
 
 
-def refresh(state, n):
+def refresh(state, n, beta=CFG.beta):
     """Refresh the beliefs as CREATE does, from the utilities at step `n`."""
-    update_beliefs(state, item_utility(state, own_totals(state)[1], n))
+    update_beliefs(state, item_utility(state, own_totals(state, beta)[1], n))
 
 
 def totals(state, pos):
@@ -92,14 +92,14 @@ class TestFeedbackMemory:
         c = make_creator()
         add_item(c, 5, 0, step=1)
         add_feedback(c, [(5, 3, 1), (5, 2, 0)])
-        assert totals(c, c.position(5)) == (5, 1)
-        assert own_totals(c)[0].tolist() == [1]
+        assert totals(c, position(c, 5)) == (5, 1)
+        assert own_totals(c, CFG.beta)[0].tolist() == [1]
 
     def test_empty_step_is_noop(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
         c.catalog.add_feedback(np.array([], dtype=np.int64), 1, 1)
-        assert totals(c, c.position(5)) == (0, 0)
+        assert totals(c, position(c, 5)) == (0, 0)
 
     def test_foreign_item_rejected(self):
         c = make_creator()
@@ -107,22 +107,22 @@ class TestFeedbackMemory:
         c.add_item(6)  # in the memory, but the catalog has no item 6 of creator 0
         c.catalog.add(c.creator_id + 1, 0, "other", (), "", 1)
         with pytest.raises(AsymmetryViolation):
-            own_totals(c)
+            own_totals(c, CFG.beta)
 
 
 class TestItemUtility:
     def test_worked_example(self):
         # created at step 3; per-step exposures (2,3,1), clicks (1,1,0); n=5
-        c = make_creator(beta=0.5)
+        c = make_creator()
         add_item(c, 0, 0, step=3)
         add_feedback(c, [(0, 2, 1), (0, 3, 1), (0, 1, 0)])
-        assert utility(c, 0, 5) == pytest.approx(4 / 3)
+        assert utility(c, 0, 5, beta=0.5) == pytest.approx(4 / 3)
 
     def test_exposure_only_beta(self):
-        c = make_creator(beta=1.0)
+        c = make_creator()
         add_item(c, 0, 0, step=3)
         add_feedback(c, [(0, 2, 1), (0, 3, 1), (0, 1, 0)])
-        assert utility(c, 0, 5) == pytest.approx(2.0)
+        assert utility(c, 0, 5, beta=1.0) == pytest.approx(2.0)
 
     def test_no_events_zero(self):
         c = make_creator()
@@ -133,12 +133,12 @@ class TestItemUtility:
         c = make_creator()
         add_item(c, 0, 0, step=5)
         with pytest.raises(FutureItem):
-            item_utility(c, own_totals(c)[1], 4)
+            item_utility(c, own_totals(c, CFG.beta)[1], 4)
 
     def test_matches_event_log_brute_force(self):
         rng = stream(17, "oracle")
         log = EventLog()
-        c = make_creator(beta=0.5)
+        c = make_creator()
         items = {}
         for step in range(1, 25):
             if step % 3 == 1 and len(items) < 6:
@@ -161,7 +161,7 @@ class TestItemUtility:
                 exp = sum(1 for s, i, _ in events if i == item_id and t <= s <= step)
                 clk = sum(1 for s, i, clicked in events if i == item_id and clicked and t <= s <= step)
                 brute = (0.5 * exp + 0.5 * clk) / (step - t + 1)
-                assert abs(utility(c, item_id, step) - brute) <= 1e-9
+                assert abs(utility(c, item_id, step, beta=0.5) - brute) <= 1e-9
 
 
 class TestBeliefs:
@@ -174,12 +174,12 @@ class TestBeliefs:
         assert c.beliefs.skill[1] == pytest.approx(1 / 3)
 
     def test_audience_mean_utility(self):
-        c = make_creator(beta=0.0)
+        c = make_creator()
         add_item(c, 0, 0, step=1)
         add_item(c, 1, 0, step=1)
         # clicks so that utilities at n=2 are 1.0 and 3.0 (divide by 2)
         add_feedback(c, [(0, 2, 2), (1, 6, 6)])
-        refresh(c, 2)
+        refresh(c, 2, beta=0.0)
         assert c.beliefs.audience[0] == pytest.approx(2.0)
 
     def test_explored_genre_becomes_known_at_zero(self):
@@ -198,7 +198,7 @@ class TestDecision:
 
     def test_first_decision_uses_midpoint(self):
         c = make_creator()
-        assert reward_percentile(item_utility(c, own_totals(c)[1], 1)) == 0.5
+        assert reward_percentile(item_utility(c, own_totals(c, CFG.beta)[1], 1)) == 0.5
         assert c.reward_pct == 0.5
 
     def test_threshold_behavior_via_scripted_rng(self):
@@ -239,12 +239,6 @@ class TestDecision:
         grid = np.linspace(0, 1, 11)
         p = [1 - explore_probability(q, *P_EXPLORE) for q in grid]
         assert all(a <= b for a, b in zip(p, p[1:]))
-
-    def test_dead_creator_rejected(self):
-        c = make_creator()
-        c.alive = False
-        with pytest.raises(DeadCreator):
-            rule_based_decide(c, ScriptedRng([0.0]), *P_EXPLORE)
 
 
 def reference_decide(state, audience, rng, p_max, p_min):
@@ -416,43 +410,13 @@ class TestRetrieval:
         assert out[0] == 1
 
 
-class TestLifecycle:
-    def test_departure_at_threshold(self):
-        c = make_creator()
-        add_item(c, 0, 0, step=1)
-        c.consecutive_zero_click = 4
-        register_creation_outcome(c, 0, clicks_in_window=0)
-        assert c.consecutive_zero_click == 5
-        assert not c.alive
-
-    def test_click_resets(self):
-        c = make_creator()
-        add_item(c, 0, 0, step=1)
-        c.consecutive_zero_click = 4
-        register_creation_outcome(c, 0, clicks_in_window=1)
-        assert c.consecutive_zero_click == 0
-        assert c.alive
-
-    def test_dead_creator_outcome_noop(self):
-        c = make_creator()
-        add_item(c, 0, 0, step=1)
-        c.alive = False
-        c.consecutive_zero_click = 3
-        register_creation_outcome(c, 0, clicks_in_window=0)
-        assert c.consecutive_zero_click == 3
-
-    def test_not_owned(self):
-        c = make_creator()
-        with pytest.raises(NotOwned):
-            register_creation_outcome(c, 7, 0)
-
-
-def gate_world(create_prob, n_creators=10, seed=1):
-    """A world whose creators never depart, each creating with `create_prob` a step."""
+def gate_world(create_prob, n_creators=10, seed=1, departure_threshold=1_000_000):
+    """A world whose creators each create with `create_prob` a step, and by
+    default never depart."""
     cfg = SimConfig(
         n_users=5, n_creators=n_creators, n_steps=50, ranker="random", reranker="none",
-        departure_threshold=1_000_000, synth_items_per_creator=2, synth_interactions_per_user=2,
-        seed=seed,
+        departure_threshold=departure_threshold, synth_items_per_creator=2,
+        synth_interactions_per_user=2, seed=seed,
     )
     world = harness._World(cfg, synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth")))
     world.create_prob[:] = create_prob
@@ -499,10 +463,10 @@ class TestActivity:
         # stream from the first draw, so it drew nothing while gone
         world = gate_world(0.5)
         expected = reference_gates(1, world.create_prob, 40)
-        world.creators[3].alive = False
+        world.alive[3] = False
         gone = creators_creating(world, range(1, 11))
         assert all(3 not in step for step in gone)
-        world.creators[3].alive = True
+        world.alive[3] = True
         back = creators_creating(world, range(11, 41))
         assert [3 in step for step in back] == expected[3][:30]
         assert [0 in step for step in gone + back] == expected[0]
@@ -547,6 +511,73 @@ class TestActivity:
             assert {c for s, c in thought if s == n} | departed == passed
             alive -= departed
 
+
+def departure_world(threshold, c=2):
+    """A world in which only creator `c` creates, at every step, with departure at `threshold`."""
+    world = gate_world(0.0, departure_threshold=threshold)
+    world.create_prob[c] = 1.0
+    return world
+
+
+def trace_of(world, c):
+    """The (step, action kind) of each of creator `c`'s trace rows."""
+    return [(row[0], row[2]) for row in world.trace_rows if row[1] == c]
+
+
+class TestDeparture:
+    """CREATE's departure rule on the world's rows. CREATE without SERVE
+    leaves every creation unclicked."""
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_threshold_zero_click_creations_depart(self, threshold):
+        world, c = departure_world(threshold), 2
+        for n in range(1, threshold + 1):
+            world.phase_create(n)
+            assert world.alive[c]
+        world.phase_create(threshold + 1)
+        assert not world.alive[c]
+        assert world.zero_click_streak[c] == threshold
+        rows = trace_of(world, c)
+        assert [step for step, _ in rows] == list(range(1, threshold + 2))
+        assert [kind == "DEPART" for _, kind in rows] == [False] * threshold + [True]
+        # a departed creator neither draws nor decides again
+        world.phase_create(threshold + 2)
+        assert trace_of(world, c) == rows
+
+    def test_click_resets_the_streak(self):
+        world, c = departure_world(3), 2
+        for n in range(1, 4):
+            world.phase_create(n)
+        # a click on the latest creation, added to its totals as SERVE adds it
+        world.catalog.add_feedback(np.array([world.creators[c].last_item()]), 1, np.array([True]))
+        world.phase_create(4)
+        assert world.zero_click_streak[c] == 0
+        for n in range(5, 7):
+            world.phase_create(n)
+            assert world.alive[c]
+        world.phase_create(7)
+        assert not world.alive[c]
+        assert trace_of(world, c)[-1] == (7, "DEPART")
+
+    def test_departed_items_leave_that_steps_serve_pool(self, monkeypatch):
+        world, c = departure_world(2), 2
+        world.retrain(0)
+        world.phase_create(1)
+        world.phase_create(2)
+        served_pools, original = [], harness.pool_view
+
+        def spy(ranker, pool, catalog):
+            served_pools.append(pool)
+            return original(ranker, pool, catalog)
+
+        monkeypatch.setattr(harness, "pool_view", spy)
+        world.phase_create(3)
+        pool = harness.build_candidate_pool(world.catalog, 3, world.cfg.timeliness_window)
+        owner = world.catalog.creator_id
+        assert c in owner[pool]
+        world.phase_serve(3, pool)
+        assert served_pools[0].tolist() == [i for i in pool.tolist() if owner[i] != c]
+        assert c not in owner[world.log.item]
 
 def test_policy_wrapper_round_trip():
     policy = RuleBasedPolicy(GENRES, *P_EXPLORE, memory_k=CFG.creagent_memory_k)

@@ -137,6 +137,50 @@ class TestRunSimulation:
         ).read_bytes()
 
 
+# examples of the replay property; each is two runs of at most 12 users, 5
+# creators and 8 steps
+REPLAY_EXAMPLES = 100
+
+
+@st.composite
+def replay_configs(draw):
+    """A small config of any ranker, re-ranker and non-LLM policy."""
+    return small_cfg(
+        n_users=draw(st.integers(4, 12)),
+        n_creators=draw(st.integers(2, 5)),
+        n_steps=draw(st.integers(1, 8)),
+        warmup=1,
+        seed=draw(st.integers(0, 2**16)),
+        ranker=draw(st.sampled_from(core.RANKERS)),
+        reranker=draw(st.sampled_from(core.RERANKERS)),
+        creator_policy=draw(st.sampled_from([p for p in core.CREATOR_POLICIES if p != "creagent_llm"])),
+        departure_threshold=draw(st.integers(1, 3)),
+        workers=draw(st.sampled_from([1, 2])),
+        mf_dim=4,
+        mf_epochs=1,
+        synth_n_genres=draw(st.integers(2, 6)),
+        synth_items_per_creator=draw(st.integers(1, 4)),
+        synth_interactions_per_user=draw(st.integers(0, 6)),
+    )
+
+
+@settings(max_examples=REPLAY_EXAMPLES, deadline=None)
+@given(cfg=replay_configs(), from_dir=st.booleans())
+def test_config_txt_replays_the_run(cfg, from_dir):
+    """A run's `config.txt` is the run: running it again writes the same
+    events, items and creator trace, byte for byte. With `from_dir`, the run
+    reads a dataset synthesized under another seed from `data_dir`."""
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        if from_dir:
+            synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed + 1, "synth")).to_dir(scratch / "data")
+            cfg.data_dir = str(scratch / "data")
+        run_simulation(cfg, out_dir=scratch / "run")
+        run_simulation(SimConfig.from_file(scratch / "run" / "config.txt"), out_dir=scratch / "replay")
+        for name in ("events.csv", "items.csv", "creator_trace.csv"):
+            assert (scratch / "run" / name).read_bytes() == (scratch / "replay" / name).read_bytes(), name
+
+
 class TestPhaseInvariants:
     def test_no_click_before_item_creation(self, smoke_run):
         items = {}
@@ -299,6 +343,7 @@ class TestPhaseInvariants:
 
         step = [0]  # the step whose phases are running
         calls = []  # (step, creator, step of the utilities) of each belief refresh
+        beta = small_cfg().beta
         original_create, original_update = harness._World.phase_create, harness.update_beliefs
 
         def create(world, n):
@@ -308,7 +353,7 @@ class TestPhaseInvariants:
         def spy(state, utilities):
             # the utilities of the step before, from the platform's totals
             n, cat, items = step[0], state.catalog, state.items
-            blend = state.beta * cat.exposures[items] + (1.0 - state.beta) * cat.clicks[items]
+            blend = beta * cat.exposures[items] + (1.0 - beta) * cat.clicks[items]
             before = np.array_equal(utilities, blend / (n - 1 - cat.created_step[items] + 1))
             calls.append((n, state.creator_id, before))
             return original_update(state, utilities)

@@ -711,8 +711,9 @@ class TestDayRange:
 
 
 class TestInMemoryDataset:
-    """`run_simulation(data=...)` checks a dataset built in memory as
-    `load_dataset` checks the same dataset's files."""
+    """A dataset built in memory reaches a run only through its files:
+    `to_dir` writes what `load_dataset` rejects, and a run reading them from
+    `data_dir` stops before it writes anything."""
 
     @pytest.mark.parametrize("edit", ["user", "creator", "item", "created_day", "day"])
     def test_rejected_as_its_files_are(self, tmp_path, edit):
@@ -732,13 +733,13 @@ class TestInMemoryDataset:
         else:
             d.interactions.day[0] = 2**62 + 1
             message = rf"interactions.csv: day {2**62 + 1} outside \[0, 2\*\*62\]"
-        cfg = SimConfig(n_users=15, n_creators=6, n_steps=4, warmup=2)
-        with pytest.raises(SchemaError, match=message):
-            run_simulation(cfg, data=d, out_dir=tmp_path / "run")
-        assert not (tmp_path / "run").exists()
         d.to_dir(tmp_path / "data")
         with pytest.raises(SchemaError, match=message):
             load_dataset(tmp_path / "data")
+        cfg = SimConfig(n_users=15, n_creators=6, n_steps=4, warmup=2, data_dir=str(tmp_path / "data"))
+        with pytest.raises(SchemaError, match=message):
+            run_simulation(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
 
 # sha256 of each `Dataset.to_dir` file for fixed params, drawn from the same

@@ -11,7 +11,6 @@ from creatorsim.llm import (
     SLOW_THINKER,
     ExhaustedRetries,
     HttpError,
-    LlmConfig,
     MissingVar,
     ParseFailure,
     PromptTemplate,
@@ -27,8 +26,8 @@ GENRES = ("Music", "Gaming", "Entertainment", "Sports")
 
 
 def llm_config(**settings):
-    """The default run config's `llm.*` section, with `settings` replacing some of it."""
-    return LlmConfig(**{**SimConfig().section("llm"), **settings})
+    """The default run config with each `llm.<key>` of `settings` replaced."""
+    return SimConfig(**{f"llm_{key}": value for key, value in settings.items()})
 
 
 def slow_vars(**overrides):

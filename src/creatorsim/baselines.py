@@ -99,11 +99,11 @@ def random_choose(genres, rng: np.random.Generator) -> int:
 
 
 def _per_genre_clicks(state: CreatorRuntime) -> np.ndarray:
-    return np.bincount(state.genres, weights=state.clicks, minlength=state.n_genres)
+    return np.bincount(state.own.genre, weights=state.own.clicks, minlength=state.n_genres)
 
 
 def _action_for(state: CreatorRuntime, genre: int) -> ExploreAction:
-    kind = ActionKind.EXPLOIT if (state.genres == genre).any() else ActionKind.EXPLORE
+    kind = ActionKind.EXPLOIT if (state.own.genre == genre).any() else ActionKind.EXPLORE
     return ExploreAction(kind, genre)
 
 

@@ -12,9 +12,10 @@ columns that `extend` fills a block at a time: each item fact and each event
 is stored once, and consumers read whole columns. An event is one exposure, a
 served item, with its click flag; the log checks and records every event. The
 catalog keeps each item's running exposure and click totals beside its other
-columns. The platform reads all of it; creators may only read the totals, and
-only through :func:`creator_view`, which checks the catalog's ownership column
-and enforces the platform/creator information boundary.
+columns. The platform reads all of it; a creator reads it only through
+:func:`creator_view`, one read of the rows it owns: their ids, genres, creation
+steps and totals, and their texts by position among them, as an :class:`OwnRows`.
+No creator holds the catalog or names a row, so none can read another's.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from contextlib import ExitStack, contextmanager
 from itertools import repeat
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,12 +72,16 @@ class DuplicateEvent(EventLogError):
     """Second event for the same (step, user, item) triple."""
 
 
-class AsymmetryViolation(SimError):
-    """A creator attempted to read feedback on an item it does not own."""
-
-
 # ---------------------------------------------------------------------------
 # Record files
+
+
+def parse_int(text: str) -> int:
+    """Record field `text` as an integer: ASCII digits after one optional sign, with optional
+    surrounding spaces, as the event log's parser reads them; ValueError otherwise."""
+    if "_" in text or not text.isascii():  # int() would take 1_5 or ١٥ as 15
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def write_records(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -94,7 +99,7 @@ class Records:
     The file's presence and header are checked first. Columns are matched by
     name, other columns are ignored and blank lines are skipped. A row without
     the header's field count, a line csv cannot read (a field over its size
-    limit) or an `ints` field that is not an integer is a SchemaError naming the
+    limit) or an `ints` field that `parse_int` rejects is a SchemaError naming the
     file and line; bytes that are not UTF-8, decoded ahead in blocks, are one
     naming the file. `where` names the line for a caller's own error.
     """
@@ -144,7 +149,7 @@ class Records:
                     row = [row[i] for i in columns]
                 try:
                     for k in ints:
-                        row[k] = int(row[k])
+                        row[k] = parse_int(row[k])
                 except ValueError as e:
                     raise SchemaError(f"{self.where}: {self._header[k]}: {e}") from e
                 yield row
@@ -407,20 +412,34 @@ class Catalog(_Columns):
         return cat
 
 
-def creator_view(catalog: Catalog, creator: int, items) -> tuple[np.ndarray, np.ndarray]:
-    """Exposure and click totals of `items` as visible to `creator`, aligned
-    with `items`.
+class OwnRows(NamedTuple):
+    """The catalog rows one creator owns, as one read found them.
 
-    Raises :class:`AsymmetryViolation` unless the catalog's `creator_id`
-    column names `creator` as the owner of every item. All creator-side
-    feedback reads must go through this function.
+    `items` are their ids, ascending, which is creation order; the other
+    fields are aligned with it, so a row is read by its position here, never
+    by its catalog id.
     """
-    items = np.asarray(items, dtype=np.int64)
-    owned = (items >= 0) & (items < len(catalog))
-    owned[owned] = catalog.creator_id[items[owned]] == creator
-    if not owned.all():
-        raise AsymmetryViolation(f"creator {creator} queried foreign item {items[~owned][0]}")
-    return catalog.exposures[items], catalog.clicks[items]
+
+    items: np.ndarray
+    genre: np.ndarray
+    created_step: np.ndarray
+    exposures: np.ndarray
+    clicks: np.ndarray
+    title: list[str]
+    tags: list[tuple[str, ...]]
+    description: list[str]
+
+
+def creator_view(catalog: Catalog, creator: int) -> OwnRows:
+    """The rows of the catalog whose `creator_id` is `creator`: all a creator
+    sees of the platform. Every creator-side read goes through this function."""
+    data = catalog._data  # rows past catalog.n are spare capacity, never gathered
+    rows = np.flatnonzero(data["creator_id"][: catalog.n] == creator)
+    ids = rows.tolist()
+    return OwnRows(
+        rows, data["genre"][rows], data["created_step"][rows], data["exposures"][rows], data["clicks"][rows],
+        [catalog.title[i] for i in ids], [catalog.tags[i] for i in ids], [catalog.description[i] for i in ids],
+    )
 
 
 # ---------------------------------------------------------------------------

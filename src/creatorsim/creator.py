@@ -1,12 +1,12 @@
 """Creator agents: memories, beliefs, utility, the explore/exploit decision,
 and content creation.
 
-A creator only ever sees feedback on its own items. Its memory is the ids of
-its own items in creation order; their genres, creation steps and exposure and
-click totals are the platform catalog's columns, and the totals are read only
-through `own_totals`, one ownership-checked `core.creator_view` per decision:
-every utility, the latest item's outcome and reward percentile, the belief
-refresh and the clicks a baseline policy decides on come from that one read.
+A creator only ever sees its own items. It holds no catalog: its memory,
+`CreatorRuntime.own`, is its last `core.creator_view`, the rows it owns in
+creation order with their genres, creation steps, totals and texts. The harness
+takes one such read per decision; every utility, the latest item's outcome and
+reward percentile, the belief refresh, the clicks a baseline policy decides on
+and the memories a creation retrieves, by position in it, come from that read.
 It distills the memory into two genre-indexed beliefs: skill (its per-genre
 creation share) and audience (its per-genre estimate of receptiveness, the
 mean utility of its own items in that genre, NaN for genres never tried). The
@@ -25,8 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import core
-from .core import Catalog, SimError
+from .core import OwnRows, SimError
 
 
 class FutureItem(SimError):
@@ -68,65 +67,43 @@ class CreatorRuntime:
     activity: float                        # items per day from the seed profile
     n_genres: int
     beliefs: Beliefs
-    catalog: Catalog = field(default_factory=Catalog)  # the platform's items
-    # Own item ids in creation order, which is also id order, so every float
-    # reduction over them is reproducible.
-    items: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    # the last read of the own rows, in creation order, which is also id order,
+    # so every float reduction over them is reproducible; empty before the first
+    own: OwnRows = field(default_factory=lambda: OwnRows(*[np.zeros(0, np.int64)] * 5, [], [], []))
     creation_count: int = 0                # simulated creations, for title numbering; the
                                            # latest awaits its outcome until the next decision
-    # the latest item's reward percentile among the own items, its utility (None
-    # without items) and each own item's clicks, as the read at the deciding step found them
+    # the latest item's reward percentile among the own items and its utility
+    # (None without items), as the read at the deciding step found them
     reward_pct: float = 0.5
     last_utility: float | None = None
-    clicks: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def creations(self) -> np.ndarray:
-        """The creation memory, oldest first: an alias of `items`."""
-        return self.items
-
-    @property
-    def genres(self) -> np.ndarray:
-        """Genre of each own item, aligned with `items`."""
-        return self.catalog.genre[self.items]
-
-    def add_item(self, item_id: int) -> None:
-        if len(self.items) and item_id <= self.items[-1]:
-            raise ValueError(f"item {item_id} added after item {self.items[-1]}")
-        self.items = np.append(self.items, item_id)
-
-    def last_item(self) -> int | None:
-        return int(self.items[-1]) if len(self.items) else None
+        """The ids of the creation memory, oldest first."""
+        return self.own.items
 
 
 # ---------------------------------------------------------------------------
 # Utility and beliefs
 
 
-def own_totals(state: CreatorRuntime, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Clicks, and the blend beta * exposures + (1 - beta) * clicks, of each own
-    item, aligned with `items`: one ownership-checked read of the platform's totals."""
-    exposures, clicks = core.creator_view(state.catalog, state.creator_id, state.items)
-    return clicks, beta * exposures + (1.0 - beta) * clicks
-
-
 def item_utility(state: CreatorRuntime, weighted: np.ndarray, n: int) -> np.ndarray:
-    """Utility at step `n` of each own item: its blend from `own_totals`
-    averaged over the steps since its creation.
+    """Utility at step `n` of each own item: its `weighted` blend
+    beta * exposures + (1 - beta) * clicks averaged over the steps since its creation.
 
     z = (beta * exposures + (1 - beta) * clicks) / (n - created_step + 1).
     Items are in creation order, so only the latest can postdate `n`.
     """
-    created = state.catalog.created_step[state.items]
+    created = state.own.created_step
     if len(created) and n < created[-1]:
-        raise FutureItem(f"item {state.items[-1]} created at step {created[-1]}, queried at {n}")
+        raise FutureItem(f"item {state.own.items[-1]} created at step {created[-1]}, queried at {n}")
     return weighted / (n - created + 1)
 
 
 def update_beliefs(state: CreatorRuntime, utilities: np.ndarray) -> None:
     """Refresh skill and audience beliefs from `item_utility` at the step whose
     feedback the totals last took in: n - 1 for a creator deciding at step n."""
-    genres = state.genres
+    genres = state.own.genre
     counts = np.bincount(genres, minlength=state.n_genres)
     if len(genres):
         state.beliefs.skill = counts / counts.sum()
@@ -184,27 +161,26 @@ def rule_based_decide(
     if len(unknown):
         genre = int(unknown[rng.integers(0, len(unknown))])
     else:
-        genre = int(np.argmin(np.bincount(state.genres, minlength=state.n_genres)))
+        genre = int(np.argmin(np.bincount(state.own.genre, minlength=state.n_genres)))
     return ExploreAction(ActionKind.EXPLORE, genre)
 
 
 def retrieve_creation_memory(
     state: CreatorRuntime, action: ExploreAction, k: int, n: int
 ) -> np.ndarray:
-    """Catalog rows of the top-k past creations by relevance * recency.
+    """Positions in the memory of the top-k past creations by relevance * recency.
 
     Relevance is 1 for the action's genre and 0.25 otherwise; recency decays
     as (n - created_step + 1) ** -0.5. Ties prefer the newer item. The scores
     are Python floats: numpy's `**` rounds some of these powers differently,
     which reorders near and exact ties.
     """
-    items = state.items
-    created = state.catalog.created_step[items]
+    own = state.own
     score = np.array([
         (1.0 if genre == action.genre else 0.25) * (n - step + 1) ** -0.5
-        for genre, step in zip(state.genres.tolist(), created.tolist())
+        for genre, step in zip(own.genre.tolist(), own.created_step.tolist())
     ])
-    return items[np.lexsort((-items, -created, -score))[:k]]
+    return np.lexsort((-own.items, -own.created_step, -score))[:k]
 
 
 def template_content(
@@ -224,8 +200,8 @@ def template_content(
     title = f"{state.name} — {genre_name} #{counter}"
     retrieved = retrieve_creation_memory(state, action, memory_k, n)
     tag_counts: dict[str, int] = {}
-    for i in retrieved[state.catalog.genre[retrieved] == action.genre].tolist():
-        for tag in state.catalog.tags[i]:
+    for j in retrieved[state.own.genre[retrieved] == action.genre].tolist():
+        for tag in state.own.tags[j]:
             tag_counts[tag] = tag_counts.get(tag, 0) + 1
     if tag_counts:
         ranked = sorted(tag_counts.items(), key=lambda kv: (-kv[1], kv[0]))

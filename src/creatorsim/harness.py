@@ -12,17 +12,16 @@ order, as one scalar draw at a time. SERVE ranks every visitor from one
 `recsys.PoolView` of the step's pool (the ranker's scorer and the pool's tie
 order, both built once per step), gathers the step's events, one per served
 item with its click flag, as columns, appends them to the log as one block,
-and adds them to the catalog's exposure and click totals, which creators read
-through `core.creator_view`. Users are rows of the world's arrays (preference,
-visit probability, satiation counters); a session's skip streak lives only
-inside `users.serve_session`. Creators' liveness and zero-click streaks are
-rows of the world's arrays too, and CREATE applies the departure rule beside
-the DEPART row it writes: a click on a creator's latest creation resets its
-streak, a miss extends it, and a streak at `departure_threshold` departs the
-creator before it decides. SERVE drops departed creators' items from the
-same step's pool, and LIFECYCLE counts the alive from the same array.
-LIFECYCLE decays every user's satiation counters, rows of one
-(n_users, n_genres) table, in one in-place multiply.
+and adds them to the catalog's exposure and click totals. Users are rows of the
+world's arrays (preference, visit probability, satiation counters); a session's
+skip streak lives only inside `users.serve_session`. Creators' liveness and
+zero-click streaks are rows of the world's arrays too, and CREATE applies the
+departure rule beside the DEPART row it writes: a click on a creator's latest
+creation resets its streak, a miss extends it, and a streak at
+`departure_threshold` departs the creator before it decides. SERVE drops
+departed creators' items from the same step's pool, and LIFECYCLE counts the
+alive from the same array. LIFECYCLE decays every user's satiation counters,
+rows of one (n_users, n_genres) table, in one in-place multiply.
 The fairness re-rankers read creator-indexed arrays: the served exposure per
 creator, which SERVE adds the step's exposures to at its end, and P-MMF's
 duals, which change visitor by visitor inside the serial SERVE loop.
@@ -30,12 +29,14 @@ Agents read the previous step's committed world and mutate only their own
 state; cross-agent effects (the event log, the catalog, the exposure counts)
 are committed at phase barriers in stable id order. Every phase runs in one
 thread, CREATE included. For each creating creator, in id order, it reads the
-creator's totals once; from that read come the utilities at this step and the
-last, the last creation's outcome (a creator may depart here), the belief
-refresh, and the reward percentile and latest utility the policy decides on.
-It then asks the policy for all their creations with one `create` call and
-commits them in id order. The only I/O, the LLM policy's completion calls, fans
-out over `workers` threads inside that call, and its replies are parsed in
+rows the creator owns once, with `core.creator_view`, and keeps the read as the
+creator's memory, all a policy sees: from it come the utilities at this step
+and the last, the last creation's outcome (a creator may depart here), the
+belief refresh, and the reward percentile and latest utility. (Creators hold no
+catalog; only the LLM policy's profile summaries read one more time, at world
+build.) It then asks the policy for all their creations with one `create` call
+and commits them in id order. The only I/O, the LLM policy's completion calls,
+fans out over `workers` threads inside that call, and its replies are parsed in
 creator order, so results are bit-identical for any worker count.
 The retrain schedule starts with a step-0 retrain on the dataset's
 interactions, after the dataset is freed. The world keeps one click table,
@@ -75,7 +76,6 @@ from .creator import (
     CreatorRuntime,
     RuleBasedPolicy,
     item_utility,
-    own_totals,
     reward_percentile,
     update_beliefs,
 )
@@ -237,9 +237,7 @@ class _World:
         # creates, against its activity over the population's highest
         eta = activity.max(initial=0.0)
         self.create_prob = activity / eta if eta > 0 else np.zeros(len(creators))
-        # each creator's seed items as ascending catalog rows
         n_own = np.bincount(owner, minlength=len(creators))
-        own = np.split(np.argsort(owner, kind="stable"), np.cumsum(n_own)[:-1])
         self.creators = [
             CreatorRuntime(
                 creator_id=c,
@@ -249,8 +247,6 @@ class _World:
                 activity=float(activity[c]),
                 n_genres=G,
                 beliefs=Beliefs(skill=skill[c], audience=audience[c]),
-                catalog=self.catalog,
-                items=own[c],
             )
             for c, row in enumerate(creators)
         ]
@@ -265,6 +261,8 @@ class _World:
             for state in self.creators:
                 self.policy.register(state)
         if cfg.creator_policy == "creagent_llm":
+            for state in self.creators:
+                state.own = core.creator_view(self.catalog, state.creator_id)
             self.policy.summarize_profiles(self.creators, [c.followers for c in creators])
 
         self.log = EventLog()
@@ -312,15 +310,16 @@ class _World:
         creating = alive[self.creator_draws.draw(alive) < self.create_prob[alive]]
         slots, states = [], []  # the trace row slot of each creator that decides
         for c in creating.tolist():
-            # the creator's one read of its totals; a creator that decided
+            # the creator's one read of its rows; a creator that decided
             # before created then, so its latest item awaits its outcome
             state = self.creators[c]
-            state.clicks, weighted = own_totals(state, cfg.beta)
+            own = state.own = core.creator_view(self.catalog, c)
+            weighted = cfg.beta * own.exposures + (1.0 - cfg.beta) * own.clicks
             utilities = item_utility(state, weighted, n)
             z_last = state.last_utility = float(utilities[-1]) if len(utilities) else None
             if state.creation_count:
                 # a click resets the streak; at the threshold the creator departs
-                streak = 0 if state.clicks[-1] else self.zero_click_streak[c] + 1
+                streak = 0 if own.clicks[-1] else self.zero_click_streak[c] + 1
                 self.zero_click_streak[c] = streak
                 if streak >= cfg.departure_threshold:
                     self.alive[c] = False
@@ -343,7 +342,6 @@ class _World:
             item = self.catalog.add(
                 state.creator_id, content.genre, content.title, content.tags, content.description, n
             )
-            state.add_item(item)
             state.creation_count += 1
             z_text = "" if state.last_utility is None else f"{state.last_utility:.10g}"
             self.trace_rows[slot] = (
@@ -493,7 +491,8 @@ def _read_trace(path: Path, catalog: Catalog) -> tuple[list[tuple[int, int]], li
 
     A creator has at most one row a step and none after the step it departs
     at, and each decision names its creation: the catalog row created at its
-    step by its creator in its genre. Every created item has its decision.
+    step by its creator in its genre, with a reward percentile in [0, 1].
+    Every created item has its decision.
     """
     departs, decisions, seen = [], [], set()
     departed, latest = {}, {}  # each creator's DEPART step, and the step of its latest row
@@ -516,9 +515,11 @@ def _read_trace(path: Path, catalog: Catalog) -> tuple[list[tuple[int, int]], li
                 departs.append((step, creator))
                 continue
             try:
-                item, g, pct = int(item_text), int(genre_text), float(reward_pct)
+                item, g, pct = core.parse_int(item_text), core.parse_int(genre_text), float(reward_pct)
             except ValueError as e:
                 raise SchemaError(f"{rows.where}: {e}") from e
+            if not 0 <= pct <= 1:  # NaN included
+                raise CorruptLog(f"{rows.where}: reward_pct {reward_pct!r} outside [0, 1]")
             made = (created[item], owner[item], genre[item]) if 0 <= item < len(catalog) else None
             if step < 1 or made != (step, creator, g):
                 raise CorruptLog(

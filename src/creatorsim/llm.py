@@ -314,8 +314,7 @@ class LlmPolicy:
 
     def _decide_prompt(self, state: CreatorRuntime) -> str:
         audience, skill, names = state.beliefs.audience, state.beliefs.skill, self.genre_names
-        unknown = np.isnan(audience)
-        last = state.last_item()
+        unknown, made = np.isnan(audience), len(state.own.items) > 0
         return render_prompt(
             SLOW_THINKER,
             {
@@ -326,8 +325,8 @@ class LlmPolicy:
                     f"{name}: [unknown]" if unknown[g] else f"{name}: {audience[g]:.3f}"
                     for g, name in enumerate(names)
                 ),
-                "last_genre": names[state.catalog.genre[last]] if last is not None else "none",
-                "last_utility": f"{state.last_utility:.3f}" if last is not None else "0.000",
+                "last_genre": names[state.own.genre[-1]] if made else "none",
+                "last_utility": f"{state.last_utility:.3f}" if made else "0.000",
                 "skill_beliefs": ", ".join(
                     f"{name}: {skill[g]:.3f}" for g, name in enumerate(names) if skill[g] > 0
                 ),
@@ -337,11 +336,11 @@ class LlmPolicy:
         )
 
     def _content_prompt(self, state: CreatorRuntime, action: ExploreAction, n: int) -> str:
-        catalog = state.catalog
+        own = state.own
         retrieved = retrieve_creation_memory(state, action, self.fallback.memory_k, n)
         history = "; ".join(
-            f"{catalog.title[i]} ({self.genre_names[g]}, tags: {', '.join(catalog.tags[i])})"
-            for i, g in zip(retrieved.tolist(), catalog.genre[retrieved].tolist())
+            f"{own.title[j]} ({self.genre_names[g]}, tags: {', '.join(own.tags[j])})"
+            for j, g in zip(retrieved.tolist(), own.genre[retrieved].tolist())
         )
         return render_prompt(
             FAST_THINKER,
@@ -389,18 +388,15 @@ class LlmPolicy:
         """Summarize each creator's social identity and intrinsic motivation
         through the endpoint, all 2 * len(states) prompts over `workers` threads;
         a slot whose reply fails or does not parse keeps its template value.
-        `followers` is indexed by creator id."""
+        Each state's `own` is its read of its seed items; `followers` is indexed
+        by creator id."""
         genres, prompts = self.genre_names, []
         for state in states:
-            last = state.last_item()  # its last seed item in catalog order
-            if last is None:
-                recent_text = "(none yet)"
-            else:
-                catalog = state.catalog
-                recent_text = (
-                    f"title: {catalog.title[last]}, genre: {genres[catalog.genre[last]]}, "
-                    f"description: {catalog.description[last]}"
-                )
+            own = state.own  # its last seed item is the last in catalog order
+            recent_text = "(none yet)" if not len(own.items) else (
+                f"title: {own.title[-1]}, genre: {genres[own.genre[-1]]}, "
+                f"description: {own.description[-1]}"
+            )
             shared = {
                 "platform": PLATFORM,
                 "name": state.name,

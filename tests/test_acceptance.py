@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from creatorsim.core import (
-    AsymmetryViolation,
     Catalog,
     EventLog,
     SimConfig,
     creator_view,
     stream,
 )
-from creatorsim.creator import CreatorRuntime, Beliefs, item_utility, own_totals
+from creatorsim.creator import CreatorRuntime, Beliefs, item_utility
 from creatorsim.harness import run_simulation
 from creatorsim.metrics import (
     alignment_from_distributions,
@@ -72,7 +71,7 @@ def test_01_asymmetry_enforcement():
     started = time.perf_counter()
     n_items, n_creators = 60, 8
     foreign_reads = 0
-    violations = 0
+    owned_reads = 0
     queries = 0
     for _ in range(4):  # fresh random store and ownership map per block
         owners = [int(rng.integers(0, n_creators)) for _ in range(n_items)]
@@ -94,23 +93,19 @@ def test_01_asymmetry_enforcement():
         for _ in range(2_500):
             queries += 1
             creator = int(rng.integers(0, n_creators))
-            item = int(rng.integers(0, n_items))
-            if owners[item] == creator:
-                exposures, clicks = creator_view(catalog, creator, [item])
-                assert (exposures.tolist(), clicks.tolist()) == (
-                    [expected_exposures[item]], [expected_clicks[item]]
-                )
-            else:
-                try:
-                    creator_view(catalog, creator, [item])
-                    foreign_reads += 1
-                except AsymmetryViolation:
-                    violations += 1
+            own = creator_view(catalog, creator)
+            owned = [item for item in range(n_items) if owners[item] == creator]
+            foreign_reads += sum(owners[item] != creator for item in own.items.tolist())
+            owned_reads += len(owned)
+            assert own.items.tolist() == owned
+            assert (own.exposures.tolist(), own.clicks.tolist()) == (
+                expected_exposures[owned].tolist(), expected_clicks[owned].tolist()
+            )
     elapsed = time.perf_counter() - started
     check(
         "criterion 1: asymmetry enforcement",
-        queries == 10_000 and foreign_reads == 0 and violations > 0 and elapsed < 5.0,
-        f"{queries} queries over 4 random stores, {violations} foreign attempts all rejected, {elapsed:.2f}s",
+        queries == 10_000 and foreign_reads == 0 and owned_reads > 0 and elapsed < 5.0,
+        f"{queries} reads over 4 random stores, {owned_reads} owned rows and no foreign one, {elapsed:.2f}s",
     )
 
 
@@ -121,6 +116,7 @@ def test_02_utility_oracle():
         creator_id=0, name="c", identity="", motivation="", activity=1.0, n_genres=4,
         beliefs=Beliefs(skill=np.full(4, 0.25), audience=np.full(4, np.nan)),
     )
+    catalog = Catalog()
     items: dict[int, int] = {}
     totals: dict[int, list[int]] = {}  # running (exposures, clicks) the test accumulates
     checked = 0
@@ -130,7 +126,7 @@ def test_02_utility_oracle():
             item_id = len(items)
             items[item_id] = step
             totals[item_id] = [0, 0]
-            state.add_item(state.catalog.add(0, 0, f"t{item_id}", (), "", step))
+            catalog.add(0, 0, f"t{item_id}", (), "", step)
         shown, clicks = [], []
         for user in range(6):
             for item_id in items:
@@ -140,8 +136,9 @@ def test_02_utility_oracle():
                     clicks.append(clicked)
                     totals[item_id][0] += 1
                     totals[item_id][1] += clicked
-        state.catalog.add_feedback(np.array(shown, dtype=np.int64), 1, np.array(clicks, dtype=bool))
-        utilities = item_utility(state, own_totals(state, 0.5)[1], step)
+        catalog.add_feedback(np.array(shown, dtype=np.int64), 1, np.array(clicks, dtype=bool))
+        own = state.own = creator_view(catalog, 0)
+        utilities = item_utility(state, 0.5 * own.exposures + 0.5 * own.clicks, step)
         for item_id in rng.choice(list(items), size=min(20, len(items)), replace=False):
             item_id = int(item_id)
             t = items[item_id]

@@ -1,12 +1,12 @@
 """The platform/creator information asymmetry as a property of CREATE.
 
-A creator sees its own items' feedback totals and its own items, never the
-rest of the platform's catalog. So for a creator c, two copies of a world that
-differ in every catalog row c does not own (exposures, clicks, genre, title,
-tags and description) must give c the same CREATE: the same trace row, the
-same new item and, under the LLM policy, the same prompts. A policy that
-retrieves its memories from the whole catalog instead of its own items fails
-the property.
+A creator sees the catalog rows it owns, read through `core.creator_view`,
+never the rest of the platform's catalog. So for a creator c, two copies of a
+world that differ in every catalog row c does not own (exposures, clicks,
+genre, title, tags and description) must give c the same CREATE: the same
+trace row, the same new item and, under the LLM policy, the same prompts. A
+read that also returns one foreign row fails the property, whether that row
+differs in its columns or only in its text.
 """
 
 import copy
@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creatorsim import creator, llm
-from creatorsim.core import CREATOR_POLICIES, RANKERS, RERANKERS, SimConfig, stream
+from creatorsim import core
+from creatorsim.core import CREATOR_POLICIES, RANKERS, RERANKERS, OwnRows, SimConfig, stream
 from creatorsim.harness import _World
 from creatorsim.ingest import SynthParams, synth_dataset
 
@@ -91,18 +91,26 @@ def configs(draw, policy):
     )
 
 
-def change_foreign_rows(world, c: int, rng) -> None:
-    """Change every catalog row that creator `c` does not own, in every column a policy could read."""
+EVERY_COLUMN = ("exposures", "clicks", "genre", "title", "tags", "description")
+
+
+def change_foreign_rows(world, c: int, rng, changed=EVERY_COLUMN) -> None:
+    """Change every catalog row that creator `c` does not own, in the `changed`
+    columns, by default every column a policy could read."""
     catalog = world.catalog
     foreign = np.flatnonzero(catalog.creator_id != c)
     n_genres = len(world.genres)
-    catalog.exposures[foreign] += rng.integers(1, 50, len(foreign))
-    catalog.clicks[foreign] += rng.integers(1, 50, len(foreign))
-    catalog.genre[foreign] = (catalog.genre[foreign] + rng.integers(1, n_genres, len(foreign))) % n_genres
+    for name in {"exposures", "clicks"} & set(changed):
+        getattr(catalog, name)[foreign] += rng.integers(1, 50, len(foreign))
+    if "genre" in changed:
+        catalog.genre[foreign] = (catalog.genre[foreign] + rng.integers(1, n_genres, len(foreign))) % n_genres
     for i in foreign.tolist():
-        catalog.title[i] += " (changed)"
-        catalog.tags[i] = ("changed", f"tag{i}")
-        catalog.description[i] = f"changed description {i}"
+        if "title" in changed:
+            catalog.title[i] += " (changed)"
+        if "tags" in changed:
+            catalog.tags[i] = ("changed", f"tag{i}")
+        if "description" in changed:
+            catalog.description[i] = f"changed description {i}"
 
 
 def create_as_seen_by(world, stub, c: int, n: int):
@@ -121,16 +129,17 @@ def create_as_seen_by(world, stub, c: int, n: int):
     return trace, created, stub.of(world.creators[c].name)
 
 
-def asymmetry_faults(cfg: SimConfig) -> list[int]:
-    """The creators whose CREATE after `cfg.n_steps` steps changes with the catalog rows they do not own."""
+def asymmetry_faults(cfg: SimConfig, changed=EVERY_COLUMN) -> list[int]:
+    """The creators whose CREATE after `cfg.n_steps` steps changes with the
+    `changed` columns of the catalog rows they do not own."""
     stub = RecordingStub()
     world = _World(cfg, synth_dataset(SynthParams.from_config(cfg), stream(cfg.seed, "synth")), stub)
     world.run_steps()
     n, faults = cfg.n_steps + 1, []
     for c in range(len(world.creators)):
-        same, changed = copy.deepcopy(world), copy.deepcopy(world)
-        change_foreign_rows(changed, c, np.random.default_rng(c))
-        if create_as_seen_by(same, stub, c, n) != create_as_seen_by(changed, stub, c, n):
+        same, other = copy.deepcopy(world), copy.deepcopy(world)
+        change_foreign_rows(other, c, np.random.default_rng(c), changed)
+        if create_as_seen_by(same, stub, c, n) != create_as_seen_by(other, stub, c, n):
             faults.append(c)
     return faults
 
@@ -142,18 +151,26 @@ def test_create_reads_no_foreign_catalog_row(policy, data):
     assert asymmetry_faults(data.draw(configs(policy), label="cfg")) == []
 
 
-def test_a_leaky_memory_fails_the_property(monkeypatch):
-    """Retrieving memories from the whole catalog, not the creator's own items, is caught."""
+def leaky_view(catalog, creator: int) -> OwnRows:
+    """`core.creator_view` that also returns the platform's newest row `creator` does not own."""
+    foreign = np.flatnonzero(catalog.creator_id != creator)[-1:]
+    rows = np.union1d(np.flatnonzero(catalog.creator_id == creator), foreign)
+    ids = rows.tolist()
+    return OwnRows(
+        rows, catalog.genre[rows], catalog.created_step[rows], catalog.exposures[rows], catalog.clicks[rows],
+        [catalog.title[i] for i in ids], [catalog.tags[i] for i in ids], [catalog.description[i] for i in ids],
+    )
 
-    def leaky_retrieve(state, action, k, n):
-        return np.arange(len(state.catalog))[-k:]  # the platform's newest items, whoever made them
 
-    monkeypatch.setattr(creator, "retrieve_creation_memory", leaky_retrieve)
-    monkeypatch.setattr(llm, "retrieve_creation_memory", leaky_retrieve)
-    for policy in ("creagent", "creagent_llm"):
-        cfg = SimConfig(
-            n_users=12, n_creators=5, n_steps=3, warmup=1, seed=3, creator_policy=policy,
-            synth_n_genres=2, synth_items_per_creator=3, synth_interactions_per_user=6,
-            llm_endpoint="http://stub.invalid", llm_model="stub",
-        )
-        assert asymmetry_faults(cfg), policy
+@pytest.mark.parametrize("changed", [("genre", "clicks"), ("tags",)], ids=["columns", "text"])
+@pytest.mark.parametrize("policy", ["creagent", "creagent_llm"])
+def test_a_leaky_memory_fails_the_property(monkeypatch, policy, changed):
+    """A read that lets one foreign row into the memory is caught, through that
+    row's genre and clicks, and through its tags alone."""
+    monkeypatch.setattr(core, "creator_view", leaky_view)
+    cfg = SimConfig(
+        n_users=12, n_creators=5, n_steps=3, warmup=1, seed=3, creator_policy=policy,
+        synth_n_genres=2, synth_items_per_creator=3, synth_interactions_per_user=6,
+        llm_endpoint="http://stub.invalid", llm_model="stub",
+    )
+    assert asymmetry_faults(cfg, changed)

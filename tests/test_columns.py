@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creatorsim.core import AsymmetryViolation, Catalog, EventLog, creator_view
+from creatorsim.core import Catalog, EventLog, creator_view
 from creatorsim.metrics import NoExposures, content_genre_diversity, total_user_welfare
 from creatorsim.recsys import build_candidate_pool
 
@@ -101,12 +101,15 @@ def test_columns_match_plain_loops(world, data):
     for item in range(len(records)):
         assert (catalog.exposures[item], catalog.clicks[item]) == reference_totals(events, item)
     for creator in range(4):
-        owned = [r["item_id"] for r in records if r["creator_id"] == creator]
-        exposures, clicks = creator_view(catalog, creator, owned)
-        assert list(zip(exposures.tolist(), clicks.tolist())) == [reference_totals(events, i) for i in owned]
-        for item in [r["item_id"] for r in records if r["creator_id"] != creator] + [len(records)]:
-            with pytest.raises(AsymmetryViolation):
-                creator_view(catalog, creator, owned + [item])
+        owned = [r for r in records if r["creator_id"] == creator]
+        own = creator_view(catalog, creator)
+        assert own.items.tolist() == [r["item_id"] for r in owned]
+        assert [own.genre.tolist(), own.created_step.tolist(), own.title] == [
+            [r[key] for r in owned] for key in ("genre", "created_step")
+        ] + [[f"t{r['item_id']}" for r in owned]]
+        assert list(zip(own.exposures.tolist(), own.clicks.tolist())) == [
+            reference_totals(events, r["item_id"]) for r in owned
+        ]
 
     assert total_user_welfare(log, frm, to) == reference_tuw(events, frm, to)
 

@@ -1,10 +1,12 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import creatorsim.harness as harness
-from creatorsim.core import AsymmetryViolation, EventLog, SimConfig, creator_view, stream
+from creatorsim.core import Catalog, EventLog, SimConfig, creator_view, stream
 from creatorsim.creator import (
     ActionKind,
     Beliefs,
@@ -15,7 +17,6 @@ from creatorsim.creator import (
     RuleBasedPolicy,
     explore_probability,
     item_utility,
-    own_totals,
     retrieve_creation_memory,
     reward_percentile,
     rule_based_decide,
@@ -29,8 +30,16 @@ CFG = SimConfig()
 P_EXPLORE = (CFG.creagent_p_explore_max, CFG.creagent_p_explore_min)
 
 
+@dataclass
+class Seen(CreatorRuntime):
+    """A creator beside the platform its items are rows of; the tests read its
+    rows into its memory, as CREATE reads them, before each use."""
+
+    platform: Catalog = field(default_factory=Catalog)
+
+
 def make_creator(name="Ada", n_genres=14):
-    return CreatorRuntime(
+    return Seen(
         creator_id=0,
         name=name,
         identity="music enthusiast",
@@ -41,38 +50,49 @@ def make_creator(name="Ada", n_genres=14):
     )
 
 
+def read(state):
+    """Store the creator's read of its rows as its memory, as CREATE does."""
+    state.own = creator_view(state.platform, state.creator_id)
+
+
 def add_item(state, item_id, genre, step, tags=()):
-    while len(state.catalog) < item_id:  # lower ids belong to another creator
-        state.catalog.add(state.creator_id + 1, 0, "other", (), "", 0)
-    state.catalog.add(state.creator_id, genre, f"t{item_id}", tuple(tags), "", step)
-    state.add_item(item_id)
+    while len(state.platform) < item_id:  # lower ids belong to another creator
+        state.platform.add(state.creator_id + 1, 0, "other", (), "", 0)
+    state.platform.add(state.creator_id, genre, f"t{item_id}", tuple(tags), "", step)
+    read(state)
 
 
 def position(state, item_id):
     """Index of own item `item_id` in the memory arrays."""
-    return int(np.flatnonzero(state.items == item_id)[0])
+    return int(np.flatnonzero(state.own.items == item_id)[0])
+
+
+def weighted(state, beta=CFG.beta):
+    """Each own item's blend of its totals, from a fresh read, as CREATE blends them."""
+    read(state)
+    return beta * state.own.exposures + (1.0 - beta) * state.own.clicks
 
 
 def utility(state, item_id, n, beta=CFG.beta):
     """Own item `item_id`'s utility at step `n`, from one read of the totals."""
-    return float(item_utility(state, own_totals(state, beta)[1], n)[position(state, item_id)])
+    return float(item_utility(state, weighted(state, beta), n)[position(state, item_id)])
 
 
 def refresh(state, n, beta=CFG.beta):
     """Refresh the beliefs as CREATE does, from the utilities at step `n`."""
-    update_beliefs(state, item_utility(state, own_totals(state, beta)[1], n))
+    update_beliefs(state, item_utility(state, weighted(state, beta), n))
 
 
 def totals(state, pos):
     """(exposures, clicks) of the own item at `pos`, as the platform keeps them."""
-    exposures, clicks = creator_view(state.catalog, state.creator_id, state.items)
-    return exposures[pos], clicks[pos]
+    read(state)
+    return state.own.exposures[pos], state.own.clicks[pos]
 
 
 def add_feedback(state, counts):
     """Add (item, exposures, clicks) counts to the platform's totals."""
     for item_id, exposures, clicks in counts:
-        state.catalog.add_feedback(np.array([item_id]), exposures, clicks)
+        state.platform.add_feedback(np.array([item_id]), exposures, clicks)
 
 
 class ScriptedRng:
@@ -93,21 +113,21 @@ class TestFeedbackMemory:
         add_item(c, 5, 0, step=1)
         add_feedback(c, [(5, 3, 1), (5, 2, 0)])
         assert totals(c, position(c, 5)) == (5, 1)
-        assert own_totals(c, CFG.beta)[0].tolist() == [1]
+        assert c.own.clicks.tolist() == [1]
 
     def test_empty_step_is_noop(self):
         c = make_creator()
         add_item(c, 5, 0, step=1)
-        c.catalog.add_feedback(np.array([], dtype=np.int64), 1, 1)
+        c.platform.add_feedback(np.array([], dtype=np.int64), 1, 1)
         assert totals(c, position(c, 5)) == (0, 0)
 
-    def test_foreign_item_rejected(self):
+    def test_foreign_rows_are_not_read(self):
         c = make_creator()
-        add_item(c, 5, 0, step=1)
-        c.add_item(6)  # in the memory, but the catalog has no item 6 of creator 0
-        c.catalog.add(c.creator_id + 1, 0, "other", (), "", 1)
-        with pytest.raises(AsymmetryViolation):
-            own_totals(c, CFG.beta)
+        add_item(c, 5, 0, step=1)  # items 0 to 4 are another creator's
+        c.platform.add(c.creator_id + 1, 0, "other", (), "", 1)
+        add_feedback(c, [(i, 3, 2) for i in (0, 4, 6)] + [(5, 1, 1)])
+        read(c)
+        assert (c.own.items.tolist(), c.own.exposures.tolist(), c.own.title) == ([5], [1], ["t5"])
 
 
 class TestItemUtility:
@@ -133,7 +153,7 @@ class TestItemUtility:
         c = make_creator()
         add_item(c, 0, 0, step=5)
         with pytest.raises(FutureItem):
-            item_utility(c, own_totals(c, CFG.beta)[1], 4)
+            item_utility(c, weighted(c), 4)
 
     def test_matches_event_log_brute_force(self):
         rng = stream(17, "oracle")
@@ -155,7 +175,7 @@ class TestItemUtility:
                 users, item_ids, clicks = zip(*rows)
                 log.extend(step, users, item_ids, clicks)
             block = log.window(step, step)  # the step's events, added as SERVE adds them
-            c.catalog.add_feedback(block.item, 1, block.clicked)
+            c.platform.add_feedback(block.item, 1, block.clicked)
             events = list(zip(log.step.tolist(), log.item.tolist(), log.clicked.tolist()))
             for item_id, t in items.items():
                 exp = sum(1 for s, i, _ in events if i == item_id and t <= s <= step)
@@ -198,7 +218,7 @@ class TestDecision:
 
     def test_first_decision_uses_midpoint(self):
         c = make_creator()
-        assert reward_percentile(item_utility(c, own_totals(c, CFG.beta)[1], 1)) == 0.5
+        assert reward_percentile(item_utility(c, weighted(c), 1)) == 0.5
         assert c.reward_pct == 0.5
 
     def test_threshold_behavior_via_scripted_rng(self):
@@ -258,7 +278,7 @@ def reference_decide(state, audience, rng, p_max, p_min):
     if unknown:
         genre = int(unknown[rng.integers(0, len(unknown))])
     else:
-        genre = int(np.argmin(np.bincount(state.genres, minlength=state.n_genres)))
+        genre = int(np.argmin(np.bincount(state.own.genre, minlength=state.n_genres)))
     return ExploreAction(ActionKind.EXPLORE, genre)
 
 
@@ -329,17 +349,18 @@ class TestContent:
 
 def reference_retrieve(state, action, k, n):
     """Retrieval as one `sorted` over (-score, -created, -item) keys of Python
-    values, as it was before the array, kept to check the array version."""
-    items = state.items.tolist()
-    genres = state.genres.tolist()
-    created = state.catalog.created_step[state.items].tolist()
+    values, as it was before the array, kept to check the array version; the
+    positions in the memory of the retrieved items."""
+    items = state.own.items.tolist()
+    genres = state.own.genre.tolist()
+    created = state.own.created_step.tolist()
 
     def score(j: int) -> float:
         relevance = 1.0 if genres[j] == action.genre else 0.25
         return relevance * (n - created[j] + 1) ** -0.5
 
     ordered = sorted(range(len(items)), key=lambda j: (-score(j), -created[j], -items[j]))
-    return [items[j] for j in ordered[:k]]
+    return ordered[:k]
 
 
 # An own item of the action's genre at age 16a scores exactly as one of another
@@ -549,7 +570,8 @@ class TestDeparture:
         for n in range(1, 4):
             world.phase_create(n)
         # a click on the latest creation, added to its totals as SERVE adds it
-        world.catalog.add_feedback(np.array([world.creators[c].last_item()]), 1, np.array([True]))
+        latest = np.flatnonzero(world.catalog.creator_id == c)[-1]
+        world.catalog.add_feedback(np.array([latest]), 1, np.array([True]))
         world.phase_create(4)
         assert world.zero_click_streak[c] == 0
         for n in range(5, 7):

@@ -298,21 +298,56 @@ class TestPhaseInvariants:
         calls, foreign = [0], []
         original = core.creator_view
 
-        def spy(catalog, creator, items):
+        def spy(catalog, creator):
             calls[0] += 1
-            foreign.extend((creator, item) for item in items[catalog.creator_id[items] != creator])
-            return original(catalog, creator, items)
+            own = original(catalog, creator)
+            foreign.extend((creator, item) for item in own.items[catalog.creator_id[own.items] != creator])
+            return own
 
         monkeypatch.setattr(core, "creator_view", spy)
         run_simulation(small_cfg(n_steps=10), out_dir=tmp_path / "spy")
         assert calls[0] > 0, "no creator read went through core.creator_view"
         assert foreign == []
 
+    @pytest.mark.parametrize("policy", ["creagent", "creagent_llm", "lbr"])
+    def test_each_decision_sees_exactly_the_rows_its_creator_owns(self, tmp_path, monkeypatch, policy):
+        """Across creations and departures, every creator a policy decides for
+        holds as its memory the catalog rows it owns at that step, in id order."""
+        import creatorsim.harness as harness
+
+        seen, original_create = [], harness._World.phase_create
+
+        def create(world, n):
+            decide = world.policy.create
+
+            def checked(states, n, rngs):
+                for state in states:
+                    owned = np.flatnonzero(world.catalog.creator_id == state.creator_id)
+                    seen.append((n, state.creator_id, np.array_equal(state.own.items, owned)))
+                return decide(states, n, rngs)
+
+            world.policy.create = checked
+            try:
+                original_create(world, n)
+            finally:
+                del world.policy.create
+
+        def stub(url, payload, timeout):  # no reply parses: every decision falls back
+            return 200, json.dumps({"choices": [{"message": {"content": "~~nonsense~~"}}]})
+
+        monkeypatch.setattr(harness._World, "phase_create", create)
+        cfg = small_cfg(creator_policy=policy, departure_threshold=2, llm_endpoint="http://stub.invalid")
+        out = run_simulation(cfg, out_dir=tmp_path / "run", transport=stub).out_dir
+        assert ",DEPART," in (out / "creator_trace.csv").read_text(), "the run should have departures"
+        assert len({n for n, _, _ in seen}) > 1, "creators should decide at several steps"
+        assert [(n, c) for n, c, same in seen if not same] == []
+
     @pytest.mark.parametrize("policy", ["creagent", "creagent_llm", "cfd", "simuline"])
     def test_create_reads_each_creators_totals_once(self, tmp_path, monkeypatch, policy):
-        """One ownership-checked read per creator CREATE lets through; each such
+        """One read of its rows per creator CREATE lets through; each such
         creator writes one trace row, its decision or its DEPART. The policies
-        that follow clicks per genre decide on that read's clicks."""
+        that follow clicks per genre decide on that read's clicks. The LLM
+        policy's reads at world build, before any CREATE, are not counted."""
         import creatorsim.harness as harness
 
         reads, per_step = [0], []  # (reads, trace rows) of each CREATE
@@ -341,18 +376,19 @@ class TestPhaseInvariants:
     def test_beliefs_refreshed_only_when_deciding(self, tmp_path, monkeypatch):
         import creatorsim.harness as harness
 
-        step = [0]  # the step whose phases are running
+        step, world = [0], [None]  # the step whose phases are running, and its world
         calls = []  # (step, creator, step of the utilities) of each belief refresh
         beta = small_cfg().beta
         original_create, original_update = harness._World.phase_create, harness.update_beliefs
 
-        def create(world, n):
-            step[0] = n
-            return original_create(world, n)
+        def create(w, n):
+            step[0], world[0] = n, w
+            return original_create(w, n)
 
         def spy(state, utilities):
             # the utilities of the step before, from the platform's totals
-            n, cat, items = step[0], state.catalog, state.items
+            n, cat = step[0], world[0].catalog
+            items = np.flatnonzero(cat.creator_id == state.creator_id)
             blend = beta * cat.exposures[items] + (1.0 - beta) * cat.clicks[items]
             before = np.array_equal(utilities, blend / (n - 1 - cat.created_step[items] + 1))
             calls.append((n, state.creator_id, before))
@@ -829,6 +865,65 @@ class TestCli:
         assert cli_main(["report", str(broken)]) == 3
         err = capsys.readouterr().err
         assert f"creator_trace.csv line {row + 1}: could not convert string to float: 'high'" in err
+
+    @pytest.mark.parametrize("pct", ["nan", "inf", "-0.5", "1.5", "1e400"])
+    def test_report_reward_pct_outside_unit_interval_exit_code(self, smoke_run, tmp_path, capsys, pct):
+        """A reward percentile is a share of the creator's own items: one that is
+        not in [0, 1], NaN included, is a corrupt trace naming its line."""
+        broken = copy_run(smoke_run, tmp_path)
+        lines = (broken / "creator_trace.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if ",EXPLORE," in line or ",EXPLOIT," in line)
+        lines[row] = lines[row].rsplit(",", 1)[0] + f",{pct}"
+        (broken / "creator_trace.csv").write_text("\n".join(lines) + "\n")
+        assert cli_main(["report", str(broken)]) == 3
+        assert f"creator_trace.csv line {row + 1}: reward_pct '{pct}' outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["underscore", "arabic-indic", "spaced-plus"])
+    @pytest.mark.parametrize(
+        "source,file,column",
+        [
+            ("data", "users.csv", "user_id"),
+            ("data", "creators.csv", "followers"),
+            ("data", "items.csv", "created_day"),
+            ("data", "interactions.csv", "day"),
+            ("run", "items.csv", "created_step"),
+            ("run", "creator_trace.csv", "step"),
+            ("run", "creator_trace.csv", "item_id"),
+            ("run", "creator_trace.csv", "genre"),
+            ("run", "timeseries.csv", "tuw_cum"),
+        ],
+    )
+    def test_integer_field_is_ascii_digits(self, smoke_run, tmp_path, capsys, source, file, column, spelling):
+        """An integer field is ASCII digits after an optional sign, with optional
+        spaces around them, as events.csv's parser reads it. The same number
+        spelled with an underscore or in other digits is a data error naming the
+        file and line, for `sim validate` and `sim report` alike."""
+        if source == "data":
+            folder = tmp_path / "data"
+            synth_dataset(SynthParams(n_users=15, n_creators=6, seed=2), stream(2, "synth")).to_dir(folder)
+        else:
+            folder = copy_run(smoke_run, tmp_path)
+        lines = (folder / file).read_text(encoding="utf-8").splitlines()
+        k = next(i for i, line in enumerate(lines) if i and ",DEPART," not in line)  # a decision, in the trace
+        fields = next(csv.reader([lines[k]]))
+        value = fields[lines[0].split(",").index(column)]
+        fields[lines[0].split(",").index(column)] = {
+            "underscore": f"{value[:-1] or '0'}_{value[-1]}",
+            "arabic-indic": value.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+            "spaced-plus": f" +{value} ",
+        }[spelling]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(fields)
+        lines[k] = out.getvalue()
+        (folder / file).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        command = "validate" if source == "data" else "report"
+        with redirect_stdout(io.StringIO()):
+            code = cli_main([command, str(folder)])
+        if spelling == "spaced-plus":
+            assert code == 0
+        else:
+            assert code == 3
+            assert f"{file} line {k + 1}: " in capsys.readouterr().err
 
     def test_report_setting_past_int64_exit_code(self, smoke_run, tmp_path, capsys):
         """An integer setting sizes numpy arrays; one past int64 made report()

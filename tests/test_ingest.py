@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creatorsim.cli import main as cli_main
-from creatorsim.core import SimConfig, stream
+from creatorsim.core import SimConfig, creator_view, stream
 from creatorsim.harness import _World, _index_of, run_simulation
 from creatorsim.ingest import (
     DEFAULT_GENRES,
@@ -259,10 +259,10 @@ class TestWorldSeedsEqualRowReference:
             dict(
                 skill=c.beliefs.skill.tolist(), audience=known(c.beliefs.audience),
                 activity=c.activity, create_prob=world.create_prob[c.creator_id],
-                items=c.items.tolist(), exposures=world.catalog.exposures[c.items].tolist(),
-                clicks=world.catalog.clicks[c.items].tolist(),
+                items=own.items.tolist(), exposures=own.exposures.tolist(), clicks=own.clicks.tolist(),
             )
             for c in world.creators
+            for own in [creator_view(world.catalog, c.creator_id)]
         ] == creators
         assert list(zip(world.preference.tolist(), world.activity.tolist())) == users
 

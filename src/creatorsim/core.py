@@ -787,10 +787,14 @@ class SynthParams(_Settings):
 
 
 def read_kv_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat `key = value` file; `#` lines are comments."""
+    """Parse a flat `key = value` UTF-8 file; `#` lines are comments."""
     pairs: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+        try:
+            lines = f.read().split("\n")  # the lines iterating `f` yields, less their newlines
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: {e}") from e
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

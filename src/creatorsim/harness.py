@@ -549,8 +549,7 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
     cumulative per-step creator reward divided by the baseline run's.
     """
     run_dir = Path(run_dir)
-    with _reading(CONFIG_FILE):
-        cfg = SimConfig.from_file(_require(run_dir / CONFIG_FILE))
+    cfg = SimConfig.from_file(_require(run_dir / CONFIG_FILE))
     with _reading(EVENTS_FILE, EventLogError):
         log = EventLog.from_csv(_require(run_dir / EVENTS_FILE))
     catalog = Catalog.from_csv(_require(run_dir / ITEMS_FILE))
@@ -635,8 +634,10 @@ def report(run_dir: str | Path, baseline_dir: str | Path | None = None) -> dict:
 
     normalized = None
     if baseline_dir is not None:
-        baseline = report(baseline_dir)
-        normalized = normalized_reward_curve(reward_per_step, baseline["reward_per_step"])
+        baseline = report(baseline_dir)["reward_per_step"]
+        if len(baseline) != end:
+            raise ArtifactError(f"baseline {baseline_dir} has {len(baseline)} steps, the run {run_dir} has {end}")
+        normalized = normalized_reward_curve(reward_per_step, baseline)
 
     return {
         "tuw": tuw,
@@ -660,8 +661,7 @@ def compare(run_dirs, metric_keys=("tuw", "crr", "cgd")) -> list[dict]:
         raise EmptyInput("no run directories to compare")
     conditions: dict[tuple, dict] = {}
     for d in run_dirs:
-        with _reading(CONFIG_FILE):
-            pairs = core.read_kv_file(_require(d / CONFIG_FILE))
+        pairs = core.read_kv_file(_require(d / CONFIG_FILE))
         pairs.pop("seed", None)
         key = tuple(sorted(pairs.items()))
         with _reading(METRICS_FILE, ValueError, TypeError, AttributeError):

@@ -8,17 +8,18 @@ Rankers follow a fit/score shape: `retrain(clicks, catalog, step)` refits in
 place and returns self, where `clicks` holds (user, item, step) rows (an
 (n, 3) int array or anything `np.asarray` turns into one);
 `scorer(item_ids, catalog)` does a pool's per-item work once (gathering factor
-rows, or Pop's counts) and returns `user -> scores`, a deterministic pure
-function of the trained parameters. A step's visitors are ranked from one
+rows, or Pop's counts) and returns `user -> scores`, a deterministic function
+of the trained parameters. A step's visitors are ranked from one
 `PoolView`: the scorer plus the pool's tie order (newer item first, then lower
 id), both built once per step. `rank_scored` takes each visitor's exact top-k
 from it with a partition, so only the scores tied with or above the k-th are
 sorted, and returns the items and their scores as aligned arrays.
 
 MF and BPR are warm-started factorization models trained by mini-batch SGD on
-clicks, with one sampled negative per positive; items created after the last
-retrain are scored with a cold-start factor (zero vector plus the genre mean of
-trained factors).
+clicks, with one sampled negative per positive. An item created after the last
+retrain gets a cold-start row, its genre's mean row at that retrain (zeros for
+a genre it did not see), which `_grow` alone writes into `QB` when the item is
+first scored or trained, so scoring may grow the table but changes no score.
 
 Each bias is stored as one extra column of its factor table, `PB = [P | bu]`
 and `QB = [Q | bi]`, so one SGD batch updates a table with one scatter-add
@@ -153,10 +154,11 @@ class _FactorRanker:
         return self._read_only(self.QB[:, self.dim])
 
     def _grow(self, catalog: Catalog) -> None:
-        """Add a row per item created since the last retrain, from its genre's cold factor.
+        """Add a row per catalog item the table lacks, from its genre's cold factor.
 
-        The cold table is `_refresh_cold`'s from the end of that retrain, which
-        left `Q` and `bi` as they are now.
+        The cold table is `_refresh_cold`'s from the end of the last retrain,
+        which left the rows it trained as they are now, so a row that `scorer`
+        grows is the one the next retrain would have grown.
         """
         n = len(catalog)
         if n <= self.n_items:
@@ -204,23 +206,13 @@ class _FactorRanker:
         raise NotImplementedError
 
     def scorer(self, item_ids: np.ndarray, catalog: Catalog) -> Callable[[int], np.ndarray]:
-        """The items' factor rows, cold ones from their genre's mean, gathered once.
+        """The items' factor rows, gathered once after `_grow` adds the new ones.
 
         Every user's scores are one gemv over the same `vecs`, in `item_ids`
         order, so a score does not depend on which users share the scorer.
         """
-        vecs = np.zeros((len(item_ids), self.dim))
-        bias = np.zeros(len(item_ids))
-        known = item_ids < self.n_items
-        vecs[known] = self.Q[item_ids[known]]
-        bias[known] = self.bi[item_ids[known]]
-        cold = ~known
-        if cold.any() and len(self.cold_vec):
-            genres = catalog.genre[item_ids[cold]]
-            in_table = genres < len(self.cold_vec)
-            rows = np.where(cold)[0][in_table]
-            vecs[rows] = self.cold_vec[genres[in_table]]
-            bias[rows] = self.cold_bias[genres[in_table]]
+        self._grow(catalog)
+        vecs, bias = self.Q[item_ids], self.bi[item_ids]
         P, bu = self.P, self.bu
         return lambda user: bu[user] + bias + vecs @ P[user]
 

@@ -847,6 +847,23 @@ class TestCli:
         bad.write_text("not_a_key = 1\n")
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["run --config", "synth --params"])
+    def test_settings_file_not_utf8_exit_code(self, tmp_path, capsys, command):
+        """A settings file holding a byte that is not UTF-8 is a config error naming the file."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n_users = 15\n\xff\n")
+        assert cli_main([*command.split(), str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_report_baseline_of_another_length_exit_code(self, smoke_run, tmp_path, capsys):
+        """A baseline run of fewer steps is an artifact error naming both step counts and the baseline."""
+        base = run_simulation(small_cfg(n_steps=6), out_dir=tmp_path / "base").out_dir
+        assert cli_main(["report", str(smoke_run.out_dir), "--baseline", str(base)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: baseline {base} has 6 steps, the run {smoke_run.out_dir} has 25" in err
+
     def test_data_error_exit_code(self, tmp_path):
         cfg = small_cfg(data_dir=str(tmp_path / "nowhere"))
         config = tmp_path / "config.txt"

@@ -450,6 +450,45 @@ def test_scorer_equals_score_bit_for_bit(ids):
                 assert np.array_equal(got, _factor_score_per_user(r, user, ids, cat)), r.name
 
 
+@settings(max_examples=60, deadline=None)
+@given(cls=st.sampled_from([MfRanker, BprRanker]), dim=st.sampled_from([1, 8, 33]), data=st.data())
+def test_scoring_grows_the_rows_a_retrain_would(cls, dim, data):
+    """A factor ranker that scores pools between retrains trains as a twin that
+    never scored: the same PB, QB and cold table after every retrain on clicks,
+    bit for bit. Each new item it scores gets its genre's cold row, or zeros
+    for a genre outside the cold table, and its scores are those of the twin's
+    items with the cold rows gathered on the fly."""
+    cat = catalog_with(data.draw(st.integers(1, 6), label="seed items"), genre_of=lambda i: i % 2)
+    scoring, twin = (cls(n_users=4, dim=dim, lr=0.05, epochs=1, l2=1e-3, seed=dim) for _ in range(2))
+    for step in range(5):
+        # new items in genres 0-5, some past the cold table (empty until a retrain on clicks)
+        for k in range(data.draw(st.integers(0, 3), label="new items")):
+            cat.add(k % 2, data.draw(st.integers(0, 5), label="genre"), "new", [], "", step)
+        for _ in range(data.draw(st.integers(0, 2), label="pools")):
+            ids = np.array(data.draw(st.lists(st.integers(0, len(cat) - 1), max_size=8), label="pool"), np.int64)
+            n_rows = scoring.n_items
+            score = scoring.scorer(ids, cat)
+            for item in ids[ids >= n_rows]:
+                g = cat.genre[item]
+                in_table = g < len(scoring.cold_vec)
+                vec, bias = (scoring.cold_vec[g], scoring.cold_bias[g]) if in_table else (np.zeros(dim), 0.0)
+                assert np.array_equal(scoring.Q[item], vec) and scoring.bi[item] == bias
+            for user in range(4):
+                assert np.array_equal(score(user), _factor_score_per_user(twin, user, ids, cat))
+        # the first retrain is on no clicks, the last on some
+        n = 0 if step == 0 else data.draw(st.integers(int(step == 4), 30), label="clicks")
+        clicks = np.column_stack([
+            data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)), label="users"),
+            data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, len(cat) - 1)), label="items"),
+            np.full(n, step),
+        ])
+        for r in (scoring, twin):
+            r.retrain(clicks, cat, step)
+        if n:
+            for attr in ("PB", "QB", "cold_vec", "cold_bias"):
+                assert np.array_equal(getattr(scoring, attr), getattr(twin, attr)), attr
+
+
 class _FixedScores:
     """A ranker whose scores are given, the same for every user."""
 
